@@ -1,26 +1,21 @@
-// Speedup curves for the exec/ work-stealing parallel apply/compile
-// paths: each workload runs sequentially (no pool attached), then with a
-// TaskPool of 1/2/4/8 workers attached to the manager. The 1-worker
-// configuration spawns no threads and routes through the sequential code
-// path — its time vs `seq` bounds the attach overhead — while the larger
-// pools exercise the concurrent unique-table/cache protocols and the
-// fork-join recursion.
+// Speedup curves for the library's one parallel path, the vtree-semantic
+// SDD compiler's per-cofactor-class fork: each workload runs sequentially
+// (no pool attached), then with a TaskPool of 1/2/4/8 workers attached to
+// the manager. The 1-worker configuration spawns no threads and routes
+// through the sequential code path, so its time vs `seq` bounds the attach
+// overhead; the larger pools exercise the concurrent unique-table/cache
+// protocols and the fork-join recursion.
 //
 // Speedups are real parallelism measurements and therefore bounded by the
-// host: on a single-core container every multi-worker configuration adds
-// synchronization without adding compute, so the curve flattens at ~1x.
-// The JSON records host_cpus so the artifact is interpretable; regenerate
-// on a multi-core host for the scaling curve (workloads fork hundreds of
-// independent element-product rows / cofactor branches, so available
-// parallelism is not the limiter).
+// host: the JSON's meta section records host_cores, and on a single-core
+// host every multi-worker configuration measures overhead, not scaling.
 //
-// Workloads (all cold-compile / apply-heavy, fresh managers per rep,
-// min-of-3):
-//   sdd_apply_pairs12  8 random 12-var functions + all pairwise And/Or
-//                      (the kc_micro apply suite's SDD workload)
+// Workloads (cold compiles, fresh managers per rep, min-of-3):
 //   sdd_semantic14     12 random 14-var semantic compiles
 //   isa_k2_m4          the Appendix-A ISA compile (k=2, m=4, n=18)
-//   obdd_ite16         6 random 16-var functions + pairwise And/Or/Xor
+//
+// Regenerate the checked-in curve with
+//   build/bench_parallel_apply --json=BENCH_parallel_apply.json
 
 #include <cstdio>
 #include <cstring>
@@ -34,8 +29,6 @@
 #include "circuit/families.h"
 #include "exec/task_pool.h"
 #include "func/bool_func.h"
-#include "obdd/obdd.h"
-#include "obdd/obdd_compile.h"
 #include "sdd/sdd.h"
 #include "sdd/sdd_compile.h"
 #include "util/random.h"
@@ -95,25 +88,6 @@ void Run(const std::string& json_path) {
                              : "");
   bool first_section = true;
 
-  RunWorkload("sdd_apply_pairs12", json_path, &first_section,
-              [&](exec::TaskPool* pool) {
-                Rng rng(314159);
-                const int n = 12, k = 8;
-                SddManager m(Vtree::Balanced(Iota(n)));
-                m.AttachExecutor(pool);
-                std::vector<SddManager::NodeId> roots;
-                for (int i = 0; i < k; ++i) {
-                  roots.push_back(
-                      CompileFuncToSdd(&m, BoolFunc::Random(Iota(n), &rng)));
-                }
-                for (int i = 0; i < k; ++i) {
-                  for (int j = i + 1; j < k; ++j) {
-                    Consume(m.And(roots[i], roots[j]));
-                    Consume(m.Or(roots[i], roots[j]));
-                  }
-                }
-              });
-
   RunWorkload("sdd_semantic14", json_path, &first_section,
               [&](exec::TaskPool* pool) {
                 Rng rng(8675309);
@@ -137,26 +111,6 @@ void Run(const std::string& json_path) {
                   Consume(CompileCircuitToSdd(&m, circuit));
                 });
   }
-
-  RunWorkload("obdd_ite16", json_path, &first_section,
-              [&](exec::TaskPool* pool) {
-                Rng rng(271828);
-                const int n = 16, k = 6;
-                ObddManager m(Iota(n));
-                m.AttachExecutor(pool);
-                std::vector<ObddManager::NodeId> roots;
-                for (int i = 0; i < k; ++i) {
-                  roots.push_back(
-                      CompileFuncToObdd(&m, BoolFunc::Random(Iota(n), &rng)));
-                }
-                for (int i = 0; i < k; ++i) {
-                  for (int j = i + 1; j < k; ++j) {
-                    Consume(m.And(roots[i], roots[j]));
-                    Consume(m.Or(roots[i], roots[j]));
-                    Consume(m.Xor(roots[i], roots[j]));
-                  }
-                }
-              });
 
   if (!json_path.empty()) {
     bench::WriteMetaSection(json_path);

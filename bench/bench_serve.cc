@@ -45,6 +45,7 @@
 #include "db/lineage.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "perfbench/serve_inputs.h"
 #include "db/query.h"
 #include "db/query_compile.h"
 #include "obdd/obdd.h"
@@ -63,42 +64,10 @@
 namespace ctsdd {
 namespace {
 
-// R/S/T over domain [n] with tuple ids fixed by construction order
-// (R: 0..n-1, S: n..n+edges-1, T: tail) and exactly `edges` random
-// S-pairs — so every generation shares the variable universe (and thus
-// the pooled managers) while computing novel lineage functions.
-Database RandomContentDb(int n, int edges, uint64_t seed) {
-  Rng rng(seed);
-  Database db;
-  db.AddRelation("R", 1);
-  db.AddRelation("S", 2);
-  db.AddRelation("T", 1);
-  for (int l = 1; l <= n; ++l) db.AddTuple("R", {l}, 0.3);
-  const std::vector<int> perm = rng.Permutation(n * n);
-  for (int i = 0; i < edges; ++i) {
-    const int l = 1 + perm[i] / n;
-    const int m = 1 + perm[i] % n;
-    db.AddTuple("S", {l, m}, 0.3);
-  }
-  for (int m = 1; m <= n; ++m) db.AddTuple("T", {m}, 0.3);
-  return db;
-}
-
-std::vector<Ucq> QueryPopulation(int domain) {
-  std::vector<Ucq> queries;
-  queries.push_back(HierarchicalRSQuery());
-  queries.push_back(NonHierarchicalH0Query());
-  queries.push_back(InequalityExampleQuery());
-  for (int c = 1; c <= domain; ++c) queries.push_back(PerConstantRsQuery(c));
-  for (int c = 1; c <= domain; ++c) {
-    for (int d = c + 1; d <= domain; ++d) {
-      Ucq pair = PerConstantRsQuery(c);
-      pair.disjuncts.push_back(PerConstantRsQuery(d).disjuncts[0]);
-      queries.push_back(std::move(pair));
-    }
-  }
-  return queries;
-}
+// The database and query generators are shared with perfbench, so a
+// database seed and a shape index mean the same input in both harnesses.
+using perfbench::QueryPopulation;
+using perfbench::RandomContentDb;
 
 struct StreamResult {
   double qps = 0.0;

@@ -1,16 +1,16 @@
-// Work-stealing fork-join pool: the parallel runtime behind the managers'
-// multi-core apply and compile paths.
+// Work-stealing fork-join pool: the parallel runtime behind the SDD
+// semantic compiler's cofactor-class fork and the managers' GC mark.
 //
 // Shape: the pool owns `workers() - 1` background threads; the thread that
 // enters a parallel operation participates as the final worker, so
-// TaskPool(1) spawns nothing and every Fork runs inline — the sequential
+// TaskPool(1) spawns nothing and ParallelFor runs inline — the sequential
 // path with zero synchronization, which is what keeps the 1-worker
 // configuration at sequential throughput.
 //
 // Every participating thread (background worker or an external thread
 // that forked) holds a *slot*: a stable small integer indexing its
 // Chase–Lev deque (exec/deque.h) and any per-worker state a client keeps
-// (the managers stripe node allocation and recursion scratch by slot).
+// (the SDD manager stripes node allocation and element arenas by slot).
 // Background workers own slots [0, workers()-1); external threads claim
 // slots lazily from [workers()-1, kMaxSlots) the first time they touch
 // the pool and keep them for the thread's lifetime.
@@ -37,7 +37,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "exec/deque.h"
@@ -70,16 +69,6 @@ class Task {
 
  private:
   std::atomic<bool> done_{false};
-};
-
-template <typename Fn>
-class ClosureTask final : public Task {
- public:
-  explicit ClosureTask(Fn fn) : fn_(std::move(fn)) {}
-
- private:
-  void Run() override { fn_(); }
-  Fn fn_;
 };
 
 class TaskPool {
@@ -177,29 +166,6 @@ class TaskPool {
   std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> parks_{0};
 };
-
-// Runs a() and b(), forking b when the pool can run it elsewhere. The
-// default for independent recursive branches (OBDD cofactors, SDD element
-// product halves): b is stolen only when a worker is actually idle;
-// otherwise the forker pops it back and runs both inline.
-template <typename FA, typename FB>
-void ParallelInvoke(TaskPool* pool, FA&& a, FB&& b) {
-  if (pool == nullptr || !pool->parallel()) {
-    a();
-    b();
-    return;
-  }
-  ClosureTask<FB> tb(std::forward<FB>(b));
-  pool->Fork(&tb);
-  a();
-  for (;;) {
-    Task* t = pool->PopLocal();
-    if (t == nullptr) break;  // tb stolen (or already run)
-    pool->RunTask(t);
-    if (t == &tb) return;
-  }
-  pool->Join(&tb);
-}
 
 // Invokes fn(i) for i in [0, n), fanning out across the pool. Blocks
 // until every index completes. fn must be safe to run concurrently with

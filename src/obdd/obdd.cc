@@ -32,8 +32,7 @@ int ObddManager::LevelOf(int var) const {
   return it == level_of_var_.end() ? -1 : it->second;
 }
 
-template <bool kPar>
-ObddManager::NodeId ObddManager::MakeNodeT(int level, NodeId lo, NodeId hi) {
+ObddManager::NodeId ObddManager::HashCons(int level, NodeId lo, NodeId hi) {
   if (lo == hi) return lo;  // reduction rule
   // Abort-sentinel children unwind the construction. The register-only
   // sign test beats consulting the budget here: kAborted only arises
@@ -45,122 +44,33 @@ ObddManager::NodeId ObddManager::MakeNodeT(int level, NodeId lo, NodeId hi) {
   const uint64_t hash = Hash3(static_cast<uint64_t>(level),
                               static_cast<uint64_t>(lo),
                               static_cast<uint64_t>(hi));
-  const auto eq = [&](int32_t id) {
+  const int32_t found = unique_.Find(hash, [&](int32_t id) {
     const Node& n = nodes_[id];
     return n.level == level && n.lo == lo && n.hi == hi;
-  };
-  if constexpr (kPar) {
-    return unique_.FindOrInsert(
-        hash, eq, [&] { return AllocNodePar(level, lo, hi); });
-  } else {
-    const int32_t found = unique_.Find(hash, eq);
-    if (found != UniqueTable::kEmpty) return found;
-    if (budget_ != nullptr && !ChargeSeq()) return kAborted;
-    CTSDD_FAULT_POINT("obdd.alloc");
-    NodeId id;
-    if (!free_ids_.empty()) {
-      id = free_ids_.back();
-      free_ids_.pop_back();
-      nodes_[id] = {level, lo, hi};
-    } else {
-      id = static_cast<NodeId>(nodes_.PushBack({level, lo, hi}));
-    }
-    unique_.Insert(hash, id);
-    return id;
-  }
-}
-
-ObddManager::NodeId ObddManager::AllocNodePar(int level, NodeId lo,
-                                              NodeId hi) {
-  AllocCursor& cursor = alloc_cursors_[pool_->CurrentSlot()];
-  if (budget_ != nullptr) ChargePar(cursor);
+  });
+  if (found != UniqueTable::kEmpty) return found;
+  if (budget_ != nullptr && !Charge()) return kAborted;
   CTSDD_FAULT_POINT("obdd.alloc");
-  if (!cursor.recycled.empty()) {
-    const NodeId id = cursor.recycled.back();
-    cursor.recycled.pop_back();
+  NodeId id;
+  if (!free_ids_.empty()) {
+    id = free_ids_.back();
+    free_ids_.pop_back();
     nodes_[id] = {level, lo, hi};
-    return id;
+  } else {
+    id = static_cast<NodeId>(nodes_.PushBack({level, lo, hi}));
   }
-  if (cursor.next == cursor.end) {
-    // Refill from the GC free list before claiming fresh ids: without
-    // reuse, every parallel operation would grow the store past what
-    // collection can ever reclaim.
-    {
-      SpinLockGuard guard(free_ids_lock_);
-      const size_t take = std::min(kAllocBlock, free_ids_.size());
-      if (take > 0) {
-        cursor.recycled.assign(free_ids_.end() - take, free_ids_.end());
-        free_ids_.resize(free_ids_.size() - take);
-      }
-    }
-    if (!cursor.recycled.empty()) {
-      const NodeId id = cursor.recycled.back();
-      cursor.recycled.pop_back();
-      nodes_[id] = {level, lo, hi};
-      return id;
-    }
-    cursor.next = nodes_.ClaimBlock(kAllocBlock);
-    cursor.end = cursor.next + kAllocBlock;
-  }
-  const NodeId id = static_cast<NodeId>(cursor.next++);
-  nodes_[id] = {level, lo, hi};
+  unique_.Insert(hash, id);
   return id;
 }
 
 ObddManager::NodeId ObddManager::MakeNode(int level, NodeId lo, NodeId hi) {
   thread_check_.Check();
-  return par_active_ ? MakeNodeT<true>(level, lo, hi)
-                     : MakeNodeT<false>(level, lo, hi);
-}
-
-void ObddManager::BeginParallelRegion() {
-  CTSDD_CHECK(pool_ != nullptr && pool_->parallel())
-      << "BeginParallelRegion without a parallel executor attached";
-  CTSDD_CHECK(!par_active_) << "parallel regions do not nest";
-  CTSDD_CHECK_EQ(op_depth_, 0) << "parallel region inside an operation";
-  thread_check_.Check();  // verify ownership before suspending it
-  thread_check_.BeginShared();
-  alloc_cursors_.assign(pool_->max_slots(), AllocCursor{});
-  // Pre-size the striped caches: they cannot grow while the region runs,
-  // and warm-up thrash on the apply path is pure recomputation.
-  ite_cache_.BeginConcurrent(1 << 16);
-  nary_cache_.BeginConcurrent(1 << 12);
-  ite_memo_.BeginConcurrent();
-  nary_memo_.BeginConcurrent();
-  par_active_ = true;
-}
-
-void ObddManager::EndParallelRegion() {
-  CTSDD_CHECK(par_active_);
-  par_active_ = false;
-  // Unused tails of per-worker id blocks become ordinary free-list
-  // entries: marked dead, reusable by the next sequential MakeNode, and
-  // invisible to GC marking.
-  for (AllocCursor& cursor : alloc_cursors_) {
-    for (size_t id = cursor.next; id < cursor.end; ++id) {
-      nodes_[id] = {kDeadLevel, -1, -1};
-      free_ids_.push_back(static_cast<NodeId>(id));
-    }
-    // Unused recycled ids go back too (they are already dead-marked).
-    free_ids_.insert(free_ids_.end(), cursor.recycled.begin(),
-                     cursor.recycled.end());
-    cursor = AllocCursor{};
-  }
-  ite_cache_.EndConcurrent();
-  nary_cache_.EndConcurrent();
-  ite_memo_.EndConcurrent();
-  nary_memo_.EndConcurrent();
-  // The memos were region-scoped: one reset bounds their footprint by
-  // the region's largest live set, mirroring LeaveOp.
-  ite_memo_.Reset();
-  nary_memo_.Reset();
-  thread_check_.EndShared();
+  return HashCons(level, lo, hi);
 }
 
 void ObddManager::AttachBudget(WorkBudget* budget) {
   thread_check_.Check();
   CTSDD_CHECK_EQ(op_depth_, 0) << "AttachBudget inside an operation";
-  CTSDD_CHECK(!par_active_) << "AttachBudget inside a parallel region";
   budget_ = budget;
   budget_lease_ = 0;
   lease_chunk_ = 0;
@@ -175,21 +85,12 @@ void ObddManager::AttachBudget(WorkBudget* budget) {
   }
 }
 
-bool ObddManager::RefillSeqLease() {
+bool ObddManager::RefillLease() {
   if (!AdmitMemGrowth()) return false;
   budget_lease_ = static_cast<uint32_t>(budget_->AcquireLease(lease_chunk_));
   if (budget_lease_ == 0) return false;
   --budget_lease_;
   return true;
-}
-
-void ObddManager::RefillParLease(AllocCursor& cursor) {
-  if (!AdmitMemGrowth()) {
-    cursor.lease = 0;
-    return;
-  }
-  cursor.lease = static_cast<uint32_t>(budget_->AcquireLease(lease_chunk_));
-  if (cursor.lease > 0) --cursor.lease;
 }
 
 bool ObddManager::AdmitMemGrowth() {
@@ -199,8 +100,7 @@ bool ObddManager::AdmitMemGrowth() {
   // double or lazily allocate, and the node store may open fresh chunks.
   // Charging is deny-before-allocate at this seam only, so the margin
   // must cover everything mandatory-charged in between. Memo bytes come
-  // from the account's atomic per-layer counter, not the memos' num_slots
-  // walk — parallel workers hit this seam while other stripes grow.
+  // from the account's per-layer counter, not a walk over the memos.
   const uint64_t burst =
       2 * unique_.MemoryBytes() +
       static_cast<uint64_t>(mem_account_->bytes(MemLayer::kMemo)) +
@@ -214,7 +114,6 @@ bool ObddManager::AdmitMemGrowth() {
 void ObddManager::AttachMemAccount(MemAccount* account) {
   thread_check_.Check();
   CTSDD_CHECK_EQ(op_depth_, 0) << "AttachMemAccount inside an operation";
-  CTSDD_CHECK(!par_active_) << "AttachMemAccount inside a parallel region";
   mem_account_ = account;
   mem_governor_ = account != nullptr ? account->governor() : nullptr;
   nodes_.SetMemAccount(account);
@@ -299,7 +198,6 @@ void ObddManager::ReleaseRootRef(NodeId id) {
 size_t ObddManager::GarbageCollect() {
   thread_check_.Check();
   CTSDD_CHECK_EQ(op_depth_, 0) << "GC inside an operation";
-  CTSDD_CHECK(!par_active_) << "GC inside a parallel region";
   obs::TraceSpan gc_span("gc", "obdd.gc");
   ++gc_stats_.runs;
   // Mark from the registered external roots.
@@ -381,7 +279,6 @@ size_t ObddManager::GarbageCollect() {
 void ObddManager::ShrinkCaches() {
   thread_check_.Check();
   CTSDD_CHECK_EQ(op_depth_, 0) << "ShrinkCaches inside an operation";
-  CTSDD_CHECK(!par_active_) << "ShrinkCaches inside a parallel region";
   ite_cache_.Shrink();
   nary_cache_.Shrink();
   ite_memo_.Shrink();
@@ -407,27 +304,13 @@ ObddManager::NodeId ObddManager::CofactorHi(NodeId f, int level) const {
 
 ObddManager::NodeId ObddManager::Ite(NodeId f, NodeId g, NodeId h) {
   thread_check_.Check();
-  if (par_active_) {
-    // Nested call issued from inside an open region (a compiler task or
-    // a caller that spans several operations in one region): recurse on
-    // the concurrent path; the region owner resets the memos.
-    return IteRecT<true>(f, g, h, 0);
-  }
-  if (pool_ != nullptr && pool_->parallel()) {
-    BeginParallelRegion();
-    const NodeId result = IteRecT<true>(f, g, h, 0);
-    EndParallelRegion();
-    return result;
-  }
   ++op_depth_;
-  const NodeId result = IteRecT<false>(f, g, h, 0);
+  const NodeId result = IteRec(f, g, h);
   LeaveOp();
   return result;
 }
 
-template <bool kPar>
-ObddManager::NodeId ObddManager::IteRecT(NodeId f, NodeId g, NodeId h,
-                                         int depth) {
+ObddManager::NodeId ObddManager::IteRec(NodeId f, NodeId g, NodeId h) {
   if (budget_ != nullptr && ((f | g | h) < 0 || budget_->tripped())) {
     return kAborted;
   }
@@ -441,42 +324,18 @@ ObddManager::NodeId ObddManager::IteRecT(NodeId f, NodeId g, NodeId h,
                               static_cast<uint64_t>(g),
                               static_cast<uint64_t>(h));
   NodeId cached;
-  if constexpr (kPar) {
-    if (ite_cache_.LookupC(hash, key, &cached)) return cached;
-    if (ite_memo_.LookupC(hash, key, &cached)) return cached;
-  } else {
-    if (ite_cache_.Lookup(hash, key, &cached)) return cached;
-    if (ite_memo_.Lookup(hash, key, &cached)) return cached;
-  }
+  if (ite_cache_.Lookup(hash, key, &cached)) return cached;
+  if (ite_memo_.Lookup(hash, key, &cached)) return cached;
   const int level =
       std::min({nodes_[f].level, nodes_[g].level, nodes_[h].level});
-  const NodeId fl = CofactorLo(f, level), gl = CofactorLo(g, level),
-               hl = CofactorLo(h, level);
-  const NodeId fh = CofactorHi(f, level), gh = CofactorHi(g, level),
-               hh = CofactorHi(h, level);
-  NodeId lo, hi;
-  if constexpr (kPar) {
-    if (depth < kForkDepth) {
-      exec::ParallelInvoke(
-          pool_, [&] { lo = IteRecT<true>(fl, gl, hl, depth + 1); },
-          [&] { hi = IteRecT<true>(fh, gh, hh, depth + 1); });
-    } else {
-      lo = IteRecT<true>(fl, gl, hl, depth + 1);
-      hi = IteRecT<true>(fh, gh, hh, depth + 1);
-    }
-  } else {
-    lo = IteRecT<false>(fl, gl, hl, depth + 1);
-    hi = IteRecT<false>(fh, gh, hh, depth + 1);
-  }
-  const NodeId result = MakeNodeT<kPar>(level, lo, hi);
+  const NodeId lo = IteRec(CofactorLo(f, level), CofactorLo(g, level),
+                           CofactorLo(h, level));
+  const NodeId hi = IteRec(CofactorHi(f, level), CofactorHi(g, level),
+                           CofactorHi(h, level));
+  const NodeId result = HashCons(level, lo, hi);
   if (budget_ != nullptr && result < 0) return result;  // never cached
-  if constexpr (kPar) {
-    ite_cache_.StoreC(hash, key, result);
-    ite_memo_.InsertC(hash, key, result);
-  } else {
-    ite_cache_.Store(hash, key, result);
-    ite_memo_.Insert(hash, key, result);
-  }
+  ite_cache_.Store(hash, key, result);
+  ite_memo_.Insert(hash, key, result);
   return result;
 }
 
@@ -499,24 +358,14 @@ ObddManager::NodeId ObddManager::Xor(NodeId f, NodeId g) {
 ObddManager::NodeId ObddManager::ApplyN(std::vector<NodeId> ops,
                                         bool is_and) {
   thread_check_.Check();
-  if (par_active_) {
-    return ApplyNRecT<true>(std::move(ops), is_and, 0);
-  }
-  if (pool_ != nullptr && pool_->parallel()) {
-    BeginParallelRegion();
-    const NodeId result = ApplyNRecT<true>(std::move(ops), is_and, 0);
-    EndParallelRegion();
-    return result;
-  }
   ++op_depth_;
-  const NodeId result = ApplyNRecT<false>(std::move(ops), is_and, 0);
+  const NodeId result = ApplyNRec(std::move(ops), is_and);
   LeaveOp();
   return result;
 }
 
-template <bool kPar>
-ObddManager::NodeId ObddManager::ApplyNRecT(std::vector<NodeId> ops,
-                                            bool is_and, int depth) {
+ObddManager::NodeId ObddManager::ApplyNRec(std::vector<NodeId> ops,
+                                           bool is_and) {
   if (budget_ != nullptr) {
     if (budget_->tripped()) return kAborted;
     for (const NodeId op : ops) {
@@ -550,8 +399,7 @@ ObddManager::NodeId ObddManager::ApplyNRecT(std::vector<NodeId> ops,
   if (ops.size() == 1) return ops[0];
   if (ops.size() == 2) {
     const NodeId a = ops[0], b = ops[1];
-    return is_and ? IteRecT<kPar>(a, b, kFalse, depth)
-                  : IteRecT<kPar>(a, kTrue, b, depth);
+    return is_and ? IteRec(a, b, kFalse) : IteRec(a, kTrue, b);
   }
   uint64_t hash = HashMix64(is_and ? 0x517cc1b727220a95ULL : 1);
   for (const NodeId op : ops) {
@@ -559,13 +407,8 @@ ObddManager::NodeId ObddManager::ApplyNRecT(std::vector<NodeId> ops,
   }
   NaryKey key{is_and, ops};
   NodeId cached;
-  if constexpr (kPar) {
-    if (nary_cache_.LookupC(hash, key, &cached)) return cached;
-    if (nary_memo_.LookupC(hash, key, &cached)) return cached;
-  } else {
-    if (nary_cache_.Lookup(hash, key, &cached)) return cached;
-    if (nary_memo_.Lookup(hash, key, &cached)) return cached;
-  }
+  if (nary_cache_.Lookup(hash, key, &cached)) return cached;
+  if (nary_memo_.Lookup(hash, key, &cached)) return cached;
   const int level = nodes_[ops[0]].level;  // min level after the sort
   std::vector<NodeId> lo_ops;
   std::vector<NodeId> hi_ops;
@@ -575,32 +418,12 @@ ObddManager::NodeId ObddManager::ApplyNRecT(std::vector<NodeId> ops,
     lo_ops.push_back(CofactorLo(op, level));
     hi_ops.push_back(CofactorHi(op, level));
   }
-  NodeId lo, hi;
-  if constexpr (kPar) {
-    if (depth < kForkDepth) {
-      exec::ParallelInvoke(
-          pool_,
-          [&] { lo = ApplyNRecT<true>(std::move(lo_ops), is_and, depth + 1); },
-          [&] {
-            hi = ApplyNRecT<true>(std::move(hi_ops), is_and, depth + 1);
-          });
-    } else {
-      lo = ApplyNRecT<true>(std::move(lo_ops), is_and, depth + 1);
-      hi = ApplyNRecT<true>(std::move(hi_ops), is_and, depth + 1);
-    }
-  } else {
-    lo = ApplyNRecT<false>(std::move(lo_ops), is_and, depth + 1);
-    hi = ApplyNRecT<false>(std::move(hi_ops), is_and, depth + 1);
-  }
-  const NodeId result = MakeNodeT<kPar>(level, lo, hi);
+  const NodeId lo = ApplyNRec(std::move(lo_ops), is_and);
+  const NodeId hi = ApplyNRec(std::move(hi_ops), is_and);
+  const NodeId result = HashCons(level, lo, hi);
   if (budget_ != nullptr && result < 0) return result;  // never cached
-  if constexpr (kPar) {
-    nary_cache_.StoreC(hash, key, result);
-    nary_memo_.InsertC(hash, std::move(key), result);
-  } else {
-    nary_cache_.Store(hash, key, result);
-    nary_memo_.Insert(hash, std::move(key), result);
-  }
+  nary_cache_.Store(hash, key, result);
+  nary_memo_.Insert(hash, std::move(key), result);
   return result;
 }
 

@@ -15,17 +15,11 @@
 // recomputation, never change results — canonicity lives in the unique
 // table alone.
 //
-// Parallel apply (exec/): AttachExecutor hands the manager a
-// work-stealing pool; Ite and the n-ary folds then fork their independent
-// cofactor branches across the pool's workers inside a *parallel region*
-// — the one window where the single-owner contract relaxes. Within a
-// region the unique table runs its CAS insert-or-find protocol, the
-// computed caches and per-operation memos are lock-striped, node ids are
-// claimed in per-worker blocks, and the debug-build owning-thread
-// assertion is suspended (util/thread_check.h ParallelRegion). Results
-// are pointer-identical to the sequential path: canonicity hash-conses
-// every (level, lo, hi) to one id regardless of which worker builds it
-// first.
+// Every operation runs sequentially on the owning thread. An attached
+// exec/ pool only parallelizes the GC mark: forking Ite/AndN/OrN cofactor
+// branches across workers lost to the sequential sweep on nearly every
+// measured workload, by up to 10x on narrow diagrams (src/README.md, "The
+// parallel runtime"), so the manager has no parallel apply path.
 
 #ifndef CTSDD_OBDD_OBDD_H_
 #define CTSDD_OBDD_OBDD_H_
@@ -41,7 +35,6 @@
 #include "util/mem_governor.h"
 #include "util/node_store.h"
 #include "util/scoped_memo.h"
-#include "util/spinlock.h"
 #include "util/status.h"
 #include "util/thread_check.h"
 #include "util/unique_table.h"
@@ -140,48 +133,35 @@ class ObddManager {
     return static_cast<int>(nodes_.size() - free_ids_.size());
   }
 
-  // --- Parallel execution ------------------------------------------------
+  // --- Executor -----------------------------------------------------------
   //
-  // AttachExecutor lends the manager a work-stealing pool; while one with
-  // workers() > 1 is attached, Ite/AndN/OrN (and everything built on
-  // them) fork independent cofactor branches across the pool inside a
-  // parallel region. BeginParallelRegion/EndParallelRegion expose the
-  // region explicitly so a compiler driving many operations (or the
-  // serve/ layer's cold compiles) pays the region transition once rather
-  // than per operation. Regions must not overlap GC/root bookkeeping, and
-  // results are pointer-identical to sequential execution (canonicity).
+  // AttachExecutor lends the manager a work-stealing pool. GarbageCollect
+  // marks from the registered roots as pool tasks; operations ignore the
+  // pool and run sequentially.
 
   void AttachExecutor(exec::TaskPool* pool) { pool_ = pool; }
   exec::TaskPool* executor() const { return pool_; }
-  bool InParallelRegion() const { return par_active_; }
-
-  void BeginParallelRegion();
-  void EndParallelRegion();
 
   // --- Budgets and cancellation ------------------------------------------
   //
   // While a budget is attached, every operation that allocates nodes
   // (Ite/AndN/OrN/MakeNode and the compilers built on them) charges the
-  // budget per node allocation (amortized through per-context leases)
-  // and unwinds with kAborted once it trips — on node exhaustion, on
-  // deadline, or on an external Cancel(). The abort is cooperative and
+  // budget per node allocation (amortized through leases) and unwinds
+  // with kAborted once it trips — on node exhaustion, on deadline, or on
+  // an external Cancel(). The abort is cooperative and
   // exception-free: recursions observe a negative operand or the tripped
   // flag and return kAborted without touching the unique table or
   // caches, so the manager stays Validate()-clean and a post-abort
   // recompile (after detaching or refreshing the budget) is
   // pointer-identical by canonicity. Attach/Detach must happen outside
-  // operations and parallel regions. With no budget attached the hot
-  // path pays a single predictable branch.
+  // operations. With no budget attached the hot path pays a single
+  // predictable branch.
 
   void AttachBudget(WorkBudget* budget);
   void DetachBudget() { AttachBudget(nullptr); }
   WorkBudget* budget() const { return budget_; }
   bool AbortRequested() const {
     return budget_ != nullptr && budget_->tripped();
-  }
-  // Cancel token for exec::ParallelFor, or nullptr without a budget.
-  const std::atomic<bool>* budget_token() const {
-    return budget_ == nullptr ? nullptr : budget_->token();
   }
 
   // Structural self-check: every live node is reduced (lo != hi), level-
@@ -200,7 +180,7 @@ class ObddManager {
   // a refill whose worst-case allocation burst no longer fits under the
   // hard watermark trips the budget typed RESOURCE_EXHAUSTED with the
   // memory-pressure marker *before* allocating, so accounted bytes never
-  // cross the ceiling. Attach outside operations and parallel regions.
+  // cross the ceiling. Attach outside operations.
 
   void AttachMemAccount(MemAccount* account);
   MemAccount* mem_account() const { return mem_account_; }
@@ -235,8 +215,7 @@ class ObddManager {
   void ReleaseRootRef(NodeId id);
 
   // Mark-from-roots collection; returns the number of nodes reclaimed.
-  // Must not be called from inside an operation (apply depth 0) or a
-  // parallel region.
+  // Must not be called from inside an operation (apply depth 0).
   size_t GarbageCollect();
 
   // Returns the computed caches and per-operation memos to their initial
@@ -269,25 +248,12 @@ class ObddManager {
   // the lossy caches evict (a lossy cache alone turns deep recursions
   // exponential once the live set outgrows it). Ite and ApplyN nest into
   // each other, so they share one depth counter and reset together when
-  // the outermost operation returns. In a parallel region the memos are
-  // region-scoped instead (reset at EndParallelRegion), and both
-  // memoization levels go through their lock-striped protocols.
-  //
-  // The recursions are templated on the protocol: the kPar == false
-  // instantiation is the original single-owner code path, untouched; the
-  // kPar == true instantiation forks cofactor branches while depth <
-  // kForkDepth and uses the concurrent unique-table/cache entry points.
+  // the outermost operation returns.
   NodeId ApplyN(std::vector<NodeId> ops, bool is_and);
-  template <bool kPar>
-  NodeId MakeNodeT(int level, NodeId lo, NodeId hi);
-  template <bool kPar>
-  NodeId IteRecT(NodeId f, NodeId g, NodeId h, int depth);
-  template <bool kPar>
-  NodeId ApplyNRecT(std::vector<NodeId> ops, bool is_and, int depth);
-  // Node allocation inside a parallel region: bump-allocates from the
-  // calling worker's claimed id block (util/node_store.h ClaimBlock), so
-  // the only cross-worker allocation traffic is one fetch_add per block.
-  NodeId AllocNodePar(int level, NodeId lo, NodeId hi);
+  // MakeNode without the owning-thread check, for the recursions.
+  NodeId HashCons(int level, NodeId lo, NodeId hi);
+  NodeId IteRec(NodeId f, NodeId g, NodeId h);
+  NodeId ApplyNRec(std::vector<NodeId> ops, bool is_and);
   void LeaveOp() {
     if (--op_depth_ == 0) {
       ite_memo_.Reset();
@@ -305,57 +271,26 @@ class ObddManager {
     bool operator==(const NaryKey&) const = default;
   };
 
-  // Fork cutoff: cofactor branches fork while the recursion is at depth
-  // < kForkDepth, then run sequentially (still on concurrent data
-  // structures). 2^kForkDepth potential tasks keep every worker fed
-  // through the unbalanced subproblem sizes apply produces, while deep
-  // recursions stay fork-free.
-  static constexpr int kForkDepth = 7;
-  static constexpr size_t kAllocBlock = 128;  // ids per worker claim
-
-  struct AllocCursor {
-    size_t next = 0;
-    size_t end = 0;
-    // Remaining node allocations pre-charged against the attached
-    // budget (see ChargePar).
-    uint32_t lease = 0;
-    // GC-recycled ids batched out of the shared free list (see
-    // AllocNodePar — parallel regions must reuse freed ids or the node
-    // store would grow monotonically across GC cycles).
-    std::vector<NodeId> recycled;
-  };
-
   // Budget charging, amortized via leases: the shared budget atomic is
   // touched once per lease_chunk_ allocations, not once per node.
-  // ChargeSeq returns false when the budget denies the allocation (the
-  // caller returns kAborted before allocating). ChargePar charges but
-  // never denies: a worker that loses the refill race still allocates
-  // its node (the trip is already recorded), bounding total overshoot by
-  // the number of in-flight workers — well under one id block.
-  // The refills stay out of line: AcquireLease (atomics, clock reads)
-  // inlined into MakeNodeT bloats the unbudgeted allocation fast path
-  // enough to measurably slow the layered compilers.
-  bool ChargeSeq() {
+  // Charge returns false when the budget denies the allocation (the
+  // caller returns kAborted before allocating). The refill stays out of
+  // line: AcquireLease (atomics, clock reads) inlined into HashCons
+  // bloats the unbudgeted allocation fast path enough to measurably slow
+  // the layered compilers.
+  bool Charge() {
     if (budget_lease_ > 0) {
       --budget_lease_;
       return true;
     }
-    return RefillSeqLease();
+    return RefillLease();
   }
-  bool RefillSeqLease();
+  bool RefillLease();
   // Deny-before-allocate gate at the lease seams: asks the governor for
   // headroom covering one lease's worst-case allocation burst (unique-
   // table doubling + memo growth + fresh chunks). Trips the budget with
   // the memory-pressure marker on denial.
   bool AdmitMemGrowth();
-  void ChargePar(AllocCursor& cursor) {
-    if (cursor.lease > 0) {
-      --cursor.lease;
-      return;
-    }
-    RefillParLease(cursor);
-  }
-  void RefillParLease(AllocCursor& cursor);
 
   std::vector<int> var_order_;
   std::unordered_map<int, int> level_of_var_;
@@ -366,12 +301,8 @@ class ObddManager {
   ScopedMemo<IteKey, NodeId> ite_memo_;
   ScopedMemo<NaryKey, NodeId> nary_memo_;
   int op_depth_ = 0;
-  // Parallel-region state: the attached pool, the region flag, and one
-  // id-block cursor per pool slot.
-  exec::TaskPool* pool_ = nullptr;
-  bool par_active_ = false;
-  std::vector<AllocCursor> alloc_cursors_;
-  // Attached budget (may be null) and the sequential-path lease state.
+  exec::TaskPool* pool_ = nullptr;  // GC mark only (see AttachExecutor)
+  // Attached budget (may be null) and the lease state.
   WorkBudget* budget_ = nullptr;
   uint32_t budget_lease_ = 0;
   uint32_t lease_chunk_ = 0;
@@ -389,10 +320,6 @@ class ObddManager {
   static constexpr int kDeadLevel = -2;
   std::vector<int32_t> external_refs_;
   std::vector<NodeId> free_ids_;
-  // Guards free_ids_ inside parallel regions only (AllocNodePar refills
-  // cursor batches from it); single-owner access outside regions stays
-  // lock-free, ordered by the region bracket.
-  SpinLock free_ids_lock_;
   GcStats gc_stats_;
   ThreadChecker thread_check_;
 };

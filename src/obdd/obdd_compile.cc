@@ -10,13 +10,6 @@ namespace ctsdd {
 ObddManager::NodeId CompileCircuitToObdd(ObddManager* manager,
                                          const Circuit& circuit) {
   CTSDD_CHECK_GE(circuit.output(), 0);
-  // With a parallel executor attached, one region spans the whole
-  // bottom-up sweep: each gate's Ite/n-ary fold forks internally and the
-  // region transition cost is paid once instead of per gate.
-  const bool open_region = manager->executor() != nullptr &&
-                           manager->executor()->parallel() &&
-                           !manager->InParallelRegion();
-  if (open_region) manager->BeginParallelRegion();
   std::vector<ObddManager::NodeId> value(circuit.num_gates());
   for (int id = 0; id < circuit.num_gates(); ++id) {
     const Gate& g = circuit.gate(id);
@@ -49,7 +42,6 @@ ObddManager::NodeId CompileCircuitToObdd(ObddManager* manager,
       }
     }
   }
-  if (open_region) manager->EndParallelRegion();
   return value[circuit.output()];
 }
 

@@ -70,8 +70,8 @@ SddManager::SddManager(Vtree vtree, Options options)
 }
 
 void SddManager::LinkNegations(NodeId a, NodeId b) {
-  NegationOf(fast_info_[a]).store(b, std::memory_order_relaxed);
-  NegationOf(fast_info_[b]).store(a, std::memory_order_relaxed);
+  fast_info_[a].negation = b;
+  fast_info_[b].negation = a;
 }
 
 uint64_t SddManager::Hash2SemKey(int anchor, uint64_t word) {
@@ -92,7 +92,7 @@ void SddManager::RegisterSemanticT(NodeId id) {
   const Node& n = nodes_[id];
   const int anchor = anchor_of_vnode_[n.vnode];
   FastInfo& info = fast_info_[id];
-  NegationOf(info).store(-1, std::memory_order_relaxed);
+  info.negation = -1;
   if (anchor < 0) {
     info.anchor = -1;
     info.word = 0;
@@ -165,11 +165,10 @@ void SddManager::BeginParallelRegion() {
   }
   thread_check_.BeginShared();
   EnsureCtxSlots(1 + static_cast<size_t>(pool_->max_slots()));
-  // Pre-size the striped caches: they cannot grow while the region runs,
-  // and a semantic-cache miss cascades into recompilation.
-  apply_cache_.BeginConcurrent(1 << 16);
+  // Pre-size the striped semantic cache: it cannot grow while the region
+  // runs, and a miss there cascades into recompilation. The apply cache
+  // and memo stay sequential (no apply runs inside a region).
   sem_cache_.BeginConcurrent(1 << 14);
-  apply_memo_.BeginConcurrent();
   par_active_ = true;
 }
 
@@ -190,14 +189,10 @@ void SddManager::EndParallelRegion() {
     free_ids_.insert(free_ids_.end(), cx.recycled.begin(),
                      cx.recycled.end());
     cx.recycled.clear();
-    cx.nary_memo.clear();
     AddCounters(cx.counters);
     cx.counters = PerfCounters{};
   }
-  apply_cache_.EndConcurrent();
   sem_cache_.EndConcurrent();
-  apply_memo_.EndConcurrent();
-  apply_memo_.Reset();  // region-scoped, like LeaveOp for an operation
   thread_check_.EndShared();
 }
 
@@ -229,10 +224,10 @@ bool SddManager::RefillLease(Ctx& cx) {
 bool SddManager::AdmitMemGrowth() {
   if (mem_governor_ == nullptr || !mem_governor_->enabled()) return true;
   // Worst-case accounted growth before the next refill check: the unique
-  // table may double, the apply memo may double or lazily allocate
-  // shards, and the stores/arenas may open fresh chunks. Memo bytes come
-  // from the account's atomic per-layer counter (workers hit this seam
-  // while other stripes grow); the slack covers the chunk-granular rest.
+  // table may double, the apply memo may double, and the stores/arenas
+  // may open fresh chunks. Memo bytes come from the account's atomic
+  // per-layer counter (region workers hit this seam too); the slack
+  // covers the chunk-granular rest.
   const uint64_t burst =
       2 * unique_.MemoryBytes() +
       static_cast<uint64_t>(mem_account_->bytes(MemLayer::kMemo)) +
@@ -507,8 +502,7 @@ SddManager::NodeId SddManager::Literal(int var, bool positive) {
 
 template <bool kPar>
 SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
-                                             Elements* elements_in,
-                                             int depth) {
+                                             Elements* elements_in) {
   Elements& elements = *elements_in;
   if (budget_ != nullptr && budget_->tripped()) return kAborted;
   // Drop false primes.
@@ -517,6 +511,17 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
                  elements.end());
   CTSDD_CHECK(!elements.empty())
       << "decision with no satisfiable prime (primes must be exhaustive)";
+  // Abort propagation: a negative prime or sub is an upstream kAborted.
+  // Checked before the trim-rule CHECKs and the unique-table probe so an
+  // aborted partial decision never materializes, and before compression
+  // so two aborted subs never read as an equal-sub run.
+  const auto has_aborted = [&] {
+    for (const auto& [p, s] : elements) {
+      if ((p | s) < 0) return true;
+    }
+    return false;
+  };
+  if (budget_ != nullptr && has_aborted()) return kAborted;
   // Compress: merge elements with equal subs by disjoining their primes.
   // Sorting by sub turns compression into one linear merge over the runs;
   // each run's primes (pairwise disjoint by construction) fuse with a
@@ -535,6 +540,10 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
     size_t j = i + 1;
     while (j < elements.size() && elements[j].second == sub) ++j;
     if (j - i > 1) {
+      // Inside a region only the semantic compiler builds decisions, and
+      // its partitions arrive compressed: applies never run concurrently.
+      CTSDD_CHECK(!kPar)
+          << "equal subs in a decision built inside a parallel region";
       ++cx.counters.compression_merges;
       // Balanced in-place fold of the run's primes (they are pairwise
       // disjoint, so operand sizes roughly add: pairing keeps each Or
@@ -543,9 +552,9 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
       while (len > 1) {
         size_t w = 0;
         for (size_t p = 0; p + 1 < len; p += 2) {
-          elements[i + w++].first =
-              ApplyRecT<kPar>(cx, elements[i + p].first,
-                              elements[i + p + 1].first, Op::kOr, depth + 1);
+          elements[i + w++].first = ApplyRec(cx, elements[i + p].first,
+                                             elements[i + p + 1].first,
+                                             Op::kOr);
         }
         if (len % 2 == 1) elements[i + w++].first = elements[i + len - 1].first;
         len = w;
@@ -556,15 +565,8 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
     i = j;
   }
   elements.resize(out);
-  // Abort propagation: a negative prime or sub is an upstream kAborted
-  // (either passed in or produced by the compression applies above).
-  // Checked before the trim-rule CHECKs and the unique-table probe so an
-  // aborted partial decision never materializes.
-  if (budget_ != nullptr) {
-    for (const auto& [p, s] : elements) {
-      if ((p | s) < 0) return kAborted;
-    }
-  }
+  // The compression applies above may have aborted too.
+  if (budget_ != nullptr && has_aborted()) return kAborted;
   // Trim rule 1: {(true, s)} -> s.
   if (elements.size() == 1) {
     CTSDD_CHECK_EQ(elements[0].first, kTrue)
@@ -684,18 +686,16 @@ SddManager::NodeId SddManager::Decision(int vnode, Elements elements) {
   CTSDD_CHECK(!vtree_.is_leaf(vnode))
       << "decisions are normalized at internal vtree nodes";
   if (par_active_) {
-    return MakeDecisionT<true>(CurCtx(), vnode, &elements, 0);
+    return MakeDecisionT<true>(CurCtx(), vnode, &elements);
   }
   ++apply_depth_;
-  const NodeId result = MakeDecisionT<false>(ctxs_[0], vnode, &elements, 0);
+  const NodeId result = MakeDecisionT<false>(ctxs_[0], vnode, &elements);
   LeaveOp();
   return result;
 }
 
-template <bool kPar>
 SddManager::ElementSpan SddManager::LiftTo(Ctx& cx, int vnode, NodeId a,
-                                           std::array<Element, 2>* store,
-                                           int depth) {
+                                           std::array<Element, 2>* store) {
   const Node& n = nodes_[a];
   if (n.kind == Kind::kDecision && n.vnode == vnode) {
     return {n.elems, n.num_elems};
@@ -705,7 +705,7 @@ SddManager::ElementSpan SddManager::LiftTo(Ctx& cx, int vnode, NodeId a,
   if (vtree_.IsAncestorOrSelf(vtree_.left(vnode), where)) {
     // `a` lives in the left subtree: (a AND true) OR (!a AND false).
     // NotRec may grow nodes_, so `n` is dead after this point.
-    const NodeId not_a = NotRecT<kPar>(cx, a, depth);
+    const NodeId not_a = NotRec(cx, a);
     // Valid lifts are never empty, so an empty span is the abort
     // sentinel (callers check before reading elements).
     if (budget_ != nullptr && not_a < 0) return {};
@@ -720,36 +720,22 @@ SddManager::ElementSpan SddManager::LiftTo(Ctx& cx, int vnode, NodeId a,
 }
 
 SddManager::NodeId SddManager::Apply(NodeId a, NodeId b, Op op) {
-  thread_check_.Check();
-  if (par_active_) {
-    // Nested call from inside an open region (compiler task or a caller
-    // spanning several operations): the region owner resets the memos.
-    return ApplyRecT<true>(CurCtx(), a, b, op, 0);
-  }
-  if (pool_ != nullptr && pool_->parallel()) {
-    BeginParallelRegion();
-    const NodeId result = ApplyRecT<true>(CurCtx(), a, b, op, 0);
-    EndParallelRegion();
-    return result;
-  }
-  ++apply_depth_;
-  const NodeId result = ApplyRecT<false>(ctxs_[0], a, b, op, 0);
+  EnterOp("Apply");
+  const NodeId result = ApplyRec(ctxs_[0], a, b, op);
   // The exact memos only live for the outermost operation; resetting them
   // here keeps apply memory bounded by a single operation's footprint.
   LeaveOp();
   return result;
 }
 
-template <bool kPar>
-SddManager::NodeId SddManager::ApplyRecT(Ctx& cx, NodeId a, NodeId b, Op op,
-                                         int depth) {
+SddManager::NodeId SddManager::ApplyRec(Ctx& cx, NodeId a, NodeId b, Op op) {
   if (budget_ != nullptr && ((a | b) < 0 || budget_->tripped())) {
     return kAborted;
   }
   ++cx.counters.apply_calls;
   // Terminals, f op f, recorded negations, and the small-scope word
   // semantics — all resolved before any cache probe.
-  const NodeId fast = FastApplyT<kPar>(cx, a, b, op);
+  const NodeId fast = FastApply(cx, a, b, op);
   if (fast >= 0) return fast;
   if (a > b) std::swap(a, b);
   const ApplyKey key{a, b, op};
@@ -757,13 +743,8 @@ SddManager::NodeId SddManager::ApplyRecT(Ctx& cx, NodeId a, NodeId b, Op op,
                               static_cast<uint64_t>(b),
                               static_cast<uint64_t>(op));
   NodeId cached;
-  if constexpr (kPar) {
-    if (apply_cache_.LookupC(hash, key, &cached)) return cached;
-    if (apply_memo_.LookupC(hash, key, &cached)) return cached;
-  } else {
-    if (apply_cache_.Lookup(hash, key, &cached)) return cached;
-    if (apply_memo_.Lookup(hash, key, &cached)) return cached;
-  }
+  if (apply_cache_.Lookup(hash, key, &cached)) return cached;
+  if (apply_memo_.Lookup(hash, key, &cached)) return cached;
 
   // Distinct literals of one variable are complements, caught above; the
   // LCA of the remaining cases is internal.
@@ -772,8 +753,8 @@ SddManager::NodeId SddManager::ApplyRecT(Ctx& cx, NodeId a, NodeId b, Op op,
   // The spans stay valid across the recursive Apply calls below: arena
   // chunks never move and the lift stores live on this frame.
   std::array<Element, 2> store_a, store_b;
-  const ElementSpan ea = LiftTo<kPar>(cx, lca, a, &store_a, depth);
-  const ElementSpan eb = LiftTo<kPar>(cx, lca, b, &store_b, depth);
+  const ElementSpan ea = LiftTo(cx, lca, a, &store_a);
+  const ElementSpan eb = LiftTo(cx, lca, b, &store_b);
   // An empty span is LiftTo's abort sentinel (valid lifts never are).
   if (budget_ != nullptr && (ea.empty() || eb.empty())) return kAborted;
   // Depth-indexed scratch: deeper recursive frames (including the ones
@@ -798,67 +779,27 @@ SddManager::NodeId SddManager::ApplyRecT(Ctx& cx, NodeId a, NodeId b, Op op,
     if (s2 == absorbing) out.emplace_back(p2, s2);
   }
   cx.counters.absorb_collapses += out.size();
-  bool forked = false;
-  if constexpr (kPar) {
-    // Row-parallel element product: each row of `ea` crosses all of `eb`
-    // independently — fork them across the pool while shallow. Rows
-    // collect into per-row buffers and merge afterwards; MakeDecision
-    // sorts, so emission order is immaterial (canonicity).
-    if (depth < kForkDepth && ea.size() >= 2) {
-      forked = true;
-      std::vector<Elements> row_out(ea.size());
-      exec::ParallelFor(
-          pool_, ea.size(), budget_token(), [&](size_t r) {
-            Ctx& wcx = CurCtx();
-            const auto& [p1, s1] = ea[r];
-            if (s1 == absorbing) return;
-            Elements& row = row_out[r];
-            for (const auto& [p2, s2] : eb) {
-              if (s2 == absorbing) continue;
-              NodeId p = FastApplyT<true>(wcx, p1, p2, Op::kAnd);
-              if (p < 0) {
-                p = ApplyRecT<true>(wcx, p1, p2, Op::kAnd, depth + 1);
-              }
-              if (p == kFalse) continue;
-              NodeId s =
-                  (s1 == s2) ? s1 : FastApplyT<true>(wcx, s1, s2, op);
-              if (s < 0) s = ApplyRecT<true>(wcx, s1, s2, op, depth + 1);
-              row.emplace_back(p, s);
-            }
-          });
-      for (const Elements& row : row_out) {
-        out.insert(out.end(), row.begin(), row.end());
-      }
-    }
-  }
-  if (!forked) {
-    for (const auto& [p1, s1] : ea) {
-      if (s1 == absorbing) continue;
-      for (const auto& [p2, s2] : eb) {
-        if (s2 == absorbing) continue;
-        // Inline resolution first: for unstructured operands most prime
-        // pairs are disjoint and die in FastApply's word compare without
-        // a recursive call.
-        NodeId p = FastApplyT<kPar>(cx, p1, p2, Op::kAnd);
-        if (p < 0) p = ApplyRecT<kPar>(cx, p1, p2, Op::kAnd, depth + 1);
-        if (p == kFalse) continue;
-        NodeId s = (s1 == s2) ? s1 : FastApplyT<kPar>(cx, s1, s2, op);
-        if (s < 0) s = ApplyRecT<kPar>(cx, s1, s2, op, depth + 1);
-        out.emplace_back(p, s);
-      }
+  for (const auto& [p1, s1] : ea) {
+    if (s1 == absorbing) continue;
+    for (const auto& [p2, s2] : eb) {
+      if (s2 == absorbing) continue;
+      // Inline resolution first: for unstructured operands most prime
+      // pairs are disjoint and die in FastApply's word compare without
+      // a recursive call.
+      NodeId p = FastApply(cx, p1, p2, Op::kAnd);
+      if (p < 0) p = ApplyRec(cx, p1, p2, Op::kAnd);
+      if (p == kFalse) continue;
+      NodeId s = (s1 == s2) ? s1 : FastApply(cx, s1, s2, op);
+      if (s < 0) s = ApplyRec(cx, s1, s2, op);
+      out.emplace_back(p, s);
     }
   }
   cx.counters.element_products += out.size();
-  const NodeId result = MakeDecisionT<kPar>(cx, lca, &out, depth);
+  const NodeId result = MakeDecisionT<false>(cx, lca, &out);
   --cx.rec_depth;
   if (budget_ != nullptr && result < 0) return result;  // never cached
-  if constexpr (kPar) {
-    apply_cache_.StoreC(hash, key, result);
-    apply_memo_.InsertC(hash, key, result);
-  } else {
-    apply_cache_.Store(hash, key, result);
-    apply_memo_.Insert(hash, key, result);
-  }
+  apply_cache_.Store(hash, key, result);
+  apply_memo_.Insert(hash, key, result);
   return result;
 }
 
@@ -904,8 +845,7 @@ bool SddManager::NormalizeNaryOps(Ctx& cx, std::vector<NodeId>* ops_in,
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   for (const NodeId x : sorted) {
-    const NodeId nx =
-        NegationOf(fast_info_[x]).load(std::memory_order_relaxed);
+    const NodeId nx = fast_info_[x].negation;
     if (nx >= 0 && std::binary_search(sorted.begin(), sorted.end(), nx)) {
       *out = absorbing;  // x op !x
       return true;
@@ -935,11 +875,9 @@ bool SddManager::NormalizeNaryOps(Ctx& cx, std::vector<NodeId>* ops_in,
   return false;
 }
 
-template <bool kPar>
-SddManager::NodeId SddManager::ApplyNT(Ctx& cx,
-                                       const std::vector<NodeId>& ops, Op op,
-                                       int depth) {
-  if (ops.size() == 2) return ApplyRecT<kPar>(cx, ops[0], ops[1], op, depth);
+SddManager::NodeId SddManager::ApplyN(Ctx& cx, const std::vector<NodeId>& ops,
+                                      Op op) {
+  if (ops.size() == 2) return ApplyRec(cx, ops[0], ops[1], op);
   if (budget_ != nullptr) {
     if (budget_->tripped()) return kAborted;
     for (const NodeId x : ops) {
@@ -962,7 +900,7 @@ SddManager::NodeId SddManager::ApplyNT(Ctx& cx,
   std::vector<ElementSpan> spans(ops.size());
   size_t product = 1;
   for (size_t i = 0; i < ops.size(); ++i) {
-    spans[i] = LiftTo<kPar>(cx, lca, ops[i], &stores[i], depth);
+    spans[i] = LiftTo(cx, lca, ops[i], &stores[i]);
     // An empty span is LiftTo's abort sentinel.
     if (budget_ != nullptr && spans[i].empty()) return kAborted;
     // Saturate at the cap: the running multiply must not wrap (eight
@@ -981,14 +919,14 @@ SddManager::NodeId SddManager::ApplyNT(Ctx& cx,
     if (op == Op::kAnd) {
       result = ops[0];
       for (size_t i = 1; i < ops.size() && result != kFalse; ++i) {
-        result = ApplyRecT<kPar>(cx, result, ops[i], op, depth);
+        result = ApplyRec(cx, result, ops[i], op);
       }
     } else {
       std::vector<NodeId> fold = ops;
       while (fold.size() > 1) {
         size_t next = 0;
         for (size_t i = 0; i + 1 < fold.size(); i += 2) {
-          fold[next++] = ApplyRecT<kPar>(cx, fold[i], fold[i + 1], op, depth);
+          fold[next++] = ApplyRec(cx, fold[i], fold[i + 1], op);
         }
         if (fold.size() % 2 == 1) fold[next++] = fold.back();
         fold.resize(next);
@@ -1037,7 +975,7 @@ SddManager::NodeId SddManager::ApplyNT(Ctx& cx,
       sub_ops.assign(subs.begin(), subs.end());
       NodeId s;
       if (!NormalizeNaryOps(cx, &sub_ops, op, &s)) {
-        s = ApplyNT<kPar>(cx, sub_ops, op, depth + 1);
+        s = ApplyN(cx, sub_ops, op);
       }
       out.emplace_back(acc, s);
       return;
@@ -1046,8 +984,8 @@ SddManager::NodeId SddManager::ApplyNT(Ctx& cx,
       if (s == absorbing) continue;  // collapsed above
       NodeId cell = p;
       if (acc != kTrue) {
-        cell = FastApplyT<kPar>(cx, acc, p, Op::kAnd);
-        if (cell < 0) cell = ApplyRecT<kPar>(cx, acc, p, Op::kAnd, depth + 1);
+        cell = FastApply(cx, acc, p, Op::kAnd);
+        if (cell < 0) cell = ApplyRec(cx, acc, p, Op::kAnd);
       }
       // Aborted cell prime: skip the subtree — the tripped check after
       // the product returns kAborted before anything uses `out`.
@@ -1063,21 +1001,20 @@ SddManager::NodeId SddManager::ApplyNT(Ctx& cx,
     return kAborted;
   }
   cx.counters.element_products += out.size();
-  result = MakeDecisionT<kPar>(cx, lca, &out, depth);
+  result = MakeDecisionT<false>(cx, lca, &out);
   --cx.rec_depth;
   if (budget_ != nullptr && result < 0) return result;  // never memoized
   cx.nary_memo.emplace(std::move(key), result);
   return result;
 }
 
-template <bool kPar>
-SddManager::NodeId SddManager::AndNT(Ctx& cx, std::vector<NodeId> ops) {
+SddManager::NodeId SddManager::AndNRec(Ctx& cx, std::vector<NodeId> ops) {
   NodeId result;
   if (NormalizeNaryOps(cx, &ops, Op::kAnd, &result)) return result;
   if (ops.size() <= kNaryFoldArity) {
     // One n-ary element product: wide gates canonicalize once instead of
     // paying MakeDecision per binary apply.
-    result = ApplyNT<kPar>(cx, ops, Op::kAnd, 0);
+    result = ApplyN(cx, ops, Op::kAnd);
   } else {
     // Sequential accumulation: each conjunct constrains the accumulator,
     // so intermediates shrink as constraints pile up (the CNF-compilation
@@ -1085,14 +1022,13 @@ SddManager::NodeId SddManager::AndNT(Ctx& cx, std::vector<NodeId> ops) {
     // halves — ~300x slower on the ladder workloads).
     result = ops[0];
     for (size_t i = 1; i < ops.size() && result != kFalse; ++i) {
-      result = ApplyRecT<kPar>(cx, result, ops[i], Op::kAnd, 0);
+      result = ApplyRec(cx, result, ops[i], Op::kAnd);
     }
   }
   return result;
 }
 
-template <bool kPar>
-SddManager::NodeId SddManager::OrNT(Ctx& cx, std::vector<NodeId> ops) {
+SddManager::NodeId SddManager::OrNRec(Ctx& cx, std::vector<NodeId> ops) {
   NodeId result;
   if (NormalizeNaryOps(cx, &ops, Op::kOr, &result)) return result;
   // Balanced chunked fold: disjuncts do not constrain each other, so a
@@ -1108,7 +1044,7 @@ SddManager::NodeId SddManager::OrNT(Ctx& cx, std::vector<NodeId> ops) {
       std::vector<NodeId> chunk(ops.begin() + i, ops.begin() + end);
       NodeId combined;
       if (!NormalizeNaryOps(cx, &chunk, Op::kOr, &combined)) {
-        combined = ApplyNT<kPar>(cx, chunk, Op::kOr, 0);
+        combined = ApplyN(cx, chunk, Op::kOr);
       }
       saw_true = (combined == kTrue);
       ops[next++] = combined;
@@ -1123,52 +1059,27 @@ SddManager::NodeId SddManager::OrNT(Ctx& cx, std::vector<NodeId> ops) {
 }
 
 SddManager::NodeId SddManager::AndN(std::vector<NodeId> ops) {
-  thread_check_.Check();
-  if (par_active_) {
-    return AndNT<true>(CurCtx(), std::move(ops));
-  }
-  if (pool_ != nullptr && pool_->parallel()) {
-    BeginParallelRegion();
-    const NodeId result = AndNT<true>(CurCtx(), std::move(ops));
-    EndParallelRegion();
-    return result;
-  }
-  ++apply_depth_;
-  const NodeId result = AndNT<false>(ctxs_[0], std::move(ops));
+  EnterOp("AndN");
+  const NodeId result = AndNRec(ctxs_[0], std::move(ops));
   LeaveOp();
   return result;
 }
 
 SddManager::NodeId SddManager::OrN(std::vector<NodeId> ops) {
-  thread_check_.Check();
-  if (par_active_) {
-    return OrNT<true>(CurCtx(), std::move(ops));
-  }
-  if (pool_ != nullptr && pool_->parallel()) {
-    BeginParallelRegion();
-    const NodeId result = OrNT<true>(CurCtx(), std::move(ops));
-    EndParallelRegion();
-    return result;
-  }
-  ++apply_depth_;
-  const NodeId result = OrNT<false>(ctxs_[0], std::move(ops));
+  EnterOp("OrN");
+  const NodeId result = OrNRec(ctxs_[0], std::move(ops));
   LeaveOp();
   return result;
 }
 
 SddManager::NodeId SddManager::Not(NodeId a) {
-  thread_check_.Check();
-  if (par_active_) {
-    return NotRecT<true>(CurCtx(), a, 0);
-  }
-  ++apply_depth_;
-  const NodeId result = NotRecT<false>(ctxs_[0], a, 0);
+  EnterOp("Not");
+  const NodeId result = NotRec(ctxs_[0], a);
   LeaveOp();
   return result;
 }
 
-template <bool kPar>
-SddManager::NodeId SddManager::NotRecT(Ctx& cx, NodeId a, int depth) {
+SddManager::NodeId SddManager::NotRec(Ctx& cx, NodeId a) {
   if (budget_ != nullptr && (a < 0 || budget_->tripped())) return kAborted;
   if (a == kFalse) return kTrue;
   if (a == kTrue) return kFalse;
@@ -1176,8 +1087,7 @@ SddManager::NodeId SddManager::NotRecT(Ctx& cx, NodeId a, int depth) {
   // negation ever computed (and every complement literal pair) is linked,
   // so a hit here is O(1) and a whole-diagram negation visits each
   // unlinked node once.
-  const NodeId linked =
-      NegationOf(fast_info_[a]).load(std::memory_order_relaxed);
+  const NodeId linked = fast_info_[a].negation;
   if (linked >= 0) return linked;
   // Copy the node header: recursive calls below may grow nodes_. The
   // element pointer stays valid (arena chunks never move).
@@ -1187,8 +1097,8 @@ SddManager::NodeId SddManager::NotRecT(Ctx& cx, NodeId a, int depth) {
     result = Literal(n.var, !n.sense);
   } else {
     Elements out(n.elems, n.elems + n.num_elems);
-    for (auto& [p, s] : out) s = NotRecT<kPar>(cx, s, depth);
-    result = MakeDecisionT<kPar>(cx, n.vnode, &out, depth);
+    for (auto& [p, s] : out) s = NotRec(cx, s);
+    result = MakeDecisionT<false>(cx, n.vnode, &out);
   }
   if (budget_ != nullptr && result < 0) return result;  // never linked
   LinkNegations(a, result);
@@ -1196,11 +1106,9 @@ SddManager::NodeId SddManager::NotRecT(Ctx& cx, NodeId a, int depth) {
 }
 
 SddManager::NodeId SddManager::Restrict(NodeId a, int var, bool value) {
-  thread_check_.Check();
-  CTSDD_CHECK(!par_active_) << "Restrict inside a parallel region";
   const int leaf = vtree_.LeafOf(var);
   CTSDD_CHECK_GE(leaf, 0);
-  ++apply_depth_;
+  EnterOp("Restrict");
   std::unordered_map<NodeId, NodeId> memo;
   std::function<NodeId(NodeId)> rec = [&](NodeId u) -> NodeId {
     if (IsConst(u)) return u;
@@ -1220,7 +1128,7 @@ SddManager::NodeId SddManager::Restrict(NodeId a, int var, bool value) {
       } else {
         for (auto& [p, s] : out) s = rec(s);
       }
-      result = MakeDecisionT<false>(ctxs_[0], n.vnode, &out, 0);
+      result = MakeDecisionT<false>(ctxs_[0], n.vnode, &out);
     }
     memo.emplace(u, result);
     return result;

@@ -22,22 +22,25 @@
 // operand's elements while recursive calls allocate. Apply results are
 // memoized in a bounded computed cache (util/computed_cache.h): eviction
 // costs recomputation, never correctness — canonicity lives in the unique
-// table alone. Negations are exact permanent links (one atomic int per
-// node), and the apply hot path consults them to resolve f op !f without
+// table alone. Negations are exact permanent links (one int per node),
+// and the apply hot path consults them to resolve f op !f without
 // a cache probe.
 //
-// Parallel apply/compile (exec/): AttachExecutor lends the manager a
-// work-stealing pool; apply entry points then fork independent element
-// products across workers inside a *parallel region*, and the
-// vtree-guided semantic compiler (sdd/sdd_compile.cc) forks its
-// left-scope cofactor partitions the same way. Within a region the
-// unique table runs its CAS insert-or-find protocol, the apply/semantic
-// caches and the apply memo are lock-striped, node ids and element spans
-// are allocated from per-worker stripes, and the owning-thread assertion
-// is suspended (util/thread_check.h ParallelRegion). Results are
-// pointer-identical to sequential compilation — canonicity hash-conses
-// every decision to one id regardless of which worker builds it first —
-// so GC, negation links, and the semantic cache work unchanged.
+// Parallel compile (exec/): AttachExecutor lends the manager a
+// work-stealing pool, and the vtree-guided semantic compiler
+// (sdd/sdd_compile.cc) forks its left-scope cofactor classes across
+// workers inside a *parallel region*. Within a region the unique table
+// runs its CAS insert-or-find protocol, the semantic cache is lock-
+// striped, node ids and element spans are allocated from per-worker
+// stripes, and the owning-thread assertion is suspended
+// (util/thread_check.h ParallelRegion). Results are pointer-identical to
+// sequential compilation — canonicity hash-conses every decision to one
+// id regardless of which worker builds it first — so GC, negation links,
+// and the semantic cache work unchanged. The only operation a region
+// admits is Decision on an already-compressed partition; Apply, AndN,
+// OrN and Not are single-owner and never fork (forking element-product
+// rows lost to the sequential path on every measured workload;
+// src/README.md, "The parallel runtime").
 
 #ifndef CTSDD_SDD_SDD_H_
 #define CTSDD_SDD_SDD_H_
@@ -57,6 +60,7 @@
 #include "util/arena.h"
 #include "util/budget.h"
 #include "util/computed_cache.h"
+#include "util/logging.h"
 #include "util/mem_governor.h"
 #include "util/node_store.h"
 #include "util/scoped_memo.h"
@@ -118,7 +122,9 @@ class SddManager {
   // the contract Validate() checks. This is the entry point for compilers
   // that construct partitions directly (the vtree-guided semantic compiler
   // in sdd/sdd_compile.cc) instead of going through Apply. Safe to call
-  // from worker tasks inside an open parallel region.
+  // from worker tasks inside an open parallel region, where the partition
+  // must also be compressed already (distinct subs): the concurrent path
+  // canonicalizes without running any apply.
   NodeId Decision(int vnode, Elements elements);
 
   NodeId And(NodeId a, NodeId b);
@@ -193,11 +199,12 @@ class SddManager {
 
   // --- Parallel execution ------------------------------------------------
   //
-  // Same contract as ObddManager: with a parallel pool attached, apply
-  // entry points fork inside an exec-managed region, and compilers (the
-  // vtree-semantic path) may span many operations in one explicit region.
-  // Regions exclude GC/root bookkeeping; results are pointer-identical
-  // to sequential execution.
+  // With a parallel pool attached, the vtree-semantic compiler spans its
+  // whole recursion in one explicit region and forks there; GC marks its
+  // roots as pool tasks. Inside a region workers may call only Decision,
+  // LookupSemantic and Literal (pre-interned); Apply/AndN/OrN/Not,
+  // Restrict, GC and root bookkeeping are single-owner operations outside
+  // regions. Results are pointer-identical to sequential execution.
 
   void AttachExecutor(exec::TaskPool* pool) { pool_ = pool; }
   exec::TaskPool* executor() const { return pool_; }
@@ -350,8 +357,7 @@ class SddManager {
   // literal pairs and every Not() result are linked eagerly, which lets
   // Apply short-circuit f op !f without a cache probe.
   NodeId KnownNegation(NodeId a) const {
-    return NegationOf(const_cast<FastInfo&>(fast_info_[a]))
-        .load(std::memory_order_relaxed);
+    return fast_info_[a].negation;
   }
 
   // --- Small-scope semantic layer ---
@@ -422,11 +428,12 @@ class SddManager {
   };
 
   // Per-execution-context state: one Ctx per pool slot (plus slot 0 for
-  // the single-owner path). Everything an apply recursion mutates that is
-  // not a shared, protocol-guarded structure lives here, so workers never
-  // contend: depth-indexed element scratch, the n-ary memo and probe
-  // buffer, the element arena stripe, the node-id block cursor, and the
-  // worker's counter tally (merged into counters_ at region end).
+  // the single-owner path). Everything decision construction mutates that
+  // is not a shared, protocol-guarded structure lives here, so region
+  // workers never contend: the element arena stripe, the node-id block
+  // cursor, the budget lease, and the worker's counter tally (merged into
+  // counters_ at region end). The apply scratch and n-ary memo are used
+  // by slot 0 only, since applies never run inside a region.
   struct Ctx {
     // Per-recursion-depth element buffers reused across ApplyRec frames,
     // so the hot path performs no per-call allocation once warmed up. A
@@ -437,8 +444,6 @@ class SddManager {
     // never re-enters itself within a context, so one buffer suffices).
     std::vector<NodeId> nary_probe_scratch;
     // Exact memo for n-ary folds within the current top-level operation.
-    // Context-local even in parallel regions: a duplicated n-ary fold
-    // across workers costs recomputation, never correctness.
     std::unordered_map<NaryKey, NodeId, NaryKeyHash> nary_memo;
     // Element span stripe (stable addresses; see AllocateElements).
     PoolArena<Element> element_arena;
@@ -463,11 +468,6 @@ class SddManager {
   // element counts); past it the operands fall back to binary folding,
   // whose intermediate canonicalization keeps the meet partition in check.
   static constexpr size_t kNaryProductCap = 4096;
-  // Fork cutoff for the parallel apply path: element-product rows fork
-  // while the recursion is at depth < kForkDepth (the row fan-out per
-  // level is the operand's element count, so a shallow cutoff already
-  // yields hundreds of tasks).
-  static constexpr int kForkDepth = 4;
   static constexpr size_t kAllocBlock = 128;  // node ids per worker claim
 
   // The execution context for the current thread: slot 0 outside
@@ -505,9 +505,11 @@ class SddManager {
 
   // Canonicalizes (compress + trim + hash-cons) the elements in *elements,
   // which is consumed as scratch space. All recursive Apply calls the
-  // compression needs happen before the unique-table probe.
+  // compression needs happen before the unique-table probe. kPar == true
+  // is the parallel-region protocol (concurrent unique-table insert,
+  // per-worker allocation); it requires distinct subs and runs no apply.
   template <bool kPar>
-  NodeId MakeDecisionT(Ctx& cx, int vnode, Elements* elements, int depth);
+  NodeId MakeDecisionT(Ctx& cx, int vnode, Elements* elements);
   // The unique-table hash of a decision's sorted elements (shared by
   // MakeDecision and the GC rebuild).
   static uint64_t DecisionHash(int vnode, ElementSpan elements);
@@ -531,23 +533,17 @@ class SddManager {
   // preserves the O(|a|·|b|) apply bound even when the global cache
   // evicts (a lossy cache alone turns deep recursions exponential once
   // the live set outgrows it). The memo is cleared when the outermost
-  // Apply returns (or the parallel region ends), so its memory is
-  // bounded by one operation's (region's) footprint.
-  //
-  // The recursions are templated on the protocol, like the OBDD manager:
-  // kPar == false is the original single-owner path; kPar == true forks
-  // element-product rows below kForkDepth and uses the concurrent
-  // unique-table/cache entry points.
+  // Apply returns, so its memory is bounded by one operation's footprint.
+  // The recursions are single-owner: they run on the calling thread
+  // outside parallel regions and never fork.
   NodeId Apply(NodeId a, NodeId b, Op op);
-  template <bool kPar>
-  NodeId ApplyRecT(Ctx& cx, NodeId a, NodeId b, Op op, int depth);
+  NodeId ApplyRec(Ctx& cx, NodeId a, NodeId b, Op op);
   // Constant-time resolution attempt, inlined into the element-product
   // loops so the (dominant) trivially-resolvable pairs never pay a
   // recursive call: terminals, equality, recorded negations, and the
   // small-scope word semantics (disjointness, coverage, subsumption, and
   // cached result functions). Returns -1 when a full ApplyRec is needed.
-  template <bool kPar>
-  NodeId FastApplyT(Ctx& cx, NodeId a, NodeId b, Op op) {
+  NodeId FastApply(Ctx& cx, NodeId a, NodeId b, Op op) {
     if (op == Op::kAnd) {
       if (a == kFalse || b == kFalse) return kFalse;
       if (a == kTrue) return b;
@@ -558,9 +554,9 @@ class SddManager {
       if (b == kFalse) return a;
     }
     if (a == b) return a;
-    FastInfo& fa = fast_info_[a];
-    FastInfo& fb = fast_info_[b];
-    if (NegationOf(fa).load(std::memory_order_relaxed) == b) {
+    const FastInfo& fa = fast_info_[a];
+    const FastInfo& fb = fast_info_[b];
+    if (fa.negation == b) {
       return (op == Op::kAnd) ? kFalse : kTrue;
     }
     const int anchor = fa.anchor;
@@ -578,11 +574,10 @@ class SddManager {
       hit = b;
     } else {
       NodeId cached;
-      const uint64_t hash = Hash2SemKey(anchor, wr);
-      const SemKey key{anchor, wr};
-      const bool found = kPar ? sem_cache_.LookupC(hash, key, &cached)
-                              : sem_cache_.Lookup(hash, key, &cached);
-      if (found) hit = cached;
+      if (sem_cache_.Lookup(Hash2SemKey(anchor, wr), SemKey{anchor, wr},
+                            &cached)) {
+        hit = cached;
+      }
     }
     if (hit >= 0) ++cx.counters.sem_apply_hits;
     return hit;
@@ -596,23 +591,18 @@ class SddManager {
   // free with >= 2 entries (NormalizeNaryOps's postcondition); order is
   // free — the caller's sequence is preserved, and only the internal memo
   // key is sorted. Falls back to binary folds past kNaryProductCap.
-  template <bool kPar>
-  NodeId ApplyNT(Ctx& cx, const std::vector<NodeId>& ops, Op op, int depth);
-  template <bool kPar>
-  NodeId AndNT(Ctx& cx, std::vector<NodeId> ops);
-  template <bool kPar>
-  NodeId OrNT(Ctx& cx, std::vector<NodeId> ops);
+  NodeId ApplyN(Ctx& cx, const std::vector<NodeId>& ops, Op op);
+  NodeId AndNRec(Ctx& cx, std::vector<NodeId> ops);
+  NodeId OrNRec(Ctx& cx, std::vector<NodeId> ops);
   // Shared operand normalization for AndN/OrN/ApplyN: drops identity
   // operands and duplicates, sorts, and detects absorbing terminals and
   // complementary pairs. Returns true if the fold is decided immediately
   // (result in *out).
   bool NormalizeNaryOps(Ctx& cx, std::vector<NodeId>* ops, Op op,
                         NodeId* out);
-  template <bool kPar>
-  NodeId NotRecT(Ctx& cx, NodeId a, int depth);
+  NodeId NotRec(Ctx& cx, NodeId a);
   // Records a <-> b as negations of each other (for apply short-circuits).
-  // Concurrent last-writer-wins is benign: negations are canonical, so
-  // racing writers store the same pair.
+  // Single-owner: negations are only computed outside parallel regions.
   void LinkNegations(NodeId a, NodeId b);
   // Computes and registers the semantic word of a freshly created node
   // whose vnode has a small anchor (no-op otherwise). Must be called for
@@ -621,12 +611,18 @@ class SddManager {
   void RegisterSemanticT(NodeId id);
   // A view of `a` as elements normalized at `vnode` (having lifted it if
   // needed); lifted literal/decision cases materialize into *store.
-  template <bool kPar>
   ElementSpan LiftTo(Ctx& cx, int vnode, NodeId a,
-                     std::array<Element, 2>* store, int depth);
-  // Resets the memos when the outermost single-owner operation returns,
-  // and folds the sequential context's counter tally into the manager's
-  // (parallel contexts merge at EndParallelRegion instead).
+                     std::array<Element, 2>* store);
+  // Brackets a single-owner apply operation (Apply, AndN, OrN, Not,
+  // Restrict): none may run inside a parallel region. LeaveOp resets the
+  // memos when the outermost operation returns and folds the sequential
+  // context's counter tally into the manager's (parallel contexts merge
+  // at EndParallelRegion instead).
+  void EnterOp(const char* op) {
+    thread_check_.Check();
+    CTSDD_CHECK(!par_active_) << op << " inside a parallel region";
+    ++apply_depth_;
+  }
   void LeaveOp() {
     if (--apply_depth_ == 0) {
       apply_memo_.Reset();
@@ -663,19 +659,13 @@ class SddManager {
   // the truth table word over the anchor scope (valid iff anchor >= 0;
   // written before the node id is published, read-only afterwards). The
   // struct stays POD — chunk allocation leaves entries untouched until
-  // their id is created — and the negation field, which parallel tasks
-  // link while others read, is accessed through std::atomic_ref (below).
+  // their id is created. Negations are linked only by single-owner
+  // operations, so region workers never race on the negation field.
   struct FastInfo {
     NodeId negation;
     int32_t anchor;
     uint64_t word;
   };
-  // Atomic view of a FastInfo's negation link (relaxed loads/stores are
-  // plain moves on x86; the view is what makes concurrent LinkNegations
-  // vs FastApply reads well-defined).
-  static std::atomic_ref<NodeId> NegationOf(FastInfo& info) {
-    return std::atomic_ref<NodeId>(info.negation);
-  }
   struct ApplyKeyHash {
     size_t operator()(const ApplyKey& k) const {
       uint64_t h = (static_cast<uint64_t>(k.a) << 33) ^
@@ -693,10 +683,9 @@ class SddManager {
   std::vector<NodeId> literal_ids_;  // (var << 1 | sign) -> id or -1
   ComputedCache<ApplyKey, NodeId> apply_cache_;
   // Exact memo for the currently running top-level operation (see
-  // ApplyRecT): preserves the polynomial recursion bounds that the
+  // ApplyRec): preserves the polynomial recursion bounds that the
   // bounded lossy caches alone cannot guarantee; reset when the
-  // outermost operation (or parallel region) ends so memory stays
-  // bounded per operation.
+  // outermost operation ends so memory stays bounded per operation.
   ScopedMemo<ApplyKey, NodeId> apply_memo_;
   int apply_depth_ = 0;
   // Small-scope semantic layer (see SmallAnchor): per-vtree-node anchors
@@ -717,7 +706,7 @@ class SddManager {
   uint32_t lease_chunk_ = 0;
   // Governor accounting (may be null); the governor pointer is resolved
   // once at attach. The burst slack covers fixed-size mandatory
-  // allocations per lease: store and arena chunks, lazy memo shards,
+  // allocations per lease: store and arena chunks, the memo's lazy array,
   // and the caches' floor arrays.
   static constexpr uint64_t kMemBurstSlack = 1u << 20;
   MemAccount* mem_account_ = nullptr;

@@ -31,10 +31,13 @@ namespace {
 // Partition forks its left-scope cofactor classes across the pool — each
 // class's (prime, sub) pair compiles independently, and Decision
 // canonicalizes through the manager's concurrent protocol, so the result
-// is pointer-identical to the sequential compile. The subfunction memo is
-// sharded under short mutexes (one BoolFunc hash per probe), and counter
-// tallies accumulate relaxed-atomically, merged into the manager when the
-// compile finishes.
+// is pointer-identical to the sequential compile. This is the only fork
+// in compilation: each class is a whole subfunction compile, coarse
+// enough to pay for a task (the ISA compile runs ~3x faster at 4
+// workers), which a single apply operation is not. The subfunction memo
+// is sharded under short mutexes (one BoolFunc hash per probe), and
+// counter tallies accumulate relaxed-atomically, merged into the manager
+// when the compile finishes.
 class SemanticSddCompiler {
  public:
   explicit SemanticSddCompiler(SddManager* manager)
@@ -64,7 +67,12 @@ class SemanticSddCompiler {
   // Fork cutoff: partition classes fork while the vtree recursion is at
   // depth < kForkDepth. Class counts are the cofactor multiplicities
   // (up to 2^|left vars|), so shallow levels alone saturate the pool.
-  static constexpr int kForkDepth = 8;
+  // The cutoff also bounds memory: a helping join runs other tasks on top
+  // of its own frame, so the live Partition frames (each holding its
+  // cofactor table) grow with the fork depth. On the ISA compile, depth 4
+  // keeps ~38 frames live (~50 MB peak RSS at 4 workers, vs ~370 frames
+  // and ~200 MB at depth 8) at the same speed; depth 3 is slower.
+  static constexpr int kForkDepth = 4;
   static constexpr size_t kMemoShards = 16;
 
   bool Covers(int node, const std::vector<int>& vars) const {
@@ -360,13 +368,8 @@ SddManager::NodeId CompileCircuitToSdd(SddManager* manager,
     const int vnode = manager->VtreeOf(id);
     return vnode < 0 ? -1 : preorder[vnode];
   };
-  // One parallel region for the whole bottom-up sweep: each gate's n-ary
-  // fold forks internally, and the per-gate region transition cost is
-  // paid once.
-  const bool open_region = manager->executor() != nullptr &&
-                           manager->executor()->parallel() &&
-                           !manager->InParallelRegion();
-  if (open_region) manager->BeginParallelRegion();
+  // The apply route runs sequentially even with a pool attached: each
+  // gate's fold is too fine-grained for forking to pay.
   std::vector<SddManager::NodeId> value(circuit.num_gates());
   for (int id = 0; id < circuit.num_gates(); ++id) {
     const Gate& g = circuit.gate(id);
@@ -407,7 +410,6 @@ SddManager::NodeId CompileCircuitToSdd(SddManager* manager,
       }
     }
   }
-  if (open_region) manager->EndParallelRegion();
   return value[circuit.output()];
 }
 

@@ -143,9 +143,11 @@ class QueryService {
   void PublishMetrics();
 
   ServeOptions options_;
-  // Service-wide work-stealing pool lent to shards for cold compiles
-  // (null when options_.exec_workers <= 1). Declared before the shards
-  // so it outlives every manager that borrowed it.
+  // Service-wide work-stealing pool lent to every shard's managers (null
+  // when options_.exec_workers <= 1); it speeds only semantic SDD
+  // compiles of at most kSemanticCircuitMaxVars variables, plus GC
+  // marking. Declared before the shards so it outlives every manager
+  // that borrowed it.
   std::unique_ptr<exec::TaskPool> exec_pool_;
   // Unified metrics registry; latency_us_/gc_pause_us_ are its shared
   // histograms (microsecond samples, recorded by every shard). flight_

@@ -41,13 +41,14 @@ struct ServeOptions {
   int gc_live_node_ceiling = 1 << 20;
   // Requests between GC policy checks on a shard.
   int gc_check_interval = 16;
-  // Workers in the shared exec/ pool the service lends to shards for
-  // cold compiles (parallel apply/compile inside the managers; see
-  // src/exec/). 0 or 1 keeps every compile on the shard's own thread —
-  // the sequential path. The pool is shared: shards borrow it for the
-  // duration of one compile, so `exec_workers` caps the *extra*
-  // parallelism a single cold compile can recruit, not a per-shard
-  // reservation.
+  // Workers in the shared exec/ pool the service lends to every shard's
+  // managers (see src/README.md, "The parallel runtime"). The pool only
+  // speeds up semantic SDD compiles of lineages with at most
+  // kSemanticCircuitMaxVars variables, plus GC marking; every OBDD
+  // compile and every wider SDD compile runs on the shard's own thread
+  // either way. 0 or 1 keeps everything there. The pool is shared, so
+  // `exec_workers` caps the *extra* parallelism a single compile can
+  // recruit, not a per-shard reservation.
   int exec_workers = 0;
   // Node-allocation budget per cold compile (0 = unlimited). A compile
   // that trips it aborts cleanly, the shard reclaims the partial nodes,

@@ -709,8 +709,8 @@ ObddManager* ShardWorker::ObddFor(const std::vector<int>& order) {
   }
   obdd_pool_.push_back({order, std::make_unique<MemAccount>(&account_),
                         std::make_unique<ObddManager>(order), ++use_clock_});
-  // Lend the managers the service-wide pool: cold compiles inside this
-  // manager fork across its workers (exec-managed parallel regions).
+  // Lend the manager the service-wide pool (OBDD: parallel GC mark only;
+  // compiles stay sequential).
   obdd_pool_.back().manager->AttachExecutor(exec_pool_);
   obdd_pool_.back().manager->AttachMemAccount(obdd_pool_.back().account.get());
   return obdd_pool_.back().manager.get();

@@ -158,8 +158,9 @@ class ShardWorker {
  public:
   // `exec_pool` (optional, may be null) is the service-wide work-stealing
   // pool lent to this shard's managers for cold compiles; the shard
-  // attaches it to every manager it pools, and the managers open
-  // exec-managed parallel regions around their apply/compile operations.
+  // attaches it to every manager it pools. It speeds up only semantic
+  // SDD compiles (at most kSemanticCircuitMaxVars variables) and the GC
+  // mark; apply operations ignore it.
   // `quarantine` (may be null) is the service-level poison negative
   // cache: workers re-check it before a cold compile and report compile
   // outcomes into it. `sup` (may be null) carries the shared supervision

@@ -10,31 +10,17 @@
 //
 // Exactness holds within a generation: nothing goes stale mid-operation,
 // so probe sequences are stable and an inserted key is always found.
-//
-// Concurrent protocol (exec-managed parallel regions): the memo is
-// lock-striped by hash — BeginConcurrent() activates kStripes shards,
-// each an independent probe array guarded by its own spinlock, selected
-// by the hash's top bits (the low bits index within the shard). A probe
-// chain therefore never leaves its stripe, and one short critical
-// section covers lookup, insert, and any in-shard growth. LookupC /
-// InsertC are the striped entry points; sequential Lookup/Insert/Upsert
-// stay lock-free on a separate inline table and must not interleave with
-// them (the managers' parallel-region contract — memos are reset between
-// operations, so no entry outlives the protocol it was written under).
+// Single-owner: not safe for concurrent use.
 
 #ifndef CTSDD_UTIL_SCOPED_MEMO_H_
 #define CTSDD_UTIL_SCOPED_MEMO_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "util/mem_governor.h"
-#include "util/spinlock.h"
 
 namespace ctsdd {
 
@@ -56,8 +42,7 @@ class ScopedMemo {
   // Attaches the governor account (releasing from any previous one).
   // Memo growth is *mandatory* — linear probing needs headroom for
   // exactness — so it is charged, never denied; the managers' admission
-  // burst margin covers it. Attach while quiescent; growth charges may
-  // come from stripe threads (the account is atomic).
+  // burst margin covers it. Attach while quiescent.
   void SetMemAccount(MemAccount* account) {
     const int64_t held = static_cast<int64_t>(num_slots() * sizeof(Slot));
     ChargeBytes(-held);
@@ -72,12 +57,6 @@ class ScopedMemo {
   void Reset() {
     ++generation_;
     ResetShard(&seq_, trim_slots_);
-    // The trim budget bounds the whole memo, not each stripe: divide it
-    // across the stripes so a large parallel region cannot leave
-    // kStripes x trim_slots_ resident behind.
-    const size_t stripe_trim =
-        std::max(kInitialSlots, trim_slots_ / kStripes);
-    for (Shard& shard : stripes_) ResetShard(&shard, stripe_trim);
   }
 
   // Invalidates all entries and releases the slot arrays entirely (they
@@ -91,8 +70,6 @@ class ScopedMemo {
     seq_.live = 0;
     seq_.slots.clear();
     seq_.slots.shrink_to_fit();
-    stripes_.clear();
-    stripes_.shrink_to_fit();
   }
 
   bool Lookup(uint64_t hash, const Key& key, Value* out) const {
@@ -128,68 +105,14 @@ class ScopedMemo {
     InsertIn(&seq_, hash, std::move(key), std::move(value));
   }
 
-  // --- Concurrent protocol (see file comment) ---------------------------
-
-  void BeginConcurrent() {
-    if (locks_ == nullptr) {
-      locks_ = std::make_unique<SpinLock[]>(kStripes);
-    }
-    if (stripes_.size() < kStripes) stripes_.resize(kStripes);
-    concurrent_ = true;
-  }
-
-  void EndConcurrent() { concurrent_ = false; }
-  bool concurrent() const { return concurrent_; }
-
-  bool LookupC(uint64_t hash, const Key& key, Value* out) const {
-    c_lookups_.fetch_add(1, std::memory_order_relaxed);
-    const size_t stripe = StripeOf(hash);
-    SpinLockGuard guard(locks_[stripe]);
-    if (LookupIn(stripes_[stripe], hash, key, out)) {
-      c_hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-
-  // Insert-or-overwrite: two workers may race to compute the same key
-  // (both missed before either finished); the results are identical —
-  // canonical node ids — so last-writer-wins is exact, not lossy.
-  void InsertC(uint64_t hash, Key key, Value value) {
-    const size_t stripe = StripeOf(hash);
-    SpinLockGuard guard(locks_[stripe]);
-    Shard& shard = stripes_[stripe];
-    if (!shard.slots.empty()) {
-      const size_t mask = shard.slots.size() - 1;
-      for (size_t i = hash & mask;; i = (i + 1) & mask) {
-        Slot& slot = shard.slots[i];
-        if (slot.stamp != generation_) break;
-        if (slot.key == key) {
-          slot.value = std::move(value);
-          return;
-        }
-      }
-    }
-    InsertIn(&shard, hash, std::move(key), std::move(value));
-  }
-
-  size_t num_slots() const {
-    size_t total = seq_.slots.size();
-    for (const Shard& shard : stripes_) total += shard.slots.size();
-    return total;
-  }
+  size_t num_slots() const { return seq_.slots.size(); }
   // Cumulative across generations (Reset does not clear them): memo
   // effectiveness counters for manager-level stats reporting.
-  uint64_t lookups() const {
-    return lookups_ + c_lookups_.load(std::memory_order_relaxed);
-  }
-  uint64_t hits() const {
-    return hits_ + c_hits_.load(std::memory_order_relaxed);
-  }
+  uint64_t lookups() const { return lookups_; }
+  uint64_t hits() const { return hits_; }
 
  private:
   static constexpr size_t kInitialSlots = 1 << 8;
-  static constexpr size_t kStripes = 64;
 
   struct Slot {
     uint64_t hash = 0;
@@ -212,12 +135,6 @@ class ScopedMemo {
       // assign leaves stamp 0 everywhere; generation_ > 0 keeps them
       // free.
     }
-  }
-
-  static size_t StripeOf(uint64_t hash) {
-    // Top bits pick the stripe; the low bits index within the shard, so
-    // the two selections stay independent.
-    return hash >> 58;  // 64 - log2(kStripes)
   }
 
   bool LookupIn(const Shard& shard, uint64_t hash, const Key& key,
@@ -268,24 +185,12 @@ class ScopedMemo {
     }
   }
 
-  // The single-owner table lives inline (the original flat layout: one
-  // pointer load per probe); the lock-striped tables exist only once
-  // BeginConcurrent ran. Entries never migrate between the two — memos
-  // are reset between operations, and an operation runs under exactly
-  // one protocol.
   Shard seq_;
-  std::vector<Shard> stripes_;
   MemAccount* account_ = nullptr;
   size_t trim_slots_ = 0;
   uint64_t generation_ = 1;
   mutable uint64_t lookups_ = 0;
   mutable uint64_t hits_ = 0;
-  // Concurrent-protocol state, separate so the sequential hot path never
-  // pays an atomic increment.
-  std::unique_ptr<SpinLock[]> locks_;
-  bool concurrent_ = false;
-  mutable std::atomic<uint64_t> c_lookups_{0};
-  mutable std::atomic<uint64_t> c_hits_{0};
 };
 
 }  // namespace ctsdd

@@ -84,10 +84,6 @@ TEST(WorkStealingDequeTest, ExactlyOnceUnderContention) {
 TEST(TaskPoolTest, SingleWorkerRunsInline) {
   exec::TaskPool pool(1);
   EXPECT_FALSE(pool.parallel());
-  int a = 0, b = 0;
-  exec::ParallelInvoke(&pool, [&] { a = 1; }, [&] { b = 2; });
-  EXPECT_EQ(a, 1);
-  EXPECT_EQ(b, 2);
   std::atomic<int> sum{0};
   exec::ParallelFor(&pool, 100, [&](size_t i) {
     sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
@@ -107,7 +103,8 @@ TEST(TaskPoolTest, ParallelForCoversEveryIndexOnce) {
 }
 
 // Nested fork-join: a recursive sum over a binary split, forking at every
-// level. Exercises help-while-joining (a joiner must run other tasks, not
+// level through ParallelFor (the semantic compiler's nesting pattern).
+// Exercises help-while-joining (a joiner must run other tasks, not
 // deadlock, when its forked half was stolen).
 uint64_t RecursiveSum(exec::TaskPool* pool, uint64_t lo, uint64_t hi) {
   if (hi - lo <= 64) {
@@ -116,11 +113,12 @@ uint64_t RecursiveSum(exec::TaskPool* pool, uint64_t lo, uint64_t hi) {
     return total;
   }
   const uint64_t mid = lo + (hi - lo) / 2;
-  uint64_t left = 0, right = 0;
-  exec::ParallelInvoke(
-      pool, [&] { left = RecursiveSum(pool, lo, mid); },
-      [&] { right = RecursiveSum(pool, mid, hi); });
-  return left + right;
+  uint64_t halves[2] = {0, 0};
+  exec::ParallelFor(pool, 2, [&](size_t i) {
+    halves[i] = i == 0 ? RecursiveSum(pool, lo, mid)
+                       : RecursiveSum(pool, mid, hi);
+  });
+  return halves[0] + halves[1];
 }
 
 TEST(TaskPoolTest, NestedForkJoin) {

@@ -1,12 +1,14 @@
-// Determinism and correctness of the exec-managed parallel apply/compile
-// paths: parallel results must be POINTER-IDENTICAL to sequential ones —
-// not merely equivalent — because canonicity hash-conses every node to
-// one id per manager regardless of which worker builds it first. The
-// suite drives randomized operation sequences through both managers in
-// both orders (sequential-then-parallel and parallel-then-sequential),
-// cross-checks semantics against BoolFunc ground truth, validates SDD
-// invariants on every parallel-built root, and round-trips garbage
-// collection after a parallel compile (canonicity across GC).
+// Determinism and correctness with an exec pool attached. The only fork
+// is the SDD semantic compiler's per-cofactor-class fork; its results
+// must be POINTER-IDENTICAL to sequential ones — not merely equivalent —
+// because canonicity hash-conses every node to one id per manager
+// regardless of which worker builds it first. The suite drives randomized
+// compiles in both orders (sequential-then-parallel and
+// parallel-then-sequential), cross-checks semantics against BoolFunc
+// ground truth, validates SDD invariants on every parallel-built root, and
+// round-trips garbage collection after a parallel compile (canonicity
+// across GC). Apply operations and the apply-route circuit compilers must
+// ignore an attached pool: same ids, zero pool tasks.
 
 #include <map>
 #include <memory>
@@ -19,6 +21,7 @@
 #include "obdd/obdd_compile.h"
 #include "circuit/eval.h"
 #include "circuit/families.h"
+#include "compile/isa.h"
 #include "vtree/from_decomposition.h"
 #include "sdd/sdd.h"
 #include "sdd/sdd_compile.h"
@@ -32,99 +35,6 @@ std::vector<int> Iota(int n) {
   std::vector<int> v(n);
   for (int i = 0; i < n; ++i) v[i] = i;
   return v;
-}
-
-// --- OBDD ------------------------------------------------------------------
-
-TEST(ParallelObddTest, ParallelApplyMatchesSequentialPointerwise) {
-  Rng rng(20260729);
-  exec::TaskPool pool(4);
-  for (int trial = 0; trial < 12; ++trial) {
-    const int n = 8 + static_cast<int>(rng.NextBelow(5));  // 8..12
-    ObddManager m(Iota(n));
-    const BoolFunc fa = BoolFunc::Random(Iota(n), &rng);
-    const BoolFunc fb = BoolFunc::Random(Iota(n), &rng);
-    const BoolFunc fc = BoolFunc::Random(Iota(n), &rng);
-    const auto a = CompileFuncToObdd(&m, fa);
-    const auto b = CompileFuncToObdd(&m, fb);
-    const auto c = CompileFuncToObdd(&m, fc);
-    // Sequential results first.
-    const auto seq_and = m.And(a, b);
-    const auto seq_or = m.Or(a, c);
-    const auto seq_xor = m.Xor(b, c);
-    const auto seq_ite = m.Ite(a, b, c);
-    const auto seq_andn = m.AndN({a, b, c});
-    const auto seq_orn = m.OrN({a, b, c});
-    // Same operations with the pool attached: every node already exists,
-    // so the parallel recursion must find pointer-identical results.
-    m.AttachExecutor(&pool);
-    EXPECT_EQ(m.And(a, b), seq_and);
-    EXPECT_EQ(m.Or(a, c), seq_or);
-    EXPECT_EQ(m.Xor(b, c), seq_xor);
-    EXPECT_EQ(m.Ite(a, b, c), seq_ite);
-    EXPECT_EQ(m.AndN({a, b, c}), seq_andn);
-    EXPECT_EQ(m.OrN({a, b, c}), seq_orn);
-    m.AttachExecutor(nullptr);
-    // Ground truth.
-    const BoolFunc expect_ite = (fa & fb) | (~fa & fc);
-    std::vector<bool> values(n);
-    for (int probe = 0; probe < 64; ++probe) {
-      uint32_t index =
-          static_cast<uint32_t>(rng.NextBelow(1u << n));
-      for (int i = 0; i < n; ++i) values[i] = (index >> i) & 1;
-      EXPECT_EQ(m.Evaluate(seq_ite, values), expect_ite.EvalIndex(index));
-    }
-  }
-}
-
-TEST(ParallelObddTest, ParallelFirstThenSequentialIsIdentical) {
-  Rng rng(7);
-  exec::TaskPool pool(4);
-  const int n = 12;
-  ObddManager m(Iota(n));
-  m.AttachExecutor(&pool);
-  const BoolFunc fa = BoolFunc::Random(Iota(n), &rng);
-  const BoolFunc fb = BoolFunc::Random(Iota(n), &rng);
-  const auto a = CompileFuncToObdd(&m, fa);
-  const auto b = CompileFuncToObdd(&m, fb);
-  const auto par_and = m.And(a, b);
-  const auto par_ite = m.Ite(a, b, par_and);
-  m.AttachExecutor(nullptr);
-  EXPECT_EQ(m.And(a, b), par_and);
-  EXPECT_EQ(m.Ite(a, b, par_and), par_ite);
-  // Semantics.
-  const BoolFunc expect = fa & fb;
-  std::vector<bool> values(n);
-  for (uint32_t index = 0; index < (1u << n); index += 37) {
-    for (int i = 0; i < n; ++i) values[i] = (index >> i) & 1;
-    EXPECT_EQ(m.Evaluate(par_and, values), expect.EvalIndex(index));
-  }
-}
-
-TEST(ParallelObddTest, CircuitCompileParallelMatchesSequential) {
-  exec::TaskPool pool(4);
-  const int n = 48;
-  const Circuit c = BandedCnfCircuit(n, 4);
-  ObddManager seq(Iota(n));
-  const auto seq_root = CompileCircuitToObdd(&seq, c);
-  ObddManager par(Iota(n));
-  par.AttachExecutor(&pool);
-  const auto par_root = CompileCircuitToObdd(&par, c);
-  par.AttachExecutor(nullptr);
-  // Different managers may assign different ids; compare canonical size,
-  // then recompile in the parallel manager without the pool: within one
-  // manager the roots must be pointer-identical.
-  EXPECT_EQ(seq.Size(seq_root), par.Size(par_root));
-  const auto par_root_again = CompileCircuitToObdd(&par, c);
-  EXPECT_EQ(par_root_again, par_root);
-  // Semantics against direct circuit evaluation.
-  std::vector<bool> values(n, false);
-  Rng rng(99);
-  for (int probe = 0; probe < 128; ++probe) {
-    const uint64_t bits = rng.Next64();
-    for (int i = 0; i < n; ++i) values[i] = (bits >> (i % 64)) & 1;
-    EXPECT_EQ(par.Evaluate(par_root, values), Evaluate(c, values));
-  }
 }
 
 // --- SDD -------------------------------------------------------------------
@@ -185,7 +95,9 @@ TEST(ParallelSddTest, ParallelFirstCompileThenSequentialIsIdentical) {
   }
 }
 
-TEST(ParallelSddTest, ParallelApplyMatchesSequentialPointerwise) {
+// Apply operations ignore an attached pool: the same ids as before it was
+// attached, and the pool runs no task.
+TEST(ParallelSddTest, PoolAttachedApplyMatchesSequentialPointerwise) {
   Rng rng(271828);
   exec::TaskPool pool(4);
   for (const int n : {10, 12}) {
@@ -218,6 +130,7 @@ TEST(ParallelSddTest, ParallelApplyMatchesSequentialPointerwise) {
     EXPECT_EQ(m.OrN({roots[2], roots[3], roots[4]}), seq_results[k++]);
     EXPECT_EQ(m.Not(roots[0]), seq_results[k++]);
     m.AttachExecutor(nullptr);
+    EXPECT_EQ(pool.tasks_run(), 0u) << "an apply operation forked";
     // Semantic ground truth for a few of the pairs.
     EXPECT_EQ(m.ToBoolFunc(seq_results[0]),
               (funcs[0] & funcs[1]).ExpandTo(Iota(n)));
@@ -226,7 +139,9 @@ TEST(ParallelSddTest, ParallelApplyMatchesSequentialPointerwise) {
   }
 }
 
-TEST(ParallelSddTest, ParallelApplyFirstValidatesAndMatchesTruth) {
+// Applies on pool-built operands, run with the pool still attached, are
+// Validate()-clean, fork nothing, and match a pool-free rerun.
+TEST(ParallelSddTest, PoolAttachedApplyFirstValidatesAndMatchesTruth) {
   Rng rng(5551212);
   exec::TaskPool pool(4);
   const int n = 12;
@@ -236,28 +151,18 @@ TEST(ParallelSddTest, ParallelApplyFirstValidatesAndMatchesTruth) {
   const BoolFunc fb = BoolFunc::Random(Iota(n), &rng);
   const auto a = CompileFuncToSdd(&m, fa);
   const auto b = CompileFuncToSdd(&m, fb);
+  const uint64_t tasks_after_compiles = pool.tasks_run();
   const auto par_and = m.And(a, b);
   const auto par_or = m.Or(a, b);
   EXPECT_TRUE(m.Validate(par_and).ok());
   EXPECT_TRUE(m.Validate(par_or).ok());
   m.AttachExecutor(nullptr);
+  EXPECT_EQ(pool.tasks_run(), tasks_after_compiles)
+      << "an apply operation forked";
   EXPECT_EQ(m.And(a, b), par_and);
   EXPECT_EQ(m.Or(a, b), par_or);
   EXPECT_EQ(m.ToBoolFunc(par_and), (fa & fb).ExpandTo(Iota(n)));
   EXPECT_EQ(m.ToBoolFunc(par_or), (fa | fb).ExpandTo(Iota(n)));
-}
-
-TEST(ParallelSddTest, CircuitCompileParallelMatchesSequentialInOneManager) {
-  exec::TaskPool pool(4);
-  const Circuit c = LadderCircuit(16, 3);
-  const auto vtree = VtreeForCircuit(c);
-  ASSERT_TRUE(vtree.ok());
-  SddManager m(vtree.value());
-  const auto seq_root = CompileCircuitToSdd(&m, c);
-  m.AttachExecutor(&pool);
-  const auto par_root = CompileCircuitToSdd(&m, c);
-  m.AttachExecutor(nullptr);
-  EXPECT_EQ(par_root, seq_root);
 }
 
 TEST(ParallelSddTest, GcAfterParallelCompileRoundTripsCanonically) {
@@ -316,29 +221,6 @@ TEST(ParallelSddTest, ParallelRegionsReuseFreedIds) {
       << "parallel compiles are not reusing the GC free list";
 }
 
-TEST(ParallelObddTest, ParallelRegionsReuseFreedIds) {
-  Rng rng(1729);
-  exec::TaskPool pool(4);
-  const int n = 12;
-  ObddManager m(Iota(n));
-  m.AttachExecutor(&pool);
-  auto churn = [&](int rounds) {
-    for (int round = 0; round < rounds; ++round) {
-      const auto a = CompileFuncToObdd(&m, BoolFunc::Random(Iota(n), &rng));
-      const auto b = CompileFuncToObdd(&m, BoolFunc::Random(Iota(n), &rng));
-      const auto root = m.And(a, b);
-      m.AddRootRef(root);
-      m.ReleaseRootRef(root);
-      if (round % 10 == 9) m.GarbageCollect();
-    }
-  };
-  churn(50);
-  const int high_water_after_warmup = m.NumNodes();
-  churn(300);
-  EXPECT_LE(m.NumNodes(), 4 * high_water_after_warmup)
-      << "parallel operations are not reusing the GC free list";
-}
-
 // The sequential path must keep feeding the manager's diagnostic
 // counters (they merge from the per-context tallies at LeaveOp).
 TEST(ParallelSddTest, SequentialCountersStillAccumulate) {
@@ -353,30 +235,80 @@ TEST(ParallelSddTest, SequentialCountersStillAccumulate) {
   EXPECT_GT(m.counters().element_products, 0u);
 }
 
-// OBDD GC round-trip after parallel work, mirroring the SDD case.
-TEST(ParallelObddTest, GcAfterParallelApplyRoundTripsCanonically) {
-  Rng rng(1001);
+// Inside a parallel region the manager admits only Decision; an apply
+// there is a contract violation, caught before it can touch the
+// single-owner apply cache and memo.
+TEST(ParallelSddDeathTest, ApplyInsideRegionAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        exec::TaskPool pool(2);
+        SddManager m(Vtree::Balanced(Iota(4)));
+        m.AttachExecutor(&pool);
+        const auto x = m.Literal(0, true);
+        const auto y = m.Literal(1, true);
+        m.BeginParallelRegion();
+        (void)m.And(x, y);
+      },
+      "Apply inside a parallel region");
+}
+
+// The acceptance workload of the semantic fork: the Appendix-A ISA
+// compile (18 variables, so CompileCircuitToSdd takes the semantic route)
+// must actually run pool tasks, and the parallel-built root must be
+// structurally clean and identical to a sequential recompile.
+TEST(ParallelSddTest, IsaCompileForksAndMatchesSequential) {
+  const IsaParams params{2, 4};
+  const Circuit circuit = IsaCircuit(params);
+  ASSERT_LE(static_cast<int>(circuit.Vars().size()), kSemanticCircuitMaxVars);
   exec::TaskPool pool(4);
-  const int n = 12;
-  ObddManager m(Iota(n));
+  SddManager m(IsaVtree(params));
   m.AttachExecutor(&pool);
-  const BoolFunc keep_f = BoolFunc::Random(Iota(n), &rng);
-  const BoolFunc drop_f = BoolFunc::Random(Iota(n), &rng);
-  const auto keep = CompileFuncToObdd(&m, keep_f);
-  const auto drop = CompileFuncToObdd(&m, drop_f);
-  (void)m.And(keep, drop);
-  m.AddRootRef(keep);
-  const size_t reclaimed = m.GarbageCollect();
-  EXPECT_GT(reclaimed, 0u);
-  const auto keep_again = CompileFuncToObdd(&m, keep_f);
-  EXPECT_EQ(keep_again, keep);
+  const auto par_root = CompileCircuitToSdd(&m, circuit);
   m.AttachExecutor(nullptr);
-  std::vector<bool> values(n);
-  for (uint32_t index = 0; index < (1u << n); index += 29) {
-    for (int i = 0; i < n; ++i) values[i] = (index >> i) & 1;
-    EXPECT_EQ(m.Evaluate(keep, values), keep_f.EvalIndex(index));
+  EXPECT_GT(pool.tasks_run(), 0u) << "the semantic compile did not fork";
+  ASSERT_GE(par_root, 0);
+  const Status valid = m.Validate();
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  EXPECT_EQ(CompileCircuitToSdd(&m, circuit), par_root);
+  SddManager seq(IsaVtree(params));
+  EXPECT_EQ(seq.Size(CompileCircuitToSdd(&seq, circuit)), m.Size(par_root));
+}
+
+// Circuits wider than kSemanticCircuitMaxVars take the apply route on
+// both managers, which never forks: a pool-attached compile in a fresh
+// manager assigns exactly the ids a pool-free compile does, and the pool
+// runs nothing.
+TEST(ParallelSddTest, ApplyRouteCompilesIgnoreThePool) {
+  const int n = 48;
+  const Circuit c = BandedCnfCircuit(n, 4);
+  ASSERT_GT(static_cast<int>(c.Vars().size()), kSemanticCircuitMaxVars);
+  const auto vtree = VtreeForCircuit(c);
+  ASSERT_TRUE(vtree.ok());
+  exec::TaskPool pool(4);
+
+  SddManager sdd_seq(vtree.value());
+  SddManager sdd_par(vtree.value());
+  sdd_par.AttachExecutor(&pool);
+  const auto sdd_root = CompileCircuitToSdd(&sdd_par, c);
+  EXPECT_EQ(sdd_root, CompileCircuitToSdd(&sdd_seq, c));
+  EXPECT_EQ(sdd_par.NumNodes(), sdd_seq.NumNodes());
+
+  ObddManager obdd_seq(Iota(n));
+  ObddManager obdd_par(Iota(n));
+  obdd_par.AttachExecutor(&pool);
+  const auto obdd_root = CompileCircuitToObdd(&obdd_par, c);
+  EXPECT_EQ(obdd_root, CompileCircuitToObdd(&obdd_seq, c));
+  EXPECT_EQ(obdd_par.NumNodes(), obdd_seq.NumNodes());
+
+  EXPECT_EQ(pool.tasks_run(), 0u);
+  std::vector<bool> values(n, false);
+  Rng rng(99);
+  for (int probe = 0; probe < 64; ++probe) {
+    const uint64_t bits = rng.Next64();
+    for (int i = 0; i < n; ++i) values[i] = (bits >> (i % 64)) & 1;
+    EXPECT_EQ(obdd_par.Evaluate(obdd_root, values), Evaluate(c, values));
   }
-  m.ReleaseRootRef(keep);
 }
 
 }  // namespace

@@ -6,16 +6,14 @@
 // count, the node-budget overshoot is bounded (<= B/16 lease slack plus
 // one parallel id block), and a subsequent compile — budgeted or not —
 // produces the same canonical result a never-aborted manager would.
-// Randomized over functions, budgets, vtrees, and both the sequential and
-// parallel execution paths of both managers; deadline, cancel, and
-// fault-injection trips ride the same unwind.
+// Randomized over functions, budgets, vtrees, both managers' sequential
+// paths and the SDD semantic compiler's parallel path; deadline, cancel,
+// and fault-injection trips ride the same unwind.
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "circuit/eval.h"
-#include "circuit/families.h"
 #include "exec/task_pool.h"
 #include "func/bool_func.h"
 #include "gtest/gtest.h"
@@ -116,56 +114,6 @@ TEST(BudgetAbortTest, ObddSequentialRandomized) {
       const uint32_t index = static_cast<uint32_t>(rng.NextBelow(1u << n));
       for (int i = 0; i < n; ++i) values[i] = (index >> i) & 1;
       EXPECT_EQ(m.Evaluate(full, values), fb.EvalIndex(index));
-    }
-  }
-}
-
-TEST(BudgetAbortTest, ObddParallelRandomized) {
-  Rng rng(424242);
-  exec::TaskPool pool(3);
-  for (int trial = 0; trial < 4; ++trial) {
-    const int n = 40 + static_cast<int>(rng.NextBelow(3)) * 4;  // 40/44/48
-    const Circuit circuit = BandedCnfCircuit(n, 4);
-    ObddManager m(Iota(n));
-    InternLiterals(&m, n);
-    m.GarbageCollect();
-    const int baseline = m.NumLiveNodes();
-
-    const uint64_t budget_nodes = 32 + rng.NextBelow(96);
-    WorkBudget budget(budget_nodes);
-    m.AttachBudget(&budget);
-    m.AttachExecutor(&pool);
-    const auto aborted = CompileCircuitToObdd(&m, circuit);
-    m.AttachExecutor(nullptr);
-    m.DetachBudget();
-    ASSERT_EQ(aborted, ObddManager::kAborted) << "budget " << budget_nodes;
-    EXPECT_EQ(budget.reason(), StatusCode::kResourceExhausted);
-
-    // Parallel charging can overshoot by at most the in-flight workers
-    // plus lease slack — well under one id block.
-    EXPECT_LE(static_cast<uint64_t>(m.NumLiveNodes() - baseline),
-              OvershootCeiling(budget_nodes));
-    const Status valid = m.Validate();
-    EXPECT_TRUE(valid.ok()) << valid.ToString();
-
-    m.GarbageCollect();
-    EXPECT_EQ(m.NumLiveNodes(), baseline);
-
-    // Post-abort parallel recompile agrees with a sequential compile in
-    // the same manager, pointer-identically.
-    const auto seq_root = CompileCircuitToObdd(&m, circuit);
-    ASSERT_GE(seq_root, 0);
-    m.AttachExecutor(&pool);
-    EXPECT_EQ(CompileCircuitToObdd(&m, circuit), seq_root);
-    m.AttachExecutor(nullptr);
-    const Status valid_final = m.Validate();
-    EXPECT_TRUE(valid_final.ok()) << valid_final.ToString();
-
-    std::vector<bool> values(n, false);
-    for (int probe = 0; probe < 64; ++probe) {
-      const uint64_t bits = rng.Next64();
-      for (int i = 0; i < n; ++i) values[i] = (bits >> (i % 64)) & 1;
-      EXPECT_EQ(m.Evaluate(seq_root, values), Evaluate(circuit, values));
     }
   }
 }
@@ -469,7 +417,8 @@ TEST(BudgetAbortTest, TypedCancelMapsToTypedStatus) {
 // after a compile, after releasing roots and collecting, after a cache
 // shrink — the account's atomic byte counters equal the manager's
 // recomputed MemoryBytes() sums. Randomized over functions and pin
-// lifetimes, through both the sequential and parallel compile paths.
+// lifetimes; halfway through, a pool is attached (the SDD semantic
+// compile forks, and both managers' GC marks run as pool tasks).
 
 TEST(MemAccountingTest, ObddRoundTripExactness) {
   Rng rng(20260807);
