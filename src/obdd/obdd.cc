@@ -1,13 +1,11 @@
 #include "obdd/obdd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <set>
 
-#include "obs/trace.h"
 #include "util/fault_injection.h"
 #include "util/hashing.h"
 
@@ -41,9 +39,7 @@ ObddManager::NodeId ObddManager::HashCons(int level, NodeId lo, NodeId hi) {
   if ((lo | hi) < 0) return kAborted;
   CTSDD_CHECK_LT(level, nodes_[lo].level);
   CTSDD_CHECK_LT(level, nodes_[hi].level);
-  const uint64_t hash = Hash3(static_cast<uint64_t>(level),
-                              static_cast<uint64_t>(lo),
-                              static_cast<uint64_t>(hi));
+  const uint64_t hash = NodeHash(level, lo, hi);
   const int32_t found = unique_.Find(hash, [&](int32_t id) {
     const Node& n = nodes_[id];
     return n.level == level && n.lo == lo && n.hi == hi;
@@ -51,14 +47,7 @@ ObddManager::NodeId ObddManager::HashCons(int level, NodeId lo, NodeId hi) {
   if (found != UniqueTable::kEmpty) return found;
   if (budget_ != nullptr && !Charge()) return kAborted;
   CTSDD_FAULT_POINT("obdd.alloc");
-  NodeId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-    nodes_[id] = {level, lo, hi};
-  } else {
-    id = static_cast<NodeId>(nodes_.PushBack({level, lo, hi}));
-  }
+  const NodeId id = NewSlot(Node{level, lo, hi});
   unique_.Insert(hash, id);
   return id;
 }
@@ -68,56 +57,8 @@ ObddManager::NodeId ObddManager::MakeNode(int level, NodeId lo, NodeId hi) {
   return HashCons(level, lo, hi);
 }
 
-void ObddManager::AttachBudget(WorkBudget* budget) {
-  thread_check_.Check();
-  CTSDD_CHECK_EQ(op_depth_, 0) << "AttachBudget inside an operation";
-  budget_ = budget;
-  budget_lease_ = 0;
-  lease_chunk_ = 0;
-  if (budget != nullptr) {
-    // Lease granularity: fine enough that overshoot stays within the
-    // acceptance bound (<= budget/16), coarse enough that the shared
-    // atomic is off the per-node path.
-    const uint64_t b = budget->node_budget();
-    lease_chunk_ = static_cast<uint32_t>(
-        b == 0 ? 256
-               : std::min<uint64_t>(256, std::max<uint64_t>(1, b / 16)));
-  }
-}
-
-bool ObddManager::RefillLease() {
-  if (!AdmitMemGrowth()) return false;
-  budget_lease_ = static_cast<uint32_t>(budget_->AcquireLease(lease_chunk_));
-  if (budget_lease_ == 0) return false;
-  --budget_lease_;
-  return true;
-}
-
-bool ObddManager::AdmitMemGrowth() {
-  if (mem_governor_ == nullptr || !mem_governor_->enabled()) return true;
-  // Worst-case accounted growth before the next refill check: the unique
-  // table may double (possibly twice while small), each memo shard may
-  // double or lazily allocate, and the node store may open fresh chunks.
-  // Charging is deny-before-allocate at this seam only, so the margin
-  // must cover everything mandatory-charged in between. Memo bytes come
-  // from the account's per-layer counter, not a walk over the memos.
-  const uint64_t burst =
-      2 * unique_.MemoryBytes() +
-      static_cast<uint64_t>(mem_account_->bytes(MemLayer::kMemo)) +
-      kMemBurstSlack;
-  if (mem_governor_->AdmitProjected(burst)) return true;
-  budget_->MarkMemoryPressure();
-  budget_->Cancel(StatusCode::kResourceExhausted);
-  return false;
-}
-
-void ObddManager::AttachMemAccount(MemAccount* account) {
-  thread_check_.Check();
-  CTSDD_CHECK_EQ(op_depth_, 0) << "AttachMemAccount inside an operation";
-  mem_account_ = account;
-  mem_governor_ = account != nullptr ? account->governor() : nullptr;
+void ObddManager::AccountStructures(MemAccount* account) {
   nodes_.SetMemAccount(account);
-  unique_.SetMemAccount(account);
   ite_cache_.SetMemAccount(account);
   nary_cache_.SetMemAccount(account);
   ite_memo_.SetMemAccount(account);
@@ -127,24 +68,11 @@ void ObddManager::AttachMemAccount(MemAccount* account) {
 Status ObddManager::Validate() const {
   const int levels = num_levels();
   const size_t n = nodes_.size();
-  std::vector<bool> dead(n, false);
-  for (const NodeId id : free_ids_) {
-    if (id < 2 || static_cast<size_t>(id) >= n) {
-      return Status::Internal("free-list id out of range");
-    }
-    if (nodes_[id].level != kDeadLevel) {
-      return Status::Internal("free-list id not dead-marked");
-    }
-    dead[id] = true;
-  }
+  std::vector<bool> dead;
+  CTSDD_RETURN_IF_ERROR(ValidateFreeList(&dead));
   for (size_t id = 2; id < n; ++id) {
+    if (dead[id]) continue;
     const Node& node = nodes_[id];
-    if (node.level == kDeadLevel) {
-      if (!dead[id]) {
-        return Status::Internal("dead node missing from the free list");
-      }
-      continue;
-    }
     if (node.level < 0 || node.level >= levels) {
       return Status::Internal("node level out of range");
     }
@@ -159,10 +87,7 @@ Status ObddManager::Validate() const {
         nodes_[node.hi].level <= node.level) {
       return Status::Internal("child level not below parent (or dead child)");
     }
-    const uint64_t hash = Hash3(static_cast<uint64_t>(node.level),
-                                static_cast<uint64_t>(node.lo),
-                                static_cast<uint64_t>(node.hi));
-    const int32_t found = unique_.Find(hash, [&](int32_t cand) {
+    const int32_t found = unique_.Find(UniqueHash(id), [&](int32_t cand) {
       const Node& c = nodes_[cand];
       return c.level == node.level && c.lo == node.lo && c.hi == node.hi;
     });
@@ -176,109 +101,16 @@ Status ObddManager::Validate() const {
   return Status::Ok();
 }
 
-void ObddManager::AddRootRef(NodeId id) {
-  thread_check_.Check();
-  if (IsTerminal(id)) return;
-  CTSDD_CHECK_NE(nodes_[id].level, kDeadLevel);
-  if (external_refs_.size() < nodes_.size()) {
-    external_refs_.resize(nodes_.size(), 0);
-  }
-  ++external_refs_[id];
-}
-
-void ObddManager::ReleaseRootRef(NodeId id) {
-  thread_check_.Check();
-  if (IsTerminal(id)) return;
-  CTSDD_CHECK(id >= 0 && static_cast<size_t>(id) < external_refs_.size() &&
-              external_refs_[id] > 0)
-      << "ReleaseRootRef without a matching AddRootRef";
-  --external_refs_[id];
-}
-
 size_t ObddManager::GarbageCollect() {
-  thread_check_.Check();
-  CTSDD_CHECK_EQ(op_depth_, 0) << "GC inside an operation";
-  obs::TraceSpan gc_span("gc", "obdd.gc");
-  ++gc_stats_.runs;
-  // Mark from the registered external roots.
-  std::vector<uint8_t> marked(nodes_.size(), 0);
-  marked[kFalse] = marked[kTrue] = 1;
-  std::vector<NodeId> roots;
-  for (size_t id = 0; id < external_refs_.size(); ++id) {
-    if (external_refs_[id] > 0) roots.push_back(static_cast<NodeId>(id));
-  }
-  if (pool_ != nullptr && pool_->parallel() && roots.size() > 1) {
-    // Mark as exec tasks, one DFS per root: claiming a node with a
-    // relaxed atomic exchange makes subgraphs shared between roots
-    // traverse exactly once, and running on the shared pool lets a cold
-    // compile on another shard overlap this GC pause instead of
-    // serializing behind it.
-    exec::ParallelFor(pool_, roots.size(), [&](size_t i) {
-      std::vector<NodeId> stack{roots[i]};
-      while (!stack.empty()) {
-        const NodeId u = stack.back();
-        stack.pop_back();
-        if (std::atomic_ref<uint8_t>(marked[u]).exchange(
-                1, std::memory_order_relaxed)) {
-          continue;
-        }
-        stack.push_back(nodes_[u].lo);
-        stack.push_back(nodes_[u].hi);
-      }
-    });
-  } else {
-    std::vector<NodeId> stack = std::move(roots);
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      if (marked[u]) continue;
-      marked[u] = 1;
-      stack.push_back(nodes_[u].lo);
-      stack.push_back(nodes_[u].hi);
-    }
-  }
-  // Sweep: dead internal nodes go to the free list; the unique table is
-  // rebuilt over the survivors (open addressing cannot delete in place).
-  size_t live = 0;
-  for (size_t id = 2; id < nodes_.size(); ++id) {
-    if (marked[id] && nodes_[id].level != kDeadLevel) ++live;
-  }
-  unique_.Clear(live);
-  size_t reclaimed = 0;
-  for (size_t id = 2; id < nodes_.size(); ++id) {
-    Node& n = nodes_[id];
-    if (n.level == kDeadLevel) continue;  // already on the free list
-    if (!marked[id]) {
-      n = {kDeadLevel, -1, -1};
-      free_ids_.push_back(static_cast<NodeId>(id));
-      ++reclaimed;
-      continue;
-    }
-    unique_.Insert(Hash3(static_cast<uint64_t>(n.level),
-                         static_cast<uint64_t>(n.lo),
-                         static_cast<uint64_t>(n.hi)),
-                   static_cast<int32_t>(id));
-  }
-  // Freed ids may be reused, so cached results naming them must go.
-  ite_cache_.Clear();
-  nary_cache_.Clear();
-  gc_stats_.reclaimed += reclaimed;
-#ifndef NDEBUG
-  // GC is a quiescent point: the rolled-up account must agree with the
-  // recomputed per-structure bytes exactly, or accounting has drifted.
-  if (mem_account_ != nullptr) {
-    CTSDD_CHECK_EQ(mem_account_->bytes(),
-                   static_cast<uint64_t>(MemoryBytes()))
-        << "OBDD memory accounting drift after GC";
-  }
-#endif
-  gc_span.AddArg("reclaimed", reclaimed);
-  return reclaimed;
+  return Collect("obdd.gc", {}, [&](const std::vector<uint8_t>&) {
+    // Freed ids may be reused, so cached results naming them must go.
+    ite_cache_.Clear();
+    nary_cache_.Clear();
+  });
 }
 
 void ObddManager::ShrinkCaches() {
-  thread_check_.Check();
-  CTSDD_CHECK_EQ(op_depth_, 0) << "ShrinkCaches inside an operation";
+  CheckQuiescent("ShrinkCaches");
   ite_cache_.Shrink();
   nary_cache_.Shrink();
   ite_memo_.Shrink();

@@ -28,16 +28,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/task_pool.h"
-#include "util/budget.h"
 #include "util/computed_cache.h"
-#include "util/logging.h"
-#include "util/mem_governor.h"
+#include "util/hashing.h"
+#include "util/manager_core.h"
 #include "util/node_store.h"
 #include "util/scoped_memo.h"
 #include "util/status.h"
-#include "util/thread_check.h"
-#include "util/unique_table.h"
 
 namespace ctsdd {
 
@@ -51,19 +47,10 @@ struct ObddOptions {
   size_t nary_cache_slots = 1 << 18;
 };
 
-class ObddManager {
+// Node ids, roots, GarbageCollect's contract, budgets and memory
+// accounting are the shared lifecycle in util/manager_core.h.
+class ObddManager : public ManagerCore<ObddManager> {
  public:
-  // Node ids: 0 = false terminal, 1 = true terminal, >= 2 internal.
-  // kAborted is the cooperative-abort sentinel: when an attached
-  // WorkBudget trips, operations unwind by returning it instead of a
-  // node. It is never stored in the unique table, caches, or memos, so
-  // an aborted operation leaves no trace beyond unreferenced garbage
-  // nodes (reclaimed by the next GarbageCollect).
-  using NodeId = int;
-  static constexpr NodeId kFalse = 0;
-  static constexpr NodeId kTrue = 1;
-  static constexpr NodeId kAborted = -2;
-
   using Options = ObddOptions;
 
   // `var_order[i]` is the global variable id tested at level i.
@@ -74,8 +61,6 @@ class ObddManager {
   // Level of a global variable id; -1 if not in the order.
   int LevelOf(int var) const;
 
-  NodeId False() const { return kFalse; }
-  NodeId True() const { return kTrue; }
   NodeId Literal(int var, bool positive);
 
   NodeId Not(NodeId f);
@@ -125,113 +110,27 @@ class ObddManager {
   // Nodes per level, for profile plots.
   std::vector<int> LevelProfile(NodeId f) const;
 
-  // Total node slots ever created (manager footprint high-water mark).
-  int NumNodes() const { return static_cast<int>(nodes_.size()); }
-  // Nodes currently resident (slots minus the GC free list), terminals
-  // included. This is the quantity a long-running service bounds.
-  int NumLiveNodes() const {
-    return static_cast<int>(nodes_.size() - free_ids_.size());
-  }
-
-  // --- Executor -----------------------------------------------------------
-  //
-  // AttachExecutor lends the manager a work-stealing pool. GarbageCollect
-  // marks from the registered roots as pool tasks; operations ignore the
-  // pool and run sequentially.
-
-  void AttachExecutor(exec::TaskPool* pool) { pool_ = pool; }
-  exec::TaskPool* executor() const { return pool_; }
-
-  // --- Budgets and cancellation ------------------------------------------
-  //
-  // While a budget is attached, every operation that allocates nodes
-  // (Ite/AndN/OrN/MakeNode and the compilers built on them) charges the
-  // budget per node allocation (amortized through leases) and unwinds
-  // with kAborted once it trips — on node exhaustion, on deadline, or on
-  // an external Cancel(). The abort is cooperative and
-  // exception-free: recursions observe a negative operand or the tripped
-  // flag and return kAborted without touching the unique table or
-  // caches, so the manager stays Validate()-clean and a post-abort
-  // recompile (after detaching or refreshing the budget) is
-  // pointer-identical by canonicity. Attach/Detach must happen outside
-  // operations. With no budget attached the hot path pays a single
-  // predictable branch.
-
-  void AttachBudget(WorkBudget* budget);
-  void DetachBudget() { AttachBudget(nullptr); }
-  WorkBudget* budget() const { return budget_; }
-  bool AbortRequested() const {
-    return budget_ != nullptr && budget_->tripped();
-  }
-
   // Structural self-check: every live node is reduced (lo != hi), level-
   // ordered, reachable children are live, and the unique table maps each
   // live node to itself (no duplicates, no strays). Used by tests to
   // assert aborted operations left the manager consistent. O(nodes).
   Status Validate() const;
 
-  // --- Memory accounting --------------------------------------------------
-  //
-  // AttachMemAccount charges every byte-owning structure (node store,
-  // unique table, computed caches, per-operation memos) to `account`,
-  // transferring the already-resident bytes; pass nullptr to detach.
-  // When the account chains to an enabled MemGovernor AND a budget is
-  // attached, the budget-lease refill seams become enforcement points:
-  // a refill whose worst-case allocation burst no longer fits under the
-  // hard watermark trips the budget typed RESOURCE_EXHAUSTED with the
-  // memory-pressure marker *before* allocating, so accounted bytes never
-  // cross the ceiling. Attach outside operations.
-
-  void AttachMemAccount(MemAccount* account);
-  MemAccount* mem_account() const { return mem_account_; }
-  // Recomputed accounted-resident bytes across all instrumented
-  // structures; equals mem_account()->bytes() at quiescent points
-  // (debug-asserted at the end of every GarbageCollect).
+  // Accounted-resident bytes across all instrumented structures (see
+  // AttachMemAccount).
   size_t MemoryBytes() const {
     return nodes_.MemoryBytes() + unique_.MemoryBytes() +
            ite_cache_.MemoryBytes() + nary_cache_.MemoryBytes() +
            ite_memo_.MemoryBytes() + nary_memo_.MemoryBytes();
   }
 
-  // --- Memory lifecycle -------------------------------------------------
-  //
-  // The manager never frees nodes on its own: canonicity requires every
-  // reachable node to stay in the unique table, and the manager cannot
-  // see which ids a caller still holds. Callers that want collection
-  // register the roots they care about; GarbageCollect() then marks from
-  // the registered roots (plus the terminals), sweeps every unreachable
-  // internal node onto a free list for MakeNode to reuse, and rebuilds
-  // the unique table over the survivors. Live node ids never change, so
-  // held NodeIds of protected roots (and anything they reach) stay valid,
-  // and recompiling a collected function reproduces pointer-identical ids
-  // for every surviving subgraph (canonicity is preserved — the tests pin
-  // this down). The computed caches are invalidated (freed ids may be
-  // reused) but that only costs recomputation.
-
-  // Registers `id` as an external root (ref-counted: k calls require k
-  // releases). Terminals need no protection.
-  void AddRootRef(NodeId id);
-  // Drops one reference added by AddRootRef.
-  void ReleaseRootRef(NodeId id);
-
   // Mark-from-roots collection; returns the number of nodes reclaimed.
-  // Must not be called from inside an operation (apply depth 0).
   size_t GarbageCollect();
 
   // Returns the computed caches and per-operation memos to their initial
   // footprint (contents dropped — only recomputation cost). Pair with
   // GarbageCollect() when a service wants a manager back to baseline.
   void ShrinkCaches();
-
-  struct GcStats {
-    uint64_t runs = 0;       // GarbageCollect() invocations
-    uint64_t reclaimed = 0;  // nodes freed across all runs
-  };
-  const GcStats& gc_stats() const { return gc_stats_; }
-
-  // Releases thread-affinity (debug builds assert single-threaded use);
-  // the next operation binds the manager to its calling thread.
-  void DetachOwningThread() { thread_check_.Detach(); }
 
   struct Node {
     int level;  // index into var_order_
@@ -254,6 +153,11 @@ class ObddManager {
   NodeId HashCons(int level, NodeId lo, NodeId hi);
   NodeId IteRec(NodeId f, NodeId g, NodeId h);
   NodeId ApplyNRec(std::vector<NodeId> ops, bool is_and);
+  // The unique-table hash of node (level, lo, hi).
+  static uint64_t NodeHash(int level, NodeId lo, NodeId hi) {
+    return Hash3(static_cast<uint64_t>(level), static_cast<uint64_t>(lo),
+                 static_cast<uint64_t>(hi));
+  }
   void LeaveOp() {
     if (--op_depth_ == 0) {
       ite_memo_.Reset();
@@ -271,57 +175,40 @@ class ObddManager {
     bool operator==(const NaryKey&) const = default;
   };
 
-  // Budget charging, amortized via leases: the shared budget atomic is
-  // touched once per lease_chunk_ allocations, not once per node.
-  // Charge returns false when the budget denies the allocation (the
-  // caller returns kAborted before allocating). The refill stays out of
-  // line: AcquireLease (atomics, clock reads) inlined into HashCons
-  // bloats the unbudgeted allocation fast path enough to measurably slow
-  // the layered compilers.
+  // Charges one node allocation against the attached budget's lease;
+  // false when the budget denies it (the caller returns kAborted before
+  // allocating).
   bool Charge() {
-    if (budget_lease_ > 0) {
-      --budget_lease_;
-      return true;
-    }
-    return RefillLease();
+    if (budget_lease_ == 0 && !RefillLease(&budget_lease_)) return false;
+    --budget_lease_;
+    return true;
   }
-  bool RefillLease();
-  // Deny-before-allocate gate at the lease seams: asks the governor for
-  // headroom covering one lease's worst-case allocation burst (unique-
-  // table doubling + memo growth + fresh chunks). Trips the budget with
-  // the memory-pressure marker on denial.
-  bool AdmitMemGrowth();
+
+  // ManagerCore hooks. A freed slot's level is kDeadLevel, so stale-id
+  // use trips the level checks fast.
+  friend class ManagerCore<ObddManager>;
+  static constexpr int kDeadLevel = -2;
+  bool IsDeadSlot(NodeId id) const { return nodes_[id].level == kDeadLevel; }
+  uint64_t UniqueHash(NodeId id) const {
+    return NodeHash(nodes_[id].level, nodes_[id].lo, nodes_[id].hi);
+  }
+  void KillSlot(NodeId id) { nodes_[id] = {kDeadLevel, -1, -1}; }
+  template <class F>
+  void ForEachChild(NodeId id, F&& f) const {
+    f(nodes_[id].lo);
+    f(nodes_[id].hi);
+  }
+  void ResetLeases() { budget_lease_ = 0; }
+  void AccountStructures(MemAccount* account);
 
   std::vector<int> var_order_;
   std::unordered_map<int, int> level_of_var_;
   NodeStore<Node> nodes_;
-  UniqueTable unique_;
   ComputedCache<IteKey, NodeId> ite_cache_;
   ComputedCache<NaryKey, NodeId> nary_cache_;
   ScopedMemo<IteKey, NodeId> ite_memo_;
   ScopedMemo<NaryKey, NodeId> nary_memo_;
-  int op_depth_ = 0;
-  exec::TaskPool* pool_ = nullptr;  // GC mark only (see AttachExecutor)
-  // Attached budget (may be null) and the lease state.
-  WorkBudget* budget_ = nullptr;
-  uint32_t budget_lease_ = 0;
-  uint32_t lease_chunk_ = 0;
-  // Governor accounting (may be null). The governor pointer is resolved
-  // once at attach so the refill seams pay loads, not a parent walk.
-  // The slack term in the admission burst covers fixed-size mandatory
-  // allocations a lease can trigger: node-store chunks, lazy memo-shard
-  // arrays across all stripes, and the computed caches' floor arrays.
-  static constexpr uint64_t kMemBurstSlack = 1u << 20;
-  MemAccount* mem_account_ = nullptr;
-  MemGovernor* mem_governor_ = nullptr;
-  // GC state: external root ref-counts (indexed by node id, lazily grown)
-  // and the free list MakeNode pops before growing nodes_. A freed slot's
-  // level is set to kDeadLevel so stale-id use trips level checks fast.
-  static constexpr int kDeadLevel = -2;
-  std::vector<int32_t> external_refs_;
-  std::vector<NodeId> free_ids_;
-  GcStats gc_stats_;
-  ThreadChecker thread_check_;
+  uint32_t budget_lease_ = 0;  // allocations left in the current lease
 };
 
 }  // namespace ctsdd

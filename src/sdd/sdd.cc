@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 
-#include "obs/trace.h"
 #include "util/fault_injection.h"
 #include "util/hashing.h"
 #include "util/logging.h"
@@ -20,11 +18,6 @@ constexpr uint64_t kIndexBitSet[6] = {
     0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
     0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
 };
-
-// Dead-slot sentinel: a freed node reads as a constant with var == -2
-// until MakeDecision/Literal recycles its id (real constants never enter
-// the sweep — ids 0/1 are skipped — and live literals have var >= 0).
-constexpr int kDeadVar = -2;
 
 }  // namespace
 
@@ -154,7 +147,7 @@ void SddManager::BeginParallelRegion() {
   CTSDD_CHECK(pool_ != nullptr && pool_->parallel())
       << "BeginParallelRegion without a parallel executor attached";
   CTSDD_CHECK(!par_active_) << "parallel regions do not nest";
-  CTSDD_CHECK_EQ(apply_depth_, 0) << "parallel region inside an operation";
+  CTSDD_CHECK_EQ(op_depth_, 0) << "parallel region inside an operation";
   thread_check_.Check();  // verify ownership before suspending it
   // Pre-intern every literal: parallel tasks then always hit the
   // literal_ids_ cache and never write it (or link negations through the
@@ -180,8 +173,7 @@ void SddManager::EndParallelRegion() {
     // entries, reusable by the next sequential allocation and invisible
     // to GC marking.
     for (size_t id = cx.alloc_next; id < cx.alloc_end; ++id) {
-      nodes_[id] = {Kind::kConst, false, kDeadVar, -1, nullptr, 0};
-      fast_info_[id] = {-1, -1, 0};
+      MarkSlotDead(static_cast<NodeId>(id));
       free_ids_.push_back(static_cast<NodeId>(id));
     }
     cx.alloc_next = cx.alloc_end = 0;
@@ -196,57 +188,9 @@ void SddManager::EndParallelRegion() {
   thread_check_.EndShared();
 }
 
-void SddManager::AttachBudget(WorkBudget* budget) {
-  thread_check_.Check();
-  CTSDD_CHECK_EQ(apply_depth_, 0) << "AttachBudget inside an operation";
-  CTSDD_CHECK(!par_active_) << "AttachBudget inside a parallel region";
-  budget_ = budget;
-  lease_chunk_ = 0;
-  for (Ctx& cx : ctxs_) cx.budget_lease = 0;
-  if (budget != nullptr) {
-    // Lease granularity: fine enough that overshoot stays within the
-    // acceptance bound (<= budget/16), coarse enough that the shared
-    // atomic is off the per-node path.
-    const uint64_t b = budget->node_budget();
-    lease_chunk_ = static_cast<uint32_t>(
-        b == 0 ? 256
-               : std::min<uint64_t>(256, std::max<uint64_t>(1, b / 16)));
-  }
-}
-
-bool SddManager::RefillLease(Ctx& cx) {
-  if (!AdmitMemGrowth()) return false;
-  cx.budget_lease =
-      static_cast<uint32_t>(budget_->AcquireLease(lease_chunk_));
-  return cx.budget_lease > 0;
-}
-
-bool SddManager::AdmitMemGrowth() {
-  if (mem_governor_ == nullptr || !mem_governor_->enabled()) return true;
-  // Worst-case accounted growth before the next refill check: the unique
-  // table may double, the apply memo may double, and the stores/arenas
-  // may open fresh chunks. Memo bytes come from the account's atomic
-  // per-layer counter (region workers hit this seam too); the slack
-  // covers the chunk-granular rest.
-  const uint64_t burst =
-      2 * unique_.MemoryBytes() +
-      static_cast<uint64_t>(mem_account_->bytes(MemLayer::kMemo)) +
-      kMemBurstSlack;
-  if (mem_governor_->AdmitProjected(burst)) return true;
-  budget_->MarkMemoryPressure();
-  budget_->Cancel(StatusCode::kResourceExhausted);
-  return false;
-}
-
-void SddManager::AttachMemAccount(MemAccount* account) {
-  thread_check_.Check();
-  CTSDD_CHECK_EQ(apply_depth_, 0) << "AttachMemAccount inside an operation";
-  CTSDD_CHECK(!par_active_) << "AttachMemAccount inside a parallel region";
-  mem_account_ = account;
-  mem_governor_ = account != nullptr ? account->governor() : nullptr;
+void SddManager::AccountStructures(MemAccount* account) {
   nodes_.SetMemAccount(account);
   fast_info_.SetMemAccount(account);
-  unique_.SetMemAccount(account);
   apply_cache_.SetMemAccount(account);
   sem_cache_.SetMemAccount(account);
   apply_memo_.SetMemAccount(account);
@@ -255,27 +199,13 @@ void SddManager::AttachMemAccount(MemAccount* account) {
 
 Status SddManager::Validate() const {
   const size_t n = nodes_.size();
-  std::vector<bool> dead(n, false);
-  for (const NodeId id : free_ids_) {
-    if (id < 2 || static_cast<size_t>(id) >= n) {
-      return Status::Internal("free-list id out of range");
-    }
-    const Node& slot = nodes_[id];
-    if (slot.kind != Kind::kConst || slot.var != kDeadVar) {
-      return Status::Internal("free-list id not dead-marked");
-    }
-    dead[id] = true;
-  }
+  std::vector<bool> dead;
+  CTSDD_RETURN_IF_ERROR(ValidateFreeList(&dead));
   for (size_t id = 2; id < n; ++id) {
+    if (dead[id]) continue;
     const Node& node = nodes_[id];
     if (node.kind == Kind::kConst) {
-      if (node.var != kDeadVar) {
-        return Status::Internal("non-terminal constant node");
-      }
-      if (!dead[id]) {
-        return Status::Internal("dead node missing from the free list");
-      }
-      continue;
+      return Status::Internal("non-terminal constant node");
     }
     if (node.kind == Kind::kLiteral) {
       if (node.var < 0 || !vtree_.is_leaf(node.vnode) ||
@@ -328,128 +258,35 @@ Status SddManager::Validate() const {
   return Status::Ok();
 }
 
-void SddManager::AddRootRef(NodeId id) {
-  thread_check_.Check();
-  if (IsConst(id)) return;
-  CTSDD_CHECK_NE(nodes_[id].var, kDeadVar) << "AddRootRef on a freed node";
-  if (external_refs_.size() < nodes_.size()) {
-    external_refs_.resize(nodes_.size(), 0);
-  }
-  ++external_refs_[id];
-}
-
-void SddManager::ReleaseRootRef(NodeId id) {
-  thread_check_.Check();
-  if (IsConst(id)) return;
-  CTSDD_CHECK(id >= 0 && static_cast<size_t>(id) < external_refs_.size() &&
-              external_refs_[id] > 0)
-      << "ReleaseRootRef without a matching AddRootRef";
-  --external_refs_[id];
-}
-
 size_t SddManager::GarbageCollect() {
-  thread_check_.Check();
-  CTSDD_CHECK_EQ(apply_depth_, 0) << "GC inside an operation";
-  CTSDD_CHECK(!par_active_) << "GC inside a parallel region";
-  obs::TraceSpan gc_span("gc", "sdd.gc");
-  ++gc_stats_.runs;
-  // Mark from the permanent roots (constants, literals) and every node
-  // holding an external reference.
-  std::vector<uint8_t> marked(nodes_.size(), 0);
-  marked[kFalse] = marked[kTrue] = 1;
-  std::vector<NodeId> roots;
+  // Constants and literals are permanent roots.
+  std::vector<NodeId> literals;
   for (const NodeId lit : literal_ids_) {
-    if (lit >= 0) roots.push_back(lit);
+    if (lit >= 0) literals.push_back(lit);
   }
-  for (size_t id = 0; id < external_refs_.size(); ++id) {
-    if (external_refs_[id] > 0) roots.push_back(static_cast<NodeId>(id));
-  }
-  if (pool_ != nullptr && pool_->parallel() && roots.size() > 1) {
-    // Mark as exec tasks, one DFS per root: nodes are claimed with a
-    // relaxed atomic exchange so shared subgraphs traverse once, and a
-    // cold compile on another shard overlaps this GC pause on the
-    // shared pool instead of serializing behind it.
-    exec::ParallelFor(pool_, roots.size(), [&](size_t i) {
-      std::vector<NodeId> stack{roots[i]};
-      while (!stack.empty()) {
-        const NodeId u = stack.back();
-        stack.pop_back();
-        if (std::atomic_ref<uint8_t>(marked[u]).exchange(
-                1, std::memory_order_relaxed)) {
-          continue;
-        }
-        const Node& n = nodes_[u];
-        for (uint32_t j = 0; j < n.num_elems; ++j) {
-          stack.push_back(n.elems[j].first);
-          stack.push_back(n.elems[j].second);
-        }
-      }
-    });
-  } else {
-    std::vector<NodeId> stack = std::move(roots);
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      if (marked[u]) continue;
-      marked[u] = 1;
-      const Node& n = nodes_[u];
-      for (uint32_t i = 0; i < n.num_elems; ++i) {
-        stack.push_back(n.elems[i].first);
-        stack.push_back(n.elems[i].second);
-      }
+  return Collect("sdd.gc", std::move(literals),
+                 [&](const std::vector<uint8_t>& marked) {
+    // Sever negation links into collected nodes: the link slots are id-
+    // valued, and a freed id may be recycled by an unrelated function.
+    for (size_t id = 0; id < nodes_.size(); ++id) {
+      if (!marked[id]) continue;
+      NodeId& neg = fast_info_[id].negation;
+      if (neg >= 0 && !marked[neg]) neg = -1;
     }
+    // Caches hold freed ids; invalidate them, then re-register the
+    // survivors' semantic words so FastApply does not cold-start.
+    apply_cache_.Clear();
+    sem_cache_.Clear();
+    RebuildSemanticCache();
+  });
+}
+
+void SddManager::KillSlot(NodeId id) {
+  const Node& n = nodes_[id];
+  if (n.kind == Kind::kDecision && n.num_elems > 0) {
+    free_elements_[n.num_elems].push_back(const_cast<Element*>(n.elems));
   }
-  // Rebuild the unique table over the surviving decisions (open
-  // addressing cannot delete in place), sweeping dead nodes onto the id
-  // free list and recycling their element spans by exact size.
-  size_t live_decisions = 0;
-  for (size_t id = 2; id < nodes_.size(); ++id) {
-    if (marked[id] && nodes_[id].kind == Kind::kDecision) ++live_decisions;
-  }
-  unique_.Clear(live_decisions);
-  size_t reclaimed = 0;
-  for (size_t id = 2; id < nodes_.size(); ++id) {
-    Node& n = nodes_[id];
-    if (n.var == kDeadVar && n.kind == Kind::kConst) continue;  // still free
-    if (!marked[id]) {
-      if (n.kind == Kind::kDecision && n.num_elems > 0) {
-        free_elements_[n.num_elems].push_back(const_cast<Element*>(n.elems));
-      }
-      n = {Kind::kConst, false, kDeadVar, -1, nullptr, 0};
-      fast_info_[id] = {-1, -1, 0};
-      free_ids_.push_back(static_cast<NodeId>(id));
-      ++reclaimed;
-      continue;
-    }
-    if (n.kind == Kind::kDecision) {
-      unique_.Insert(DecisionHash(n.vnode, {n.elems, n.num_elems}),
-                     static_cast<int32_t>(id));
-    }
-  }
-  // Sever negation links into collected nodes: the link slots are id-
-  // valued, and a freed id may be recycled by an unrelated function.
-  for (size_t id = 0; id < nodes_.size(); ++id) {
-    if (!marked[id]) continue;
-    NodeId& neg = fast_info_[id].negation;
-    if (neg >= 0 && !marked[neg]) neg = -1;
-  }
-  // Caches hold freed ids; invalidate them, then re-register the
-  // survivors' semantic words so FastApply does not cold-start.
-  apply_cache_.Clear();
-  sem_cache_.Clear();
-  RebuildSemanticCache();
-  gc_stats_.reclaimed += reclaimed;
-#ifndef NDEBUG
-  // GC is a quiescent point: the rolled-up account must agree with the
-  // recomputed per-structure bytes exactly, or accounting has drifted.
-  if (mem_account_ != nullptr) {
-    CTSDD_CHECK_EQ(mem_account_->bytes(),
-                   static_cast<uint64_t>(MemoryBytes()))
-        << "SDD memory accounting drift after GC";
-  }
-#endif
-  gc_span.AddArg("reclaimed", reclaimed);
-  return reclaimed;
+  MarkSlotDead(id);
 }
 
 void SddManager::RebuildSemanticCache() {
@@ -467,9 +304,7 @@ void SddManager::RebuildSemanticCache() {
 }
 
 void SddManager::ShrinkCaches() {
-  thread_check_.Check();
-  CTSDD_CHECK_EQ(apply_depth_, 0) << "ShrinkCaches inside an operation";
-  CTSDD_CHECK(!par_active_) << "ShrinkCaches inside a parallel region";
+  CheckQuiescent("ShrinkCaches");
   apply_cache_.Shrink();
   apply_memo_.Shrink();
   for (Ctx& cx : ctxs_) cx.scratch.clear();
@@ -618,15 +453,9 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
 }
 
 SddManager::NodeId SddManager::NewNode(const Node& n) {
-  if (!free_ids_.empty()) {
-    const NodeId id = free_ids_.back();
-    free_ids_.pop_back();
-    nodes_[id] = n;
-    return id;
-  }
-  const size_t id = nodes_.PushBack(n);
-  fast_info_.Reserve(id + 1);
-  return static_cast<NodeId>(id);
+  const NodeId id = NewSlot(n);
+  fast_info_.Reserve(static_cast<size_t>(id) + 1);
+  return id;
 }
 
 SddManager::NodeId SddManager::AllocNodePar(Ctx& cx, const Node& n) {
@@ -688,7 +517,7 @@ SddManager::NodeId SddManager::Decision(int vnode, Elements elements) {
   if (par_active_) {
     return MakeDecisionT<true>(CurCtx(), vnode, &elements);
   }
-  ++apply_depth_;
+  ++op_depth_;
   const NodeId result = MakeDecisionT<false>(ctxs_[0], vnode, &elements);
   LeaveOp();
   return result;

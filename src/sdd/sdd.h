@@ -55,19 +55,14 @@
 #include <utility>
 #include <vector>
 
-#include "exec/task_pool.h"
 #include "func/bool_func.h"
 #include "util/arena.h"
-#include "util/budget.h"
 #include "util/computed_cache.h"
-#include "util/logging.h"
-#include "util/mem_governor.h"
+#include "util/manager_core.h"
 #include "util/node_store.h"
 #include "util/scoped_memo.h"
 #include "util/spinlock.h"
 #include "util/status.h"
-#include "util/thread_check.h"
-#include "util/unique_table.h"
 #include "vtree/vtree.h"
 
 namespace ctsdd {
@@ -87,16 +82,10 @@ struct SddOptions {
   size_t sem_cache_init_slots = 1 << 14;
 };
 
-class SddManager {
+// Node ids, roots, budgets and memory accounting are the shared lifecycle
+// in util/manager_core.h; the SDD-specific parts are noted below.
+class SddManager : public ManagerCore<SddManager> {
  public:
-  using NodeId = int;
-  static constexpr NodeId kFalse = 0;
-  static constexpr NodeId kTrue = 1;
-  // Cooperative-abort sentinel (see AttachBudget): returned in place of a
-  // node id when an attached WorkBudget trips. Never stored in the unique
-  // table, caches, memos, or negation links.
-  static constexpr NodeId kAborted = -2;
-
   // One (prime, sub) pair of a decision node.
   using Element = std::pair<NodeId, NodeId>;
   // Elements of a decision node, sorted by (prime, sub) id.
@@ -111,8 +100,6 @@ class SddManager {
 
   const Vtree& vtree() const { return vtree_; }
 
-  NodeId False() const { return kFalse; }
-  NodeId True() const { return kTrue; }
   NodeId Literal(int var, bool positive);
 
   // Canonicalizes (compress + trim + hash-cons) `elements` into a decision
@@ -190,49 +177,23 @@ class SddManager {
   // the disjointness checks go through the apply cache.
   Status Validate(NodeId a);
 
-  int NumNodes() const { return static_cast<int>(nodes_.size()); }
-  // Nodes currently resident (slots minus the GC free list), constants
-  // included. The quantity a long-running service bounds.
-  int NumLiveNodes() const {
-    return static_cast<int>(nodes_.size() - free_ids_.size());
-  }
-
   // --- Parallel execution ------------------------------------------------
   //
   // With a parallel pool attached, the vtree-semantic compiler spans its
-  // whole recursion in one explicit region and forks there; GC marks its
-  // roots as pool tasks. Inside a region workers may call only Decision,
-  // LookupSemantic and Literal (pre-interned); Apply/AndN/OrN/Not,
-  // Restrict, GC and root bookkeeping are single-owner operations outside
-  // regions. Results are pointer-identical to sequential execution.
+  // whole recursion in one explicit region and forks there. Inside a
+  // region workers may call only Decision, LookupSemantic and Literal
+  // (pre-interned); Apply/AndN/OrN/Not, Restrict, GC and root bookkeeping
+  // are single-owner operations outside regions. Results are pointer-
+  // identical to sequential execution.
 
-  void AttachExecutor(exec::TaskPool* pool) { pool_ = pool; }
-  exec::TaskPool* executor() const { return pool_; }
   bool InParallelRegion() const { return par_active_; }
 
   void BeginParallelRegion();
   void EndParallelRegion();
 
-  // --- Budgets and cancellation ------------------------------------------
-  //
-  // Same contract as ObddManager: while a budget is attached, decision
-  // allocations charge it (amortized through per-context leases) and
-  // every apply/compile recursion unwinds with kAborted once it trips —
-  // on node exhaustion, deadline, or external Cancel(). Aborted partial
-  // results are never cached, interned, or negation-linked, so the
-  // manager stays Validate()-clean, the garbage left behind is
-  // unreferenced (reclaimed by GarbageCollect), and a post-abort
-  // recompile is pointer-identical by canonicity. Literal interning is
-  // never charged (bounded by 2·|vars|). Attach/Detach must happen
-  // outside operations and parallel regions.
-
-  void AttachBudget(WorkBudget* budget);
-  void DetachBudget() { AttachBudget(nullptr); }
-  WorkBudget* budget() const { return budget_; }
-  bool AbortRequested() const {
-    return budget_ != nullptr && budget_->tripped();
-  }
-  // Cancel token for exec::ParallelFor, or nullptr without a budget.
+  // Decision allocations charge per-context leases; literal interning is
+  // never charged (bounded by 2·|vars|). budget_token() is the attached
+  // budget's cancel token for exec::ParallelFor, or nullptr without one.
   const std::atomic<bool>* budget_token() const {
     return budget_ == nullptr ? nullptr : budget_->token();
   }
@@ -246,26 +207,14 @@ class SddManager {
 
   // --- Memory lifecycle -------------------------------------------------
   //
-  // Same contract as ObddManager: the manager only collects nodes that
-  // are unreachable from registered external roots (constants and the
-  // literal nodes are permanent). Live node ids never change across a
-  // collection, the unique table is rebuilt over the survivors, negation
-  // links into collected nodes are severed, and the (anchor, word)
-  // semantic cache is rebuilt from the survivors — so recompiling a
-  // collected function reproduces pointer-identical ids for every
-  // surviving subgraph. Freed decision nodes donate their element spans
-  // to a size-bucketed free list that MakeDecision reuses, so the element
-  // arenas' footprint is bounded by their live + recycled high-water mark.
-
-  // Registers `id` as an external root (ref-counted). Constants and
-  // literals need no protection (they are permanent).
-  void AddRootRef(NodeId id);
-  // Drops one reference added by AddRootRef.
-  void ReleaseRootRef(NodeId id);
+  // Beyond the shared contract: constants and literals are permanent
+  // roots; a collection severs negation links into collected nodes and
+  // rebuilds the (anchor, word) semantic cache from the survivors; freed
+  // decisions donate their element spans to a size-bucketed free list
+  // that MakeDecision reuses, so the element arenas' footprint is bounded
+  // by their live + recycled high-water mark.
 
   // Mark-from-roots collection; returns the number of nodes reclaimed.
-  // Must not be called from inside an operation (apply depth 0) or a
-  // parallel region.
   size_t GarbageCollect();
 
   // Returns the computed caches and per-operation memos to their initial
@@ -273,29 +222,9 @@ class SddManager {
   // cache repopulates as nodes are created).
   void ShrinkCaches();
 
-  struct GcStats {
-    uint64_t runs = 0;       // GarbageCollect() invocations
-    uint64_t reclaimed = 0;  // nodes freed across all runs
-  };
-  const GcStats& gc_stats() const { return gc_stats_; }
-
-  // --- Memory accounting --------------------------------------------------
-  //
-  // Same contract as ObddManager: AttachMemAccount charges every byte-
-  // owning structure (both node stores, the unique table, apply/semantic
-  // caches, the apply memo, and every context's element arena) to
-  // `account`, transferring already-resident bytes; nullptr detaches.
-  // With an enabled governor in the account chain AND an attached budget,
-  // the lease-refill seams deny-before-allocate: a refill whose worst-
-  // case burst no longer fits under the hard watermark trips the budget
-  // typed RESOURCE_EXHAUSTED with the memory-pressure marker. Attach
-  // outside operations and parallel regions.
-
-  void AttachMemAccount(MemAccount* account);
-  MemAccount* mem_account() const { return mem_account_; }
-  // Recomputed accounted-resident bytes; equals mem_account()->bytes()
-  // at quiescent points (debug-asserted at the end of GarbageCollect).
-  // Sequential contexts only (walks the context arenas).
+  // Accounted-resident bytes: both node stores, the unique table, the
+  // apply/semantic caches, the apply memo, and every context's element
+  // arena. Sequential contexts only (walks the context arenas).
   size_t MemoryBytes() const {
     size_t total = nodes_.MemoryBytes() + fast_info_.MemoryBytes() +
                    unique_.MemoryBytes() + apply_cache_.MemoryBytes() +
@@ -303,10 +232,6 @@ class SddManager {
     for (const Ctx& cx : ctxs_) total += cx.element_arena.MemoryBytes();
     return total;
   }
-
-  // Releases thread-affinity (debug builds assert single-threaded use);
-  // the next operation binds the manager to its calling thread.
-  void DetachOwningThread() { thread_check_.Detach(); }
 
   // Computed-cache effectiveness counters, for benches and tuning.
   struct CacheStats {
@@ -477,31 +402,19 @@ class SddManager {
                        : ctxs_[0];
   }
 
-  // Budget charging, amortized via per-context leases (one shared-atomic
-  // touch per lease_chunk_ allocations). ChargeSeq denies (the caller
+  // Budget charging through per-context leases. ChargeSeq denies (the caller
   // returns kAborted before allocating); ChargePar charges but never
   // denies — a worker losing the refill race still allocates, bounding
   // overshoot by the number of in-flight workers.
   bool ChargeSeq(Ctx& cx) {
-    if (cx.budget_lease == 0) {
-      if (!RefillLease(cx)) return false;
-    }
+    if (cx.budget_lease == 0 && !RefillLease(&cx.budget_lease)) return false;
     --cx.budget_lease;
     return true;
   }
   void ChargePar(Ctx& cx) {
-    if (cx.budget_lease == 0) {
-      if (!RefillLease(cx)) return;
-    }
+    if (cx.budget_lease == 0 && !RefillLease(&cx.budget_lease)) return;
     --cx.budget_lease;
   }
-  // Out-of-line lease refill (slow path, once per lease_chunk_
-  // allocations): the governor's deny-before-allocate admission check,
-  // then the shared-atomic lease acquisition. Safe from worker threads.
-  bool RefillLease(Ctx& cx);
-  // See ObddManager::AdmitMemGrowth: trips the budget with the memory-
-  // pressure marker when the projected burst no longer fits.
-  bool AdmitMemGrowth();
 
   // Canonicalizes (compress + trim + hash-cons) the elements in *elements,
   // which is consumed as scratch space. All recursive Apply calls the
@@ -518,8 +431,7 @@ class SddManager {
   // allocate straight from their stripe).
   template <bool kPar>
   Element* AllocateElements(Ctx& cx, size_t n);
-  // Places `n` in a GC-recycled slot when one is free, else appends
-  // (single-owner path).
+  // NewSlot plus the lockstep fast_info_ slot (single-owner path).
   NodeId NewNode(const Node& n);
   // Node allocation inside a parallel region: bump-allocates from the
   // context's claimed id block.
@@ -620,11 +532,11 @@ class SddManager {
   // at EndParallelRegion instead).
   void EnterOp(const char* op) {
     thread_check_.Check();
-    CTSDD_CHECK(!par_active_) << op << " inside a parallel region";
-    ++apply_depth_;
+    CheckOutsideRegion(op);
+    ++op_depth_;
   }
   void LeaveOp() {
-    if (--apply_depth_ == 0) {
+    if (--op_depth_ == 0) {
       apply_memo_.Reset();
       ctxs_[0].nary_memo.clear();
       AddCounters(ctxs_[0].counters);
@@ -676,10 +588,45 @@ class SddManager {
     }
   };
 
+  // ManagerCore hooks. A freed slot reads as a constant with var ==
+  // kDeadVar until its id is recycled (real constants are ids 0 and 1,
+  // live literals have var >= 0). Only decisions are hash-consed;
+  // literals are interned in literal_ids_.
+  friend class ManagerCore<SddManager>;
+  static constexpr int kDeadVar = -2;
+  bool IsDeadSlot(NodeId id) const {
+    return nodes_[id].kind == Kind::kConst && nodes_[id].var == kDeadVar;
+  }
+  bool IsUniqueKeyed(NodeId id) const {
+    return nodes_[id].kind == Kind::kDecision;
+  }
+  uint64_t UniqueHash(NodeId id) const {
+    return DecisionHash(nodes_[id].vnode, elements(id));
+  }
+  // Donates a decision's element span to free_elements_, then dead-marks.
+  void KillSlot(NodeId id);
+  void MarkSlotDead(NodeId id) {
+    nodes_[id] = {Kind::kConst, false, kDeadVar, -1, nullptr, 0};
+    fast_info_[id] = {-1, -1, 0};
+  }
+  template <class F>
+  void ForEachChild(NodeId id, F&& f) const {
+    for (const auto& [p, s] : elements(id)) {
+      f(p);
+      f(s);
+    }
+  }
+  void ResetLeases() {
+    for (Ctx& cx : ctxs_) cx.budget_lease = 0;
+  }
+  void AccountStructures(MemAccount* account);
+  void CheckOutsideRegion(const char* what) const {
+    CTSDD_CHECK(!par_active_) << what << " inside a parallel region";
+  }
+
   Vtree vtree_;
   NodeStore<Node> nodes_;
   NodeStore<FastInfo> fast_info_;  // indexed in lockstep with nodes_
-  UniqueTable unique_;
   std::vector<NodeId> literal_ids_;  // (var << 1 | sign) -> id or -1
   ComputedCache<ApplyKey, NodeId> apply_cache_;
   // Exact memo for the currently running top-level operation (see
@@ -687,7 +634,6 @@ class SddManager {
   // bounded lossy caches alone cannot guarantee; reset when the
   // outermost operation ends so memory stays bounded per operation.
   ScopedMemo<ApplyKey, NodeId> apply_memo_;
-  int apply_depth_ = 0;
   // Small-scope semantic layer (see SmallAnchor): per-vtree-node anchors
   // and masks plus the (anchor, word) -> canonical node cache.
   std::vector<int> anchor_of_vnode_;
@@ -698,34 +644,15 @@ class SddManager {
   // regions use ctxs_[1 + slot]. A deque keeps references stable while
   // EnsureCtxSlots appends.
   std::deque<Ctx> ctxs_;
-  exec::TaskPool* pool_ = nullptr;
   bool par_active_ = false;
-  // Attached budget (may be null) and the lease granularity derived from
-  // its node budget at attach time.
-  WorkBudget* budget_ = nullptr;
-  uint32_t lease_chunk_ = 0;
-  // Governor accounting (may be null); the governor pointer is resolved
-  // once at attach. The burst slack covers fixed-size mandatory
-  // allocations per lease: store and arena chunks, the memo's lazy array,
-  // and the caches' floor arrays.
-  static constexpr uint64_t kMemBurstSlack = 1u << 20;
-  MemAccount* mem_account_ = nullptr;
-  MemGovernor* mem_governor_ = nullptr;
-  // GC state: external root ref-counts (indexed by node id, lazily
-  // grown), the node-id free list MakeDecision pops before growing
-  // nodes_, and the size-bucketed element-span free list (spans are
-  // arena-backed and can never be returned to the allocator, but exact-
-  // size reuse bounds the arenas at their live + recycled high-water
-  // mark).
-  std::vector<int32_t> external_refs_;
-  std::vector<NodeId> free_ids_;
   // Guards free_ids_ inside parallel regions only (AllocNodePar refills
   // context batches from it); single-owner access outside regions stays
   // lock-free, ordered by the region bracket.
   SpinLock free_ids_lock_;
+  // Size-bucketed element spans of freed decisions. Spans are arena-
+  // backed and never return to the allocator, but exact-size reuse bounds
+  // the arenas at their live + recycled high-water mark.
   std::unordered_map<size_t, std::vector<Element*>> free_elements_;
-  GcStats gc_stats_;
-  ThreadChecker thread_check_;
 };
 
 }  // namespace ctsdd

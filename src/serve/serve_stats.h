@@ -136,8 +136,10 @@ struct ServeOptions {
   // lineage circuit has at most this many gates also run the min-fill
   // treewidth heuristic (and the exact treewidth/pathwidth engines when
   // small enough), recording predicted-width vs. actual-size pairs for
-  // the admission-router training set. 0 disables prediction. The
-  // default keeps the heuristic's cost well under a typical compile.
+  // the admission-router training set. 0 disables prediction. At the
+  // default, on the perfbench serve_cold lineages (mostly 20-30 gates),
+  // prediction's p50 was 34 us: about 3x the 11 us OBDD compile it
+  // accompanies and under half the 80 us SDD compile.
   int width_predict_max_gates = 256;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -27,6 +28,11 @@ namespace {
 // "this worker" without any registry.
 thread_local bool t_death_requested = false;
 thread_local WorkBudget* t_active_budget = nullptr;
+
+// Whether `plan` was compiled inside `manager`.
+bool PlanIn(const CompiledPlan& plan, const void* manager) {
+  return plan.obdd == manager || plan.sdd == manager;
+}
 
 }  // namespace
 
@@ -82,8 +88,7 @@ ShardWorker::~ShardWorker() {
   thread_.join();
   // The managers are bound to the (now joined) worker thread; detach so
   // the destroying thread may release the cached plans' root refs.
-  for (PooledObdd& e : obdd_pool_) e.manager->DetachOwningThread();
-  for (PooledSdd& e : sdd_pool_) e.manager->DetachOwningThread();
+  ForEachManager([](auto* manager) { manager->DetachOwningThread(); });
 }
 
 bool ShardWorker::Submit(const ShardJob& job, double* retry_after_ms) {
@@ -599,73 +604,69 @@ StatusOr<CompiledPlan> ShardWorker::CompileRoute(const QueryRequest& request,
   plan.stats->requested_route = static_cast<int>(request.route);
   plan.stats->lineage_gates = plan.lineage_gates;
   plan.stats->num_vars = static_cast<int>(plan.vars.size());
-  MemGovernor* gov = options_.mem_governor;
   if (route == PlanRoute::kObdd) {
-    ObddManager* manager = ObddFor(plan.vars);
-    const MemAccount* acct = manager->mem_account();
-    const uint64_t bytes_before = acct != nullptr ? acct->bytes() : 0;
-    if (budget != nullptr) manager->AttachBudget(budget);
-    // Register with the governor while the compile is in flight: when
-    // another shard drives the process to the hard ceiling, the governor
-    // cancels the largest registered compile by account bytes.
-    if (gov != nullptr && budget != nullptr) {
-      gov->RegisterCompile(budget, manager->mem_account());
-    }
-    const auto root = CompileCircuitToObdd(manager, circuit);
-    if (gov != nullptr && budget != nullptr) gov->UnregisterCompile(budget);
-    if (budget != nullptr) manager->DetachBudget();
-    if (root < 0) {
-      // Reclaim the aborted compile's partial nodes now instead of
-      // letting them ride until the next policy check.
-      TimedGc(manager);
-      return budget->status();
-    }
+    ObddManager* manager = AcquireManager(obdd_pool_, plan.vars, plan.vars);
+    const auto root = CompilePinned(
+        manager, budget,
+        [&] { return CompileCircuitToObdd(manager, circuit); },
+        plan.stats.get());
+    CTSDD_RETURN_IF_ERROR(root.status());
     plan.obdd = manager;
-    plan.obdd_root = root;
-    manager->AddRootRef(root);
-    plan.size = manager->Size(root);
-    plan.width = manager->Width(root);
+    plan.obdd_root = *root;
+    plan.size = manager->Size(*root);
+    plan.width = manager->Width(*root);
     plan.pinned_nodes = plan.size;
-    plan.stats->nodes = static_cast<uint64_t>(plan.size);
-    plan.stats->edges = 2 * static_cast<uint64_t>(plan.size);
-    plan.stats->width = static_cast<uint64_t>(plan.width);
-    plan.stats->pinned_nodes = static_cast<uint64_t>(plan.pinned_nodes);
-    const uint64_t bytes_after = acct != nullptr ? acct->bytes() : 0;
-    plan.stats->pinned_bytes =
-        bytes_after > bytes_before ? bytes_after - bytes_before : 0;
   } else {
     auto vtree = VtreeForStrategy(circuit, plan.vars, request.strategy);
     CTSDD_RETURN_IF_ERROR(vtree.status());
-    SddManager* manager = SddFor(std::move(vtree).value());
-    const MemAccount* acct = manager->mem_account();
-    const uint64_t bytes_before = acct != nullptr ? acct->bytes() : 0;
-    if (budget != nullptr) manager->AttachBudget(budget);
-    if (gov != nullptr && budget != nullptr) {
-      gov->RegisterCompile(budget, manager->mem_account());
-    }
-    const auto root = CompileCircuitToSdd(manager, circuit);
-    if (gov != nullptr && budget != nullptr) gov->UnregisterCompile(budget);
-    if (budget != nullptr) manager->DetachBudget();
-    if (root < 0) {
-      TimedGc(manager);
-      return budget->status();
-    }
+    std::string key = VtreeKeyString(vtree.value());
+    SddManager* manager =
+        AcquireManager(sdd_pool_, std::move(key), std::move(vtree).value());
+    const auto root = CompilePinned(
+        manager, budget,
+        [&] { return CompileCircuitToSdd(manager, circuit); },
+        plan.stats.get());
+    CTSDD_RETURN_IF_ERROR(root.status());
     plan.sdd = manager;
-    plan.sdd_root = root;
-    manager->AddRootRef(root);
-    const SddStats stats = ComputeSddStats(*manager, root);
+    plan.sdd_root = *root;
+    const SddStats stats = ComputeSddStats(*manager, *root);
     plan.size = stats.size;
     plan.width = stats.width;
     plan.pinned_nodes = stats.decisions;
-    plan.stats->nodes = static_cast<uint64_t>(stats.size);
-    plan.stats->edges = 2 * static_cast<uint64_t>(stats.size);
-    plan.stats->width = static_cast<uint64_t>(stats.width);
-    plan.stats->pinned_nodes = static_cast<uint64_t>(stats.decisions);
-    const uint64_t bytes_after = acct != nullptr ? acct->bytes() : 0;
-    plan.stats->pinned_bytes =
-        bytes_after > bytes_before ? bytes_after - bytes_before : 0;
   }
+  plan.stats->nodes = static_cast<uint64_t>(plan.size);
+  plan.stats->edges = 2 * static_cast<uint64_t>(plan.size);
+  plan.stats->width = static_cast<uint64_t>(plan.width);
+  plan.stats->pinned_nodes = static_cast<uint64_t>(plan.pinned_nodes);
   return plan;
+}
+
+template <class M, class Compile>
+StatusOr<int> ShardWorker::CompilePinned(M* manager, WorkBudget* budget,
+                                         const Compile& compile,
+                                         PlanStats* stats) {
+  const MemAccount* acct = manager->mem_account();
+  const uint64_t bytes_before = acct != nullptr ? acct->bytes() : 0;
+  MemGovernor* gov = budget != nullptr ? options_.mem_governor : nullptr;
+  if (budget != nullptr) manager->AttachBudget(budget);
+  // Register with the governor while the compile is in flight: when
+  // another shard drives the process to the hard ceiling, the governor
+  // cancels the largest registered compile by account bytes.
+  if (gov != nullptr) gov->RegisterCompile(budget, acct);
+  const int root = compile();
+  if (gov != nullptr) gov->UnregisterCompile(budget);
+  if (budget != nullptr) manager->DetachBudget();
+  if (root < 0) {
+    // Reclaim the aborted compile's partial nodes now instead of
+    // letting them ride until the next policy check.
+    TimedGc(manager);
+    return budget->status();
+  }
+  manager->AddRootRef(root);
+  const uint64_t bytes_after = acct != nullptr ? acct->bytes() : 0;
+  stats->pinned_bytes =
+      bytes_after > bytes_before ? bytes_after - bytes_before : 0;
+  return root;
 }
 
 double ShardWorker::EvaluatePlan(const CompiledPlan& plan,
@@ -688,59 +689,37 @@ double ShardWorker::EvaluatePlan(const CompiledPlan& plan,
   return plan.sdd->WeightedModelCount(plan.sdd_root, probs);
 }
 
-ObddManager* ShardWorker::ObddFor(const std::vector<int>& order) {
-  for (PooledObdd& e : obdd_pool_) {
-    if (e.order == order) {
+template <class M, class Key, class... Args>
+M* ShardWorker::AcquireManager(ManagerPool<M, Key>& pool, Key key,
+                               Args&&... args) {
+  for (auto& e : pool.entries) {
+    if (e.key == key) {
       e.last_used = ++use_clock_;
       return e.manager.get();
     }
   }
-  if (obdd_pool_.size() >= options_.manager_pool_capacity) {
-    const auto victim = std::min_element(
-        obdd_pool_.begin(), obdd_pool_.end(),
-        [](const PooledObdd& a, const PooledObdd& b) {
-          return a.last_used < b.last_used;
-        });
-    ObddManager* dying = victim->manager.get();
-    plans_.EraseIf(
-        [dying](const CompiledPlan& p) { return p.obdd == dying; });
-    obdd_pool_.erase(victim);
-    ++local_manager_evictions_;
+  if (pool.entries.size() >= options_.manager_pool_capacity) {
+    EvictManager(pool, pool.Lru());
   }
-  obdd_pool_.push_back({order, std::make_unique<MemAccount>(&account_),
-                        std::make_unique<ObddManager>(order), ++use_clock_});
-  // Lend the manager the service-wide pool (OBDD: parallel GC mark only;
-  // compiles stay sequential).
-  obdd_pool_.back().manager->AttachExecutor(exec_pool_);
-  obdd_pool_.back().manager->AttachMemAccount(obdd_pool_.back().account.get());
-  return obdd_pool_.back().manager.get();
+  auto& e = pool.entries.emplace_back();
+  e.key = std::move(key);
+  e.account = std::make_unique<MemAccount>(&account_);
+  e.manager = std::make_unique<M>(std::forward<Args>(args)...);
+  e.last_used = ++use_clock_;
+  // Lend the manager the service-wide pool: the GC mark forks there, and
+  // so does the SDD semantic compiler; applies stay sequential.
+  e.manager->AttachExecutor(exec_pool_);
+  e.manager->AttachMemAccount(e.account.get());
+  return e.manager.get();
 }
 
-SddManager* ShardWorker::SddFor(Vtree vtree) {
-  std::string key = VtreeKeyString(vtree);
-  for (PooledSdd& e : sdd_pool_) {
-    if (e.vtree_key == key) {
-      e.last_used = ++use_clock_;
-      return e.manager.get();
-    }
-  }
-  if (sdd_pool_.size() >= options_.manager_pool_capacity) {
-    const auto victim = std::min_element(
-        sdd_pool_.begin(), sdd_pool_.end(),
-        [](const PooledSdd& a, const PooledSdd& b) {
-          return a.last_used < b.last_used;
-        });
-    SddManager* dying = victim->manager.get();
-    plans_.EraseIf([dying](const CompiledPlan& p) { return p.sdd == dying; });
-    sdd_pool_.erase(victim);
-    ++local_manager_evictions_;
-  }
-  sdd_pool_.push_back({std::move(key), std::make_unique<MemAccount>(&account_),
-                       std::make_unique<SddManager>(std::move(vtree)),
-                       ++use_clock_});
-  sdd_pool_.back().manager->AttachExecutor(exec_pool_);
-  sdd_pool_.back().manager->AttachMemAccount(sdd_pool_.back().account.get());
-  return sdd_pool_.back().manager.get();
+template <class M, class Key>
+void ShardWorker::EvictManager(ManagerPool<M, Key>& pool,
+                               typename ManagerPool<M, Key>::Iterator victim) {
+  const void* dying = victim->manager.get();
+  plans_.EraseIf([dying](const CompiledPlan& p) { return PlanIn(p, dying); });
+  pool.entries.erase(victim);
+  ++local_manager_evictions_;
 }
 
 template <typename Manager>
@@ -763,29 +742,21 @@ double ShardWorker::MemRetryHintMs() const {
 }
 
 bool ShardWorker::EvictLruManager() {
-  const auto obdd_it =
-      std::min_element(obdd_pool_.begin(), obdd_pool_.end(),
-                       [](const PooledObdd& a, const PooledObdd& b) {
-                         return a.last_used < b.last_used;
-                       });
-  const auto sdd_it =
-      std::min_element(sdd_pool_.begin(), sdd_pool_.end(),
-                       [](const PooledSdd& a, const PooledSdd& b) {
-                         return a.last_used < b.last_used;
-                       });
-  const bool have_obdd = obdd_it != obdd_pool_.end();
-  const bool have_sdd = sdd_it != sdd_pool_.end();
-  if (!have_obdd && !have_sdd) return false;
-  if (have_obdd && (!have_sdd || obdd_it->last_used <= sdd_it->last_used)) {
-    ObddManager* dying = obdd_it->manager.get();
-    plans_.EraseIf([dying](const CompiledPlan& p) { return p.obdd == dying; });
-    obdd_pool_.erase(obdd_it);
-  } else {
-    SddManager* dying = sdd_it->manager.get();
-    plans_.EraseIf([dying](const CompiledPlan& p) { return p.sdd == dying; });
-    sdd_pool_.erase(sdd_it);
-  }
-  ++local_manager_evictions_;
+  // use_clock_ stamps every pool, so the stamps are unique and comparable.
+  std::optional<uint64_t> oldest;
+  ForEachPool([&](auto& pool) {
+    const auto it = pool.Lru();
+    if (it != pool.entries.end() && (!oldest || it->last_used < *oldest)) {
+      oldest = it->last_used;
+    }
+  });
+  if (!oldest) return false;
+  ForEachPool([&](auto& pool) {
+    const auto it = pool.Lru();
+    if (it != pool.entries.end() && it->last_used == *oldest) {
+      EvictManager(pool, it);
+    }
+  });
   return true;
 }
 
@@ -794,14 +765,10 @@ void ShardWorker::RunMemPressureLadder() {
   if (gov == nullptr || gov->tier() == MemGovernor::Tier::kNone) return;
   // Soft tier: give back everything that regrows on demand — collect
   // garbage and shrink the computed caches in every pooled manager.
-  for (PooledObdd& e : obdd_pool_) {
-    TimedGc(e.manager.get());
-    e.manager->ShrinkCaches();
-  }
-  for (PooledSdd& e : sdd_pool_) {
-    TimedGc(e.manager.get());
-    e.manager->ShrinkCaches();
-  }
+  ForEachManager([&](auto* manager) {
+    TimedGc(manager);
+    manager->ShrinkCaches();
+  });
   // Critical tier: shed state — unpinned (LRU) plans in batches, each
   // batch followed by a collection so the released roots turn into
   // bytes; then whole managers. Destroying a manager is the only step
@@ -811,8 +778,7 @@ void ShardWorker::RunMemPressureLadder() {
     while (evicted < 8 && plans_.EvictOne()) ++evicted;
     if (evicted > 0) {
       local_pressure_evictions_ += static_cast<uint64_t>(evicted);
-      for (PooledObdd& e : obdd_pool_) TimedGc(e.manager.get());
-      for (PooledSdd& e : sdd_pool_) TimedGc(e.manager.get());
+      ForEachManager([&](auto* manager) { TimedGc(manager); });
       continue;
     }
     if (!EvictLruManager()) break;  // nothing left to shed on this shard
@@ -837,8 +803,7 @@ void ShardWorker::RunGcPolicy() {
     // over-ceiling manager has nothing left to shed, its live set is all
     // permanent (literals) or externally pinned, and the policy stops.
     const auto in_this_manager = [manager](const CompiledPlan& p) {
-      return p.obdd == static_cast<const void*>(manager) ||
-             p.sdd == static_cast<const void*>(manager);
+      return PlanIn(p, manager);
     };
     while (manager->NumLiveNodes() > options_.gc_live_node_ceiling &&
            plans_.EvictOneMatching(in_this_manager)) {
@@ -849,8 +814,7 @@ void ShardWorker::RunGcPolicy() {
     // (the SDD manager repopulates its semantic cache from survivors).
     manager->ShrinkCaches();
   };
-  for (PooledObdd& e : obdd_pool_) enforce(e.manager.get());
-  for (PooledSdd& e : sdd_pool_) enforce(e.manager.get());
+  ForEachManager(enforce);
   // Reclaim-rate feedback: when a check finds pressure (a manager over
   // its ceiling, or nodes actually reclaimed) check again sooner; when
   // it finds nothing, back off — up to 8x the configured cadence.
@@ -864,8 +828,7 @@ void ShardWorker::RunGcPolicy() {
 
 void ShardWorker::UpdateStats() {
   int live = 0;
-  for (const PooledObdd& e : obdd_pool_) live += e.manager->NumLiveNodes();
-  for (const PooledSdd& e : sdd_pool_) live += e.manager->NumLiveNodes();
+  ForEachManager([&](const auto* manager) { live += manager->NumLiveNodes(); });
   local_peak_live_ = std::max(local_peak_live_, live);
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.requests = local_requests_;

@@ -2,9 +2,10 @@
 //
 // The managers are single-threaded by contract, so the shard is the unit
 // of both concurrency and memory accounting: it runs one thread, pools
-// its managers (OBDD managers keyed by exact variable order, SDD
-// managers keyed by exact vtree structure — the one shared structure,
-// the process-wide WidthCache, carries its own mutex), keeps the plans
+// its managers in one ManagerPool type (OBDD managers keyed by exact
+// variable order, SDD managers keyed by exact vtree structure — the one
+// shared structure, the process-wide WidthCache, carries its own mutex),
+// keeps the plans
 // compiled inside them pinned via external root refs, and enforces the
 // resident-node ceiling with mark-from-roots garbage collection: when a
 // manager exceeds the ceiling, the shard collects; when pinned plans
@@ -28,6 +29,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <algorithm>
 #include <deque>
 #include <list>
 #include <memory>
@@ -148,6 +150,32 @@ struct JobState {
   }
 };
 
+// An LRU-bounded pool of one manager type, keyed exactly. Each entry's
+// account is declared before its manager, so the manager is destroyed
+// first and releases its bytes into it. Heap-held, in a std::list whose
+// entries never move, so the address a manager charges through is
+// stable and no container operation destroys an account under a live
+// manager.
+template <class M, class Key>
+struct ManagerPool {
+  struct Entry {
+    Key key;
+    std::unique_ptr<MemAccount> account;
+    std::unique_ptr<M> manager;
+    uint64_t last_used = 0;
+  };
+  using Iterator = typename std::list<Entry>::iterator;
+
+  Iterator Lru() {
+    return std::min_element(entries.begin(), entries.end(),
+                            [](const Entry& a, const Entry& b) {
+                              return a.last_used < b.last_used;
+                            });
+  }
+
+  std::list<Entry> entries;
+};
+
 // A unit of work handed to a shard.
 struct ShardJob {
   std::shared_ptr<JobState> state;
@@ -245,25 +273,6 @@ class ShardWorker {
   static void TripActiveBudgetOnCurrentThread(StatusCode code);
 
  private:
-  // The account is declared before the manager so the manager is
-  // destroyed first and releases its bytes into it. Heap-held (and the
-  // pools are std::list, whose entries are never moved or re-assigned)
-  // so the address the manager's structures charge through is stable —
-  // and so no container operation can destroy an account while a live
-  // manager still points at it.
-  struct PooledObdd {
-    std::vector<int> order;  // exact key: the manager's variable order
-    std::unique_ptr<MemAccount> account;
-    std::unique_ptr<ObddManager> manager;
-    uint64_t last_used = 0;
-  };
-  struct PooledSdd {
-    std::string vtree_key;  // exact key: serialized vtree structure
-    std::unique_ptr<MemAccount> account;
-    std::unique_ptr<SddManager> manager;
-    uint64_t last_used = 0;
-  };
-
   void Loop();
   void Process(const ShardJob& job);
   // Delivers `response` through the job's claim; on a win, records
@@ -283,9 +292,36 @@ class ShardWorker {
                                       PlanRoute route, const Circuit& circuit,
                                       std::vector<int> vars,
                                       WorkBudget* budget);
+  // CompileRoute's route-independent steps: attaches `budget` and
+  // registers the compile with the governor around `compile()`; on abort
+  // collects the partial nodes and returns the budget's status; else pins
+  // the root and records the bytes the compile left charged.
+  template <class M, class Compile>
+  StatusOr<int> CompilePinned(M* manager, WorkBudget* budget,
+                              const Compile& compile, PlanStats* stats);
   double EvaluatePlan(const CompiledPlan& plan, const QueryRequest& request);
-  ObddManager* ObddFor(const std::vector<int>& order);
-  SddManager* SddFor(Vtree vtree);
+  // The pooled manager for `key`, built from `args` on a miss (evicting
+  // the pool's LRU manager at capacity) and lent the shard's executor
+  // and a child memory account.
+  template <class M, class Key, class... Args>
+  M* AcquireManager(ManagerPool<M, Key>& pool, Key key, Args&&... args);
+  // Destroys `victim` after evicting every plan compiled inside it.
+  template <class M, class Key>
+  void EvictManager(ManagerPool<M, Key>& pool,
+                    typename ManagerPool<M, Key>::Iterator victim);
+  // fn(pool) for each pool and fn(manager) for every pooled manager, OBDD
+  // pool first.
+  template <class Fn>
+  void ForEachPool(Fn&& fn) {
+    fn(obdd_pool_);
+    fn(sdd_pool_);
+  }
+  template <class Fn>
+  void ForEachManager(Fn&& fn) {
+    ForEachPool([&](auto& pool) {
+      for (auto& e : pool.entries) fn(e.manager.get());
+    });
+  }
   // Ceiling enforcement + resident-node accounting (see file comment).
   void RunGcPolicy();
   // Memory-pressure shed ladder, run when the governor reports pressure:
@@ -296,8 +332,8 @@ class ShardWorker {
   void RunMemPressureLadder();
   // Backoff hint attached to memory-pressure rejects.
   double MemRetryHintMs() const;
-  // LRU manager eviction across both pools (plans inside it first);
-  // false when both pools are empty.
+  // Evicts the least recently used manager across the pools (plans
+  // inside it first); false when every pool is empty.
   bool EvictLruManager();
   // GarbageCollect with the pause recorded into the service's GC
   // latency reservoir and the shard's reclaim counters.
@@ -325,8 +361,8 @@ class ShardWorker {
   // pools are declared before the plan cache so the cache — whose
   // eviction callback releases root refs into the pooled managers — is
   // destroyed first.
-  std::list<PooledObdd> obdd_pool_;
-  std::list<PooledSdd> sdd_pool_;
+  ManagerPool<ObddManager, std::vector<int>> obdd_pool_;  // by order
+  ManagerPool<SddManager, std::string> sdd_pool_;  // by VtreeKeyString
   PlanCache plans_;
   uint64_t use_clock_ = 0;
   int requests_since_gc_check_ = 0;

@@ -146,19 +146,6 @@ TEST(SddGcTest, NegationLinksSurviveOrSeverCorrectly) {
   }
 }
 
-TEST(ObddGcTest, RootRefsAreCounted) {
-  ObddManager manager(Iota(4));
-  const auto root = manager.And(manager.Literal(0, true),
-                                manager.Literal(1, true));
-  manager.AddRootRef(root);
-  manager.AddRootRef(root);
-  manager.ReleaseRootRef(root);
-  manager.GarbageCollect();  // one ref left: must survive
-  EXPECT_EQ(manager.And(manager.Literal(0, true), manager.Literal(1, true)),
-            root);
-  manager.ReleaseRootRef(root);
-}
-
 // --- Signatures -----------------------------------------------------------
 
 TEST(SignatureTest, QueryAndDatabaseSignaturesDiscriminate) {
