@@ -12,6 +12,8 @@
 // callback so the plan's root refs are released before the entry is
 // destroyed — that is what turns an evicted plan's nodes into garbage
 // the next collection can reclaim.
+// The cache keeps no counters: its owner counts lookups and evictions in
+// the service's metrics registry.
 
 #ifndef CTSDD_SERVE_PLAN_CACHE_H_
 #define CTSDD_SERVE_PLAN_CACHE_H_
@@ -112,11 +114,7 @@ class PlanCache {
   // The pointer is valid until the next Insert/EvictOne/EraseIf.
   CompiledPlan* Lookup(const PlanKey& key) {
     const auto it = index_.find(key);
-    if (it == index_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
+    if (it == index_.end()) return nullptr;
     entries_.splice(entries_.begin(), entries_, it->second);
     return &entries_.front().second;
   }
@@ -141,7 +139,6 @@ class PlanCache {
     ChargeEntry(plan, -1);
     index_.erase(key);
     entries_.pop_back();
-    ++evictions_;
     return true;
   }
 
@@ -158,7 +155,6 @@ class PlanCache {
       ChargeEntry(it->second, -1);
       index_.erase(it->first);
       entries_.erase(std::next(it).base());
-      ++evictions_;
       return true;
     }
     return false;
@@ -190,14 +186,10 @@ class PlanCache {
       ChargeEntry(it->second, -1);
       index_.erase(it->first);
       it = entries_.erase(it);
-      ++evictions_;
     }
   }
 
   size_t size() const { return entries_.size(); }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t evictions() const { return evictions_; }
 
  private:
   // Heap overhead of one cached entry: the list node payload plus the
@@ -234,9 +226,6 @@ class PlanCache {
   std::list<std::pair<PlanKey, CompiledPlan>> entries_;
   std::unordered_map<PlanKey, decltype(entries_)::iterator, PlanKeyHash>
       index_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
 };
 
 }  // namespace ctsdd

@@ -106,6 +106,7 @@ QueryService::QueryService(ServeOptions options)
                      ? std::make_unique<exec::TaskPool>(options.exec_workers)
                      : nullptr),
       metrics_(std::make_unique<obs::MetricsRegistry>()),
+      serve_metrics_(std::make_unique<ServeMetrics>(metrics_.get())),
       flight_(std::make_unique<obs::FlightRecorder>(
           obs::FlightRecorder::Options{options.flight_recorder_capacity,
                                        options.flight_dump_dir,
@@ -114,16 +115,9 @@ QueryService::QueryService(ServeOptions options)
           options.quarantine_threshold, options.quarantine_parole_ms,
           options.quarantine_parole_max_ms, options.quarantine_capacity,
           /*trial_timeout_ms=*/std::max(10000.0,
-                                        4 * options.quarantine_parole_ms)})),
-      sup_counters_(std::make_unique<SupervisionCounters>()) {
+                                        4 * options.quarantine_parole_ms)})) {
   CTSDD_CHECK_GT(options_.num_shards, 0);
   start_time_ = std::chrono::steady_clock::now();
-  // Histograms before any shard exists: MakeWorker hands each worker the
-  // shared recorder pointers.
-  latency_us_ = metrics_->GetHistogram(
-      "serve.latency_us", "End-to-end request latency in microseconds");
-  gc_pause_us_ = metrics_->GetHistogram(
-      "serve.gc_pause_us", "Garbage-collection pause in microseconds");
   // Plan telemetry before any shard exists: MakeWorker hands each worker
   // the registry pointer, and worker teardown evicts into it.
   plan_stats_ = std::make_unique<PlanStatsRegistry>(metrics_.get());
@@ -136,6 +130,7 @@ QueryService::QueryService(ServeOptions options)
     governor_->SetWatermarks(options_.mem_soft_bytes, options_.mem_hard_bytes);
     options_.mem_governor = governor_.get();
   }
+  mem_account_.SetGovernor(options_.mem_governor);
   slots_.reserve(options_.num_shards);
   for (int i = 0; i < options_.num_shards; ++i) {
     auto slot = std::make_unique<ShardSlot>();
@@ -144,7 +139,7 @@ QueryService::QueryService(ServeOptions options)
   }
   if (options_.heartbeat_window_ms > 0) {
     supervisor_ = std::make_unique<Supervisor>(
-        options_, &slots_, sup_counters_.get(), flight_.get(),
+        options_, &slots_, serve_metrics_.get(), flight_.get(),
         [this](int shard_id) { return MakeWorker(shard_id); });
   }
   if (options_.debug_port >= 0) StartDebugServer();
@@ -159,9 +154,8 @@ QueryService::~QueryService() {
 
 std::shared_ptr<ShardWorker> QueryService::MakeWorker(int shard_id) {
   return std::make_shared<ShardWorker>(
-      shard_id, options_, latency_us_, gc_pause_us_, flight_.get(),
-      exec_pool_.get(), quarantine_.get(), sup_counters_.get(),
-      plan_stats_.get());
+      shard_id, options_, serve_metrics_.get(), &mem_account_, flight_.get(),
+      exec_pool_.get(), quarantine_.get(), plan_stats_.get());
 }
 
 void QueryService::StartDebugServer() {
@@ -281,17 +275,12 @@ void QueryService::StartDebugServer() {
     j.Open("shards", '[');
     for (size_t i = 0; i < slots_.size(); ++i) {
       const auto worker = slots_[i]->Get();
-      const ShardStats ss = worker->stats();
       j.Open(nullptr, '{');
       j.Num("shard", i);
       j.Bool("busy", worker->busy());
       j.Bool("exited", worker->exited());
       j.Num("queue_depth", worker->queue_depth());
-      j.Num("requests", ss.requests);
-      j.Num("failures", ss.failures);
-      j.Num("plan_cache_size", ss.plan_cache_size);
-      j.Num("live_nodes", ss.live_nodes);
-      j.Num("mem_bytes", ss.mem_bytes);
+      j.Num("mem_bytes", worker->mem_account().bytes());
       j.Close('}');
     }
     j.Close(']');
@@ -478,7 +467,8 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     const QueryRequest& request = requests[i];
     if (request.db == nullptr) {
       responses[i].status = Status::InvalidArgument("request without database");
-      rejected_requests_.fetch_add(1, std::memory_order_relaxed);
+      serve_metrics_->requests->Add();
+      serve_metrics_->failures->Add();
       obs::FlightRecord rec;
       rec.status_code = static_cast<int>(StatusCode::kInvalidArgument);
       flight_->Record(rec);
@@ -502,6 +492,8 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         responses[i].status = Status::ResourceExhausted(
             "query signature quarantined; retry after parole");
         responses[i].retry_after_ms = parole_hint;
+        serve_metrics_->requests->Add();
+        serve_metrics_->failures->Add();
         obs::FlightRecord rec;
         rec.query_sig = key.query_sig;
         rec.db_sig = key.db_sig;
@@ -557,6 +549,9 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
           Status::Unavailable("shard queue full; retry later");
       responses[i].shard = static_cast<int>(shard);
       responses[i].retry_after_ms = retry_after_ms;
+      serve_metrics_->sheds->Add();
+      serve_metrics_->requests->Add();
+      serve_metrics_->failures->Add();
       obs::FlightRecord rec;
       rec.trace_id = state->trace.trace_id;
       rec.query_sig = key.query_sig;
@@ -577,86 +572,87 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
 }
 
 ServiceStats QueryService::stats() const {
+  const ServeMetrics& m = *serve_metrics_;
   ServiceStats out;
   out.num_shards = static_cast<int>(slots_.size());
-  for (const auto& slot : slots_) {
-    AccumulateShardStats(out.totals, slot->Get()->stats());
+  ShardStats& t = out.totals;
+  t.requests = m.requests->value();
+  t.failures = m.failures->value();
+  t.plan_hits = m.plan_hits->value();
+  t.plan_misses = m.plan_misses->value();
+  t.plan_evictions = m.plan_evictions->value();
+  t.targeted_evictions = m.targeted_evictions->value();
+  t.compiles = m.compiles->value();
+  t.gc_runs = m.gc_runs->value();
+  t.gc_reclaimed = m.gc_reclaimed->value();
+  t.manager_evictions = m.manager_evictions->value();
+  t.timeouts = m.timeouts->value();
+  t.sheds = m.sheds->value();
+  t.fallbacks = m.fallbacks->value();
+  t.budget_aborts = m.budget_aborts->value();
+  t.duplicate_skips = m.duplicate_skips->value();
+  t.mem_rejects = m.mem_rejects->value();
+  t.mem_aborts = m.mem_aborts->value();
+  t.pressure_evictions = m.pressure_evictions->value();
+  t.mem_bytes = mem_account_.bytes();
+  for (int l = 0; l < kMemLayerCount; ++l) {
+    t.mem_bytes_by_layer[static_cast<size_t>(l)] =
+        mem_account_.bytes(static_cast<MemLayer>(l));
   }
-  // Workers retired by supervisor restarts keep their history.
-  if (supervisor_ != nullptr) supervisor_->AddRetiredStats(&out.totals);
-  out.supervision = sup_counters_->Snapshot();
+  t.live_nodes = static_cast<int>(m.live_nodes->value());
+  t.peak_live_nodes = static_cast<int>(m.peak_live_nodes->value());
+  t.plan_cache_size = static_cast<uint64_t>(m.plan_cache_size->value());
+  SupervisionStats& sup = out.supervision;
+  sup.hangs_detected = m.hangs_detected->value();
+  sup.deaths_detected = m.deaths_detected->value();
+  sup.shard_restarts = m.shard_restarts->value();
+  sup.failed_on_restart = m.failed_on_restart->value();
+  sup.hedges_dispatched = m.hedges_dispatched->value();
+  sup.hedge_sheds = m.hedge_sheds->value();
+  sup.hedge_wins = m.hedge_wins->value();
+  sup.hedge_cancels = m.hedge_cancels->value();
   const Quarantine::Counters q = quarantine_->counters();
-  out.supervision.quarantine_rejects = q.rejects;
-  out.supervision.quarantine_strikes = q.strikes;
-  out.supervision.parole_trials = q.parole_trials;
-  out.supervision.parole_successes = q.parole_successes;
-  out.supervision.quarantine_entries = q.entries;
-  const uint64_t rejected =
-      rejected_requests_.load(std::memory_order_relaxed);
-  // Requests answered outside any worker — invalid-argument rejects,
-  // admission sheds, quarantine rejects, and supervisor restart
-  // failures — never reach a worker's counters; fold them in so
-  // monitoring sees them as traffic + failures.
-  const uint64_t outside = rejected + out.totals.sheds +
-                           out.supervision.quarantine_rejects +
-                           out.supervision.failed_on_restart;
-  out.totals.requests += outside;
-  out.totals.failures += outside;
+  sup.quarantine_rejects = q.rejects;
+  sup.quarantine_strikes = q.strikes;
+  sup.parole_trials = q.parole_trials;
+  sup.parole_successes = q.parole_successes;
+  sup.quarantine_entries = q.entries;
   out.governor = SnapshotGovernor(options_.mem_governor);
   // RESOURCE_EXHAUSTED by cause. The populations are disjoint: memory
   // trips never strike quarantine (see CompilePlan), quarantine rejects
   // never touch the governor.
   out.rejected_quarantine = q.rejects;
-  out.rejected_memory = out.totals.mem_rejects + out.totals.mem_aborts;
-  out.p50_ms = static_cast<double>(latency_us_->ValueAtPercentile(0.50)) / 1e3;
-  out.p95_ms = static_cast<double>(latency_us_->ValueAtPercentile(0.95)) / 1e3;
-  out.p99_ms = static_cast<double>(latency_us_->ValueAtPercentile(0.99)) / 1e3;
+  out.rejected_memory = t.mem_rejects + t.mem_aborts;
+  out.p50_ms = static_cast<double>(m.latency_us->ValueAtPercentile(0.50)) / 1e3;
+  out.p95_ms = static_cast<double>(m.latency_us->ValueAtPercentile(0.95)) / 1e3;
+  out.p99_ms = static_cast<double>(m.latency_us->ValueAtPercentile(0.99)) / 1e3;
   out.gc_pause_p50_ms =
-      static_cast<double>(gc_pause_us_->ValueAtPercentile(0.50)) / 1e3;
+      static_cast<double>(m.gc_pause_us->ValueAtPercentile(0.50)) / 1e3;
   out.gc_pause_p99_ms =
-      static_cast<double>(gc_pause_us_->ValueAtPercentile(0.99)) / 1e3;
+      static_cast<double>(m.gc_pause_us->ValueAtPercentile(0.99)) / 1e3;
   return out;
 }
 
 void QueryService::PublishMetrics() {
-  const ServiceStats s = stats();
   const auto set = [&](const char* name, uint64_t v) {
     metrics_->GetCounter(name)->Set(v);
   };
-  set("serve.requests", s.totals.requests);
-  set("serve.failures", s.totals.failures);
-  set("serve.timeouts", s.totals.timeouts);
-  set("serve.sheds", s.totals.sheds);
-  set("serve.fallbacks", s.totals.fallbacks);
-  set("serve.budget_aborts", s.totals.budget_aborts);
-  set("serve.duplicate_skips", s.totals.duplicate_skips);
-  set("serve.compiles", s.totals.compiles);
-  set("serve.rejected_memory", s.rejected_memory);
-  set("serve.rejected_quarantine", s.rejected_quarantine);
-  set("plan_cache.hits", s.totals.plan_hits);
-  set("plan_cache.misses", s.totals.plan_misses);
-  set("plan_cache.evictions", s.totals.plan_evictions);
-  set("plan_cache.targeted_evictions", s.totals.targeted_evictions);
-  set("plan_cache.manager_evictions", s.totals.manager_evictions);
-  set("gc.runs", s.totals.gc_runs);
-  set("gc.reclaimed_nodes", s.totals.gc_reclaimed);
-  set("supervision.hangs_detected", s.supervision.hangs_detected);
-  set("supervision.deaths_detected", s.supervision.deaths_detected);
-  set("supervision.shard_restarts", s.supervision.shard_restarts);
-  set("supervision.failed_on_restart", s.supervision.failed_on_restart);
-  set("supervision.hedges_dispatched", s.supervision.hedges_dispatched);
-  set("supervision.hedge_wins", s.supervision.hedge_wins);
-  set("supervision.hedge_cancels", s.supervision.hedge_cancels);
-  set("quarantine.rejects", s.supervision.quarantine_rejects);
-  set("quarantine.strikes", s.supervision.quarantine_strikes);
-  set("quarantine.parole_trials", s.supervision.parole_trials);
-  set("quarantine.parole_successes", s.supervision.parole_successes);
-  set("governor.admit_denials", s.governor.admit_denials);
-  set("governor.optional_growth_denials", s.governor.optional_growth_denials);
-  set("governor.compile_cancels", s.governor.compile_cancels);
-  set("governor.soft_transitions", s.governor.soft_transitions);
-  set("governor.critical_transitions", s.governor.critical_transitions);
-  set("governor.hard_breaches", s.governor.hard_breaches);
+  const Quarantine::Counters q = quarantine_->counters();
+  set("quarantine.rejects", q.rejects);
+  set("quarantine.strikes", q.strikes);
+  set("quarantine.parole_trials", q.parole_trials);
+  set("quarantine.parole_successes", q.parole_successes);
+  // Derived sums, exported under their own names for dashboards.
+  set("serve.rejected_quarantine", q.rejects);
+  set("serve.rejected_memory", serve_metrics_->mem_rejects->value() +
+                                   serve_metrics_->mem_aborts->value());
+  const MemGovernorStats g = SnapshotGovernor(options_.mem_governor);
+  set("governor.admit_denials", g.admit_denials);
+  set("governor.optional_growth_denials", g.optional_growth_denials);
+  set("governor.compile_cancels", g.compile_cancels);
+  set("governor.soft_transitions", g.soft_transitions);
+  set("governor.critical_transitions", g.critical_transitions);
+  set("governor.hard_breaches", g.hard_breaches);
   set("flight.records", flight_->records());
   set("flight.anomalies", flight_->anomalies());
   set("flight.dumps", flight_->dumps());
@@ -699,15 +695,11 @@ void QueryService::PublishMetrics() {
   const auto gauge = [&](const char* name, int64_t v) {
     metrics_->GetGauge(name)->Set(v);
   };
-  gauge("serve.live_nodes", s.totals.live_nodes);
-  gauge("serve.peak_live_nodes", s.totals.peak_live_nodes);
-  gauge("mem.bytes", static_cast<int64_t>(s.totals.mem_bytes));
-  gauge("governor.bytes", static_cast<int64_t>(s.governor.bytes));
-  gauge("governor.peak_bytes", static_cast<int64_t>(s.governor.peak_bytes));
-  gauge("governor.tier", s.governor.tier);
-  gauge("quarantine.entries",
-        static_cast<int64_t>(s.supervision.quarantine_entries));
-  gauge("plan_cache.size", static_cast<int64_t>(s.totals.plan_cache_size));
+  gauge("mem.bytes", static_cast<int64_t>(mem_account_.bytes()));
+  gauge("governor.bytes", static_cast<int64_t>(g.bytes));
+  gauge("governor.peak_bytes", static_cast<int64_t>(g.peak_bytes));
+  gauge("governor.tier", g.tier);
+  gauge("quarantine.entries", static_cast<int64_t>(q.entries));
   metrics_
       ->GetGauge("plan.live_plans",
                  "Plans with live telemetry blocks in the registry")

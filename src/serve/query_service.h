@@ -20,7 +20,6 @@
 #ifndef CTSDD_SERVE_QUERY_SERVICE_H_
 #define CTSDD_SERVE_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -104,16 +103,18 @@ class QueryService {
   std::vector<QueryResponse> ExecuteBatch(
       const std::vector<QueryRequest>& requests);
 
-  // Aggregated counters over all shards plus latency percentiles.
+  // The service's counters and gauges, read from the metrics registry,
+  // plus latency percentiles.
   ServiceStats stats() const;
 
   // The service's always-on flight recorder (never null): recent request
   // records plus anomaly/dump counters, for tests and embedders.
   obs::FlightRecorder* flight_recorder() const { return flight_.get(); }
 
-  // The unified metrics registry, refreshed from the current counters on
-  // each call. JSON is a stable flat object; Prometheus is a text
-  // exposition. Both include the latency/GC histograms.
+  // The unified metrics registry, holding every serve counter, gauge and
+  // histogram; each call first refreshes the values read from components
+  // that keep their own atomics. JSON is a stable flat object; Prometheus
+  // is a text exposition.
   std::string MetricsJson();
   std::string MetricsPrometheus();
   obs::MetricsRegistry* metrics_registry() { return metrics_.get(); }
@@ -138,8 +139,9 @@ class QueryService {
   std::shared_ptr<ShardWorker> MakeWorker(int shard_id);
   void StartDebugServer();
 
-  // Folds the live ServiceStats + flight-recorder counters into the
-  // registry (histograms are recorded in place by the shards).
+  // Copies the counters of components that keep their own atomics
+  // (quarantine, governor, flight recorder, exec pool, tracer, profiler,
+  // debug server, memory accounts, plan telemetry) into the registry.
   void PublishMetrics();
 
   ServeOptions options_;
@@ -149,34 +151,31 @@ class QueryService {
   // marking. Declared before the shards so it outlives every manager
   // that borrowed it.
   std::unique_ptr<exec::TaskPool> exec_pool_;
-  // Unified metrics registry; latency_us_/gc_pause_us_ are its shared
-  // histograms (microsecond samples, recorded by every shard). flight_
-  // is the bounded ring of recent request records with anomaly dumps.
+  // Unified metrics registry and the serve layer's handles into it: the
+  // only store of the service's counters. flight_ is the bounded ring of
+  // recent request records with anomaly dumps.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
-  obs::Histogram* latency_us_ = nullptr;
-  obs::Histogram* gc_pause_us_ = nullptr;
+  std::unique_ptr<ServeMetrics> serve_metrics_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   // Poison-query negative cache, checked at admission and before cold
   // compiles. Service-level on purpose: it must survive shard restarts,
   // or every restart would buy a poisonous signature `threshold` more
   // ladder compiles.
   std::unique_ptr<Quarantine> quarantine_;
-  // Shared atomics behind ServiceStats::supervision.
-  std::unique_ptr<SupervisionCounters> sup_counters_;
   // Per-plan telemetry registry. Declared after metrics_ (it holds
   // registry pointers) and before slots_ (workers publish into it and
   // merge on eviction — including the evictions their destructors run).
   std::unique_ptr<PlanStatsRegistry> plan_stats_;
   // Process-wide memory governor (created when mem_hard_bytes > 0 and no
   // external governor was supplied); options_.mem_governor points at it.
-  // Declared before slots_: every shard account parents into it.
   std::unique_ptr<MemGovernor> governor_;
+  // Parent of every shard worker's memory account (chained to the
+  // governor, if any), so it holds the bytes of every existing worker.
+  // Declared before slots_: shard accounts release into it.
+  MemAccount mem_account_;
   // Shard table: worker pointers swap under per-slot mutexes when the
   // supervisor restarts a shard.
   std::vector<std::unique_ptr<ShardSlot>> slots_;
-  // Requests rejected before reaching any shard (e.g. null database);
-  // folded into stats() so monitoring sees them as traffic + failures.
-  std::atomic<uint64_t> rejected_requests_{0};
   // Declared after slots_: the supervisor's scan thread walks slots_, so
   // it must stop before any of the above is torn down.
   std::unique_ptr<Supervisor> supervisor_;

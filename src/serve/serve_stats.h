@@ -1,24 +1,23 @@
 // Configuration and observability surface of the query-serving subsystem.
 //
 // ServeOptions sizes the service (shards, per-shard plan cache and
-// manager pools, GC ceilings); ShardStats / ServiceStats report what a
-// long-running deployment watches: request and cache-hit counts, GC
-// reclaim, resident-node ceilings, and end-to-end latency percentiles.
-// Latency percentiles come from the service's obs::Histogram recorders
-// (src/obs/metrics.h): lossless log-linear histograms, so no sample is
-// ever dropped under load the way the old sliding-window reservoir
-// dropped them.
+// manager pools, GC ceilings). Every serve-owned counter and resident
+// gauge lives in the service's obs::MetricsRegistry, behind the
+// ServeMetrics handles below: events bump them where they happen, and
+// ServiceStats (with its nested ShardStats / SupervisionStats /
+// MemGovernorStats) is a read-only typed view that
+// QueryService::stats() reads back out of the registry, plus the
+// latency percentiles of the registry's lossless log-linear histograms.
 
 #ifndef CTSDD_SERVE_SERVE_STATS_H_
 #define CTSDD_SERVE_SERVE_STATS_H_
 
-#include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
+#include "obs/metrics.h"
 #include "util/mem_governor.h"
 
 namespace ctsdd {
@@ -143,8 +142,8 @@ struct ServeOptions {
   int width_predict_max_gates = 256;
 };
 
-// Counters owned by the supervision layer (service-level, not summed
-// from shards): detection/restart events, hedging, and quarantine.
+// Supervision-layer counters: detection/restart events, hedging, and
+// quarantine (the quarantine fields are read from the Quarantine).
 struct SupervisionStats {
   uint64_t hangs_detected = 0;
   uint64_t deaths_detected = 0;
@@ -169,34 +168,8 @@ struct SupervisionStats {
   uint64_t quarantine_entries = 0;  // current negative-cache size
 };
 
-// The live atomics behind SupervisionStats' event counters: the
-// supervisor thread and shard workers both bump them; the quarantine
-// fields are filled from the Quarantine's own counters at snapshot time.
-struct SupervisionCounters {
-  std::atomic<uint64_t> hangs_detected{0};
-  std::atomic<uint64_t> deaths_detected{0};
-  std::atomic<uint64_t> shard_restarts{0};
-  std::atomic<uint64_t> failed_on_restart{0};
-  std::atomic<uint64_t> hedges_dispatched{0};
-  std::atomic<uint64_t> hedge_sheds{0};
-  std::atomic<uint64_t> hedge_wins{0};
-  std::atomic<uint64_t> hedge_cancels{0};
-
-  SupervisionStats Snapshot() const {
-    SupervisionStats out;
-    out.hangs_detected = hangs_detected.load(std::memory_order_relaxed);
-    out.deaths_detected = deaths_detected.load(std::memory_order_relaxed);
-    out.shard_restarts = shard_restarts.load(std::memory_order_relaxed);
-    out.failed_on_restart = failed_on_restart.load(std::memory_order_relaxed);
-    out.hedges_dispatched = hedges_dispatched.load(std::memory_order_relaxed);
-    out.hedge_sheds = hedge_sheds.load(std::memory_order_relaxed);
-    out.hedge_wins = hedge_wins.load(std::memory_order_relaxed);
-    out.hedge_cancels = hedge_cancels.load(std::memory_order_relaxed);
-    return out;
-  }
-};
-
-// One shard's counters (a consistent snapshot taken between requests).
+// Service-wide request, plan-cache, GC and memory counters, summed over
+// every shard worker the service has run.
 struct ShardStats {
   uint64_t requests = 0;
   uint64_t failures = 0;
@@ -204,7 +177,7 @@ struct ShardStats {
   uint64_t plan_misses = 0;
   uint64_t plan_evictions = 0;
   // Evictions the GC policy targeted at the specific manager over its
-  // resident-node ceiling (vs. global-LRU fallback shedding).
+  // resident-node ceiling.
   uint64_t targeted_evictions = 0;
   uint64_t compiles = 0;
   uint64_t gc_runs = 0;
@@ -220,12 +193,9 @@ struct ShardStats {
   uint64_t fallbacks = 0;
   // Compiles aborted by the node-allocation budget.
   uint64_t budget_aborts = 0;
-  // Jobs this worker dequeued after another copy (hedge or supervisor)
+  // Jobs a worker dequeued after another copy (hedge or supervisor)
   // had already answered them — skipped without compiling.
   uint64_t duplicate_skips = 0;
-  // Largest retry_after_ms hint handed out by this shard's admission
-  // control (post-clamp), for observing hint sanity under deep queues.
-  double max_retry_hint_ms = 0;
   // Memory-governor interactions (all zero when ungoverned):
   // cold compiles rejected typed RESOURCE_EXHAUSTED at the critical
   // pressure tier, compiles tripped mid-flight by the governor's
@@ -235,49 +205,16 @@ struct ShardStats {
   uint64_t mem_rejects = 0;
   uint64_t mem_aborts = 0;
   uint64_t pressure_evictions = 0;
-  // Accounted resident bytes of this shard (total and by layer),
-  // snapshotted from the shard's MemAccount at stats() time.
+  // Accounted resident bytes of the shard workers (total and by layer),
+  // read from their MemAccounts at stats() time.
   uint64_t mem_bytes = 0;
   std::array<uint64_t, kMemLayerCount> mem_bytes_by_layer = {};
-  int live_nodes = 0;       // resident nodes across the shard's managers
-  int peak_live_nodes = 0;  // max of live_nodes over policy checks
-  // Plans currently resident in this shard's cache (occupancy gauge,
-  // not a monotone counter).
-  uint64_t plan_cache_size = 0;
+  // Resident gauges, each the sum of the existing workers' shares: a
+  // worker retired by a restart counts until it is destroyed.
+  int live_nodes = 0;       // resident nodes across the managers
+  int peak_live_nodes = 0;  // sum of each worker's own live_nodes peak
+  uint64_t plan_cache_size = 0;  // plans resident in the plan caches
 };
-
-// Field-wise sum of shard counter snapshots (service totals over live
-// and retired workers). max_retry_hint_ms takes the max, not the sum.
-inline void AccumulateShardStats(ShardStats& into, const ShardStats& s) {
-  into.requests += s.requests;
-  into.failures += s.failures;
-  into.plan_hits += s.plan_hits;
-  into.plan_misses += s.plan_misses;
-  into.plan_evictions += s.plan_evictions;
-  into.targeted_evictions += s.targeted_evictions;
-  into.compiles += s.compiles;
-  into.gc_runs += s.gc_runs;
-  into.gc_reclaimed += s.gc_reclaimed;
-  into.manager_evictions += s.manager_evictions;
-  into.timeouts += s.timeouts;
-  into.sheds += s.sheds;
-  into.fallbacks += s.fallbacks;
-  into.budget_aborts += s.budget_aborts;
-  into.duplicate_skips += s.duplicate_skips;
-  into.max_retry_hint_ms =
-      std::max(into.max_retry_hint_ms, s.max_retry_hint_ms);
-  into.mem_rejects += s.mem_rejects;
-  into.mem_aborts += s.mem_aborts;
-  into.pressure_evictions += s.pressure_evictions;
-  into.mem_bytes += s.mem_bytes;
-  for (int l = 0; l < kMemLayerCount; ++l) {
-    into.mem_bytes_by_layer[static_cast<size_t>(l)] +=
-        s.mem_bytes_by_layer[static_cast<size_t>(l)];
-  }
-  into.live_nodes += s.live_nodes;
-  into.peak_live_nodes += s.peak_live_nodes;
-  into.plan_cache_size += s.plan_cache_size;
-}
 
 // Snapshot of the service's memory governor (all zero / disabled when no
 // hard watermark is configured).
@@ -318,9 +255,9 @@ inline MemGovernorStats SnapshotGovernor(const MemGovernor* gov) {
   return out;
 }
 
-// Aggregated service view (sums over shards + latency percentiles).
-// Shard totals include workers retired by supervisor restarts, so the
-// counters stay monotone across the life of the service.
+// Read-only view of the service's metrics (see the file comment). The
+// counters are monotone across the life of the service, restarts
+// included.
 struct ServiceStats {
   ShardStats totals;
   SupervisionStats supervision;
@@ -347,6 +284,95 @@ struct ServiceStats {
                      static_cast<double>(lookups);
   }
 };
+
+// Registry handles of every serve-owned counter, resident gauge and
+// latency histogram, registered once by name from the table in the
+// constructor. Shard workers, the supervisor and admission bump them
+// where the event happens; nothing else stores these counts.
+struct ServeMetrics {
+  explicit ServeMetrics(obs::MetricsRegistry* registry);
+
+  // ShardStats counters.
+  obs::Counter* requests = nullptr;
+  obs::Counter* failures = nullptr;
+  obs::Counter* plan_hits = nullptr;
+  obs::Counter* plan_misses = nullptr;
+  obs::Counter* plan_evictions = nullptr;
+  obs::Counter* targeted_evictions = nullptr;
+  obs::Counter* compiles = nullptr;
+  obs::Counter* gc_runs = nullptr;
+  obs::Counter* gc_reclaimed = nullptr;
+  obs::Counter* manager_evictions = nullptr;
+  obs::Counter* timeouts = nullptr;
+  obs::Counter* sheds = nullptr;
+  obs::Counter* fallbacks = nullptr;
+  obs::Counter* budget_aborts = nullptr;
+  obs::Counter* duplicate_skips = nullptr;
+  obs::Counter* mem_rejects = nullptr;
+  obs::Counter* mem_aborts = nullptr;
+  obs::Counter* pressure_evictions = nullptr;
+  // SupervisionStats counters.
+  obs::Counter* hangs_detected = nullptr;
+  obs::Counter* deaths_detected = nullptr;
+  obs::Counter* shard_restarts = nullptr;
+  obs::Counter* failed_on_restart = nullptr;
+  obs::Counter* hedges_dispatched = nullptr;
+  obs::Counter* hedge_sheds = nullptr;
+  obs::Counter* hedge_wins = nullptr;
+  obs::Counter* hedge_cancels = nullptr;
+  // Resident gauges: each worker moves them by deltas and retracts its
+  // share when destroyed.
+  obs::Gauge* live_nodes = nullptr;
+  obs::Gauge* peak_live_nodes = nullptr;
+  obs::Gauge* plan_cache_size = nullptr;
+  // Microsecond samples, recorded by every shard.
+  obs::Histogram* latency_us = nullptr;
+  obs::Histogram* gc_pause_us = nullptr;
+};
+
+inline ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry) {
+  static constexpr struct {
+    obs::Counter* ServeMetrics::*handle;
+    const char* name;
+  } kCounters[] = {
+      {&ServeMetrics::requests, "serve.requests"},
+      {&ServeMetrics::failures, "serve.failures"},
+      {&ServeMetrics::plan_hits, "plan_cache.hits"},
+      {&ServeMetrics::plan_misses, "plan_cache.misses"},
+      {&ServeMetrics::plan_evictions, "plan_cache.evictions"},
+      {&ServeMetrics::targeted_evictions, "plan_cache.targeted_evictions"},
+      {&ServeMetrics::compiles, "serve.compiles"},
+      {&ServeMetrics::gc_runs, "gc.runs"},
+      {&ServeMetrics::gc_reclaimed, "gc.reclaimed_nodes"},
+      {&ServeMetrics::manager_evictions, "plan_cache.manager_evictions"},
+      {&ServeMetrics::timeouts, "serve.timeouts"},
+      {&ServeMetrics::sheds, "serve.sheds"},
+      {&ServeMetrics::fallbacks, "serve.fallbacks"},
+      {&ServeMetrics::budget_aborts, "serve.budget_aborts"},
+      {&ServeMetrics::duplicate_skips, "serve.duplicate_skips"},
+      {&ServeMetrics::mem_rejects, "serve.mem_rejects"},
+      {&ServeMetrics::mem_aborts, "serve.mem_aborts"},
+      {&ServeMetrics::pressure_evictions, "serve.pressure_evictions"},
+      {&ServeMetrics::hangs_detected, "supervision.hangs_detected"},
+      {&ServeMetrics::deaths_detected, "supervision.deaths_detected"},
+      {&ServeMetrics::shard_restarts, "supervision.shard_restarts"},
+      {&ServeMetrics::failed_on_restart, "supervision.failed_on_restart"},
+      {&ServeMetrics::hedges_dispatched, "supervision.hedges_dispatched"},
+      {&ServeMetrics::hedge_sheds, "supervision.hedge_sheds"},
+      {&ServeMetrics::hedge_wins, "supervision.hedge_wins"},
+      {&ServeMetrics::hedge_cancels, "supervision.hedge_cancels"},
+  };
+  for (const auto& c : kCounters) {
+    this->*c.handle = registry->GetCounter(c.name);
+  }
+  live_nodes = registry->GetGauge("serve.live_nodes");
+  peak_live_nodes = registry->GetGauge("serve.peak_live_nodes");
+  plan_cache_size = registry->GetGauge("plan_cache.size");
+  latency_us = registry->GetHistogram(
+      "serve.latency_us", "End-to-end request latency in microseconds");
+  gc_pause_us = registry->GetHistogram(
+      "serve.gc_pause_us", "Garbage-collection pause in microseconds");
+}
 
 }  // namespace ctsdd
 

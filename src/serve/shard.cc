@@ -43,26 +43,29 @@ void ShardWorker::TripActiveBudgetOnCurrentThread(StatusCode code) {
 }
 
 ShardWorker::ShardWorker(int shard_id, const ServeOptions& options,
-                         obs::Histogram* latency_us, obs::Histogram* gc_pause_us,
+                         ServeMetrics* metrics, MemAccount* mem_parent,
                          obs::FlightRecorder* flight, exec::TaskPool* exec_pool,
-                         Quarantine* quarantine, SupervisionCounters* sup,
-                         PlanStatsRegistry* plan_stats)
+                         Quarantine* quarantine, PlanStatsRegistry* plan_stats)
     : id_(shard_id),
       options_(options),
-      latency_us_(latency_us),
-      gc_pause_us_(gc_pause_us),
+      metrics_(metrics),
       flight_(flight),
       exec_pool_(exec_pool),
       quarantine_(quarantine),
-      sup_(sup),
       plan_stats_(plan_stats),
-      gc_interval_(std::max(1, options.gc_check_interval)),
+      account_(mem_parent),
       plans_(options.plan_cache_capacity,
              [this](const PlanKey&, CompiledPlan& plan) {
                // Unpin the plan's lineage: the released nodes become
                // garbage for the owning manager's next collection.
                if (plan.obdd) plan.obdd->ReleaseRootRef(plan.obdd_root);
                if (plan.sdd) plan.sdd->ReleaseRootRef(plan.sdd_root);
+               // Only the worker thread evicts; the cache's destructor,
+               // which runs after the thread exited, drops plans without
+               // counting them as evictions.
+               if (!exited_.load(std::memory_order_relaxed)) {
+                 metrics_->plan_evictions->Add();
+               }
                // Telemetry conservation: fold the evicted plan's
                // histogram and counters into the service totals before
                // the block leaves the live table. Covers every removal
@@ -72,10 +75,10 @@ ShardWorker::ShardWorker(int shard_id, const ServeOptions& options,
                  plan_stats_->OnEviction(plan.stats);
                }
              }),
+      gc_interval_(std::max(1, options.gc_check_interval)),
       thread_(&ShardWorker::Loop, this) {
   // Safe after the worker thread started: no job can be submitted (and
   // so no byte charged) before this constructor returns the worker.
-  account_.SetGovernor(options_.mem_governor);
   plans_.SetMemAccount(&account_);
 }
 
@@ -89,6 +92,11 @@ ShardWorker::~ShardWorker() {
   // The managers are bound to the (now joined) worker thread; detach so
   // the destroying thread may release the cached plans' root refs.
   ForEachManager([](auto* manager) { manager->DetachOwningThread(); });
+  // Retract before the plan cache and managers are destroyed, so the
+  // gauges never count what the plan telemetry no longer lists.
+  metrics_->live_nodes->Add(-live_share_);
+  metrics_->peak_live_nodes->Add(-peak_share_);
+  metrics_->plan_cache_size->Add(-plans_share_);
 }
 
 bool ShardWorker::Submit(const ShardJob& job, double* retry_after_ms) {
@@ -103,47 +111,17 @@ bool ShardWorker::Submit(const ShardJob& job, double* retry_after_ms) {
     }
     depth = queue_.size();
   }
-  // Hedge sheds are invisible to the shard's own counters: the primary
-  // copy is still in flight, so nothing was lost — the supervisor
-  // tracks them separately.
-  if (!job.is_hedge) sheds_.fetch_add(1, std::memory_order_relaxed);
   if (retry_after_ms != nullptr) {
     // Expected drain time of the queue ahead of a retry: depth jobs at
     // the smoothed per-request service time — clamped, because a deep
     // queue times a momentarily inflated EWMA would otherwise tell a
     // well-behaved client to go away for minutes.
-    const double hint = std::clamp(
+    *retry_after_ms = std::clamp(
         static_cast<double>(depth) *
             ewma_service_ms_.load(std::memory_order_relaxed),
         0.1, std::max(0.1, options_.retry_after_max_ms));
-    *retry_after_ms = hint;
-    double seen = max_retry_hint_.load(std::memory_order_relaxed);
-    while (hint > seen && !max_retry_hint_.compare_exchange_weak(
-                              seen, hint, std::memory_order_relaxed)) {
-    }
   }
   return false;
-}
-
-ShardStats ShardWorker::stats() const {
-  ShardStats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
-  // Shed counts and retry hints are written on client threads at
-  // admission; fold them in here so they show even when the worker
-  // never published a snapshot.
-  out.sheds = sheds_.load(std::memory_order_relaxed);
-  out.max_retry_hint_ms = max_retry_hint_.load(std::memory_order_relaxed);
-  // Byte accounting reads straight from the shard account's atomics —
-  // always current, even mid-compile.
-  out.mem_bytes = account_.bytes();
-  for (int l = 0; l < kMemLayerCount; ++l) {
-    out.mem_bytes_by_layer[static_cast<size_t>(l)] =
-        account_.bytes(static_cast<MemLayer>(l));
-  }
-  return out;
 }
 
 double ShardWorker::AdaptiveHedgeMs(double floor_ms) const {
@@ -225,8 +203,8 @@ void ShardWorker::Process(const ShardJob& job) {
   JobState& state = *job.state;
   if (state.claimed.load(std::memory_order_acquire)) {
     // Another copy (hedge sibling or the supervisor) already answered.
-    ++local_duplicate_skips_;
-    UpdateStats();
+    metrics_->duplicate_skips->Add();
+    SyncResidentGauges();
     return;
   }
   CTSDD_FAULT_POINT_COARSE("serve.shard.process");
@@ -274,6 +252,7 @@ void ShardWorker::Process(const ShardJob& job) {
   }
 
   CompiledPlan* plan = plans_.Lookup(state.key);
+  (plan != nullptr ? metrics_->plan_hits : metrics_->plan_misses)->Add();
   response.plan_cache_hit = plan != nullptr;
   pending_record_.cache_hit = plan != nullptr;
   if (plan != nullptr && plan->stats != nullptr) {
@@ -299,7 +278,7 @@ void ShardWorker::Process(const ShardJob& job) {
     // run the shed ladder now — the reject alone frees nothing.
     if (options_.mem_governor != nullptr &&
         options_.mem_governor->tier() == MemGovernor::Tier::kCritical) {
-      ++local_mem_rejects_;
+      metrics_->mem_rejects->Add();
       if (flight_ != nullptr) {
         flight_->NoteAnomaly(obs::Anomaly::kMemoryDenial,
                              "shard " + std::to_string(id_) +
@@ -386,26 +365,22 @@ void ShardWorker::FinishJob(const ShardJob& job, QueryResponse& response,
   if (!job.state->TryClaim()) {
     // The computed result is discarded; the plan (if any) stays cached,
     // so the duplicate work still warms this shard.
-    ++local_duplicate_skips_;
-    UpdateStats();
+    metrics_->duplicate_skips->Add();
+    SyncResidentGauges();
     return;
   }
-  const bool cancelled_other =
-      job.state->CancelLoserBudgets(StatusCode::kCancelled);
-  if (sup_ != nullptr) {
-    if (job.is_hedge) sup_->hedge_wins.fetch_add(1, std::memory_order_relaxed);
-    if (cancelled_other) {
-      sup_->hedge_cancels.fetch_add(1, std::memory_order_relaxed);
-    }
+  if (job.is_hedge) metrics_->hedge_wins->Add();
+  if (job.state->CancelLoserBudgets(StatusCode::kCancelled)) {
+    metrics_->hedge_cancels->Add();
   }
-  ++local_requests_;
+  metrics_->requests->Add();
   if (!response.status.ok()) {
-    ++local_failures_;
+    metrics_->failures->Add();
     if (response.status.code() == StatusCode::kDeadlineExceeded) {
-      ++local_timeouts_;
+      metrics_->timeouts->Add();
     }
   }
-  latency_us_->Record(static_cast<uint64_t>(ms * 1000.0));
+  metrics_->latency_us->Record(static_cast<uint64_t>(ms * 1000.0));
   if (flight_ != nullptr) {
     pending_record_.status_code = static_cast<int>(response.status.code());
     pending_record_.total_ms = ms;
@@ -418,7 +393,8 @@ void ShardWorker::FinishJob(const ShardJob& job, QueryResponse& response,
     // so often: far-above-p99 completions then dump the ring.
     if (++wins_since_outlier_refresh_ >= 64) {
       wins_since_outlier_refresh_ = 0;
-      const double p99_ms = latency_us_->ValueAtPercentile(0.99) / 1000.0;
+      const double p99_ms =
+          metrics_->latency_us->ValueAtPercentile(0.99) / 1000.0;
       if (p99_ms > 0) flight_->SetLatencyOutlierMs(8.0 * p99_ms);
     }
   }
@@ -431,9 +407,7 @@ void ShardWorker::FinishJob(const ShardJob& job, QueryResponse& response,
   const double var = ewma_var_ms2_.load(std::memory_order_relaxed);
   ewma_var_ms2_.store(0.8 * var + 0.2 * dev * dev,
                       std::memory_order_relaxed);
-  // Publish counters before waking the submitter: a stats() call racing
-  // the batch's return must already see this request accounted for.
-  UpdateStats();
+  SyncResidentGauges();
   job.state->Publish(response);
 }
 
@@ -462,7 +436,7 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
   JobState& state = *job.state;
   const QueryRequest& request = state.request;
   const int side = job.is_hedge ? 1 : 0;
-  ++local_compiles_;
+  metrics_->compiles->Add();
   last_compile_mem_pressure_ = false;
   obs::TraceSpan compile_span("compile", "compile", state.trace);
   if (compile_span.armed()) {
@@ -516,18 +490,9 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
     s.exact_pathwidth = exact_pw;
   };
 
-  if (options_.compile_node_budget == 0 && !state.has_deadline &&
-      sup_ == nullptr && options_.mem_governor == nullptr) {
-    // Unbudgeted fast path: no budget attached, no abort branches taken.
-    // Under supervision the budgeted path runs even with unlimited
-    // limits — its lease pulse is what keeps a long compile's heartbeat
-    // alive (and gives the supervisor a cancel handle on restart).
-    auto fast = CompileRoute(request, request.route, circuit, std::move(vars),
-                             nullptr);
-    stamp(fast, 1);
-    return fast;
-  }
-
+  // Every service compile runs budgeted, even with unlimited limits: the
+  // lease pulse keeps a long compile's heartbeat alive, and the budget is
+  // the cancel handle for supervisor restarts and hedge losers.
   WorkBudget primary(options_.compile_node_budget, DeadlineLeftMs(state));
   primary.BindPulse(&progress_);
   if (obs::TraceArmed()) primary.SetTraceContext(obs::CurrentContext());
@@ -545,14 +510,14 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
     // alternate route would hit the same process-wide ceiling, so the
     // caller sheds and backs the client off instead.
     if (!first.ok() && primary.memory_pressure()) {
-      ++local_mem_aborts_;
+      metrics_->mem_aborts->Add();
       last_compile_mem_pressure_ = true;
     }
     stamp(first, 1);
     return first;
   }
-  ++local_budget_aborts_;
-  ++local_fallbacks_;
+  metrics_->budget_aborts->Add();
+  metrics_->fallbacks->Add();
   WorkBudget fallback(options_.compile_node_budget, DeadlineLeftMs(state));
   fallback.BindPulse(&progress_);
   if (obs::TraceArmed()) fallback.SetTraceContext(obs::CurrentContext());
@@ -568,11 +533,11 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
     if (fallback.memory_pressure()) {
       // The fallback died at the memory ceiling, not on its node budget:
       // a process-state problem, not a poison signature — no strike.
-      ++local_mem_aborts_;
+      metrics_->mem_aborts->Add();
       last_compile_mem_pressure_ = true;
       return second;
     }
-    ++local_budget_aborts_;
+    metrics_->budget_aborts->Add();
     // Both ladder routes exhausted their budgets: this signature is
     // poison for the current budget — strike it so repeats stop burning
     // full ladder compiles.
@@ -647,15 +612,15 @@ StatusOr<int> ShardWorker::CompilePinned(M* manager, WorkBudget* budget,
                                          PlanStats* stats) {
   const MemAccount* acct = manager->mem_account();
   const uint64_t bytes_before = acct != nullptr ? acct->bytes() : 0;
-  MemGovernor* gov = budget != nullptr ? options_.mem_governor : nullptr;
-  if (budget != nullptr) manager->AttachBudget(budget);
+  MemGovernor* gov = options_.mem_governor;
+  manager->AttachBudget(budget);
   // Register with the governor while the compile is in flight: when
   // another shard drives the process to the hard ceiling, the governor
   // cancels the largest registered compile by account bytes.
   if (gov != nullptr) gov->RegisterCompile(budget, acct);
   const int root = compile();
   if (gov != nullptr) gov->UnregisterCompile(budget);
-  if (budget != nullptr) manager->DetachBudget();
+  manager->DetachBudget();
   if (root < 0) {
     // Reclaim the aborted compile's partial nodes now instead of
     // letting them ride until the next policy check.
@@ -719,7 +684,7 @@ void ShardWorker::EvictManager(ManagerPool<M, Key>& pool,
   const void* dying = victim->manager.get();
   plans_.EraseIf([dying](const CompiledPlan& p) { return PlanIn(p, dying); });
   pool.entries.erase(victim);
-  ++local_manager_evictions_;
+  metrics_->manager_evictions->Add();
 }
 
 template <typename Manager>
@@ -727,10 +692,10 @@ size_t ShardWorker::TimedGc(Manager* manager) {
   Timer timer;
   const size_t reclaimed = manager->GarbageCollect();
   const double ms = timer.ElapsedMillis();
-  gc_pause_us_->Record(static_cast<uint64_t>(ms * 1000.0));
+  metrics_->gc_pause_us->Record(static_cast<uint64_t>(ms * 1000.0));
   request_gc_ms_ += ms;
-  ++local_gc_runs_;
-  local_gc_reclaimed_ += reclaimed;
+  metrics_->gc_runs->Add();
+  metrics_->gc_reclaimed->Add(reclaimed);
   return reclaimed;
 }
 
@@ -777,12 +742,12 @@ void ShardWorker::RunMemPressureLadder() {
     int evicted = 0;
     while (evicted < 8 && plans_.EvictOne()) ++evicted;
     if (evicted > 0) {
-      local_pressure_evictions_ += static_cast<uint64_t>(evicted);
+      metrics_->pressure_evictions->Add(static_cast<uint64_t>(evicted));
       ForEachManager([&](auto* manager) { TimedGc(manager); });
       continue;
     }
     if (!EvictLruManager()) break;  // nothing left to shed on this shard
-    ++local_pressure_evictions_;
+    metrics_->pressure_evictions->Add();
   }
 }
 
@@ -807,7 +772,7 @@ void ShardWorker::RunGcPolicy() {
     };
     while (manager->NumLiveNodes() > options_.gc_live_node_ceiling &&
            plans_.EvictOneMatching(in_this_manager)) {
-      ++local_targeted_evictions_;
+      metrics_->targeted_evictions->Add();
       reclaimed_this_check += TimedGc(manager);
     }
     // Return cache capacity sized up by the pre-GC workload to baseline
@@ -826,31 +791,17 @@ void ShardWorker::RunGcPolicy() {
   }
 }
 
-void ShardWorker::UpdateStats() {
-  int live = 0;
+void ShardWorker::SyncResidentGauges() {
+  int64_t live = 0;
   ForEachManager([&](const auto* manager) { live += manager->NumLiveNodes(); });
-  local_peak_live_ = std::max(local_peak_live_, live);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.requests = local_requests_;
-  stats_.failures = local_failures_;
-  stats_.timeouts = local_timeouts_;
-  stats_.fallbacks = local_fallbacks_;
-  stats_.budget_aborts = local_budget_aborts_;
-  stats_.duplicate_skips = local_duplicate_skips_;
-  stats_.plan_hits = plans_.hits();
-  stats_.plan_misses = plans_.misses();
-  stats_.plan_evictions = plans_.evictions();
-  stats_.targeted_evictions = local_targeted_evictions_;
-  stats_.compiles = local_compiles_;
-  stats_.gc_runs = local_gc_runs_;
-  stats_.gc_reclaimed = local_gc_reclaimed_;
-  stats_.manager_evictions = local_manager_evictions_;
-  stats_.mem_rejects = local_mem_rejects_;
-  stats_.mem_aborts = local_mem_aborts_;
-  stats_.pressure_evictions = local_pressure_evictions_;
-  stats_.live_nodes = live;
-  stats_.peak_live_nodes = local_peak_live_;
-  stats_.plan_cache_size = plans_.size();
+  const int64_t peak = std::max(peak_share_, live);
+  const int64_t plans = static_cast<int64_t>(plans_.size());
+  metrics_->live_nodes->Add(live - live_share_);
+  metrics_->peak_live_nodes->Add(peak - peak_share_);
+  metrics_->plan_cache_size->Add(plans - plans_share_);
+  live_share_ = live;
+  peak_share_ = peak;
+  plans_share_ = plans;
 }
 
 }  // namespace ctsdd

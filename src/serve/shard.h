@@ -191,20 +191,22 @@ class ShardWorker {
   // mark; apply operations ignore it.
   // `quarantine` (may be null) is the service-level poison negative
   // cache: workers re-check it before a cold compile and report compile
-  // outcomes into it. `sup` (may be null) carries the shared supervision
-  // counters (hedge wins/cancels). `latency_us` / `gc_pause_us` are the
-  // service's shared histograms (microsecond samples); `flight` (may be
-  // null) is the service's flight recorder — the worker appends one
-  // record per claim-winning completion and raises quarantine-strike /
-  // memory-denial anomalies. `plan_stats` (may be null) is the service's
-  // per-plan telemetry registry: every compiled plan gets a stats block
-  // published there and merged back on eviction.
+  // outcomes into it. `metrics` holds the service's counters, resident
+  // gauges and latency histograms; the worker bumps them as events
+  // happen. `mem_parent` is the service's memory account, parent of this
+  // shard's. `flight` (may be null) is the service's flight recorder —
+  // the worker appends one record per claim-winning completion and
+  // raises quarantine-strike / memory-denial anomalies. `plan_stats`
+  // (may be null) is the service's per-plan telemetry registry: every
+  // compiled plan gets a stats block published there and merged back on
+  // eviction.
   ShardWorker(int shard_id, const ServeOptions& options,
-              obs::Histogram* latency_us, obs::Histogram* gc_pause_us,
+              ServeMetrics* metrics, MemAccount* mem_parent,
               obs::FlightRecorder* flight, exec::TaskPool* exec_pool,
-              Quarantine* quarantine, SupervisionCounters* sup,
-              PlanStatsRegistry* plan_stats = nullptr);
-  ~ShardWorker();  // drains the queue, joins the thread
+              Quarantine* quarantine, PlanStatsRegistry* plan_stats = nullptr);
+  // Drains the queue, joins the thread, and retracts the worker's share
+  // of the resident gauges.
+  ~ShardWorker();
 
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
@@ -213,13 +215,8 @@ class ShardWorker {
   // shedding the job — when the queue is at max_queue_depth or the
   // worker is retiring; the caller gets a backoff hint (queue depth x
   // smoothed service time, clamped to ServeOptions::retry_after_max_ms)
-  // in `*retry_after_ms` and must complete the response itself. Hedge
-  // sheds are not counted against the shard (the primary copy is still
-  // in flight).
+  // in `*retry_after_ms` and must complete and count the response itself.
   bool Submit(const ShardJob& job, double* retry_after_ms);
-
-  // Consistent snapshot of the shard's counters (thread-safe).
-  ShardStats stats() const;
 
   // The shard's memory account (root of its managers' and plan cache's
   // accounting subtree); chains to the service governor when one is
@@ -276,7 +273,7 @@ class ShardWorker {
   void Loop();
   void Process(const ShardJob& job);
   // Delivers `response` through the job's claim; on a win, records
-  // latency and folds the outcome into the shard counters.
+  // latency and counts the outcome.
   void FinishJob(const ShardJob& job, QueryResponse& response, double ms);
   void Beat() { progress_.fetch_add(1, std::memory_order_relaxed); }
   // Compiles the request's plan, enforcing the compile budget/deadline
@@ -285,7 +282,7 @@ class ShardWorker {
   // the typed over-budget status. Deadline/cancel trips never retry.
   // Reports double-route budget exhaustion into the quarantine.
   StatusOr<CompiledPlan> CompilePlan(const ShardJob& job);
-  // One budgeted compile on `route` (budget may be null = unbudgeted).
+  // One budgeted compile on `route`.
   // On abort the partial nodes are collected immediately and the
   // budget's typed status is returned.
   StatusOr<CompiledPlan> CompileRoute(const QueryRequest& request,
@@ -336,25 +333,26 @@ class ShardWorker {
   // inside it first); false when every pool is empty.
   bool EvictLruManager();
   // GarbageCollect with the pause recorded into the service's GC
-  // latency reservoir and the shard's reclaim counters.
+  // pause histogram and reclaim counters.
   template <typename Manager>
   size_t TimedGc(Manager* manager);
-  void UpdateStats();
+  // Moves the resident gauges by this worker's change since the last
+  // sync. Runs before every completion is published, so a stats() call
+  // racing the batch return sees the request's residency.
+  void SyncResidentGauges();
 
   const int id_;
   const ServeOptions options_;
-  obs::Histogram* const latency_us_;   // shared service histogram
-  obs::Histogram* const gc_pause_us_;  // shared service histogram
+  ServeMetrics* const metrics_;        // shared
   obs::FlightRecorder* const flight_;  // shared, may be null
   exec::TaskPool* const exec_pool_;    // shared, may be null
   Quarantine* const quarantine_;       // shared, may be null
-  SupervisionCounters* const sup_;     // shared, may be null
   PlanStatsRegistry* const plan_stats_;  // shared, may be null
 
   // Shard memory account: parent of the per-manager accounts and the
-  // plan cache's charges; chains to the service governor (stamped into
-  // options_.mem_governor). Declared before the pools and the plan
-  // cache so everything releasing bytes into it is destroyed first.
+  // plan cache's charges; chains to the service account (and through it
+  // the governor). Declared before the pools and the plan cache so
+  // everything releasing bytes into it is destroyed first.
   MemAccount account_;
 
   // Worker-thread state (no locking: only the worker touches it). The
@@ -371,25 +369,15 @@ class ShardWorker {
   // (up to 8x the configured interval) when a check finds nothing to do
   // — reclaim-rate feedback instead of a fixed period.
   int gc_interval_ = 1;
-  uint64_t local_compiles_ = 0;
-  uint64_t local_gc_runs_ = 0;
-  uint64_t local_gc_reclaimed_ = 0;
-  uint64_t local_manager_evictions_ = 0;
-  uint64_t local_targeted_evictions_ = 0;
-  uint64_t local_requests_ = 0;
-  uint64_t local_failures_ = 0;
-  uint64_t local_timeouts_ = 0;
-  uint64_t local_fallbacks_ = 0;
-  uint64_t local_budget_aborts_ = 0;
-  uint64_t local_duplicate_skips_ = 0;
-  uint64_t local_mem_rejects_ = 0;
-  uint64_t local_mem_aborts_ = 0;
-  uint64_t local_pressure_evictions_ = 0;
   // Set by CompilePlan when the compile it just ran was tripped by the
   // memory governor (worker-thread local; read by Process immediately
   // after the CompilePlan call).
   bool last_compile_mem_pressure_ = false;
-  int local_peak_live_ = 0;
+  // This worker's current shares of the resident gauges (worker-thread
+  // state; the destructor retracts them after the join).
+  int64_t live_share_ = 0;
+  int64_t peak_share_ = 0;
+  int64_t plans_share_ = 0;
   // Flight-record assembly for the request being processed (worker-
   // thread local): Process fills the identity and phase fields, TimedGc
   // accumulates pause time, FinishJob completes and appends it on a
@@ -406,18 +394,11 @@ class ShardWorker {
   // Squared-deviation EWMA of the same latency stream (same 0.8/0.2
   // smoothing), read by the supervisor for the adaptive hedge threshold.
   std::atomic<double> ewma_var_ms2_{0.0};
-  // Bumped by Submit (client threads) when admission sheds a job.
-  std::atomic<uint64_t> sheds_{0};
-  // Largest post-clamp retry hint handed out (client threads; CAS max).
-  std::atomic<double> max_retry_hint_{0};
 
   // Supervision heartbeats (see accessors above).
   std::atomic<uint64_t> progress_{0};
   std::atomic<bool> busy_{false};
   std::atomic<bool> exited_{false};
-
-  mutable std::mutex stats_mu_;
-  ShardStats stats_;  // published snapshot (guarded by stats_mu_)
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

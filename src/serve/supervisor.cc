@@ -19,11 +19,11 @@ double SinceMs(std::chrono::steady_clock::time_point then,
 
 Supervisor::Supervisor(const ServeOptions& options,
                        std::vector<std::unique_ptr<ShardSlot>>* slots,
-                       SupervisionCounters* counters,
-                       obs::FlightRecorder* flight, WorkerFactory factory)
+                       ServeMetrics* metrics, obs::FlightRecorder* flight,
+                       WorkerFactory factory)
     : options_(options),
       slots_(slots),
-      counters_(counters),
+      metrics_(metrics),
       flight_(flight),
       factory_(std::move(factory)),
       seen_(slots->size()),
@@ -37,21 +37,9 @@ Supervisor::~Supervisor() {
   cv_.notify_all();
   thread_.join();
   // Destroy the carcasses: their destructors join, which blocks until a
-  // hung worker's (finite) stall elapses. Fold the final counters so a
-  // stats() call through a still-live service keeps seeing them.
+  // hung worker's (finite) stall elapses.
   std::lock_guard<std::mutex> lock(retired_mu_);
-  for (auto& worker : retired_) {
-    AccumulateShardStats(reaped_totals_, worker->stats());
-  }
   retired_.clear();
-}
-
-void Supervisor::AddRetiredStats(ShardStats* totals) const {
-  std::lock_guard<std::mutex> lock(retired_mu_);
-  AccumulateShardStats(*totals, reaped_totals_);
-  for (const auto& worker : retired_) {
-    AccumulateShardStats(*totals, worker->stats());
-  }
 }
 
 void Supervisor::Loop() {
@@ -78,7 +66,7 @@ void Supervisor::ScanOnce(std::chrono::steady_clock::time_point now) {
     if (worker->exited()) {
       // The supervisor never asked this worker to stop, so an exited
       // thread is a crash.
-      counters_->deaths_detected.fetch_add(1, std::memory_order_relaxed);
+      metrics_->deaths_detected->Add();
       if (flight_ != nullptr) {
         flight_->NoteAnomaly(
             obs::Anomaly::kHangDetected,
@@ -94,7 +82,7 @@ void Supervisor::ScanOnce(std::chrono::steady_clock::time_point now) {
       if (progress != seen_[i].progress) {
         seen_[i] = {progress, now};
       } else if (SinceMs(seen_[i].at, now) > options_.heartbeat_window_ms) {
-        counters_->hangs_detected.fetch_add(1, std::memory_order_relaxed);
+        metrics_->hangs_detected->Add();
         if (flight_ != nullptr) {
           flight_->NoteAnomaly(
               obs::Anomaly::kHangDetected,
@@ -113,7 +101,7 @@ void Supervisor::ScanOnce(std::chrono::steady_clock::time_point now) {
 
 void Supervisor::Restart(size_t i, std::shared_ptr<ShardWorker> old,
                          std::chrono::steady_clock::time_point now) {
-  counters_->shard_restarts.fetch_add(1, std::memory_order_relaxed);
+  metrics_->shard_restarts->Add();
   // Fresh worker first: new traffic flows while the carcass drains. Its
   // recompiles are pointer-identical by canonicity, so swapping managers
   // under the plans is invisible to answers.
@@ -122,10 +110,8 @@ void Supervisor::Restart(size_t i, std::shared_ptr<ShardWorker> old,
     std::lock_guard<std::mutex> lock((*slots_)[i]->mu);
     (*slots_)[i]->worker = std::move(fresh);
   }
-  // Enroll the carcass in the retired list *before* failing its jobs:
-  // the moment a failed response unblocks a submitter, a stats() call
-  // must still find the old worker's counters (it is no longer in the
-  // slot, so the retired list is its only home).
+  // Park the carcass for reaping; it keeps its share of the resident
+  // gauges until it is destroyed.
   {
     std::lock_guard<std::mutex> lock(retired_mu_);
     retired_.push_back(old);
@@ -152,7 +138,9 @@ void Supervisor::Restart(size_t i, std::shared_ptr<ShardWorker> old,
     // precede Publish so a stats() racing the batch return sees them.
     if (job.state->TryClaim()) {
       job.state->CancelLoserBudgets(StatusCode::kUnavailable);
-      counters_->failed_on_restart.fetch_add(1, std::memory_order_relaxed);
+      metrics_->failed_on_restart->Add();
+      metrics_->requests->Add();
+      metrics_->failures->Add();
       if (flight_ != nullptr) {
         // Restart failures bypass the worker's FinishJob path; account
         // for them here so the ring covers every typed rejection.
@@ -194,11 +182,11 @@ void Supervisor::DispatchHedges(std::chrono::steady_clock::time_point now) {
       const size_t j = (static_cast<size_t>(state->primary_shard) + k) % n;
       std::shared_ptr<ShardWorker> sibling = (*slots_)[j]->Get();
       if (sibling->exited()) continue;
-      counters_->hedges_dispatched.fetch_add(1, std::memory_order_relaxed);
+      metrics_->hedges_dispatched->Add();
       obs::TraceInstant("serve", "hedge.dispatch", state->trace,
                         "target", static_cast<uint64_t>(j));
       if (!sibling->Submit(ShardJob{state, /*is_hedge=*/true}, nullptr)) {
-        counters_->hedge_sheds.fetch_add(1, std::memory_order_relaxed);
+        metrics_->hedge_sheds->Add();
       }
       break;
     }
@@ -209,7 +197,6 @@ void Supervisor::Reap() {
   std::lock_guard<std::mutex> lock(retired_mu_);
   for (auto it = retired_.begin(); it != retired_.end();) {
     if ((*it)->exited()) {
-      AccumulateShardStats(reaped_totals_, (*it)->stats());
       it = retired_.erase(it);  // destructor joins an exited thread: fast
     } else {
       ++it;

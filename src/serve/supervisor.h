@@ -17,10 +17,9 @@
 // dropped), its in-flight job is failed the same way and its registered
 // compile budget cancelled so a budget-bound hang unwinds, and the
 // carcass is kept until its thread actually exits (joining a hung
-// thread would block the supervisor) before its counters are folded
-// into the retired totals. Recompiles on the fresh worker are
-// pointer-identical by canonicity, the property the managers already
-// enforce.
+// thread would block the supervisor), then destroyed. Recompiles on the
+// fresh worker are pointer-identical by canonicity, the property the
+// managers already enforce.
 //
 // The same scan drives hedged re-dispatch: any unclaimed job older than
 // ServeOptions::hedge_after_ms is submitted once more to the next
@@ -64,21 +63,17 @@ class Supervisor {
 
   // `slots` must outlive the supervisor (the service destroys the
   // supervisor first). `factory` builds a replacement worker for a slot.
-  // `flight` (may be null) receives hang/death anomalies and one record
-  // per request failed by a restart.
+  // `metrics` receives the supervision counters and the requests failed
+  // by restarts. `flight` (may be null) receives hang/death anomalies and
+  // one record per request failed by a restart.
   Supervisor(const ServeOptions& options,
              std::vector<std::unique_ptr<ShardSlot>>* slots,
-             SupervisionCounters* counters, obs::FlightRecorder* flight,
+             ServeMetrics* metrics, obs::FlightRecorder* flight,
              WorkerFactory factory);
   ~Supervisor();  // stops the scan thread, then drains retired workers
 
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
-
-  // Folds the counters of retired (restart-replaced) workers — both the
-  // still-draining carcasses and the already-reaped totals — into
-  // `*totals`, keeping service counters monotone across restarts.
-  void AddRetiredStats(ShardStats* totals) const;
 
  private:
   struct Seen {
@@ -93,21 +88,19 @@ class Supervisor {
   void Restart(size_t i, std::shared_ptr<ShardWorker> old,
                std::chrono::steady_clock::time_point now);
   void DispatchHedges(std::chrono::steady_clock::time_point now);
-  // Destroys retired workers whose threads have exited, folding their
-  // final counters into reaped_totals_.
+  // Destroys retired workers whose threads have exited.
   void Reap();
 
   const ServeOptions options_;
   std::vector<std::unique_ptr<ShardSlot>>* const slots_;
-  SupervisionCounters* const counters_;
+  ServeMetrics* const metrics_;
   obs::FlightRecorder* const flight_;  // may be null
   const WorkerFactory factory_;
 
   std::vector<Seen> seen_;  // scan-thread only
 
-  mutable std::mutex retired_mu_;
+  std::mutex retired_mu_;
   std::vector<std::shared_ptr<ShardWorker>> retired_;
-  ShardStats reaped_totals_;
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -4,10 +4,13 @@
 // caching, sharding, and GC under eviction pressure.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "db/lineage.h"
@@ -1027,6 +1030,58 @@ TEST(QueryServiceSupervisionTest, DeadWorkerIsRestartedAndRecompilesExactly) {
   EXPECT_EQ(stats.totals.failures, 1u);
 }
 
+// Waits until the supervisor has destroyed every restarted shard's
+// carcass: its plans unpublished and its bytes released (with no traffic
+// since the restart, the fresh worker holds neither).
+void AwaitCarcassReaped(const QueryService& service) {
+  for (int spin = 0; spin < 1000; ++spin) {
+    if (service.plan_stats()->live_plans() == 0 &&
+        service.stats().totals.mem_bytes == 0) {
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
+// Once the supervisor reaps a restarted shard's carcass, its plans,
+// nodes and bytes are gone, and the totals must not keep reporting them.
+TEST(QueryServiceSupervisionTest, ReapedWorkerLeavesNoResidencyInTheTotals) {
+  const Database db = BipartiteRstDatabase(4, 0.4);
+  ServeOptions options;
+  options.num_shards = 1;
+  // Deaths are detected on the next scan whatever the window; a wide
+  // window keeps slow (sanitized) warm-up compiles from reading as hangs.
+  options.heartbeat_window_ms = 100;
+  QueryService service(options);
+
+  std::vector<QueryRequest> warm(3);
+  warm[0].query = HierarchicalRSQuery();
+  warm[1].query = PerConstantRsQuery(1);
+  warm[2].query = PerConstantRsQuery(2);
+  for (QueryRequest& request : warm) {
+    request.db = &db;
+    const QueryResponse response = service.Execute(request);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  }
+  ASSERT_EQ(service.stats().totals.plan_cache_size, warm.size());
+
+  fault::FaultSpec death;
+  death.fire_at = 1;
+  death.action = [] { ShardWorker::RequestDeathOnCurrentThread(); };
+  fault::Arm("serve.shard.death", death);
+  const QueryResponse abandoned = service.Execute(warm[0]);
+  fault::DisarmAll();
+  ASSERT_EQ(abandoned.status.code(), StatusCode::kUnavailable);
+
+  AwaitCarcassReaped(service);
+  ASSERT_EQ(service.plan_stats()->live_plans(), 0u);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.supervision.shard_restarts, 1u);
+  EXPECT_EQ(stats.totals.plan_cache_size, service.plan_stats()->live_plans());
+  EXPECT_EQ(stats.totals.live_nodes, 0);
+  EXPECT_EQ(stats.totals.mem_bytes, 0u);
+}
+
 // A signature whose compiles exhaust the budget on both ladder routes
 // `threshold` times is negative-cached: repeats fail RESOURCE_EXHAUSTED
 // at admission without burning another compile slot, so permanent
@@ -1257,14 +1312,199 @@ TEST(QueryServiceSupervisionTest, ChaosSoakSurvivesHangsAndDeaths) {
   EXPECT_EQ(stats.totals.requests, accepted + rejected);
   // Residency: each live worker is bounded by its GC policy (ceiling x
   // pool, with 2x slack for between-check growth and aborted partial
-  // compiles); every restart can additionally leave one unreaped
-  // carcass whose frozen nodes still fold into the totals.
+  // compiles); every restart can additionally leave one carcass whose
+  // nodes count until the supervisor reaps it.
   const int per_worker_bound =
       2 * static_cast<int>(options.manager_pool_capacity) *
       options.gc_live_node_ceiling;
   EXPECT_LE(static_cast<uint64_t>(stats.totals.live_nodes),
             (options.num_shards + stats.supervision.shard_restarts) *
                 static_cast<uint64_t>(per_worker_bound));
+}
+
+// --- Metrics export --------------------------------------------------------
+
+// Scalar entries of MetricsJson() by name; histograms (JSON objects) map
+// to -1, so the key set still lists them.
+std::map<std::string, int64_t> ParseMetricsJson(const std::string& json) {
+  std::map<std::string, int64_t> out;
+  size_t pos = 0;
+  while ((pos = json.find("\n  \"", pos)) != std::string::npos) {
+    const size_t name_begin = pos + 4;
+    const size_t name_end = json.find('"', name_begin);
+    const size_t value = name_end + 3;  // past `": `
+    out[json.substr(name_begin, name_end - name_begin)] =
+        json[value] == '{' ? -1
+                           : std::strtoll(json.c_str() + value, nullptr, 10);
+    pos = name_end;
+  }
+  return out;
+}
+
+// Every name MetricsJson() published on the workload below before the
+// serve counters moved into the registry.
+constexpr const char* kPublishedMetricNames[] = {
+    "flight.anomalies", "flight.anomaly.hang_detected",
+    "flight.anomaly.latency_outlier", "flight.anomaly.memory_denial",
+    "flight.anomaly.quarantine_strike", "flight.dumps", "flight.records",
+    "gc.reclaimed_nodes", "gc.runs", "governor.admit_denials",
+    "governor.bytes", "governor.compile_cancels",
+    "governor.critical_transitions", "governor.hard_breaches",
+    "governor.optional_growth_denials", "governor.peak_bytes",
+    "governor.soft_transitions", "governor.tier", "mem.bytes",
+    "plan.evicted_evals", "plan.evicted_hits", "plan.evicted_plans",
+    "plan.evicted_wmc_us", "plan.live_plans", "plan_cache.evictions",
+    "plan_cache.hits", "plan_cache.manager_evictions", "plan_cache.misses",
+    "plan_cache.size", "plan_cache.targeted_evictions", "profiler.attempted",
+    "profiler.dropped", "profiler.samples", "quarantine.entries",
+    "quarantine.parole_successes", "quarantine.parole_trials",
+    "quarantine.rejects", "quarantine.strikes", "serve.budget_aborts",
+    "serve.compiles", "serve.duplicate_skips", "serve.failures",
+    "serve.fallbacks", "serve.gc_pause_us", "serve.latency_us",
+    "serve.live_nodes", "serve.peak_live_nodes", "serve.rejected_memory",
+    "serve.rejected_quarantine", "serve.requests", "serve.sheds",
+    "serve.timeouts", "supervision.deaths_detected",
+    "supervision.failed_on_restart", "supervision.hangs_detected",
+    "supervision.hedge_cancels", "supervision.hedge_wins",
+    "supervision.hedges_dispatched", "supervision.shard_restarts",
+    "trace.dropped_events",
+};
+
+// Every counter ServiceStats reports is the registry value exported under
+// its metric name, through an invalid request, an admission shed, a
+// quarantine reject and a supervisor restart; and the export keeps every
+// name the service has always published.
+TEST(QueryServiceMetricsTest, StatsAreTheExportedMetrics) {
+  const Database db = BipartiteRstDatabase(4, 0.4);
+  ServeOptions options;
+  options.num_shards = 1;
+  options.heartbeat_window_ms = 200;  // the shed stall is not a hang
+  options.max_queue_depth = 1;
+  options.compile_node_budget = 1u << 30;  // roomy: only faults trip it
+  options.quarantine_threshold = 1;
+  options.quarantine_parole_ms = 1e7;  // parole never comes in this test
+  options.quarantine_parole_max_ms = 1e7;
+  QueryService service(options);
+  const auto make = [&](Ucq query) {
+    QueryRequest request;
+    request.query = std::move(query);
+    request.db = &db;
+    return request;
+  };
+  const QueryRequest ok = make(HierarchicalRSQuery());
+  ASSERT_TRUE(service.Execute(ok).status.ok());
+  ASSERT_TRUE(service.Execute(ok).plan_cache_hit);
+
+  QueryRequest invalid = ok;
+  invalid.db = nullptr;
+  EXPECT_EQ(service.Execute(invalid).status.code(),
+            StatusCode::kInvalidArgument);
+
+  // Both ladder routes exhaust: one strike quarantines the signature, and
+  // the repeat is rejected at admission.
+  fault::FaultSpec trip;
+  trip.fire_every = 1;
+  trip.action = [] {
+    ShardWorker::TripActiveBudgetOnCurrentThread(
+        StatusCode::kResourceExhausted);
+  };
+  fault::Arm("serve.compile.route", trip);
+  const QueryRequest poison = make(PerConstantRsQuery(2));
+  EXPECT_EQ(service.Execute(poison).status.code(),
+            StatusCode::kResourceExhausted);
+  fault::DisarmAll();
+  EXPECT_EQ(service.Execute(poison).status.code(),
+            StatusCode::kResourceExhausted);
+
+  // The first dequeue stalls (short of the heartbeat window) while the
+  // rest of the batch overflows the one-deep queue.
+  fault::FaultSpec stall;
+  stall.fire_at = 1;
+  stall.delay_ms = 50;
+  fault::Arm("serve.shard.hang", stall);
+  const std::vector<QueryResponse> batch = service.ExecuteBatch(
+      {make(PerConstantRsQuery(1)), make(PerConstantRsQuery(3)),
+       make(PerConstantRsQuery(4))});
+  fault::DisarmAll();
+  int shed = 0;
+  for (const QueryResponse& response : batch) {
+    if (response.status.code() == StatusCode::kUnavailable) ++shed;
+  }
+  EXPECT_GE(shed, 1);
+
+  fault::FaultSpec death;
+  death.fire_at = 1;
+  death.action = [] { ShardWorker::RequestDeathOnCurrentThread(); };
+  fault::Arm("serve.shard.death", death);
+  EXPECT_EQ(service.Execute(ok).status.code(), StatusCode::kUnavailable);
+  fault::DisarmAll();
+  AwaitCarcassReaped(service);
+  ASSERT_TRUE(service.Execute(ok).status.ok());
+
+  const ServiceStats s = service.stats();
+  const std::map<std::string, int64_t> exported =
+      ParseMetricsJson(service.MetricsJson());
+  EXPECT_EQ(s.totals.requests, 10u);
+  EXPECT_EQ(s.totals.sheds, static_cast<uint64_t>(shed));
+  EXPECT_EQ(s.supervision.quarantine_rejects, 1u);
+  EXPECT_EQ(s.supervision.shard_restarts, 1u);
+  const std::vector<std::pair<std::string, int64_t>> expected = {
+      {"serve.requests", s.totals.requests},
+      {"serve.failures", s.totals.failures},
+      {"plan_cache.hits", s.totals.plan_hits},
+      {"plan_cache.misses", s.totals.plan_misses},
+      {"plan_cache.evictions", s.totals.plan_evictions},
+      {"plan_cache.targeted_evictions", s.totals.targeted_evictions},
+      {"serve.compiles", s.totals.compiles},
+      {"gc.runs", s.totals.gc_runs},
+      {"gc.reclaimed_nodes", s.totals.gc_reclaimed},
+      {"plan_cache.manager_evictions", s.totals.manager_evictions},
+      {"serve.timeouts", s.totals.timeouts},
+      {"serve.sheds", s.totals.sheds},
+      {"serve.fallbacks", s.totals.fallbacks},
+      {"serve.budget_aborts", s.totals.budget_aborts},
+      {"serve.duplicate_skips", s.totals.duplicate_skips},
+      {"serve.mem_rejects", s.totals.mem_rejects},
+      {"serve.mem_aborts", s.totals.mem_aborts},
+      {"serve.pressure_evictions", s.totals.pressure_evictions},
+      {"mem.bytes", s.totals.mem_bytes},
+      {"serve.live_nodes", s.totals.live_nodes},
+      {"serve.peak_live_nodes", s.totals.peak_live_nodes},
+      {"plan_cache.size", s.totals.plan_cache_size},
+      {"supervision.hangs_detected", s.supervision.hangs_detected},
+      {"supervision.deaths_detected", s.supervision.deaths_detected},
+      {"supervision.shard_restarts", s.supervision.shard_restarts},
+      {"supervision.failed_on_restart", s.supervision.failed_on_restart},
+      {"supervision.hedges_dispatched", s.supervision.hedges_dispatched},
+      {"supervision.hedge_sheds", s.supervision.hedge_sheds},
+      {"supervision.hedge_wins", s.supervision.hedge_wins},
+      {"supervision.hedge_cancels", s.supervision.hedge_cancels},
+      {"quarantine.rejects", s.supervision.quarantine_rejects},
+      {"quarantine.strikes", s.supervision.quarantine_strikes},
+      {"quarantine.parole_trials", s.supervision.parole_trials},
+      {"quarantine.parole_successes", s.supervision.parole_successes},
+      {"quarantine.entries", s.supervision.quarantine_entries},
+      {"serve.rejected_memory", s.rejected_memory},
+      {"serve.rejected_quarantine", s.rejected_quarantine},
+      {"governor.admit_denials", s.governor.admit_denials},
+      {"governor.optional_growth_denials",
+       s.governor.optional_growth_denials},
+      {"governor.compile_cancels", s.governor.compile_cancels},
+      {"governor.soft_transitions", s.governor.soft_transitions},
+      {"governor.critical_transitions", s.governor.critical_transitions},
+      {"governor.hard_breaches", s.governor.hard_breaches},
+      {"governor.bytes", s.governor.bytes},
+      {"governor.peak_bytes", s.governor.peak_bytes},
+      {"governor.tier", s.governor.tier},
+  };
+  for (const auto& [name, value] : expected) {
+    const auto it = exported.find(name);
+    ASSERT_NE(it, exported.end()) << name;
+    EXPECT_EQ(it->second, value) << name;
+  }
+  for (const char* name : kPublishedMetricNames) {
+    EXPECT_TRUE(exported.count(name)) << name;
+  }
 }
 
 }  // namespace
