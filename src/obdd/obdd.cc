@@ -113,6 +113,11 @@ void ObddManager::ShrinkCaches() {
   CheckQuiescent("ShrinkCaches");
   ite_cache_.Shrink();
   nary_cache_.Shrink();
+  ReleaseMemos();
+}
+
+void ObddManager::ReleaseMemos() {
+  CheckQuiescent("ReleaseMemos");
   ite_memo_.Shrink();
   nary_memo_.Shrink();
 }
@@ -322,20 +327,20 @@ uint64_t ObddManager::CountModels(NodeId f) const {
 
 double ObddManager::WeightedModelCount(
     NodeId f, const std::vector<double>& prob_by_level) const {
-  CTSDD_CHECK_EQ(static_cast<int>(prob_by_level.size()), num_levels());
-  std::unordered_map<NodeId, double> memo;
-  std::function<double(NodeId)> rec = [&](NodeId u) -> double {
-    if (u == kFalse) return 0.0;
-    if (u == kTrue) return 1.0;
-    const auto it = memo.find(u);
-    if (it != memo.end()) return it->second;
-    const Node& n = nodes_[u];
-    const double p = prob_by_level[n.level];
-    const double result = (1.0 - p) * rec(n.lo) + p * rec(n.hi);
-    memo.emplace(u, result);
-    return result;
-  };
-  return rec(f);
+  std::vector<double> values;
+  return BuildWmcTape(f).Evaluate(prob_by_level, &values);
+}
+
+WmcTape ObddManager::BuildWmcTape(NodeId f) const {
+  return Linearize(
+      f, static_cast<uint32_t>(num_levels()),
+      [](NodeId u) -> int64_t { return u <= kTrue ? u : -1; },
+      [&](NodeId u, const auto& entry_of, WmcTape* tape) {
+        const Node& n = nodes_[u];
+        const auto level = static_cast<uint32_t>(n.level);
+        tape->AddElement(WmcTape::LiteralEntry(level, false), entry_of(n.lo));
+        tape->AddElement(WmcTape::LiteralEntry(level, true), entry_of(n.hi));
+      });
 }
 
 int ObddManager::Size(NodeId f) const {

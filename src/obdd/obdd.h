@@ -34,6 +34,7 @@
 #include "util/node_store.h"
 #include "util/scoped_memo.h"
 #include "util/status.h"
+#include "util/wmc_tape.h"
 
 namespace ctsdd {
 
@@ -97,9 +98,13 @@ class ObddManager : public ManagerCore<ObddManager> {
   uint64_t CountModels(NodeId f) const;
 
   // Probability of f when variable at level i is independently true with
-  // probability prob_by_level[i].
+  // probability prob_by_level[i]: builds f's tape and evaluates it once.
   double WeightedModelCount(NodeId f,
                             const std::vector<double>& prob_by_level) const;
+
+  // The WMC tape of f (util/wmc_tape.h) with one weight slot per level:
+  // each node becomes the decision {(!x_level, lo), (x_level, hi)}.
+  WmcTape BuildWmcTape(NodeId f) const;
 
   // Reachable node count, terminals excluded.
   int Size(NodeId f) const;
@@ -131,6 +136,11 @@ class ObddManager : public ManagerCore<ObddManager> {
   // footprint (contents dropped — only recomputation cost). Pair with
   // GarbageCollect() when a service wants a manager back to baseline.
   void ShrinkCaches();
+
+  // Releases only the per-operation memos (ite and n-ary), which keep
+  // the capacity of the largest recent operation between operations; the
+  // computed caches keep their cross-operation reuse.
+  void ReleaseMemos();
 
   struct Node {
     int level;  // index into var_order_

@@ -306,13 +306,18 @@ void SddManager::RebuildSemanticCache() {
 void SddManager::ShrinkCaches() {
   CheckQuiescent("ShrinkCaches");
   apply_cache_.Shrink();
-  apply_memo_.Shrink();
+  ReleaseMemos();
   for (Ctx& cx : ctxs_) cx.scratch.clear();
   // The semantic cache backs an invariant (live small-scope functions
   // resolve by word), not just memoized work: release its grown array,
   // then repopulate compactly from the live nodes.
   sem_cache_.Shrink();
   RebuildSemanticCache();
+}
+
+void SddManager::ReleaseMemos() {
+  CheckQuiescent("ReleaseMemos");
+  apply_memo_.Shrink();
 }
 
 SddManager::NodeId SddManager::Literal(int var, bool positive) {
@@ -1063,42 +1068,40 @@ uint64_t SddManager::CountModels(NodeId a) const {
   return CountModelsAt(a, vtree_.root(), &memo);
 }
 
-double SddManager::WmcAt(NodeId a, int vnode,
-                         const std::vector<double>& prob_of_var,
-                         std::unordered_map<uint64_t, double>* memo) const {
-  if (a == kFalse) return 0.0;
-  if (a == kTrue) return 1.0;
-  const uint64_t key = (static_cast<uint64_t>(a) << 20) |
-                       static_cast<uint64_t>(vnode);
-  const auto it = memo->find(key);
-  if (it != memo->end()) return it->second;
-  const Node& n = nodes_[a];
-  double result;
-  if (n.kind == Kind::kLiteral) {
-    const double p = prob_of_var[n.var];
-    result = n.sense ? p : 1.0 - p;
-  } else {
-    const int w = n.vnode;
-    result = 0.0;
-    for (const auto& [p, s] : elements(a)) {
-      result += WmcAt(p, vtree_.left(w), prob_of_var, memo) *
-                WmcAt(s, vtree_.right(w), prob_of_var, memo);
-    }
-  }
-  memo->emplace(key, result);
-  return result;
-}
-
 double SddManager::WeightedModelCount(
     NodeId a, const std::map<int, double>& prob) const {
-  int max_var = 0;
-  for (int v : vtree_.Vars()) max_var = std::max(max_var, v);
-  std::vector<double> prob_of_var(max_var + 1, 0.5);
-  for (const auto& [v, p] : prob) {
-    if (v <= max_var) prob_of_var[v] = p;
+  const std::vector<int>& vars = vtree_.Vars();
+  std::vector<double> probs(vars.size(), 0.5);
+  for (size_t i = 0; i < vars.size(); ++i) {
+    const auto it = prob.find(vars[i]);
+    if (it != prob.end()) probs[i] = it->second;
   }
-  std::unordered_map<uint64_t, double> memo;
-  return WmcAt(a, vtree_.root(), prob_of_var, &memo);
+  std::vector<double> values;
+  return BuildWmcTape(a, vars).Evaluate(probs, &values);
+}
+
+WmcTape SddManager::BuildWmcTape(NodeId a,
+                                 std::span<const int> slot_vars) const {
+  int max_var = 0;
+  for (const int v : slot_vars) max_var = std::max(max_var, v);
+  std::vector<int> slot_of_var(static_cast<size_t>(max_var) + 1, -1);
+  for (size_t i = 0; i < slot_vars.size(); ++i) {
+    slot_of_var[static_cast<size_t>(slot_vars[i])] = static_cast<int>(i);
+  }
+  const auto leaf_entry = [&](NodeId u) -> int64_t {
+    if (u <= kTrue) return u;
+    const Node& n = nodes_[u];
+    if (n.kind != Kind::kLiteral) return -1;
+    const int slot = n.var <= max_var ? slot_of_var[n.var] : -1;
+    CTSDD_CHECK_GE(slot, 0) << "x" << n.var << " has no weight slot";
+    return WmcTape::LiteralEntry(static_cast<uint32_t>(slot), n.sense);
+  };
+  return Linearize(a, static_cast<uint32_t>(slot_vars.size()), leaf_entry,
+                   [&](NodeId u, const auto& entry_of, WmcTape* tape) {
+                     for (const auto& [p, s] : elements(u)) {
+                       tape->AddElement(entry_of(p), entry_of(s));
+                     }
+                   });
 }
 
 BoolFunc SddManager::ToBoolFunc(NodeId a) const {

@@ -63,6 +63,7 @@
 #include "util/scoped_memo.h"
 #include "util/spinlock.h"
 #include "util/status.h"
+#include "util/wmc_tape.h"
 #include "vtree/vtree.h"
 
 namespace ctsdd {
@@ -152,9 +153,17 @@ class SddManager : public ManagerCore<SddManager> {
   uint64_t CountModels(NodeId a) const;
 
   // Probability under independent variable probabilities (by global id;
-  // variables absent from the map default to probability 0.5).
+  // variables absent from the map default to probability 0.5): builds
+  // a's tape over the vtree variables and evaluates it once.
   double WeightedModelCount(NodeId a,
                             const std::map<int, double>& prob) const;
+
+  // The WMC tape of `a` (util/wmc_tape.h) whose weight slot i is the
+  // variable slot_vars[i]; every variable of `a` must be listed. A node's
+  // probability does not depend on the vtree node it is read at (the
+  // variables between the two scopes sum out to 1), so each decision is
+  // one entry however deep below its parent's vtree child it sits.
+  WmcTape BuildWmcTape(NodeId a, std::span<const int> slot_vars) const;
 
   // The function computed by `a`, over the full vtree variable set
   // (requires <= BoolFunc::kMaxVars variables; for tests).
@@ -221,6 +230,11 @@ class SddManager : public ManagerCore<SddManager> {
   // footprint (contents dropped — only recomputation cost; the semantic
   // cache repopulates as nodes are created).
   void ShrinkCaches();
+
+  // Releases only the per-operation apply memo, which keeps the capacity
+  // of the largest recent operation between operations; the computed and
+  // semantic caches are untouched (no semantic-cache rebuild).
+  void ReleaseMemos();
 
   // Accounted-resident bytes: both node stores, the unique table, the
   // apply/semantic caches, the apply memo, and every context's element
@@ -552,8 +566,6 @@ class SddManager : public ManagerCore<SddManager> {
 
   uint64_t CountModelsAt(NodeId a, int vnode,
                          std::unordered_map<uint64_t, uint64_t>* memo) const;
-  double WmcAt(NodeId a, int vnode, const std::vector<double>& prob_of_var,
-               std::unordered_map<uint64_t, double>* memo) const;
 
   struct ApplyKey {
     NodeId a = 0, b = 0;

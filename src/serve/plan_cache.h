@@ -3,9 +3,10 @@
 // A plan is the reusable product of one (query, database, strategy)
 // compilation: the rooted OBDD or SDD lineage inside a pooled manager,
 // pinned against garbage collection via the manager's external-root
-// refs, plus the variable list that turns request weights into a
-// weighted model count. Repeats — including weight-varied repeats —
-// skip recompilation entirely and pay only the WMC pass.
+// refs, its WMC tape (util/wmc_tape.h, linearized once at compile), and
+// the variable list that maps request weights onto the tape's slots.
+// Repeats — including weight-varied repeats — skip recompilation and
+// the diagram entirely: they pay one forward loop over the tape.
 //
 // The cache is single-threaded (each shard owns one; see serve/shard.h)
 // and capacity-bounded with LRU eviction. Eviction runs the owner's
@@ -32,6 +33,7 @@
 #include "serve/plan_stats.h"
 #include "util/hashing.h"
 #include "util/mem_governor.h"
+#include "util/wmc_tape.h"
 
 namespace ctsdd {
 
@@ -66,9 +68,10 @@ struct CompiledPlan {
   SddManager::NodeId sdd_root = 0;
   // Sorted lineage variables (tuple ids); doubles as the OBDD order.
   std::vector<int> vars;
-  // Constant lineage (no variables): the fixed truth value.
-  bool is_constant = false;
-  bool constant_value = false;
+  // The lineage's probability as a tape whose weight slot i is vars[i]
+  // (a constant tape for a variable-free lineage). Requests evaluate
+  // only this; the manager and root stay for the GC pin and telemetry.
+  WmcTape tape;
   // Compile-time statistics carried into responses.
   int lineage_gates = 0;
   int size = 0;
@@ -101,11 +104,12 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  // Attaches the governor account; entry overhead (the entry itself plus
-  // the plan's variable list) is charged under MemLayer::kPlanCache at
-  // Insert and released at eviction. The pinned diagram nodes themselves
-  // are store/arena bytes of the owning manager's account, not counted
-  // here (no double-charging). Attach before the first Insert.
+  // Attaches the governor account; entry overhead (the entry itself, the
+  // plan's variable list and its tape) is charged under
+  // MemLayer::kPlanCache at Insert and released at eviction. The pinned
+  // diagram nodes themselves are store/arena bytes of the owning
+  // manager's account, not counted here (no double-charging). Attach
+  // before the first Insert.
   void SetMemAccount(MemAccount* account) { account_ = account; }
 
   size_t MemoryBytes() const { return charged_bytes_; }
@@ -192,15 +196,15 @@ class PlanCache {
   size_t size() const { return entries_.size(); }
 
  private:
-  // Heap overhead of one cached entry: the list node payload plus the
-  // plan's variable list. Computed identically at insert and evict (the
-  // plan is immutable while cached), so charges round-trip exactly.
+  // Heap overhead of one cached entry: the list node payload, the plan's
+  // variable list, its WMC tape (the one per-plan structure that grows
+  // with the diagram: 8 bytes per element plus 4 per decision) and its
+  // stats block (dominated by the inline histogram). Computed
+  // identically at insert and evict (the plan, tape and stats pointer
+  // are immutable while cached), so charges round-trip exactly.
   static size_t EntryBytes(const CompiledPlan& plan) {
-    // The stats block (dominated by its inline histogram) is charged
-    // here too; the pointer is immutable while cached, so insert and
-    // evict see the same size.
     return sizeof(std::pair<PlanKey, CompiledPlan>) +
-           plan.vars.capacity() * sizeof(int) +
+           plan.vars.capacity() * sizeof(int) + plan.tape.MemoryBytes() +
            (plan.stats != nullptr ? sizeof(PlanStats) : 0);
   }
 

@@ -98,6 +98,23 @@ struct JsonOut {
   }
 };
 
+// Admission-time input checks: a request needs a database, and every
+// per-request weight must be a probability (NaN and infinities fail the
+// range test too).
+Status CheckRequest(const QueryRequest& request) {
+  if (request.db == nullptr) {
+    return Status::InvalidArgument("request without database");
+  }
+  for (size_t t = 0; t < request.weights.size(); ++t) {
+    const double w = request.weights[t];
+    if (!(w >= 0.0 && w <= 1.0)) {
+      return Status::InvalidArgument("weight of tuple " + std::to_string(t) +
+                                     " is not a probability in [0, 1]");
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 QueryService::QueryService(ServeOptions options)
@@ -465,8 +482,8 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
   const auto admitted_at = std::chrono::steady_clock::now();
   for (size_t i = 0; i < requests.size(); ++i) {
     const QueryRequest& request = requests[i];
-    if (request.db == nullptr) {
-      responses[i].status = Status::InvalidArgument("request without database");
+    if (Status invalid = CheckRequest(request); !invalid.ok()) {
+      responses[i].status = std::move(invalid);
       serve_metrics_->requests->Add();
       serve_metrics_->failures->Add();
       obs::FlightRecord rec;

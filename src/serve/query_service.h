@@ -52,7 +52,9 @@ struct QueryRequest {
   const Database* db = nullptr;
   // Per-request tuple probabilities indexed by tuple id; ids beyond the
   // vector (or an empty vector) fall back to the database's own
-  // probabilities. Weights never invalidate a cached plan.
+  // probabilities. Weights never invalidate a cached plan. A weight that
+  // is NaN, infinite or outside [0, 1] fails the request
+  // INVALID_ARGUMENT at admission.
   std::vector<double> weights;
   VtreeStrategy strategy = VtreeStrategy::kBalanced;
   PlanRoute route = PlanRoute::kSdd;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -451,9 +450,8 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
     CompiledPlan plan;
     plan.route = request.route;
     plan.lineage_gates = circuit.num_gates();
-    plan.is_constant = true;
-    plan.constant_value = Evaluate(
-        circuit, std::vector<bool>(std::max(circuit.num_vars(), 0), false));
+    plan.tape = WmcTape::Constant(Evaluate(
+        circuit, std::vector<bool>(std::max(circuit.num_vars(), 0), false)));
     plan.stats = std::make_shared<PlanStats>();
     plan.stats->route = static_cast<int>(plan.route);
     plan.stats->requested_route = static_cast<int>(request.route);
@@ -578,6 +576,10 @@ StatusOr<CompiledPlan> ShardWorker::CompileRoute(const QueryRequest& request,
     CTSDD_RETURN_IF_ERROR(root.status());
     plan.obdd = manager;
     plan.obdd_root = *root;
+    plan.tape = manager->BuildWmcTape(*root);
+    // The compile's memos are dead weight once the tape exists; the
+    // caches keep their cross-compile reuse.
+    manager->ReleaseMemos();
     plan.size = manager->Size(*root);
     plan.width = manager->Width(*root);
     plan.pinned_nodes = plan.size;
@@ -594,6 +596,8 @@ StatusOr<CompiledPlan> ShardWorker::CompileRoute(const QueryRequest& request,
     CTSDD_RETURN_IF_ERROR(root.status());
     plan.sdd = manager;
     plan.sdd_root = *root;
+    plan.tape = manager->BuildWmcTape(*root, plan.vars);
+    manager->ReleaseMemos();
     const SddStats stats = ComputeSddStats(*manager, *root);
     plan.size = stats.size;
     plan.width = stats.width;
@@ -636,22 +640,14 @@ StatusOr<int> ShardWorker::CompilePinned(M* manager, WorkBudget* budget,
 
 double ShardWorker::EvaluatePlan(const CompiledPlan& plan,
                                  const QueryRequest& request) {
-  if (plan.is_constant) return plan.constant_value ? 1.0 : 0.0;
-  const auto weight = [&](int tuple) {
-    return static_cast<size_t>(tuple) < request.weights.size()
-               ? request.weights[tuple]
-               : request.db->TupleProb(tuple);
-  };
-  if (plan.route == PlanRoute::kObdd) {
-    std::vector<double> prob_by_level(plan.vars.size());
-    for (size_t i = 0; i < plan.vars.size(); ++i) {
-      prob_by_level[i] = weight(plan.vars[i]);
-    }
-    return plan.obdd->WeightedModelCount(plan.obdd_root, prob_by_level);
+  slot_probs_.resize(plan.vars.size());
+  for (size_t i = 0; i < plan.vars.size(); ++i) {
+    const auto tuple = static_cast<size_t>(plan.vars[i]);
+    slot_probs_[i] = tuple < request.weights.size()
+                         ? request.weights[tuple]
+                         : request.db->TupleProb(plan.vars[i]);
   }
-  std::map<int, double> probs;
-  for (const int v : plan.vars) probs[v] = weight(v);
-  return plan.sdd->WeightedModelCount(plan.sdd_root, probs);
+  return plan.tape.Evaluate(slot_probs_, &tape_values_);
 }
 
 template <class M, class Key, class... Args>

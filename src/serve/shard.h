@@ -373,6 +373,11 @@ class ShardWorker {
   // memory governor (worker-thread local; read by Process immediately
   // after the CompilePlan call).
   bool last_compile_mem_pressure_ = false;
+  // EvaluatePlan's scratch (worker-thread local), reused across requests
+  // so a warm request allocates nothing: the request's weight per tape
+  // slot, and one value per tape entry.
+  std::vector<double> slot_probs_;
+  std::vector<double> tape_values_;
   // This worker's current shares of the resident gauges (worker-thread
   // state; the destructor retracts them after the join).
   int64_t live_share_ = 0;

@@ -79,6 +79,7 @@
 #include "util/status.h"
 #include "util/thread_check.h"
 #include "util/unique_table.h"
+#include "util/wmc_tape.h"
 
 namespace ctsdd {
 
@@ -223,6 +224,51 @@ class ManagerCore {
 #endif
     gc_span.AddArg("reclaimed", reclaimed);
     return reclaimed;
+  }
+
+  // Linearizes the diagram under `root` into a tape over `num_slots`
+  // weight slots. `leaf_entry(id)` is the tape entry of a terminal (or
+  // SDD literal) and -1 for a decision node; `emit(id, entry_of, tape)`
+  // appends a decision node's elements, reading its children's entries
+  // through `entry_of`. Each reachable decision node is emitted once,
+  // after all of its children, by an iterative DFS (a deep OBDD cannot
+  // overflow the stack) over a dense id -> entry index that also caches
+  // leaf entries, so each node is classified once.
+  template <class LeafEntry, class Emit>
+  WmcTape Linearize(NodeId root, uint32_t num_slots,
+                    const LeafEntry& leaf_entry, const Emit& emit) const {
+    constexpr uint32_t kUnvisited = UINT32_MAX;
+    constexpr uint32_t kOpen = UINT32_MAX - 1;  // children being emitted
+    std::vector<uint32_t> entry(self().nodes_.size(), kUnvisited);
+    // True when `u` is a decision not yet reached; a leaf gets its entry
+    // on first sight instead.
+    const auto unreached = [&](NodeId u) {
+      if (entry[u] != kUnvisited) return false;
+      const int64_t leaf = leaf_entry(u);
+      if (leaf < 0) return true;
+      entry[u] = static_cast<uint32_t>(leaf);
+      return false;
+    };
+    const auto entry_of = [&](NodeId u) { return entry[u]; };
+    WmcTape tape(num_slots);
+    std::vector<NodeId> stack;
+    if (unreached(root)) stack.push_back(root);
+    while (!stack.empty()) {
+      const NodeId u = stack.back();
+      if (entry[u] == kUnvisited) {
+        entry[u] = kOpen;
+        self().ForEachChild(u, [&](NodeId c) {
+          if (unreached(c)) stack.push_back(c);
+        });
+        continue;
+      }
+      stack.pop_back();
+      if (entry[u] != kOpen) continue;  // a second parent's copy
+      emit(u, entry_of, &tape);
+      entry[u] = tape.CloseDecision();
+    }
+    tape.Finish(entry[root]);
+    return tape;
   }
 
   // Places `node` in a freed slot when one exists, else appends it.

@@ -4,8 +4,10 @@
 // caching, sharding, and GC under eviction pressure.
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -13,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "circuit/eval.h"
 #include "db/lineage.h"
 #include "db/query.h"
 #include "db/query_compile.h"
@@ -285,6 +288,46 @@ TEST(QueryServiceTest, InvalidRequestsFailCleanly) {
   EXPECT_EQ(service.stats().totals.requests, 2u);
 }
 
+// A per-request weight must be a probability: NaN, infinities and values
+// outside [0, 1] fail typed at admission, counted like the other invalid
+// requests, while the boundary weights 0 and 1 are served.
+TEST(QueryServiceTest, OutOfRangeWeightsFailTypedAtAdmission) {
+  const Database db = BipartiteRstDatabase(3, 0.5);
+  QueryService service;
+  QueryRequest request;
+  request.query = HierarchicalRSQuery();
+  request.db = &db;
+  const std::vector<double> bad = {std::nan(""),
+                                   std::numeric_limits<double>::infinity(),
+                                   -std::numeric_limits<double>::infinity(),
+                                   -0.25, 1.5};
+  for (const double w : bad) {
+    request.weights.assign(db.num_tuples(), 0.5);
+    request.weights[1] = w;
+    const QueryResponse response = service.Execute(request);
+    EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument) << w;
+  }
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.totals.requests, bad.size());
+  EXPECT_EQ(stats.totals.failures, bad.size());
+  EXPECT_EQ(stats.totals.compiles, 0u);
+
+  // 0 and 1 pick one world: the answer is the lineage's truth value there.
+  const auto lineage = BuildLineage(request.query, db);
+  ASSERT_TRUE(lineage.ok());
+  for (int t = 0; t < db.num_tuples(); ++t) {
+    request.weights.assign(db.num_tuples(), 1.0);
+    request.weights[t] = 0.0;
+    std::vector<bool> world(db.num_tuples(), true);
+    world[t] = false;
+    const QueryResponse response = service.Execute(request);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.probability, Evaluate(*lineage, world) ? 1.0 : 0.0);
+  }
+  stats = service.stats();
+  EXPECT_EQ(stats.totals.failures, bad.size());
+}
+
 // PerConstantRsQuery (db/query.h) gives many distinct lineage functions
 // over one database, which is exactly the workload that needs node GC +
 // plan eviction to stay bounded.
@@ -368,6 +411,34 @@ TEST(PlanCacheTest, EvictOneMatchingTakesLruWithinPredicate) {
     key.query_sig = static_cast<uint64_t>(i);
     EXPECT_NE(cache.Lookup(key), nullptr) << "even plan " << i;
   }
+}
+
+// A plan's entry charge covers its tape: inserting a plan moves the
+// kPlanCache layer by more than the tape's bytes, and evicting it returns
+// the layer exactly to where it started.
+TEST(PlanCacheTest, TapeBytesRoundTripThroughInsertAndEviction) {
+  const Database db = BipartiteRstDatabase(4, 0.3);
+  const auto lineage = BuildLineage(HierarchicalRSQuery(), db);
+  ASSERT_TRUE(lineage.ok());
+  ObddManager manager(lineage->Vars());
+  CompiledPlan plan;
+  plan.vars = lineage->Vars();
+  plan.tape = manager.BuildWmcTape(CompileCircuitToObdd(&manager, *lineage));
+  const size_t tape_bytes = plan.tape.MemoryBytes();
+  ASSERT_GT(tape_bytes, 0u);
+
+  MemAccount account;
+  account.Charge(MemLayer::kPlanCache, 1000);  // a nonzero starting value
+  PlanCache cache(4, nullptr);
+  cache.SetMemAccount(&account);
+  const uint64_t before = account.bytes(MemLayer::kPlanCache);
+  cache.Insert(PlanKey{}, std::move(plan));
+  EXPECT_GT(account.bytes(MemLayer::kPlanCache), before + tape_bytes);
+  EXPECT_EQ(account.bytes(MemLayer::kPlanCache), before + cache.MemoryBytes());
+  ASSERT_TRUE(cache.EvictOne());
+  EXPECT_EQ(account.bytes(MemLayer::kPlanCache), before);
+  EXPECT_EQ(cache.MemoryBytes(), 0u);
+  account.Charge(MemLayer::kPlanCache, -1000);
 }
 
 // Under ceiling pressure the policy sheds plans of the over-ceiling
@@ -827,6 +898,46 @@ TEST(QueryServiceMemoryTest, GovernedServingStaysUnderCeilingAndExact) {
   EXPECT_EQ(layered, stats.totals.mem_bytes);
   EXPECT_EQ(stats.rejected_memory,
             stats.totals.mem_rejects + stats.totals.mem_aborts);
+}
+
+// A compile's per-operation memos are released once its plan's tape is
+// built: after a warm setup over both routes the memo layer is back at
+// the managers' initial footprint, which is zero because the memos
+// allocate lazily, while every plan stays cached and answers from its
+// tape.
+TEST(QueryServiceMemoryTest, WarmSetupReleasesCompileMemos) {
+  const int kDomain = 5;
+  const Database db = BipartiteRstDatabase(kDomain, 0.3);
+  ServeOptions options;
+  options.num_shards = 2;
+  options.manager_pool_capacity = 16;  // room for every plan's manager
+  QueryService service(options);
+  std::vector<QueryRequest> batch;
+  for (int c = 1; c <= kDomain; ++c) {
+    for (const PlanRoute route : {PlanRoute::kObdd, PlanRoute::kSdd}) {
+      QueryRequest request;
+      request.query = PerConstantRsQuery(c);
+      request.query.disjuncts.push_back(HierarchicalRSQuery().disjuncts[0]);
+      request.db = &db;
+      request.route = route;
+      batch.push_back(request);
+    }
+  }
+  for (const QueryResponse& r : service.ExecuteBatch(batch)) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  }
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.totals.compiles, batch.size());
+  EXPECT_EQ(stats.totals.mem_bytes_by_layer[static_cast<size_t>(
+                MemLayer::kMemo)],
+            0u);
+  EXPECT_GT(stats.totals.mem_bytes_by_layer[static_cast<size_t>(
+                MemLayer::kPlanCache)],
+            0u);
+  for (const QueryResponse& r : service.ExecuteBatch(batch)) {
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_TRUE(r.plan_cache_hit);
+  }
 }
 
 // `mem.reserve` chaos: injected byte-level reservation failures make
