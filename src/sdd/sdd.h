@@ -325,15 +325,17 @@ class SddManager : public ManagerCore<SddManager> {
 
   // --- Node access (read-only) ---
   enum class Kind : uint8_t { kConst, kLiteral, kDecision };
+  // Trivially constructible, like every NodeStore element: each store
+  // writes all fields, so a fresh chunk is never touched.
   struct Node {
     Kind kind;
     // kConst: value in `sense`. kLiteral: var + sense. kDecision: vnode +
     // elements in the arena.
-    bool sense = false;
-    int var = -1;
-    int vnode = -1;  // vtree node where normalized (leaf for literals)
-    const Element* elems = nullptr;
-    uint32_t num_elems = 0;
+    bool sense;
+    int var;
+    int vnode;  // vtree node where normalized (leaf for literals)
+    const Element* elems;
+    uint32_t num_elems;
   };
   const Node& node(NodeId id) const { return nodes_[id]; }
   // The (prime, sub) pairs of a decision node (empty for others). The view

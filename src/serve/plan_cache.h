@@ -1,35 +1,32 @@
 // Bounded LRU cache of compiled query plans.
 //
 // A plan is the reusable product of one (query, database, strategy)
-// compilation: the rooted OBDD or SDD lineage inside a pooled manager,
-// pinned against garbage collection via the manager's external-root
-// refs, its WMC tape (util/wmc_tape.h, linearized once at compile), and
-// the variable list that maps request weights onto the tape's slots.
-// Repeats — including weight-varied repeats — skip recompilation and
-// the diagram entirely: they pay one forward loop over the tape.
+// compilation, and it is a tape, not a diagram: the lineage's WMC tape
+// (util/wmc_tape.h, linearized once at compile), the variable list that
+// maps request weights onto the tape's slots, and the compile's shape
+// statistics. The diagram it was linearized from is garbage as soon as
+// the tape exists — a plan holds no manager pointer and no root, so the
+// shard may collect or replace its managers without touching the cache.
+// Repeats, weight-varied ones included, pay one forward loop over the
+// tape.
 //
 // The cache is single-threaded (each shard owns one; see serve/shard.h)
 // and capacity-bounded with LRU eviction. Eviction runs the owner's
-// callback so the plan's root refs are released before the entry is
-// destroyed — that is what turns an evicted plan's nodes into garbage
-// the next collection can reclaim.
-// The cache keeps no counters: its owner counts lookups and evictions in
-// the service's metrics registry.
+// callback before the entry is destroyed (telemetry hand-off). The cache
+// keeps no counters: its owner counts lookups and evictions in the
+// service's metrics registry.
 
 #ifndef CTSDD_SERVE_PLAN_CACHE_H_
 #define CTSDD_SERVE_PLAN_CACHE_H_
 
 #include <cstdint>
 #include <functional>
-#include <iterator>
 #include <list>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "db/query_compile.h"
-#include "obdd/obdd.h"
-#include "sdd/sdd.h"
 #include "serve/plan_stats.h"
 #include "util/hashing.h"
 #include "util/mem_governor.h"
@@ -59,28 +56,16 @@ struct PlanKeyHash {
 
 struct CompiledPlan {
   PlanRoute route = PlanRoute::kSdd;
-  // Exactly one manager pointer is set for non-constant lineages; the
-  // pointed-to manager is owned by the shard's pool and outlives the
-  // plan (plan eviction precedes manager eviction).
-  ObddManager* obdd = nullptr;
-  ObddManager::NodeId obdd_root = 0;
-  SddManager* sdd = nullptr;
-  SddManager::NodeId sdd_root = 0;
   // Sorted lineage variables (tuple ids); doubles as the OBDD order.
   std::vector<int> vars;
   // The lineage's probability as a tape whose weight slot i is vars[i]
   // (a constant tape for a variable-free lineage). Requests evaluate
-  // only this; the manager and root stay for the GC pin and telemetry.
+  // only this.
   WmcTape tape;
   // Compile-time statistics carried into responses.
   int lineage_gates = 0;
   int size = 0;
   int width = 0;
-  // Nodes this plan pins in its manager while cached (reachable internal
-  // OBDD nodes / SDD decision nodes from the pinned root). The GC policy
-  // uses it to target eviction at the manager actually over its
-  // resident-node ceiling instead of shedding in global LRU order.
-  int pinned_nodes = 0;
   // Per-plan telemetry, shared with the PlanStatsRegistry live table so
   // the debug server reads it without touching this (single-threaded)
   // cache. Null only for plans built before telemetry wiring (tests).
@@ -90,7 +75,7 @@ struct CompiledPlan {
 class PlanCache {
  public:
   // `on_evict` runs for every entry leaving the cache (LRU pressure,
-  // EvictOne, EraseIf) — the owner releases the plan's root refs there.
+  // EvictOne, destruction).
   using EvictFn = std::function<void(const PlanKey&, CompiledPlan&)>;
 
   // Capacity 0 is clamped to 1: Insert must return a resident plan for
@@ -99,23 +84,24 @@ class PlanCache {
   PlanCache(size_t capacity, EvictFn on_evict)
       : capacity_(capacity == 0 ? 1 : capacity),
         on_evict_(std::move(on_evict)) {}
-  ~PlanCache() { EraseIf([](const CompiledPlan&) { return true; }); }
+  ~PlanCache() {
+    while (EvictOne()) {
+    }
+  }
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  // Attaches the governor account; entry overhead (the entry itself, the
-  // plan's variable list and its tape) is charged under
-  // MemLayer::kPlanCache at Insert and released at eviction. The pinned
-  // diagram nodes themselves are store/arena bytes of the owning
-  // manager's account, not counted here (no double-charging). Attach
+  // Attaches the governor account; a plan's whole footprint (the entry
+  // itself, its variable list, its tape and its stats block) is charged
+  // under MemLayer::kPlanCache at Insert and released at eviction. Attach
   // before the first Insert.
   void SetMemAccount(MemAccount* account) { account_ = account; }
 
   size_t MemoryBytes() const { return charged_bytes_; }
 
   // Returns the cached plan (bumped to most-recently-used) or nullptr.
-  // The pointer is valid until the next Insert/EvictOne/EraseIf.
+  // The pointer is valid until the next Insert/EvictOne.
   CompiledPlan* Lookup(const PlanKey& key) {
     const auto it = index_.find(key);
     if (it == index_.end()) return nullptr;
@@ -133,9 +119,8 @@ class PlanCache {
     return &entries_.front().second;
   }
 
-  // Evicts the least-recently-used entry; false when empty. Shards call
-  // this under GC pressure, when pinned plans alone exceed the
-  // resident-node ceiling.
+  // Evicts the least-recently-used entry; false when empty. The memory
+  // pressure ladder sheds plans through this.
   bool EvictOne() {
     if (entries_.empty()) return false;
     auto& [key, plan] = entries_.back();
@@ -144,53 +129,6 @@ class PlanCache {
     index_.erase(key);
     entries_.pop_back();
     return true;
-  }
-
-  // Evicts the least-recently-used entry for which `pred` holds; false
-  // when none matches. The GC policy uses this to shed plans pinned in
-  // the one manager over its resident-node ceiling, preserving every
-  // other manager's cached plans (LRU order still decides *which* of the
-  // matching plans goes).
-  template <typename Pred>
-  bool EvictOneMatching(Pred&& pred) {
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-      if (!pred(static_cast<const CompiledPlan&>(it->second))) continue;
-      if (on_evict_) on_evict_(it->first, it->second);
-      ChargeEntry(it->second, -1);
-      index_.erase(it->first);
-      entries_.erase(std::next(it).base());
-      return true;
-    }
-    return false;
-  }
-
-  // Total pinned_nodes over cached plans for which `pred` holds — the
-  // per-manager pinned-node accounting behind the eviction policy.
-  template <typename Pred>
-  int PinnedNodesMatching(Pred&& pred) const {
-    int total = 0;
-    for (const auto& [key, plan] : entries_) {
-      if (pred(static_cast<const CompiledPlan&>(plan))) {
-        total += plan.pinned_nodes;
-      }
-    }
-    return total;
-  }
-
-  // Evicts every plan for which `pred` holds (e.g. all plans inside a
-  // manager about to be destroyed).
-  template <typename Pred>
-  void EraseIf(Pred&& pred) {
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (!pred(static_cast<const CompiledPlan&>(it->second))) {
-        ++it;
-        continue;
-      }
-      if (on_evict_) on_evict_(it->first, it->second);
-      ChargeEntry(it->second, -1);
-      index_.erase(it->first);
-      it = entries_.erase(it);
-    }
   }
 
   size_t size() const { return entries_.size(); }

@@ -50,8 +50,6 @@ struct PlanStats {
   uint64_t nodes = 0;        // plan size (OBDD nodes / SDD elements)
   uint64_t edges = 0;        // child pointers (2 per node/element)
   uint64_t width = 0;        // route-specific width of the compiled form
-  uint64_t pinned_nodes = 0;
-  uint64_t pinned_bytes = 0;  // manager-account growth across the compile
   int lineage_gates = 0;
   int num_vars = 0;
 

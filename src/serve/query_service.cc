@@ -372,8 +372,6 @@ void QueryService::StartDebugServer() {
       rows.Num("nodes", p->nodes);
       rows.Num("edges", p->edges);
       rows.Num("width", p->width);
-      rows.Num("pinned_nodes", p->pinned_nodes);
-      rows.Num("pinned_bytes", p->pinned_bytes);
       rows.Num("predicted_treewidth", p->predicted_treewidth);
       rows.Num("exact_treewidth", p->exact_treewidth);
       rows.Num("exact_pathwidth", p->exact_pathwidth);
@@ -598,7 +596,6 @@ ServiceStats QueryService::stats() const {
   t.plan_hits = m.plan_hits->value();
   t.plan_misses = m.plan_misses->value();
   t.plan_evictions = m.plan_evictions->value();
-  t.targeted_evictions = m.targeted_evictions->value();
   t.compiles = m.compiles->value();
   t.gc_runs = m.gc_runs->value();
   t.gc_reclaimed = m.gc_reclaimed->value();

@@ -1,7 +1,7 @@
 // Configuration and observability surface of the query-serving subsystem.
 //
-// ServeOptions sizes the service (shards, per-shard plan cache and
-// manager pools, GC ceilings). Every serve-owned counter and resident
+// ServeOptions sizes the service (shards, per-shard plan cache, the kept
+// managers' GC ceiling). Every serve-owned counter and resident
 // gauge lives in the service's obs::MetricsRegistry, behind the
 // ServeMetrics handles below: events bump them where they happen, and
 // ServiceStats (with its nested ShardStats / SupervisionStats /
@@ -28,18 +28,19 @@ struct ServeOptions {
   // signature picks its shard, so repeats always land where their plan
   // is cached.
   int num_shards = 4;
-  // Compiled plans retained per shard (LRU past this).
+  // Compiled plans retained per shard (LRU past this). A plan is a tape
+  // and holds no manager, so this bounds the cache's bytes alone.
   size_t plan_cache_capacity = 256;
-  // Managers pooled per shard and kind (OBDD by variable order, SDD by
-  // vtree); least-recently-used managers are destroyed past the cap,
-  // dropping their cached plans.
+  // Unused: read nowhere in src/. A shard keeps exactly one manager per
+  // route. The field stays only because perfbench/serve_workloads.cc
+  // still sets it; the next benchmark change deletes those lines and
+  // this field together.
   size_t manager_pool_capacity = 8;
-  // Per-manager resident-node ceiling. When a policy check finds a
-  // manager above it, the shard garbage-collects; if pinned plans alone
-  // keep it above, LRU plans are evicted and collection reruns.
+  // Resident-node ceiling of a kept manager. Plans pin nothing, so a
+  // kept manager holds only garbage and permanent nodes between
+  // compiles: a compile that reuses a manager above the ceiling first
+  // collects it (everything but terminals and SDD literals).
   int gc_live_node_ceiling = 1 << 20;
-  // Requests between GC policy checks on a shard.
-  int gc_check_interval = 16;
   // Workers in the shared exec/ pool the service lends to every shard's
   // managers (see src/README.md, "The parallel runtime"). The pool only
   // speeds up semantic SDD compiles of lineages with at most
@@ -92,8 +93,9 @@ struct ServeOptions {
   // account rolled up into one service governor, compiles are admission-
   // checked at their allocation seams (deny-before-allocate, typed
   // RESOURCE_EXHAUSTED with a retry hint), and the shards run a tiered
-  // shed ladder (shrink caches, GC, evict plans, evict managers) — the
-  // hard ceiling is never crossed by accounted bytes.
+  // shed ladder (collect and shrink the kept managers, then evict plans,
+  // then drop the managers) — the hard ceiling is never crossed by
+  // accounted bytes.
   uint64_t mem_soft_bytes = 0;
   uint64_t mem_hard_bytes = 0;
   // Internal plumbing: the service stamps its governor here in the
@@ -176,12 +178,11 @@ struct ShardStats {
   uint64_t plan_hits = 0;
   uint64_t plan_misses = 0;
   uint64_t plan_evictions = 0;
-  // Evictions the GC policy targeted at the specific manager over its
-  // resident-node ceiling.
-  uint64_t targeted_evictions = 0;
   uint64_t compiles = 0;
   uint64_t gc_runs = 0;
   uint64_t gc_reclaimed = 0;
+  // Kept managers destroyed: replaced by a compile with another variable
+  // order or vtree, or dropped by the memory-pressure ladder.
   uint64_t manager_evictions = 0;
   // Requests failed with DEADLINE_EXCEEDED — expired while queued or
   // aborted mid-compile by their deadline.
@@ -298,7 +299,6 @@ struct ServeMetrics {
   obs::Counter* plan_hits = nullptr;
   obs::Counter* plan_misses = nullptr;
   obs::Counter* plan_evictions = nullptr;
-  obs::Counter* targeted_evictions = nullptr;
   obs::Counter* compiles = nullptr;
   obs::Counter* gc_runs = nullptr;
   obs::Counter* gc_reclaimed = nullptr;
@@ -340,7 +340,6 @@ inline ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry) {
       {&ServeMetrics::plan_hits, "plan_cache.hits"},
       {&ServeMetrics::plan_misses, "plan_cache.misses"},
       {&ServeMetrics::plan_evictions, "plan_cache.evictions"},
-      {&ServeMetrics::targeted_evictions, "plan_cache.targeted_evictions"},
       {&ServeMetrics::compiles, "serve.compiles"},
       {&ServeMetrics::gc_runs, "gc.runs"},
       {&ServeMetrics::gc_reclaimed, "gc.reclaimed_nodes"},

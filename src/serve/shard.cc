@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -28,11 +27,6 @@ namespace {
 thread_local bool t_death_requested = false;
 thread_local WorkBudget* t_active_budget = nullptr;
 
-// Whether `plan` was compiled inside `manager`.
-bool PlanIn(const CompiledPlan& plan, const void* manager) {
-  return plan.obdd == manager || plan.sdd == manager;
-}
-
 }  // namespace
 
 void ShardWorker::RequestDeathOnCurrentThread() { t_death_requested = true; }
@@ -53,12 +47,10 @@ ShardWorker::ShardWorker(int shard_id, const ServeOptions& options,
       quarantine_(quarantine),
       plan_stats_(plan_stats),
       account_(mem_parent),
+      obdd_(&account_),
+      sdd_(&account_),
       plans_(options.plan_cache_capacity,
              [this](const PlanKey&, CompiledPlan& plan) {
-               // Unpin the plan's lineage: the released nodes become
-               // garbage for the owning manager's next collection.
-               if (plan.obdd) plan.obdd->ReleaseRootRef(plan.obdd_root);
-               if (plan.sdd) plan.sdd->ReleaseRootRef(plan.sdd_root);
                // Only the worker thread evicts; the cache's destructor,
                // which runs after the thread exited, drops plans without
                // counting them as evictions.
@@ -68,13 +60,12 @@ ShardWorker::ShardWorker(int shard_id, const ServeOptions& options,
                // Telemetry conservation: fold the evicted plan's
                // histogram and counters into the service totals before
                // the block leaves the live table. Covers every removal
-               // path — LRU pressure, GC shedding, manager eviction,
-               // shard restart, cache destruction.
+               // path — LRU pressure, memory shedding, shard restart,
+               // cache destruction.
                if (plan_stats_ != nullptr && plan.stats != nullptr) {
                  plan_stats_->OnEviction(plan.stats);
                }
              }),
-      gc_interval_(std::max(1, options.gc_check_interval)),
       thread_(&ShardWorker::Loop, this) {
   // Safe after the worker thread started: no job can be submitted (and
   // so no byte charged) before this constructor returns the worker.
@@ -88,9 +79,6 @@ ShardWorker::~ShardWorker() {
   }
   cv_.notify_all();
   thread_.join();
-  // The managers are bound to the (now joined) worker thread; detach so
-  // the destroying thread may release the cached plans' root refs.
-  ForEachManager([](auto* manager) { manager->DetachOwningThread(); });
   // Retract before the plan cache and managers are destroyed, so the
   // gauges never count what the plan telemetry no longer lists.
   metrics_->live_nodes->Add(-live_share_);
@@ -312,16 +300,18 @@ void ShardWorker::Process(const ShardJob& job) {
       response.status = compiled.status();
       if (last_compile_mem_pressure_) {
         // The governor tripped this compile at an allocation seam: hand
-        // the client a backoff hint and shed before the next request.
+        // the client a backoff hint; the ladder below sheds.
         response.retry_after_ms = MemRetryHintMs();
         if (flight_ != nullptr) {
           flight_->NoteAnomaly(obs::Anomaly::kMemoryDenial,
                                "shard " + std::to_string(id_) +
                                    ": governor tripped in-flight compile");
         }
-        RunMemPressureLadder();
       }
     }
+    // Only cold compiles grow a shard's bytes, so the shed ladder runs
+    // after each one (and returns at once while there is no pressure).
+    RunMemPressureLadder();
   }
   Beat();
   if (plan != nullptr) {
@@ -347,12 +337,6 @@ void ShardWorker::Process(const ShardJob& job) {
     // repeats report degraded too.
     response.degraded = plan->route != request.route;
     pending_record_.degraded = response.degraded;
-  }
-  Beat();
-
-  if (++requests_since_gc_check_ >= gc_interval_) {
-    requests_since_gc_check_ = 0;
-    RunGcPolicy();
   }
   FinishJob(job, response, timer.ElapsedMillis());
 }
@@ -443,6 +427,10 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
   }
   auto lineage = BuildLineage(request.query, *request.db);
   CTSDD_RETURN_IF_ERROR(lineage.status());
+  // The steps before the budget's lease pulse beats the heartbeat
+  // (lineage, width prediction, vtree, manager) each beat once, so their
+  // sum never reads as a hang.
+  Beat();
   const Circuit& circuit = lineage.value();
   std::vector<int> vars = circuit.Vars();
   if (vars.empty()) {
@@ -478,6 +466,7 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
       auto pw = ExactPathwidth(PrimalGraph(circuit));
       if (pw.ok()) exact_pw = pw.value();
     }
+    Beat();
   }
   const auto stamp = [&](StatusOr<CompiledPlan>& result, int hops) {
     if (!result.ok() || result.value().stats == nullptr) return;
@@ -568,73 +557,62 @@ StatusOr<CompiledPlan> ShardWorker::CompileRoute(const QueryRequest& request,
   plan.stats->lineage_gates = plan.lineage_gates;
   plan.stats->num_vars = static_cast<int>(plan.vars.size());
   if (route == PlanRoute::kObdd) {
-    ObddManager* manager = AcquireManager(obdd_pool_, plan.vars, plan.vars);
-    const auto root = CompilePinned(
-        manager, budget,
-        [&] { return CompileCircuitToObdd(manager, circuit); },
-        plan.stats.get());
+    ObddManager* manager = AcquireManager(obdd_, plan.vars, plan.vars);
+    Beat();
+    const auto root = CompileBudgeted(manager, budget, [&] {
+      return CompileCircuitToObdd(manager, circuit);
+    });
     CTSDD_RETURN_IF_ERROR(root.status());
-    plan.obdd = manager;
-    plan.obdd_root = *root;
     plan.tape = manager->BuildWmcTape(*root);
     // The compile's memos are dead weight once the tape exists; the
     // caches keep their cross-compile reuse.
     manager->ReleaseMemos();
     plan.size = manager->Size(*root);
     plan.width = manager->Width(*root);
-    plan.pinned_nodes = plan.size;
   } else {
     auto vtree = VtreeForStrategy(circuit, plan.vars, request.strategy);
     CTSDD_RETURN_IF_ERROR(vtree.status());
+    Beat();
     std::string key = VtreeKeyString(vtree.value());
     SddManager* manager =
-        AcquireManager(sdd_pool_, std::move(key), std::move(vtree).value());
-    const auto root = CompilePinned(
-        manager, budget,
-        [&] { return CompileCircuitToSdd(manager, circuit); },
-        plan.stats.get());
+        AcquireManager(sdd_, std::move(key), std::move(vtree).value());
+    Beat();
+    const auto root = CompileBudgeted(manager, budget, [&] {
+      return CompileCircuitToSdd(manager, circuit);
+    });
     CTSDD_RETURN_IF_ERROR(root.status());
-    plan.sdd = manager;
-    plan.sdd_root = *root;
     plan.tape = manager->BuildWmcTape(*root, plan.vars);
     manager->ReleaseMemos();
     const SddStats stats = ComputeSddStats(*manager, *root);
     plan.size = stats.size;
     plan.width = stats.width;
-    plan.pinned_nodes = stats.decisions;
   }
+  // The root is left unpinned: the plan answers from its tape, so the
+  // diagram is garbage for the kept manager's next collection.
   plan.stats->nodes = static_cast<uint64_t>(plan.size);
   plan.stats->edges = 2 * static_cast<uint64_t>(plan.size);
   plan.stats->width = static_cast<uint64_t>(plan.width);
-  plan.stats->pinned_nodes = static_cast<uint64_t>(plan.pinned_nodes);
   return plan;
 }
 
 template <class M, class Compile>
-StatusOr<int> ShardWorker::CompilePinned(M* manager, WorkBudget* budget,
-                                         const Compile& compile,
-                                         PlanStats* stats) {
-  const MemAccount* acct = manager->mem_account();
-  const uint64_t bytes_before = acct != nullptr ? acct->bytes() : 0;
+StatusOr<int> ShardWorker::CompileBudgeted(M* manager, WorkBudget* budget,
+                                           const Compile& compile) {
   MemGovernor* gov = options_.mem_governor;
   manager->AttachBudget(budget);
   // Register with the governor while the compile is in flight: when
   // another shard drives the process to the hard ceiling, the governor
   // cancels the largest registered compile by account bytes.
-  if (gov != nullptr) gov->RegisterCompile(budget, acct);
+  if (gov != nullptr) gov->RegisterCompile(budget, manager->mem_account());
   const int root = compile();
   if (gov != nullptr) gov->UnregisterCompile(budget);
   manager->DetachBudget();
   if (root < 0) {
     // Reclaim the aborted compile's partial nodes now instead of
-    // letting them ride until the next policy check.
+    // letting them ride until the manager's next reuse.
     TimedGc(manager);
     return budget->status();
   }
-  manager->AddRootRef(root);
-  const uint64_t bytes_after = acct != nullptr ? acct->bytes() : 0;
-  stats->pinned_bytes =
-      bytes_after > bytes_before ? bytes_after - bytes_before : 0;
   return root;
 }
 
@@ -651,36 +629,28 @@ double ShardWorker::EvaluatePlan(const CompiledPlan& plan,
 }
 
 template <class M, class Key, class... Args>
-M* ShardWorker::AcquireManager(ManagerPool<M, Key>& pool, Key key,
+M* ShardWorker::AcquireManager(KeptManager<M, Key>& kept, Key key,
                                Args&&... args) {
-  for (auto& e : pool.entries) {
-    if (e.key == key) {
-      e.last_used = ++use_clock_;
-      return e.manager.get();
+  if (kept.manager != nullptr && kept.key == key) {
+    // No plan holds a root, so a collection keeps only the permanent
+    // nodes; the caches regrow from the baseline.
+    if (kept.manager->NumLiveNodes() > options_.gc_live_node_ceiling) {
+      TimedGc(kept.manager.get());
+      kept.manager->ShrinkCaches();
     }
+    return kept.manager.get();
   }
-  if (pool.entries.size() >= options_.manager_pool_capacity) {
-    EvictManager(pool, pool.Lru());
-  }
-  auto& e = pool.entries.emplace_back();
-  e.key = std::move(key);
-  e.account = std::make_unique<MemAccount>(&account_);
-  e.manager = std::make_unique<M>(std::forward<Args>(args)...);
-  e.last_used = ++use_clock_;
+  if (kept.manager != nullptr) metrics_->manager_evictions->Add();
+  // Destroy the old manager before building the new one, so the two are
+  // never resident together.
+  kept.manager.reset();
+  kept.key = std::move(key);
+  kept.manager = std::make_unique<M>(std::forward<Args>(args)...);
   // Lend the manager the service-wide pool: the GC mark forks there, and
   // so does the SDD semantic compiler; applies stay sequential.
-  e.manager->AttachExecutor(exec_pool_);
-  e.manager->AttachMemAccount(e.account.get());
-  return e.manager.get();
-}
-
-template <class M, class Key>
-void ShardWorker::EvictManager(ManagerPool<M, Key>& pool,
-                               typename ManagerPool<M, Key>::Iterator victim) {
-  const void* dying = victim->manager.get();
-  plans_.EraseIf([dying](const CompiledPlan& p) { return PlanIn(p, dying); });
-  pool.entries.erase(victim);
-  metrics_->manager_evictions->Add();
+  kept.manager->AttachExecutor(exec_pool_);
+  kept.manager->AttachMemAccount(&kept.account);
+  return kept.manager.get();
 }
 
 template <typename Manager>
@@ -702,89 +672,35 @@ double ShardWorker::MemRetryHintMs() const {
                     0.1, std::max(0.1, options_.retry_after_max_ms));
 }
 
-bool ShardWorker::EvictLruManager() {
-  // use_clock_ stamps every pool, so the stamps are unique and comparable.
-  std::optional<uint64_t> oldest;
-  ForEachPool([&](auto& pool) {
-    const auto it = pool.Lru();
-    if (it != pool.entries.end() && (!oldest || it->last_used < *oldest)) {
-      oldest = it->last_used;
-    }
-  });
-  if (!oldest) return false;
-  ForEachPool([&](auto& pool) {
-    const auto it = pool.Lru();
-    if (it != pool.entries.end() && it->last_used == *oldest) {
-      EvictManager(pool, it);
-    }
-  });
-  return true;
-}
-
 void ShardWorker::RunMemPressureLadder() {
   MemGovernor* gov = options_.mem_governor;
   if (gov == nullptr || gov->tier() == MemGovernor::Tier::kNone) return;
-  // Soft tier: give back everything that regrows on demand — collect
-  // garbage and shrink the computed caches in every pooled manager.
+  // Soft tier: give back everything that regrows on demand — collect the
+  // kept managers (no plan pins a node, so only permanent nodes survive)
+  // and shrink their computed caches.
   ForEachManager([&](auto* manager) {
     TimedGc(manager);
     manager->ShrinkCaches();
   });
-  // Critical tier: shed state — unpinned (LRU) plans in batches, each
-  // batch followed by a collection so the released roots turn into
-  // bytes; then whole managers. Destroying a manager is the only step
-  // that returns node-store and arena chunks to the allocator.
+  // Critical tier: shed state — LRU plans in batches (each eviction
+  // returns its tape bytes at once), then the kept managers. Destroying
+  // a manager is the only step that returns node-store and arena chunks
+  // to the allocator.
   while (gov->tier() == MemGovernor::Tier::kCritical) {
     int evicted = 0;
     while (evicted < 8 && plans_.EvictOne()) ++evicted;
-    if (evicted > 0) {
-      metrics_->pressure_evictions->Add(static_cast<uint64_t>(evicted));
-      ForEachManager([&](auto* manager) { TimedGc(manager); });
-      continue;
+    if (evicted == 0) break;
+    metrics_->pressure_evictions->Add(static_cast<uint64_t>(evicted));
+  }
+  ForEachKept([&](auto& kept) {
+    if (kept.manager == nullptr ||
+        gov->tier() != MemGovernor::Tier::kCritical) {
+      return;
     }
-    if (!EvictLruManager()) break;  // nothing left to shed on this shard
+    kept.manager.reset();
+    metrics_->manager_evictions->Add();
     metrics_->pressure_evictions->Add();
-  }
-}
-
-void ShardWorker::RunGcPolicy() {
-  RunMemPressureLadder();
-  size_t reclaimed_this_check = 0;
-  bool saw_pressure = false;
-  const auto enforce = [&](auto* manager) {
-    if (manager->NumLiveNodes() <= options_.gc_live_node_ceiling) return;
-    saw_pressure = true;
-    reclaimed_this_check += TimedGc(manager);
-    // Pinned plans alone may hold the manager above the ceiling. The
-    // per-plan pinned-node accounting targets eviction at *this*
-    // manager's plans (LRU order among them): a plan's roots pin nodes
-    // only in its own manager, so shedding another manager's plans can
-    // never bring this one under its ceiling — the old global-LRU
-    // fallback only destroyed innocent bystanders' cache hits. When the
-    // over-ceiling manager has nothing left to shed, its live set is all
-    // permanent (literals) or externally pinned, and the policy stops.
-    const auto in_this_manager = [manager](const CompiledPlan& p) {
-      return PlanIn(p, manager);
-    };
-    while (manager->NumLiveNodes() > options_.gc_live_node_ceiling &&
-           plans_.EvictOneMatching(in_this_manager)) {
-      metrics_->targeted_evictions->Add();
-      reclaimed_this_check += TimedGc(manager);
-    }
-    // Return cache capacity sized up by the pre-GC workload to baseline
-    // (the SDD manager repopulates its semantic cache from survivors).
-    manager->ShrinkCaches();
-  };
-  ForEachManager(enforce);
-  // Reclaim-rate feedback: when a check finds pressure (a manager over
-  // its ceiling, or nodes actually reclaimed) check again sooner; when
-  // it finds nothing, back off — up to 8x the configured cadence.
-  if (saw_pressure || reclaimed_this_check > 0) {
-    gc_interval_ = std::max(1, gc_interval_ / 2);
-  } else {
-    gc_interval_ = std::min(gc_interval_ * 2,
-                            8 * std::max(1, options_.gc_check_interval));
-  }
+  });
 }
 
 void ShardWorker::SyncResidentGauges() {

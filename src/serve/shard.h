@@ -1,17 +1,15 @@
 // One shard of the query service: a worker thread owning its managers.
 //
 // The managers are single-threaded by contract, so the shard is the unit
-// of both concurrency and memory accounting: it runs one thread, pools
-// its managers in one ManagerPool type (OBDD managers keyed by exact
-// variable order, SDD managers keyed by exact vtree structure — the one
-// shared structure, the process-wide WidthCache, carries its own mutex),
-// keeps the plans
-// compiled inside them pinned via external root refs, and enforces the
-// resident-node ceiling with mark-from-roots garbage collection: when a
-// manager exceeds the ceiling, the shard collects; when pinned plans
-// alone hold it above, LRU plans are evicted (releasing their roots) and
-// collection reruns. Manager pools are themselves LRU-bounded; evicting
-// a manager first evicts every plan compiled inside it.
+// of both concurrency and memory accounting. Plans are tapes: a compile
+// linearizes its diagram into the plan's WMC tape and keeps no root, so
+// the plan cache (serve/plan_cache.h) never pins a node. The shard keeps
+// one manager per route, the last one it built, keyed by exact variable
+// order (OBDD) or exact vtree structure (SDD). A compile with the same key
+// reuses it, collecting it first when it holds more than the resident-
+// node ceiling; a compile with another key destroys it and builds a new
+// one, and no cached plan notices. (The one structure shards share, the
+// process-wide WidthCache, carries its own mutex.)
 //
 // Supervision surface: the worker stamps an atomic progress counter at
 // every job phase and flags busy/exited, so the service's supervisor can
@@ -29,9 +27,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <algorithm>
 #include <deque>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -150,30 +146,15 @@ struct JobState {
   }
 };
 
-// An LRU-bounded pool of one manager type, keyed exactly. Each entry's
-// account is declared before its manager, so the manager is destroyed
-// first and releases its bytes into it. Heap-held, in a std::list whose
-// entries never move, so the address a manager charges through is
-// stable and no container operation destroys an account under a live
-// manager.
+// The manager a shard keeps for one route and the key it was built for.
+// The account is declared before the manager, so a destroyed manager
+// releases its bytes into it, and the next manager reuses it.
 template <class M, class Key>
-struct ManagerPool {
-  struct Entry {
-    Key key;
-    std::unique_ptr<MemAccount> account;
-    std::unique_ptr<M> manager;
-    uint64_t last_used = 0;
-  };
-  using Iterator = typename std::list<Entry>::iterator;
-
-  Iterator Lru() {
-    return std::min_element(entries.begin(), entries.end(),
-                            [](const Entry& a, const Entry& b) {
-                              return a.last_used < b.last_used;
-                            });
-  }
-
-  std::list<Entry> entries;
+struct KeptManager {
+  explicit KeptManager(MemAccount* parent) : account(parent) {}
+  MemAccount account;
+  Key key;
+  std::unique_ptr<M> manager;  // null until the route's first compile
 };
 
 // A unit of work handed to a shard.
@@ -186,7 +167,7 @@ class ShardWorker {
  public:
   // `exec_pool` (optional, may be null) is the service-wide work-stealing
   // pool lent to this shard's managers for cold compiles; the shard
-  // attaches it to every manager it pools. It speeds up only semantic
+  // attaches it to every manager it builds. It speeds up only semantic
   // SDD compiles (at most kSemanticCircuitMaxVars variables) and the GC
   // mark; apply operations ignore it.
   // `quarantine` (may be null) is the service-level poison negative
@@ -291,47 +272,39 @@ class ShardWorker {
                                       WorkBudget* budget);
   // CompileRoute's route-independent steps: attaches `budget` and
   // registers the compile with the governor around `compile()`; on abort
-  // collects the partial nodes and returns the budget's status; else pins
-  // the root and records the bytes the compile left charged.
+  // collects the partial nodes and returns the budget's status. The root
+  // is not pinned: the caller linearizes it before anything can collect.
   template <class M, class Compile>
-  StatusOr<int> CompilePinned(M* manager, WorkBudget* budget,
-                              const Compile& compile, PlanStats* stats);
+  StatusOr<int> CompileBudgeted(M* manager, WorkBudget* budget,
+                                const Compile& compile);
   double EvaluatePlan(const CompiledPlan& plan, const QueryRequest& request);
-  // The pooled manager for `key`, built from `args` on a miss (evicting
-  // the pool's LRU manager at capacity) and lent the shard's executor
-  // and a child memory account.
+  // The kept manager when its key is `key` (collected first when above
+  // the resident-node ceiling); otherwise a new manager built from
+  // `args`, replacing the kept one and lent the shard's executor and the
+  // route's memory account.
   template <class M, class Key, class... Args>
-  M* AcquireManager(ManagerPool<M, Key>& pool, Key key, Args&&... args);
-  // Destroys `victim` after evicting every plan compiled inside it.
-  template <class M, class Key>
-  void EvictManager(ManagerPool<M, Key>& pool,
-                    typename ManagerPool<M, Key>::Iterator victim);
-  // fn(pool) for each pool and fn(manager) for every pooled manager, OBDD
-  // pool first.
+  M* AcquireManager(KeptManager<M, Key>& kept, Key key, Args&&... args);
+  // fn(kept) for each route's slot, OBDD first.
   template <class Fn>
-  void ForEachPool(Fn&& fn) {
-    fn(obdd_pool_);
-    fn(sdd_pool_);
+  void ForEachKept(Fn&& fn) {
+    fn(obdd_);
+    fn(sdd_);
   }
+  // fn(manager) for every kept manager.
   template <class Fn>
   void ForEachManager(Fn&& fn) {
-    ForEachPool([&](auto& pool) {
-      for (auto& e : pool.entries) fn(e.manager.get());
+    ForEachKept([&](auto& kept) {
+      if (kept.manager != nullptr) fn(kept.manager.get());
     });
   }
-  // Ceiling enforcement + resident-node accounting (see file comment).
-  void RunGcPolicy();
-  // Memory-pressure shed ladder, run when the governor reports pressure:
-  // shrink caches + collect every pooled manager (soft tier), then while
-  // still critical evict LRU plans and finally whole LRU managers —
-  // manager destruction being the only step that returns store/arena
-  // chunk bytes to the allocator.
+  // Memory-pressure shed ladder, run after every cold compile while the
+  // governor reports pressure: collect and shrink the kept managers
+  // (soft tier), then while still critical evict LRU plans in batches
+  // and finally drop the kept managers — manager destruction being the
+  // only step that returns store/arena chunk bytes to the allocator.
   void RunMemPressureLadder();
   // Backoff hint attached to memory-pressure rejects.
   double MemRetryHintMs() const;
-  // Evicts the least recently used manager across the pools (plans
-  // inside it first); false when every pool is empty.
-  bool EvictLruManager();
   // GarbageCollect with the pause recorded into the service's GC
   // pause histogram and reclaim counters.
   template <typename Manager>
@@ -349,26 +322,16 @@ class ShardWorker {
   Quarantine* const quarantine_;       // shared, may be null
   PlanStatsRegistry* const plan_stats_;  // shared, may be null
 
-  // Shard memory account: parent of the per-manager accounts and the
+  // Shard memory account: parent of the kept managers' accounts and the
   // plan cache's charges; chains to the service account (and through it
-  // the governor). Declared before the pools and the plan cache so
+  // the governor). Declared before the managers and the plan cache so
   // everything releasing bytes into it is destroyed first.
   MemAccount account_;
 
-  // Worker-thread state (no locking: only the worker touches it). The
-  // pools are declared before the plan cache so the cache — whose
-  // eviction callback releases root refs into the pooled managers — is
-  // destroyed first.
-  ManagerPool<ObddManager, std::vector<int>> obdd_pool_;  // by order
-  ManagerPool<SddManager, std::string> sdd_pool_;  // by VtreeKeyString
+  // Worker-thread state (no locking: only the worker touches it).
+  KeptManager<ObddManager, std::vector<int>> obdd_;  // by order
+  KeptManager<SddManager, std::string> sdd_;         // by VtreeKeyString
   PlanCache plans_;
-  uint64_t use_clock_ = 0;
-  int requests_since_gc_check_ = 0;
-  // Adaptive GC cadence (requests between policy checks): halved when a
-  // check reclaims nodes or finds a manager over its ceiling, doubled
-  // (up to 8x the configured interval) when a check finds nothing to do
-  // — reclaim-rate feedback instead of a fixed period.
-  int gc_interval_ = 1;
   // Set by CompilePlan when the compile it just ran was tripped by the
   // memory governor (worker-thread local; read by Process immediately
   // after the CompilePlan call).

@@ -46,9 +46,8 @@
 // watermark.
 //
 // Threading. A manager is single-owner: debug builds assert that every
-// entry point runs on one thread, and DetachOwningThread() hands it to
-// another. Attach*, GarbageCollect and ShrinkCaches run outside
-// operations (and outside SDD parallel regions).
+// entry point runs on one thread. Attach*, GarbageCollect and ShrinkCaches
+// run outside operations (and outside SDD parallel regions).
 //
 // ManagerCore<M> is a non-virtual CRTP base. M reaches it through a
 // friend declaration and supplies:
@@ -171,10 +170,6 @@ class ManagerCore {
     self().AccountStructures(account);
   }
   MemAccount* mem_account() const { return mem_account_; }
-
-  // Releases thread affinity; the next operation binds the manager to its
-  // calling thread.
-  void DetachOwningThread() { thread_check_.Detach(); }
 
  protected:
   Manager& self() { return static_cast<Manager&>(*this); }

@@ -21,7 +21,7 @@
 //   - MemGovernor: soft/hard watermarks over the process total and the
 //     pressure machinery serving needs: a tier snapshot (None / Soft /
 //     Critical) that drives the serve-layer shed ladder (shrink caches,
-//     force GC, evict unpinned plans, evict idle managers, reject cold
+//     force GC, evict plans, drop kept managers, reject cold
 //     compiles typed RESOURCE_EXHAUSTED), deny-before-allocate admission
 //     (`AdmitProjected`) consulted at the managers' budget-lease refill
 //     seams so a compile that cannot fit its worst-case allocation burst
@@ -60,8 +60,8 @@ class WorkBudget;
 class MemGovernor;
 
 // Accounting layers, reported per-layer in serve stats. kPlanCache covers
-// the serve-layer plan-entry overhead (the pinned diagram nodes
-// themselves are store/arena bytes of the owning manager).
+// the serve-layer plan entries: each plan's entry, variable list and WMC
+// tape (a plan holds no diagram nodes).
 enum class MemLayer : int {
   kNodeStore = 0,
   kArena = 1,
@@ -115,9 +115,9 @@ class MemGovernor {
  public:
   // Pressure tiers over the process total. The serve-layer response
   // ladder keys off these: at kSoft shards shed (shrink caches, force
-  // GC, evict unpinned plans, evict idle managers) and optional cache
-  // growth is denied; at kCritical admission additionally rejects cold
-  // compiles typed RESOURCE_EXHAUSTED with a retry hint. The hard
+  // GC) and optional cache growth is denied; at kCritical shards also
+  // evict plans and drop their kept managers, and admission rejects
+  // cold compiles typed RESOURCE_EXHAUSTED with a retry hint. The hard
   // ceiling itself is enforced by deny-before-allocate at the lease
   // seams plus cancel-largest — tiers only decide how aggressively to
   // get *out* of pressure.

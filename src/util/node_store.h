@@ -41,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 
 #include "util/logging.h"
@@ -51,6 +52,10 @@ namespace ctsdd {
 template <typename T, size_t kChunkBits = 14, size_t kMaxChunks = 4096>
 class NodeStore {
  public:
+  // Chunks are default-initialized (see EnsureCapacity): an element type
+  // with member initializers would make every new chunk a full write.
+  static_assert(std::is_trivially_default_constructible_v<T>,
+                "NodeStore elements must leave fresh chunks untouched");
   static constexpr size_t kChunkSize = size_t{1} << kChunkBits;
   static constexpr size_t kChunkMask = kChunkSize - 1;
 

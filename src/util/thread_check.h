@@ -9,9 +9,7 @@
 // A ThreadChecker binds to the first thread that calls Check() and
 // aborts (CTSDD_CHECK) if any other thread calls it afterwards, catching
 // accidental cross-thread sharing in debug builds before it corrupts an
-// arena or a unique table. Detach() releases ownership so a manager
-// built on one thread can be handed off to another (a shard worker
-// adopting a manager constructed by the pool); the next Check() rebinds.
+// arena or a unique table.
 //
 // Exec-managed escape: inside a parallel region (exec/ work-stealing
 // apply/compile), the component is *deliberately* shared — the concurrent
@@ -20,7 +18,7 @@
 // the region's extent (guards nest), so the assertion stays armed
 // everywhere else: any cross-thread touch outside an exec-managed region
 // still aborts. Leaving the outermost region releases ownership (the
-// next Check() rebinds), matching the Detach() hand-off semantics.
+// next Check() rebinds).
 //
 // Release builds (NDEBUG) compile the whole thing to nothing.
 
@@ -53,12 +51,8 @@ class ThreadChecker {
       return;
     }
     CTSDD_CHECK(expected == self)
-        << "single-threaded component used from a second thread "
-           "(Detach() before handing it off)";
+        << "single-threaded component used from a second thread";
   }
-
-  // Releases ownership; the next Check() binds to its calling thread.
-  void Detach() { owner_.store(std::thread::id{}, std::memory_order_relaxed); }
 
   // Shared-mode escape (see ParallelRegion below). Nestable.
   void BeginShared() const {
@@ -81,7 +75,6 @@ class ThreadChecker {
 class ThreadChecker {
  public:
   void Check() const {}
-  void Detach() {}
   void BeginShared() const {}
   void EndShared() const {}
 };

@@ -337,10 +337,10 @@ TEST(QueryServiceTest, StaysBoundedUnderEvictionPressure) {
   ServeOptions options;
   options.num_shards = 2;
   options.plan_cache_capacity = 4;  // far fewer than distinct queries
-  // A deliberately tiny ceiling: almost every policy check trips GC, so
-  // the whole pin/evict/release/collect/reuse cycle runs end-to-end.
+  // A deliberately tiny ceiling: almost every manager reuse collects
+  // first, so the whole compile/evict/replace/collect/reuse cycle runs
+  // end-to-end.
   options.gc_live_node_ceiling = 64;
-  options.gc_check_interval = 4;
   QueryService service(options);
 
   // Expected probabilities from the one-shot pipeline (which internally
@@ -376,40 +376,112 @@ TEST(QueryServiceTest, StaysBoundedUnderEvictionPressure) {
   EXPECT_GT(stats.totals.plan_hits, 0u);
   EXPECT_GT(stats.totals.gc_runs, 0u);
   EXPECT_GT(stats.totals.gc_reclaimed, 0u);
+  // GC pauses were recorded for the percentile surface.
+  EXPECT_GT(stats.gc_pause_p99_ms, 0.0);
 }
 
-// --- Eviction fairness ----------------------------------------------------
-
-TEST(PlanCacheTest, EvictOneMatchingTakesLruWithinPredicate) {
-  std::vector<int> evicted;
-  PlanCache cache(16, [&](const PlanKey&, CompiledPlan& plan) {
-    evicted.push_back(plan.pinned_nodes);
-  });
-  // Tag plans by pinned_nodes; odd tags simulate "manager A", even "B".
-  for (int i = 1; i <= 6; ++i) {
-    PlanKey key;
-    key.query_sig = static_cast<uint64_t>(i);
-    CompiledPlan plan;
-    plan.pinned_nodes = i;
-    cache.Insert(key, std::move(plan));
+// Plans are tapes: replacing a shard's kept manager leaves every cached
+// plan answering. Each query below has its own lineage variables, so
+// each cold compile brings a new OBDD order or vtree and replaces the
+// one manager the shard keeps for that route.
+TEST(QueryServiceTest, PlanOutlivesItsManager) {
+  const Database db = BipartiteRstDatabase(4, 0.4);
+  ServeOptions options;
+  options.num_shards = 1;
+  QueryService service(options);
+  std::vector<QueryRequest> requests;
+  std::set<std::vector<int>> var_sets;
+  for (int c = 1; c <= 4; ++c) {
+    QueryRequest request;
+    request.query = PerConstantRsQuery(c);
+    request.db = &db;
+    const auto lineage = BuildLineage(request.query, db);
+    ASSERT_TRUE(lineage.ok());
+    ASSERT_FALSE(lineage->Vars().empty());
+    var_sets.insert(lineage->Vars());
+    requests.push_back(std::move(request));
   }
-  const auto odd = [](const CompiledPlan& p) { return p.pinned_nodes % 2 == 1; };
-  EXPECT_EQ(cache.PinnedNodesMatching(odd), 1 + 3 + 5);
-  // LRU within the predicate: 1 was inserted first, so it goes first
-  // even though 2 is the global LRU... (2 is older? inserted order 1..6,
-  // LRU is 1). Evict odd: 1, then 3, then 5.
-  EXPECT_TRUE(cache.EvictOneMatching(odd));
-  EXPECT_TRUE(cache.EvictOneMatching(odd));
-  EXPECT_TRUE(cache.EvictOneMatching(odd));
-  EXPECT_FALSE(cache.EvictOneMatching(odd));
-  EXPECT_EQ(evicted, (std::vector<int>{1, 3, 5}));
-  EXPECT_EQ(cache.PinnedNodesMatching(odd), 0);
-  // The even plans survived untouched.
-  EXPECT_EQ(cache.size(), 3u);
-  for (int i = 2; i <= 6; i += 2) {
-    PlanKey key;
-    key.query_sig = static_cast<uint64_t>(i);
-    EXPECT_NE(cache.Lookup(key), nullptr) << "even plan " << i;
+  ASSERT_EQ(var_sets.size(), requests.size());
+
+  std::map<PlanRoute, double> first_answer;
+  for (const PlanRoute route : {PlanRoute::kObdd, PlanRoute::kSdd}) {
+    for (QueryRequest& request : requests) {
+      request.route = route;
+      const QueryResponse response = service.Execute(request);
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_FALSE(response.plan_cache_hit);
+      first_answer.emplace(route, response.probability);
+    }
+  }
+  // One manager per route: every compile after a route's first replaced
+  // the kept manager.
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.totals.compiles, 2 * requests.size());
+  EXPECT_EQ(stats.totals.manager_evictions, 2 * (requests.size() - 1));
+
+  // The first query's plans were compiled in managers that are gone; they
+  // still answer, from the cache, exactly.
+  const auto oracle =
+      CompileQuery(requests[0].query, db, VtreeStrategy::kBalanced);
+  ASSERT_TRUE(oracle.ok());
+  for (const PlanRoute route : {PlanRoute::kObdd, PlanRoute::kSdd}) {
+    QueryRequest request = requests[0];
+    request.route = route;
+    const QueryResponse again = service.Execute(request);
+    ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+    EXPECT_TRUE(again.plan_cache_hit);
+    EXPECT_EQ(again.probability, first_answer[route]);
+    EXPECT_NEAR(again.probability, oracle->probability, 1e-9);
+  }
+  stats = service.stats();
+  EXPECT_EQ(stats.totals.compiles, 2 * requests.size());
+  EXPECT_EQ(stats.totals.plan_evictions, 0u);
+}
+
+// A compile leaves no root behind. A soft watermark of one byte keeps
+// the governor in its soft tier, so the shard collects its kept managers
+// after every compile; what survives is only what a manager never frees:
+// two terminals per manager and the SDD literals the compile interned.
+TEST(QueryServiceTest, CachedPlansPinNoNodes) {
+  const Database db = BipartiteRstDatabase(4, 0.4);
+  ServeOptions options;
+  options.num_shards = 1;
+  options.mem_soft_bytes = 1;
+  options.mem_hard_bytes = 1ull << 30;
+  QueryService service(options);
+  QueryRequest request;
+  request.query = HierarchicalRSQuery();
+  request.db = &db;
+  request.strategy = VtreeStrategy::kBalanced;
+  for (const PlanRoute route : {PlanRoute::kObdd, PlanRoute::kSdd}) {
+    request.route = route;
+    const QueryResponse response = service.Execute(request);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  }
+
+  // The SDD route's permanent nodes: the same compile in a fresh manager
+  // on the same vtree, collected with no root held.
+  const auto lineage = BuildLineage(request.query, db);
+  ASSERT_TRUE(lineage.ok());
+  auto vtree =
+      VtreeForStrategy(*lineage, lineage->Vars(), VtreeStrategy::kBalanced);
+  ASSERT_TRUE(vtree.ok());
+  SddManager sdd(std::move(vtree).value());
+  CompileCircuitToSdd(&sdd, *lineage);
+  sdd.GarbageCollect();
+  const ServiceStats stats = service.stats();
+  EXPECT_GT(stats.totals.gc_reclaimed, 0u);
+  EXPECT_EQ(stats.totals.live_nodes, 2 + sdd.NumLiveNodes());
+
+  // The plans still answer, from their tapes.
+  const auto oracle = CompileQuery(request.query, db, VtreeStrategy::kBalanced);
+  ASSERT_TRUE(oracle.ok());
+  for (const PlanRoute route : {PlanRoute::kObdd, PlanRoute::kSdd}) {
+    request.route = route;
+    const QueryResponse again = service.Execute(request);
+    ASSERT_TRUE(again.status.ok());
+    EXPECT_TRUE(again.plan_cache_hit);
+    EXPECT_NEAR(again.probability, oracle->probability, 1e-9);
   }
 }
 
@@ -439,46 +511,6 @@ TEST(PlanCacheTest, TapeBytesRoundTripThroughInsertAndEviction) {
   EXPECT_EQ(account.bytes(MemLayer::kPlanCache), before);
   EXPECT_EQ(cache.MemoryBytes(), 0u);
   account.Charge(MemLayer::kPlanCache, -1000);
-}
-
-// Under ceiling pressure the policy sheds plans of the over-ceiling
-// manager (targeted) before falling back to global LRU order, so small
-// plans in under-ceiling managers keep hitting.
-TEST(QueryServiceTest, GcPolicyTargetsTheOverCeilingManager) {
-  const Database db = BipartiteRstDatabase(6, 0.3);
-  ServeOptions options;
-  options.num_shards = 1;  // both routes share one shard's plan cache
-  options.plan_cache_capacity = 64;
-  options.gc_live_node_ceiling = 64;
-  options.gc_check_interval = 2;
-  QueryService service(options);
-  // A stream of distinct SDD-route queries keeps the SDD managers hot
-  // and over ceiling; one tiny OBDD-route plan (single-constant query,
-  // a handful of lineage tuples) sits in the same cache inside an
-  // always-under-ceiling manager.
-  QueryRequest small;
-  small.query = PerConstantRsQuery(1);
-  small.db = &db;
-  small.route = PlanRoute::kObdd;
-  ASSERT_TRUE(service.Execute(small).status.ok());
-  for (int round = 0; round < 100; ++round) {
-    QueryRequest request;
-    request.query = PerConstantRsQuery(1 + round % 6);
-    request.query.disjuncts.push_back(
-        PerConstantRsQuery(1 + (round / 2) % 6).disjuncts[0]);
-    if (round % 5 == 0) request.query = HierarchicalRSQuery();
-    if (round % 5 == 1) request.query = InequalityExampleQuery();
-    request.db = &db;
-    request.route = PlanRoute::kSdd;
-    ASSERT_TRUE(service.Execute(request).status.ok());
-  }
-  const ServiceStats stats = service.stats();
-  EXPECT_GT(stats.totals.targeted_evictions, 0u);
-  // The OBDD plan was never the eviction target of SDD-manager pressure:
-  // its repeat still hits the cache.
-  const QueryResponse again = service.Execute(small);
-  ASSERT_TRUE(again.status.ok());
-  EXPECT_TRUE(again.plan_cache_hit);
 }
 
 // --- Parallel cold compiles (shared exec pool) ----------------------------
@@ -527,7 +559,6 @@ TEST(QueryServiceTest, ParallelCompilesStayCanonicalUnderGcPressure) {
   options.num_shards = 2;
   options.plan_cache_capacity = 3;
   options.gc_live_node_ceiling = 64;
-  options.gc_check_interval = 3;
   options.exec_workers = 3;
   QueryService service(options);
   std::map<uint64_t, double> first_answer;
@@ -744,6 +775,14 @@ TEST(QueryServiceRobustnessTest, OverloadShedsTypedWithRetryHint) {
   ASSERT_TRUE(retry.status.ok()) << retry.status.ToString();
 }
 
+// Resident-node bound of one shard on the chaos streams below, in units
+// of gc_live_node_ceiling. A shard keeps one manager per route; each
+// carries at most the ceiling of garbage into a compile (it is collected
+// first when above), plus that compile's nodes. One compile on these
+// streams adds at most about 5x the ceiling, so a shard's two managers
+// stay within 8x.
+constexpr int kResidentCeilingsPerShard = 8;
+
 // Chaos mode: tiny budgets force ladder hops, moderate deadlines force
 // timeouts, bounded queues force sheds, and (in debug builds) armed
 // fault sites stall the shard loop — while every accepted answer must
@@ -755,7 +794,6 @@ TEST(QueryServiceRobustnessTest, ChaosAcceptedAnswersStayOracleCorrect) {
   options.num_shards = 2;
   options.plan_cache_capacity = 4;
   options.gc_live_node_ceiling = 64;
-  options.gc_check_interval = 4;
   options.compile_node_budget = 600;  // some compiles abort, some ladder
   options.max_queue_depth = 4;
   options.flight_recorder_capacity = 1024;  // every request stays in the ring
@@ -821,16 +859,15 @@ TEST(QueryServiceRobustnessTest, ChaosAcceptedAnswersStayOracleCorrect) {
   EXPECT_GT(accepted, 0u);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.totals.requests, accepted + rejected);
-  // Resident nodes returned to the plateau the GC policy enforces: the
-  // ceiling per manager, with at most pool-capacity managers per shard
-  // — far below unbounded growth over 240 requests.
-  EXPECT_GT(stats.totals.gc_runs, 0u);
-  EXPECT_LE(stats.totals.live_nodes,
-            options.num_shards * 2 * static_cast<int>(
-                options.manager_pool_capacity) *
-                options.gc_live_node_ceiling);
-  // GC pauses were recorded for the percentile surface.
-  EXPECT_GT(stats.gc_pause_p99_ms, 0.0);
+  // Resident nodes returned to the plateau of two kept managers per
+  // shard — far below unbounded growth over 240 requests. Almost every
+  // compile on this stream brings a new order or vtree, so replacing the
+  // kept manager, not collecting it, is what reclaims here (collections
+  // run only when a deadline aborts a compile mid-flight).
+  EXPECT_GT(stats.totals.manager_evictions, 0u);
+  EXPECT_LE(stats.totals.live_nodes, options.num_shards *
+                                         kResidentCeilingsPerShard *
+                                         options.gc_live_node_ceiling);
 
   // The flight recorder accounted every outcome exactly once: each
   // accepted answer and each typed rejection is one ring record.
@@ -857,7 +894,6 @@ TEST(QueryServiceMemoryTest, GovernedServingStaysUnderCeilingAndExact) {
   ServeOptions options;
   options.num_shards = 2;
   options.plan_cache_capacity = 8;
-  options.gc_check_interval = 4;
   options.mem_hard_bytes = 64ull << 20;
   QueryService service(options);
 
@@ -910,7 +946,6 @@ TEST(QueryServiceMemoryTest, WarmSetupReleasesCompileMemos) {
   const Database db = BipartiteRstDatabase(kDomain, 0.3);
   ServeOptions options;
   options.num_shards = 2;
-  options.manager_pool_capacity = 16;  // room for every plan's manager
   QueryService service(options);
   std::vector<QueryRequest> batch;
   for (int c = 1; c <= kDomain; ++c) {
@@ -1356,7 +1391,6 @@ TEST(QueryServiceSupervisionTest, ChaosSoakSurvivesHangsAndDeaths) {
   options.num_shards = 2;
   options.plan_cache_capacity = 4;
   options.gc_live_node_ceiling = 64;
-  options.gc_check_interval = 4;
   options.compile_node_budget = 600;
   options.max_queue_depth = 4;
   options.heartbeat_window_ms = 10;
@@ -1421,13 +1455,11 @@ TEST(QueryServiceSupervisionTest, ChaosSoakSurvivesHangsAndDeaths) {
   // restart happened, and the books still balance.
   EXPECT_GE(stats.supervision.shard_restarts, 1u);
   EXPECT_EQ(stats.totals.requests, accepted + rejected);
-  // Residency: each live worker is bounded by its GC policy (ceiling x
-  // pool, with 2x slack for between-check growth and aborted partial
-  // compiles); every restart can additionally leave one carcass whose
-  // nodes count until the supervisor reaps it.
+  // Residency: each live worker holds its two kept managers; every
+  // restart can additionally leave one carcass whose nodes count until
+  // the supervisor reaps it.
   const int per_worker_bound =
-      2 * static_cast<int>(options.manager_pool_capacity) *
-      options.gc_live_node_ceiling;
+      kResidentCeilingsPerShard * options.gc_live_node_ceiling;
   EXPECT_LE(static_cast<uint64_t>(stats.totals.live_nodes),
             (options.num_shards + stats.supervision.shard_restarts) *
                 static_cast<uint64_t>(per_worker_bound));
@@ -1466,7 +1498,7 @@ constexpr const char* kPublishedMetricNames[] = {
     "plan.evicted_evals", "plan.evicted_hits", "plan.evicted_plans",
     "plan.evicted_wmc_us", "plan.live_plans", "plan_cache.evictions",
     "plan_cache.hits", "plan_cache.manager_evictions", "plan_cache.misses",
-    "plan_cache.size", "plan_cache.targeted_evictions", "profiler.attempted",
+    "plan_cache.size", "profiler.attempted",
     "profiler.dropped", "profiler.samples", "quarantine.entries",
     "quarantine.parole_successes", "quarantine.parole_trials",
     "quarantine.rejects", "quarantine.strikes", "serve.budget_aborts",
@@ -1565,7 +1597,6 @@ TEST(QueryServiceMetricsTest, StatsAreTheExportedMetrics) {
       {"plan_cache.hits", s.totals.plan_hits},
       {"plan_cache.misses", s.totals.plan_misses},
       {"plan_cache.evictions", s.totals.plan_evictions},
-      {"plan_cache.targeted_evictions", s.totals.targeted_evictions},
       {"serve.compiles", s.totals.compiles},
       {"gc.runs", s.totals.gc_runs},
       {"gc.reclaimed_nodes", s.totals.gc_reclaimed},
