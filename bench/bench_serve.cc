@@ -6,15 +6,16 @@
 // while the database content is regenerated every few hundred requests
 // — same schema and tuple ids (so variable orders and vtrees recur), new
 // random S-edges (so every generation brings genuinely novel lineage
-// functions). That is the workload where a manager that kept every
-// compile's nodes would grow without limit.
+// functions). That is the workload where a cache that kept every plan
+// would grow without limit.
 //
 // Reported:
 //   - steady-state throughput (QPS) and latency percentiles,
-//   - plan-cache hit rate, evictions, GC runs/reclaim,
-//   - the resident-node trajectory per decile of the stream — with GC it
-//     plateaus; the no-GC configuration (ceiling and plan cache
-//     effectively unbounded) climbs while a kept manager's key repeats,
+//   - plan-cache hit rate and evictions,
+//   - the accounted resident bytes per decile of the stream — with a
+//     bounded plan cache they plateau; with an effectively unbounded one
+//     they climb (no manager outlives its compile, so plans are all a
+//     shard keeps),
 //   - repeated-query throughput against the cold per-query compile path
 //     (CompileQuery from scratch per request, the pre-serve regime).
 //
@@ -69,7 +70,7 @@ using perfbench::RandomContentDb;
 
 struct StreamResult {
   double qps = 0.0;
-  std::vector<int> live_per_decile;  // resident nodes at each decile
+  std::vector<int> kb_per_decile;  // accounted resident KB at each decile
   ServiceStats stats;
 };
 
@@ -117,8 +118,9 @@ StreamResult RunStream(const std::vector<Ucq>& queries,
       }
     }
     issued += n;
-    while (issued >= next_decile && out.live_per_decile.size() < 10) {
-      out.live_per_decile.push_back(service.stats().totals.live_nodes);
+    while (issued >= next_decile && out.kb_per_decile.size() < 10) {
+      out.kb_per_decile.push_back(
+          static_cast<int>(service.stats().totals.mem_bytes >> 10));
       next_decile += total_requests / 10;
     }
   }
@@ -128,8 +130,8 @@ StreamResult RunStream(const std::vector<Ucq>& queries,
 }
 
 void PrintTrajectory(const char* label, const StreamResult& r) {
-  std::printf("  %-7s live-nodes per decile:", label);
-  for (int v : r.live_per_decile) std::printf(" %7d", v);
+  std::printf("  %-9s resident KB per decile:", label);
+  for (int v : r.kb_per_decile) std::printf(" %7d", v);
   std::printf("\n");
 }
 
@@ -532,46 +534,44 @@ int main(int argc, char** argv) {
               std::to_string(generations) + " db generations, " +
               std::to_string(total_requests) + " requests");
 
-  // Bounded configuration: the production shape. Plans are tapes, so the
-  // ceiling only decides how much garbage a kept manager may carry into
-  // its next compile before it is collected.
+  // Bounded configuration: the production shape. Plans are tapes and no
+  // manager outlives its compile, so the plan cache bounds residency.
   ServeOptions bounded;
   bounded.num_shards = 4;
   bounded.plan_cache_capacity = 48;
-  bounded.gc_live_node_ceiling = 1 << 17;
-  const StreamResult gc =
+  const StreamResult bounded_run =
       RunStream(queries, bounded, total_requests, domain, edges, generations,
                 /*batch_size=*/64, /*seed=*/42);
 
-  // Unbounded baseline: ceiling and plan cache too large to ever act, so
-  // no node is ever collected and no plan evicted. A kept manager is
-  // still replaced when the variable order or vtree changes, so its
-  // nodes climb only while one key keeps repeating.
+  // Unbounded baseline: a plan cache too large to ever evict, so every
+  // distinct plan stays resident.
   ServeOptions unbounded = bounded;
   unbounded.plan_cache_capacity = 1 << 20;
-  unbounded.gc_live_node_ceiling = 1 << 30;
-  const StreamResult nogc =
+  const StreamResult unbounded_run =
       RunStream(queries, unbounded, total_requests, domain, edges,
                 generations, /*batch_size=*/64, /*seed=*/42);
 
-  PrintTrajectory("gc", gc);
-  PrintTrajectory("no-gc", nogc);
+  PrintTrajectory("bounded", bounded_run);
+  PrintTrajectory("unbounded", unbounded_run);
   std::printf(
-      "  [gc]    %.0f qps, hit rate %.1f%%, p50 %.3f ms, p95 %.3f ms, "
+      "  [bounded]   %.0f qps, hit rate %.1f%%, p50 %.3f ms, p95 %.3f ms, "
       "p99 %.3f ms\n",
-      gc.qps, 100.0 * gc.stats.plan_hit_rate(), gc.stats.p50_ms,
-      gc.stats.p95_ms, gc.stats.p99_ms);
+      bounded_run.qps, 100.0 * bounded_run.stats.plan_hit_rate(),
+      bounded_run.stats.p50_ms, bounded_run.stats.p95_ms,
+      bounded_run.stats.p99_ms);
   std::printf(
-      "  [gc]    gc_runs %llu, reclaimed %llu, plan evictions %llu, "
-      "final live %d (peak %d)\n",
-      static_cast<unsigned long long>(gc.stats.totals.gc_runs),
-      static_cast<unsigned long long>(gc.stats.totals.gc_reclaimed),
-      static_cast<unsigned long long>(gc.stats.totals.plan_evictions),
-      gc.stats.totals.live_nodes, gc.stats.totals.peak_live_nodes);
+      "  [bounded]   plan evictions %llu, final %llu KB, peak compile "
+      "nodes %d\n",
+      static_cast<unsigned long long>(
+          bounded_run.stats.totals.plan_evictions),
+      static_cast<unsigned long long>(bounded_run.stats.totals.mem_bytes >>
+                                      10),
+      bounded_run.stats.totals.peak_live_nodes);
   std::printf(
-      "  [no-gc] %.0f qps, hit rate %.1f%%, final live %d\n",
-      nogc.qps, 100.0 * nogc.stats.plan_hit_rate(),
-      nogc.stats.totals.live_nodes);
+      "  [unbounded] %.0f qps, hit rate %.1f%%, final %llu KB\n",
+      unbounded_run.qps, 100.0 * unbounded_run.stats.plan_hit_rate(),
+      static_cast<unsigned long long>(unbounded_run.stats.totals.mem_bytes >>
+                                      10));
 
   bench::Header("serve: repeated query vs cold per-query compile");
   const Database steady_db = RandomContentDb(domain, edges, /*seed=*/1);
@@ -685,11 +685,9 @@ int main(int argc, char** argv) {
       100.0 * overload.failure_rate,
       static_cast<unsigned long long>(overload.wrong_answers));
   std::printf(
-      "  [1.5x]  peak live %d (0.5x peak %d, bounded: %s), "
-      "gc pause p99 %.3f ms\n",
+      "  [1.5x]  peak live %d (0.5x peak %d, bounded: %s)\n",
       overload.stats.totals.peak_live_nodes,
-      unloaded.stats.totals.peak_live_nodes, resident_ok ? "yes" : "NO",
-      overload.stats.gc_pause_p99_ms);
+      unloaded.stats.totals.peak_live_nodes, resident_ok ? "yes" : "NO");
   std::printf(
       "  [1.5x]  timeouts %llu, sheds %llu, budget aborts %llu, "
       "ladder fallbacks %llu\n",
@@ -1045,7 +1043,7 @@ int main(int argc, char** argv) {
   // Fresh database content (cold compiles) and exec workers, so the
   // exported trace carries the full span taxonomy: request tracks,
   // queue.wait, shard.process, compile (+ budget.lease instants), wmc,
-  // gc spans, and exec.task spans on the exec-N tracks. The segment runs
+  // and exec.task spans on the exec-N tracks. The segment runs
   // at a capped domain regardless of --domain: the export is a taxonomy
   // artifact gated by scripts/validate_trace.py, and it must fit the
   // per-thread rings without wrapping (a wrapped ring overwrites early
@@ -1111,10 +1109,10 @@ int main(int argc, char** argv) {
     bench::WriteMetaSection(
         json_path,
         {{"governed_ceiling_bytes", static_cast<double>(mem_hard)}});
-    // Plateau: sampling instants are noisy (pre/post GC), so compare
-    // halves — the second half's peak must not exceed 2x the first
-    // half's.
-    const auto& d = gc.live_per_decile;
+    // Plateau: sampling instants are noisy (the cache fills unevenly
+    // across shards), so compare halves — the second half's peak must
+    // not exceed 2x the first half's.
+    const auto& d = bounded_run.kb_per_decile;
     const int first_half = *std::max_element(d.begin(), d.begin() + 5);
     const int second_half = *std::max_element(d.begin() + 5, d.end());
     const bool plateau_ok = second_half <= 2 * first_half;
@@ -1122,31 +1120,28 @@ int main(int argc, char** argv) {
         json_path, "serve_steady_state",
         {
             {"requests", static_cast<double>(total_requests)},
-            {"qps", gc.qps},
-            {"p50_ms", gc.stats.p50_ms},
-            {"p95_ms", gc.stats.p95_ms},
-            {"p99_ms", gc.stats.p99_ms},
-            {"plan_hit_rate", gc.stats.plan_hit_rate()},
+            {"qps", bounded_run.qps},
+            {"p50_ms", bounded_run.stats.p50_ms},
+            {"p95_ms", bounded_run.stats.p95_ms},
+            {"p99_ms", bounded_run.stats.p99_ms},
+            {"plan_hit_rate", bounded_run.stats.plan_hit_rate()},
             {"plan_evictions",
-             static_cast<double>(gc.stats.totals.plan_evictions)},
-            {"gc_runs", static_cast<double>(gc.stats.totals.gc_runs)},
-            {"gc_reclaimed",
-             static_cast<double>(gc.stats.totals.gc_reclaimed)},
-            {"final_live_nodes",
-             static_cast<double>(gc.stats.totals.live_nodes)},
+             static_cast<double>(bounded_run.stats.totals.plan_evictions)},
+            {"final_resident_kb",
+             static_cast<double>(bounded_run.stats.totals.mem_bytes >> 10)},
             {"peak_live_nodes",
-             static_cast<double>(gc.stats.totals.peak_live_nodes)},
+             static_cast<double>(bounded_run.stats.totals.peak_live_nodes)},
             {"plateau_ok", plateau_ok ? 1.0 : 0.0},
         },
         /*append=*/true);
     bench::WriteJsonSection(
         json_path, "serve_unbounded_baseline",
         {
-            {"qps", nogc.qps},
-            {"second_decile_live_nodes",
-             static_cast<double>(nogc.live_per_decile[1])},
-            {"final_live_nodes",
-             static_cast<double>(nogc.stats.totals.live_nodes)},
+            {"qps", unbounded_run.qps},
+            {"second_decile_resident_kb",
+             static_cast<double>(unbounded_run.kb_per_decile[1])},
+            {"final_resident_kb",
+             static_cast<double>(unbounded_run.stats.totals.mem_bytes >> 10)},
         },
         /*append=*/true);
     bench::WriteJsonSection(

@@ -46,7 +46,6 @@ struct FlightRecord {
   double queue_ms = 0;   // admission -> dequeue
   double compile_ms = 0; // lineage + compile (0 on cache hits)
   double wmc_ms = 0;     // weighted model count pass
-  double gc_ms = 0;      // GC pauses attributed to this request
   double total_ms = 0;
   int64_t bytes_charged = 0;  // shard-account byte delta over the request
   int plan_size = 0;

@@ -4,9 +4,9 @@
 // compilation, and it is a tape, not a diagram: the lineage's WMC tape
 // (util/wmc_tape.h, linearized once at compile), the variable list that
 // maps request weights onto the tape's slots, and the compile's shape
-// statistics. The diagram it was linearized from is garbage as soon as
-// the tape exists — a plan holds no manager pointer and no root, so the
-// shard may collect or replace its managers without touching the cache.
+// statistics. The diagram it was linearized from is destroyed with its
+// manager as soon as the tape exists — a plan holds no manager pointer
+// and no root, and a shard keeps no manager between requests.
 // Repeats, weight-varied ones included, pay one forward loop over the
 // tape.
 //

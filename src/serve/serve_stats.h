@@ -1,7 +1,7 @@
 // Configuration and observability surface of the query-serving subsystem.
 //
-// ServeOptions sizes the service (shards, per-shard plan cache, the kept
-// managers' GC ceiling). Every serve-owned counter and resident
+// ServeOptions sizes the service (shards, per-shard plan cache, budgets,
+// memory watermarks). Every serve-owned counter and resident
 // gauge lives in the service's obs::MetricsRegistry, behind the
 // ServeMetrics handles below: events bump them where they happen, and
 // ServiceStats (with its nested ShardStats / SupervisionStats /
@@ -23,37 +23,32 @@
 namespace ctsdd {
 
 struct ServeOptions {
-  // Worker shards. Each shard owns its managers and plan-cache partition
-  // and serves requests on its own thread; a request's (query, database)
-  // signature picks its shard, so repeats always land where their plan
-  // is cached.
+  // Worker shards. Each shard owns its plan-cache partition and serves
+  // requests on its own thread; a request's (query, database) signature
+  // picks its shard, so repeats always land where their plan is cached.
   int num_shards = 4;
-  // Compiled plans retained per shard (LRU past this). A plan is a tape
-  // and holds no manager, so this bounds the cache's bytes alone.
+  // Compiled plans (tapes) retained per shard (LRU past this).
   size_t plan_cache_capacity = 256;
-  // Unused: read nowhere in src/. A shard keeps exactly one manager per
-  // route. The field stays only because perfbench/serve_workloads.cc
-  // still sets it; the next benchmark change deletes those lines and
-  // this field together.
+  // Unused: read nowhere in src/. Each cold compile builds its own
+  // manager and destroys it once the plan's tape exists, so a shard
+  // keeps no manager pool and runs no garbage collection. Both fields
+  // stay only because perfbench/serve_workloads.cc still sets them; the
+  // next benchmark change deletes those lines and these fields together.
   size_t manager_pool_capacity = 8;
-  // Resident-node ceiling of a kept manager. Plans pin nothing, so a
-  // kept manager holds only garbage and permanent nodes between
-  // compiles: a compile that reuses a manager above the ceiling first
-  // collects it (everything but terminals and SDD literals).
   int gc_live_node_ceiling = 1 << 20;
   // Workers in the shared exec/ pool the service lends to every shard's
   // managers (see src/README.md, "The parallel runtime"). The pool only
   // speeds up semantic SDD compiles of lineages with at most
-  // kSemanticCircuitMaxVars variables, plus GC marking; every OBDD
+  // kSemanticCircuitMaxVars variables; every OBDD
   // compile and every wider SDD compile runs on the shard's own thread
   // either way. 0 or 1 keeps everything there. The pool is shared, so
   // `exec_workers` caps the *extra* parallelism a single compile can
   // recruit, not a per-shard reservation.
   int exec_workers = 0;
   // Node-allocation budget per cold compile (0 = unlimited). A compile
-  // that trips it aborts cleanly, the shard reclaims the partial nodes,
-  // and the degradation ladder retries the alternate route (OBDD <-> SDD)
-  // once with a fresh budget before reporting RESOURCE_EXHAUSTED.
+  // that trips it aborts cleanly (its manager goes with the partial
+  // nodes), and the degradation ladder retries the alternate route (OBDD
+  // <-> SDD) once with a fresh budget before reporting RESOURCE_EXHAUSTED.
   uint64_t compile_node_budget = 0;
   // Deadline applied to requests that do not carry their own (0 = none).
   // Measured from batch admission; requests still queued past it are
@@ -92,10 +87,10 @@ struct ServeOptions {
   // byte-owning structure in every shard is charged to a per-shard
   // account rolled up into one service governor, compiles are admission-
   // checked at their allocation seams (deny-before-allocate, typed
-  // RESOURCE_EXHAUSTED with a retry hint), and the shards run a tiered
-  // shed ladder (collect and shrink the kept managers, then evict plans,
-  // then drop the managers) — the hard ceiling is never crossed by
-  // accounted bytes.
+  // RESOURCE_EXHAUSTED with a retry hint), the soft tier denies optional
+  // cache growth, and in the critical tier shards evict plans and reject
+  // cold compiles — the hard ceiling is never crossed by accounted
+  // bytes.
   uint64_t mem_soft_bytes = 0;
   uint64_t mem_hard_bytes = 0;
   // Internal plumbing: the service stamps its governor here in the
@@ -179,10 +174,11 @@ struct ShardStats {
   uint64_t plan_misses = 0;
   uint64_t plan_evictions = 0;
   uint64_t compiles = 0;
+  // Always 0: a shard keeps no manager past its compile, so it never
+  // collects or evicts one. perfbench still reads these three; the next
+  // benchmark change deletes them with their metrics.
   uint64_t gc_runs = 0;
   uint64_t gc_reclaimed = 0;
-  // Kept managers destroyed: replaced by a compile with another variable
-  // order or vtree, or dropped by the memory-pressure ladder.
   uint64_t manager_evictions = 0;
   // Requests failed with DEADLINE_EXCEEDED — expired while queued or
   // aborted mid-compile by their deadline.
@@ -201,8 +197,8 @@ struct ShardStats {
   // cold compiles rejected typed RESOURCE_EXHAUSTED at the critical
   // pressure tier, compiles tripped mid-flight by the governor's
   // deny-before-allocate admission (distinguished from node-budget
-  // aborts by WorkBudget's memory-pressure marker), and plan/manager
-  // evictions forced by the pressure shed ladder.
+  // aborts by WorkBudget's memory-pressure marker), and plan evictions
+  // forced by the critical tier.
   uint64_t mem_rejects = 0;
   uint64_t mem_aborts = 0;
   uint64_t pressure_evictions = 0;
@@ -212,8 +208,9 @@ struct ShardStats {
   std::array<uint64_t, kMemLayerCount> mem_bytes_by_layer = {};
   // Resident gauges, each the sum of the existing workers' shares: a
   // worker retired by a restart counts until it is destroyed.
-  int live_nodes = 0;       // resident nodes across the managers
-  int peak_live_nodes = 0;  // sum of each worker's own live_nodes peak
+  int live_nodes = 0;  // always 0: no manager outlives its compile
+  // Sum over workers of the most nodes one of its compiles held.
+  int peak_live_nodes = 0;
   uint64_t plan_cache_size = 0;  // plans resident in the plan caches
 };
 
@@ -273,7 +270,7 @@ struct ServiceStats {
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
-  // Garbage-collection pause percentiles (one sample per collection).
+  // Garbage-collection pause percentiles: 0, like gc_runs.
   double gc_pause_p50_ms = 0.0;
   double gc_pause_p99_ms = 0.0;
 
@@ -321,13 +318,13 @@ struct ServeMetrics {
   obs::Counter* hedge_wins = nullptr;
   obs::Counter* hedge_cancels = nullptr;
   // Resident gauges: each worker moves them by deltas and retracts its
-  // share when destroyed.
+  // share when destroyed (live_nodes stays 0, like gc_runs).
   obs::Gauge* live_nodes = nullptr;
   obs::Gauge* peak_live_nodes = nullptr;
   obs::Gauge* plan_cache_size = nullptr;
   // Microsecond samples, recorded by every shard.
   obs::Histogram* latency_us = nullptr;
-  obs::Histogram* gc_pause_us = nullptr;
+  obs::Histogram* gc_pause_us = nullptr;  // no samples, like gc_runs
 };
 
 inline ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry) {

@@ -13,7 +13,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "sdd/sdd_compile.h"
-#include "serve/signature.h"
 #include "util/fault_injection.h"
 #include "util/timer.h"
 
@@ -47,8 +46,6 @@ ShardWorker::ShardWorker(int shard_id, const ServeOptions& options,
       quarantine_(quarantine),
       plan_stats_(plan_stats),
       account_(mem_parent),
-      obdd_(&account_),
-      sdd_(&account_),
       plans_(options.plan_cache_capacity,
              [this](const PlanKey&, CompiledPlan& plan) {
                // Only the worker thread evicts; the cache's destructor,
@@ -79,9 +76,8 @@ ShardWorker::~ShardWorker() {
   }
   cv_.notify_all();
   thread_.join();
-  // Retract before the plan cache and managers are destroyed, so the
-  // gauges never count what the plan telemetry no longer lists.
-  metrics_->live_nodes->Add(-live_share_);
+  // Retract before the plan cache is destroyed, so the gauges never
+  // count what the plan telemetry no longer lists.
   metrics_->peak_live_nodes->Add(-peak_share_);
   metrics_->plan_cache_size->Add(-plans_share_);
 }
@@ -212,7 +208,6 @@ void ShardWorker::Process(const ShardJob& job) {
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - state.submitted_at)
           .count();
-  request_gc_ms_ = 0;
   bytes_at_request_start_ = account_.bytes();
   // Queue wait lives on the request's async track, not this thread's:
   // it started while this worker was busy with earlier requests, so an
@@ -262,7 +257,7 @@ void ShardWorker::Process(const ShardJob& job) {
     // Critical-tier admission tightening: a cold compile is the one
     // discretionary load a pressured process can refuse outright. Reject
     // it typed with a backoff hint (cache hits above keep serving) and
-    // run the shed ladder now — the reject alone frees nothing.
+    // shed plans now — the reject alone frees nothing.
     if (options_.mem_governor != nullptr &&
         options_.mem_governor->tier() == MemGovernor::Tier::kCritical) {
       metrics_->mem_rejects->Add();
@@ -271,7 +266,7 @@ void ShardWorker::Process(const ShardJob& job) {
                              "shard " + std::to_string(id_) +
                                  ": critical tier rejected cold compile");
       }
-      RunMemPressureLadder();
+      ShedPlansUnderPressure();
       response.status = Status::ResourceExhausted(
           "memory pressure: cold compile rejected; retry later");
       response.retry_after_ms = MemRetryHintMs();
@@ -300,7 +295,7 @@ void ShardWorker::Process(const ShardJob& job) {
       response.status = compiled.status();
       if (last_compile_mem_pressure_) {
         // The governor tripped this compile at an allocation seam: hand
-        // the client a backoff hint; the ladder below sheds.
+        // the client a backoff hint; the shed below frees plans.
         response.retry_after_ms = MemRetryHintMs();
         if (flight_ != nullptr) {
           flight_->NoteAnomaly(obs::Anomaly::kMemoryDenial,
@@ -309,9 +304,6 @@ void ShardWorker::Process(const ShardJob& job) {
         }
       }
     }
-    // Only cold compiles grow a shard's bytes, so the shed ladder runs
-    // after each one (and returns at once while there is no pressure).
-    RunMemPressureLadder();
   }
   Beat();
   if (plan != nullptr) {
@@ -338,6 +330,10 @@ void ShardWorker::Process(const ShardJob& job) {
     response.degraded = plan->route != request.route;
     pending_record_.degraded = response.degraded;
   }
+  // Only a cold compile grows a shard's bytes, so the shed runs after
+  // each one (and returns at once below the critical tier). It may evict
+  // the plan just answered from, so `plan` is not used past this point.
+  if (!response.plan_cache_hit) ShedPlansUnderPressure();
   FinishJob(job, response, timer.ElapsedMillis());
 }
 
@@ -367,7 +363,6 @@ void ShardWorker::FinishJob(const ShardJob& job, QueryResponse& response,
   if (flight_ != nullptr) {
     pending_record_.status_code = static_cast<int>(response.status.code());
     pending_record_.total_ms = ms;
-    pending_record_.gc_ms = request_gc_ms_;
     pending_record_.bytes_charged =
         static_cast<int64_t>(account_.bytes()) -
         static_cast<int64_t>(bytes_at_request_start_);
@@ -556,39 +551,33 @@ StatusOr<CompiledPlan> ShardWorker::CompileRoute(const QueryRequest& request,
   plan.stats->requested_route = static_cast<int>(request.route);
   plan.stats->lineage_gates = plan.lineage_gates;
   plan.stats->num_vars = static_cast<int>(plan.vars.size());
+  // The compile's manager lives for this call only: the plan answers from
+  // its tape, so the diagram is dropped with the manager. The account is
+  // declared first, so the manager releases every byte into it.
+  MemAccount manager_account(&account_);
   if (route == PlanRoute::kObdd) {
-    ObddManager* manager = AcquireManager(obdd_, plan.vars, plan.vars);
-    Beat();
-    const auto root = CompileBudgeted(manager, budget, [&] {
-      return CompileCircuitToObdd(manager, circuit);
-    });
+    ObddManager manager(plan.vars);
+    const auto root = CompileBudgeted(
+        &manager, &manager_account, budget,
+        [&] { return CompileCircuitToObdd(&manager, circuit); });
     CTSDD_RETURN_IF_ERROR(root.status());
-    plan.tape = manager->BuildWmcTape(*root);
-    // The compile's memos are dead weight once the tape exists; the
-    // caches keep their cross-compile reuse.
-    manager->ReleaseMemos();
-    plan.size = manager->Size(*root);
-    plan.width = manager->Width(*root);
+    plan.tape = manager.BuildWmcTape(*root);
+    plan.size = manager.Size(*root);
+    plan.width = manager.Width(*root);
   } else {
     auto vtree = VtreeForStrategy(circuit, plan.vars, request.strategy);
     CTSDD_RETURN_IF_ERROR(vtree.status());
     Beat();
-    std::string key = VtreeKeyString(vtree.value());
-    SddManager* manager =
-        AcquireManager(sdd_, std::move(key), std::move(vtree).value());
-    Beat();
-    const auto root = CompileBudgeted(manager, budget, [&] {
-      return CompileCircuitToSdd(manager, circuit);
-    });
+    SddManager manager(std::move(vtree).value());
+    const auto root = CompileBudgeted(
+        &manager, &manager_account, budget,
+        [&] { return CompileCircuitToSdd(&manager, circuit); });
     CTSDD_RETURN_IF_ERROR(root.status());
-    plan.tape = manager->BuildWmcTape(*root, plan.vars);
-    manager->ReleaseMemos();
-    const SddStats stats = ComputeSddStats(*manager, *root);
+    plan.tape = manager.BuildWmcTape(*root, plan.vars);
+    const SddStats stats = ComputeSddStats(manager, *root);
     plan.size = stats.size;
     plan.width = stats.width;
   }
-  // The root is left unpinned: the plan answers from its tape, so the
-  // diagram is garbage for the kept manager's next collection.
   plan.stats->nodes = static_cast<uint64_t>(plan.size);
   plan.stats->edges = 2 * static_cast<uint64_t>(plan.size);
   plan.stats->width = static_cast<uint64_t>(plan.width);
@@ -596,23 +585,28 @@ StatusOr<CompiledPlan> ShardWorker::CompileRoute(const QueryRequest& request,
 }
 
 template <class M, class Compile>
-StatusOr<int> ShardWorker::CompileBudgeted(M* manager, WorkBudget* budget,
+StatusOr<int> ShardWorker::CompileBudgeted(M* manager, MemAccount* account,
+                                           WorkBudget* budget,
                                            const Compile& compile) {
+  // Lend the manager the service-wide pool: the SDD semantic compiler
+  // forks there; applies stay sequential.
+  manager->AttachExecutor(exec_pool_);
+  manager->AttachMemAccount(account);
+  Beat();
   MemGovernor* gov = options_.mem_governor;
   manager->AttachBudget(budget);
   // Register with the governor while the compile is in flight: when
   // another shard drives the process to the hard ceiling, the governor
   // cancels the largest registered compile by account bytes.
-  if (gov != nullptr) gov->RegisterCompile(budget, manager->mem_account());
+  if (gov != nullptr) gov->RegisterCompile(budget, account);
   const int root = compile();
   if (gov != nullptr) gov->UnregisterCompile(budget);
   manager->DetachBudget();
-  if (root < 0) {
-    // Reclaim the aborted compile's partial nodes now instead of
-    // letting them ride until the manager's next reuse.
-    TimedGc(manager);
-    return budget->status();
-  }
+  // Nothing collects mid-compile, so the live count now is the
+  // manager's peak.
+  peak_nodes_ =
+      std::max(peak_nodes_, static_cast<int64_t>(manager->NumLiveNodes()));
+  if (root < 0) return budget->status();
   return root;
 }
 
@@ -628,91 +622,33 @@ double ShardWorker::EvaluatePlan(const CompiledPlan& plan,
   return plan.tape.Evaluate(slot_probs_, &tape_values_);
 }
 
-template <class M, class Key, class... Args>
-M* ShardWorker::AcquireManager(KeptManager<M, Key>& kept, Key key,
-                               Args&&... args) {
-  if (kept.manager != nullptr && kept.key == key) {
-    // No plan holds a root, so a collection keeps only the permanent
-    // nodes; the caches regrow from the baseline.
-    if (kept.manager->NumLiveNodes() > options_.gc_live_node_ceiling) {
-      TimedGc(kept.manager.get());
-      kept.manager->ShrinkCaches();
-    }
-    return kept.manager.get();
-  }
-  if (kept.manager != nullptr) metrics_->manager_evictions->Add();
-  // Destroy the old manager before building the new one, so the two are
-  // never resident together.
-  kept.manager.reset();
-  kept.key = std::move(key);
-  kept.manager = std::make_unique<M>(std::forward<Args>(args)...);
-  // Lend the manager the service-wide pool: the GC mark forks there, and
-  // so does the SDD semantic compiler; applies stay sequential.
-  kept.manager->AttachExecutor(exec_pool_);
-  kept.manager->AttachMemAccount(&kept.account);
-  return kept.manager.get();
-}
-
-template <typename Manager>
-size_t ShardWorker::TimedGc(Manager* manager) {
-  Timer timer;
-  const size_t reclaimed = manager->GarbageCollect();
-  const double ms = timer.ElapsedMillis();
-  metrics_->gc_pause_us->Record(static_cast<uint64_t>(ms * 1000.0));
-  request_gc_ms_ += ms;
-  metrics_->gc_runs->Add();
-  metrics_->gc_reclaimed->Add(reclaimed);
-  return reclaimed;
-}
-
 double ShardWorker::MemRetryHintMs() const {
-  // A few service times of backoff: enough for the ladder run the caller
-  // just triggered to take effect before the client retries.
+  // A few service times of backoff: enough for the shed the caller just
+  // triggered to take effect before the client retries.
   return std::clamp(4.0 * ewma_service_ms_.load(std::memory_order_relaxed),
                     0.1, std::max(0.1, options_.retry_after_max_ms));
 }
 
-void ShardWorker::RunMemPressureLadder() {
+void ShardWorker::ShedPlansUnderPressure() {
   MemGovernor* gov = options_.mem_governor;
-  if (gov == nullptr || gov->tier() == MemGovernor::Tier::kNone) return;
-  // Soft tier: give back everything that regrows on demand — collect the
-  // kept managers (no plan pins a node, so only permanent nodes survive)
-  // and shrink their computed caches.
-  ForEachManager([&](auto* manager) {
-    TimedGc(manager);
-    manager->ShrinkCaches();
-  });
-  // Critical tier: shed state — LRU plans in batches (each eviction
-  // returns its tape bytes at once), then the kept managers. Destroying
-  // a manager is the only step that returns node-store and arena chunks
-  // to the allocator.
+  if (gov == nullptr) return;
+  // Plans are all a shard keeps between requests, so the critical tier
+  // sheds them: LRU plans in batches, each eviction returning its tape
+  // bytes at once. (The soft tier needs no shard action: the managers
+  // already deny optional cache growth there.)
   while (gov->tier() == MemGovernor::Tier::kCritical) {
     int evicted = 0;
     while (evicted < 8 && plans_.EvictOne()) ++evicted;
     if (evicted == 0) break;
     metrics_->pressure_evictions->Add(static_cast<uint64_t>(evicted));
   }
-  ForEachKept([&](auto& kept) {
-    if (kept.manager == nullptr ||
-        gov->tier() != MemGovernor::Tier::kCritical) {
-      return;
-    }
-    kept.manager.reset();
-    metrics_->manager_evictions->Add();
-    metrics_->pressure_evictions->Add();
-  });
 }
 
 void ShardWorker::SyncResidentGauges() {
-  int64_t live = 0;
-  ForEachManager([&](const auto* manager) { live += manager->NumLiveNodes(); });
-  const int64_t peak = std::max(peak_share_, live);
   const int64_t plans = static_cast<int64_t>(plans_.size());
-  metrics_->live_nodes->Add(live - live_share_);
-  metrics_->peak_live_nodes->Add(peak - peak_share_);
+  metrics_->peak_live_nodes->Add(peak_nodes_ - peak_share_);
   metrics_->plan_cache_size->Add(plans - plans_share_);
-  live_share_ = live;
-  peak_share_ = peak;
+  peak_share_ = peak_nodes_;
   plans_share_ = plans;
 }
 

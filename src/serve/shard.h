@@ -1,14 +1,12 @@
-// One shard of the query service: a worker thread owning its managers.
+// One shard of the query service: a worker thread owning its plan cache.
 //
 // The managers are single-threaded by contract, so the shard is the unit
-// of both concurrency and memory accounting. Plans are tapes: a compile
-// linearizes its diagram into the plan's WMC tape and keeps no root, so
-// the plan cache (serve/plan_cache.h) never pins a node. The shard keeps
-// one manager per route, the last one it built, keyed by exact variable
-// order (OBDD) or exact vtree structure (SDD). A compile with the same key
-// reuses it, collecting it first when it holds more than the resident-
-// node ceiling; a compile with another key destroys it and builds a new
-// one, and no cached plan notices. (The one structure shards share, the
+// of both concurrency and memory accounting. Plans are tapes: a cold
+// compile builds a fresh manager for its variable order (OBDD) or vtree
+// (SDD), linearizes the diagram into the plan's WMC tape, and destroys the
+// manager before the request is answered. The plan cache
+// (serve/plan_cache.h) therefore holds no node, and between requests a
+// shard holds no manager at all. (The one structure shards share, the
 // process-wide WidthCache, carries its own mutex.)
 //
 // Supervision surface: the worker stamps an atomic progress counter at
@@ -39,8 +37,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obdd/obdd.h"
-#include "sdd/sdd.h"
 #include "serve/plan_cache.h"
 #include "serve/quarantine.h"
 #include "serve/query_service.h"
@@ -146,17 +142,6 @@ struct JobState {
   }
 };
 
-// The manager a shard keeps for one route and the key it was built for.
-// The account is declared before the manager, so a destroyed manager
-// releases its bytes into it, and the next manager reuses it.
-template <class M, class Key>
-struct KeptManager {
-  explicit KeptManager(MemAccount* parent) : account(parent) {}
-  MemAccount account;
-  Key key;
-  std::unique_ptr<M> manager;  // null until the route's first compile
-};
-
 // A unit of work handed to a shard.
 struct ShardJob {
   std::shared_ptr<JobState> state;
@@ -168,8 +153,8 @@ class ShardWorker {
   // `exec_pool` (optional, may be null) is the service-wide work-stealing
   // pool lent to this shard's managers for cold compiles; the shard
   // attaches it to every manager it builds. It speeds up only semantic
-  // SDD compiles (at most kSemanticCircuitMaxVars variables) and the GC
-  // mark; apply operations ignore it.
+  // SDD compiles (at most kSemanticCircuitMaxVars variables); apply
+  // operations ignore it.
   // `quarantine` (may be null) is the service-level poison negative
   // cache: workers re-check it before a cold compile and report compile
   // outcomes into it. `metrics` holds the service's counters, resident
@@ -199,7 +184,7 @@ class ShardWorker {
   // in `*retry_after_ms` and must complete and count the response itself.
   bool Submit(const ShardJob& job, double* retry_after_ms);
 
-  // The shard's memory account (root of its managers' and plan cache's
+  // The shard's memory account (root of its compiles' and plan cache's
   // accounting subtree); chains to the service governor when one is
   // configured. Byte reads are thread-safe.
   const MemAccount& mem_account() const { return account_; }
@@ -263,52 +248,27 @@ class ShardWorker {
   // the typed over-budget status. Deadline/cancel trips never retry.
   // Reports double-route budget exhaustion into the quarantine.
   StatusOr<CompiledPlan> CompilePlan(const ShardJob& job);
-  // One budgeted compile on `route`.
-  // On abort the partial nodes are collected immediately and the
-  // budget's typed status is returned.
+  // One budgeted compile on `route`, in a manager built for it and
+  // destroyed on return. On abort the budget's typed status is returned.
   StatusOr<CompiledPlan> CompileRoute(const QueryRequest& request,
                                       PlanRoute route, const Circuit& circuit,
                                       std::vector<int> vars,
                                       WorkBudget* budget);
-  // CompileRoute's route-independent steps: attaches `budget` and
-  // registers the compile with the governor around `compile()`; on abort
-  // collects the partial nodes and returns the budget's status. The root
-  // is not pinned: the caller linearizes it before anything can collect.
+  // CompileRoute's route-independent steps: lends `manager` the exec pool
+  // and `account`, attaches `budget` and registers the compile with the
+  // governor around `compile()`, and records the manager's node count
+  // into the peak gauge. Returns the root, or on abort the budget's
+  // status.
   template <class M, class Compile>
-  StatusOr<int> CompileBudgeted(M* manager, WorkBudget* budget,
-                                const Compile& compile);
+  StatusOr<int> CompileBudgeted(M* manager, MemAccount* account,
+                                WorkBudget* budget, const Compile& compile);
   double EvaluatePlan(const CompiledPlan& plan, const QueryRequest& request);
-  // The kept manager when its key is `key` (collected first when above
-  // the resident-node ceiling); otherwise a new manager built from
-  // `args`, replacing the kept one and lent the shard's executor and the
-  // route's memory account.
-  template <class M, class Key, class... Args>
-  M* AcquireManager(KeptManager<M, Key>& kept, Key key, Args&&... args);
-  // fn(kept) for each route's slot, OBDD first.
-  template <class Fn>
-  void ForEachKept(Fn&& fn) {
-    fn(obdd_);
-    fn(sdd_);
-  }
-  // fn(manager) for every kept manager.
-  template <class Fn>
-  void ForEachManager(Fn&& fn) {
-    ForEachKept([&](auto& kept) {
-      if (kept.manager != nullptr) fn(kept.manager.get());
-    });
-  }
-  // Memory-pressure shed ladder, run after every cold compile while the
-  // governor reports pressure: collect and shrink the kept managers
-  // (soft tier), then while still critical evict LRU plans in batches
-  // and finally drop the kept managers — manager destruction being the
-  // only step that returns store/arena chunk bytes to the allocator.
-  void RunMemPressureLadder();
+  // Critical-tier shed, run after every cold compile and on a critical
+  // admission reject: evicts LRU plans in batches while the governor
+  // stays critical.
+  void ShedPlansUnderPressure();
   // Backoff hint attached to memory-pressure rejects.
   double MemRetryHintMs() const;
-  // GarbageCollect with the pause recorded into the service's GC
-  // pause histogram and reclaim counters.
-  template <typename Manager>
-  size_t TimedGc(Manager* manager);
   // Moves the resident gauges by this worker's change since the last
   // sync. Runs before every completion is published, so a stats() call
   // racing the batch return sees the request's residency.
@@ -322,15 +282,13 @@ class ShardWorker {
   Quarantine* const quarantine_;       // shared, may be null
   PlanStatsRegistry* const plan_stats_;  // shared, may be null
 
-  // Shard memory account: parent of the kept managers' accounts and the
-  // plan cache's charges; chains to the service account (and through it
-  // the governor). Declared before the managers and the plan cache so
-  // everything releasing bytes into it is destroyed first.
+  // Shard memory account: parent of each compile's manager account and
+  // the plan cache's charges; chains to the service account (and through
+  // it the governor). Declared before the plan cache so everything
+  // releasing bytes into it is destroyed first.
   MemAccount account_;
 
   // Worker-thread state (no locking: only the worker touches it).
-  KeptManager<ObddManager, std::vector<int>> obdd_;  // by order
-  KeptManager<SddManager, std::string> sdd_;         // by VtreeKeyString
   PlanCache plans_;
   // Set by CompilePlan when the compile it just ran was tripped by the
   // memory governor (worker-thread local; read by Process immediately
@@ -341,17 +299,16 @@ class ShardWorker {
   // slot, and one value per tape entry.
   std::vector<double> slot_probs_;
   std::vector<double> tape_values_;
+  // Most nodes any one compile's manager held (worker-thread state).
+  int64_t peak_nodes_ = 0;
   // This worker's current shares of the resident gauges (worker-thread
   // state; the destructor retracts them after the join).
-  int64_t live_share_ = 0;
   int64_t peak_share_ = 0;
   int64_t plans_share_ = 0;
   // Flight-record assembly for the request being processed (worker-
-  // thread local): Process fills the identity and phase fields, TimedGc
-  // accumulates pause time, FinishJob completes and appends it on a
-  // claim win.
+  // thread local): Process fills the identity and phase fields, FinishJob
+  // completes and appends it on a claim win.
   obs::FlightRecord pending_record_;
-  double request_gc_ms_ = 0;
   uint64_t bytes_at_request_start_ = 0;
   // Claim wins since the outlier bar was last refreshed from the
   // latency histogram.

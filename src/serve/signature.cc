@@ -1,6 +1,6 @@
 #include "serve/signature.h"
 
-#include <functional>
+#include <string>
 
 #include "util/hashing.h"
 
@@ -52,23 +52,6 @@ uint64_t DatabaseSignature(const Database& db) {
     }
   }
   return h;
-}
-
-std::string VtreeKeyString(const Vtree& vtree) {
-  std::string out;
-  std::function<void(int)> rec = [&](int node) {
-    if (vtree.is_leaf(node)) {
-      out += std::to_string(vtree.var(node));
-      return;
-    }
-    out += '(';
-    rec(vtree.left(node));
-    out += ' ';
-    rec(vtree.right(node));
-    out += ')';
-  };
-  rec(vtree.root());
-  return out;
 }
 
 }  // namespace ctsdd

@@ -6,19 +6,15 @@
 // and come from each request, so weight-varied repeats of a query share
 // one plan. Signatures are 64-bit content hashes; the plan cache keys on
 // the (query, database) signature pair, making an accidental collision a
-// 128-bit event — far below the cache's correctness horizon. Manager
-// pools, where a collision would silently mix vtrees, key on exact
-// serialized structure instead (VtreeKeyString / the order vector).
+// 128-bit event — far below the cache's correctness horizon.
 
 #ifndef CTSDD_SERVE_SIGNATURE_H_
 #define CTSDD_SERVE_SIGNATURE_H_
 
 #include <cstdint>
-#include <string>
 
 #include "db/database.h"
 #include "db/query.h"
-#include "vtree/vtree.h"
 
 namespace ctsdd {
 
@@ -32,10 +28,6 @@ uint64_t QuerySignature(const Ucq& query);
 // arities, tuple ids and values). Tuple probabilities are deliberately
 // excluded: they are per-request weights, not plan structure.
 uint64_t DatabaseSignature(const Database& db);
-
-// Exact structural serialization of a vtree ("(v" / "(l r)" nested
-// form), used as the SDD manager-pool key.
-std::string VtreeKeyString(const Vtree& vtree);
 
 }  // namespace ctsdd
 

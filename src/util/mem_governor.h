@@ -20,9 +20,9 @@
 //     total.
 //   - MemGovernor: soft/hard watermarks over the process total and the
 //     pressure machinery serving needs: a tier snapshot (None / Soft /
-//     Critical) that drives the serve-layer shed ladder (shrink caches,
-//     force GC, evict plans, drop kept managers, reject cold
-//     compiles typed RESOURCE_EXHAUSTED), deny-before-allocate admission
+//     Critical) that drives the serve-layer response (deny optional
+//     cache growth, evict plans, reject cold compiles typed
+//     RESOURCE_EXHAUSTED), deny-before-allocate admission
 //     (`AdmitProjected`) consulted at the managers' budget-lease refill
 //     seams so a compile that cannot fit its worst-case allocation burst
 //     trips *before* allocating — the hard ceiling is never crossed —
@@ -114,9 +114,8 @@ class MemAccount {
 class MemGovernor {
  public:
   // Pressure tiers over the process total. The serve-layer response
-  // ladder keys off these: at kSoft shards shed (shrink caches, force
-  // GC) and optional cache growth is denied; at kCritical shards also
-  // evict plans and drop their kept managers, and admission rejects
+  // response keys off these: at kSoft optional cache growth is denied;
+  // at kCritical shards also evict plans, and admission rejects
   // cold compiles typed RESOURCE_EXHAUSTED with a retry hint. The hard
   // ceiling itself is enforced by deny-before-allocate at the lease
   // seams plus cancel-largest — tiers only decide how aggressively to

@@ -358,7 +358,6 @@ TEST(QueryServiceIntrospectionTest, ConcurrentScrapeDuringChaosStaysExact) {
   ServeOptions options;
   options.num_shards = 2;
   options.plan_cache_capacity = 3;
-  options.gc_live_node_ceiling = 64;
   options.compile_node_budget = 600;  // ladder hops + budget aborts
   options.max_queue_depth = 8;
   options.debug_port = 0;

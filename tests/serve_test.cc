@@ -1,8 +1,9 @@
 // Tests for the serve/ subsystem and the manager memory lifecycle it
 // rides on: mark-from-roots GC keeps long-running managers bounded and
 // canonical, and QueryService answers correct probabilities with plan
-// caching, sharding, and GC under eviction pressure.
+// caching, sharding, and plan eviction under pressure.
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -42,6 +43,20 @@ std::vector<int> Iota(int n) {
   std::vector<int> vars(n);
   for (int i = 0; i < n; ++i) vars[i] = i;
   return vars;
+}
+
+// Accounted bytes the shards hold outside their plan caches: node stores,
+// arenas, unique tables, caches and memos. A compile's manager is
+// destroyed before its request is answered, so these are 0 whenever no
+// compile is in flight.
+uint64_t ManagerBytes(const ServiceStats& stats) {
+  uint64_t bytes = 0;
+  for (int layer = 0; layer < kMemLayerCount; ++layer) {
+    if (layer != static_cast<int>(MemLayer::kPlanCache)) {
+      bytes += stats.totals.mem_bytes_by_layer[layer];
+    }
+  }
+  return bytes;
 }
 
 // --- Manager GC -----------------------------------------------------------
@@ -167,11 +182,6 @@ TEST(SignatureTest, QueryAndDatabaseSignaturesDiscriminate) {
   // signature (plans are shared across weight settings).
   const Database d3 = BipartiteRstDatabase(3, 0.9);
   EXPECT_EQ(DatabaseSignature(d1), DatabaseSignature(d3));
-
-  EXPECT_EQ(VtreeKeyString(Vtree::Balanced(Iota(4))),
-            VtreeKeyString(Vtree::Balanced(Iota(4))));
-  EXPECT_NE(VtreeKeyString(Vtree::Balanced(Iota(4))),
-            VtreeKeyString(Vtree::RightLinear(Iota(4))));
 }
 
 // --- QueryService ---------------------------------------------------------
@@ -329,18 +339,14 @@ TEST(QueryServiceTest, OutOfRangeWeightsFailTypedAtAdmission) {
 }
 
 // PerConstantRsQuery (db/query.h) gives many distinct lineage functions
-// over one database, which is exactly the workload that needs node GC +
-// plan eviction to stay bounded.
+// over one database, which is exactly the workload that needs plan
+// eviction to stay bounded.
 TEST(QueryServiceTest, StaysBoundedUnderEvictionPressure) {
   const int kDomain = 6;
   const Database db = BipartiteRstDatabase(kDomain, 0.3);
   ServeOptions options;
   options.num_shards = 2;
   options.plan_cache_capacity = 4;  // far fewer than distinct queries
-  // A deliberately tiny ceiling: almost every manager reuse collects
-  // first, so the whole compile/evict/replace/collect/reuse cycle runs
-  // end-to-end.
-  options.gc_live_node_ceiling = 64;
   QueryService service(options);
 
   // Expected probabilities from the one-shot pipeline (which internally
@@ -374,16 +380,16 @@ TEST(QueryServiceTest, StaysBoundedUnderEvictionPressure) {
   EXPECT_EQ(stats.totals.requests, 300u);
   EXPECT_GT(stats.totals.plan_evictions, 0u);
   EXPECT_GT(stats.totals.plan_hits, 0u);
-  EXPECT_GT(stats.totals.gc_runs, 0u);
-  EXPECT_GT(stats.totals.gc_reclaimed, 0u);
-  // GC pauses were recorded for the percentile surface.
-  EXPECT_GT(stats.gc_pause_p99_ms, 0.0);
+  // Residency is the plan caches alone: every compile's manager is gone.
+  EXPECT_GT(stats.totals.peak_live_nodes, 0);
+  EXPECT_EQ(ManagerBytes(stats), 0u);
+  EXPECT_GT(stats.totals.mem_bytes, 0u);
 }
 
-// Plans are tapes: replacing a shard's kept manager leaves every cached
-// plan answering. Each query below has its own lineage variables, so
-// each cold compile brings a new OBDD order or vtree and replaces the
-// one manager the shard keeps for that route.
+// Plans are tapes: a cached plan keeps answering after the manager it was
+// compiled in is destroyed. Each query below has its own lineage
+// variables, so each cold compile builds a manager for its own OBDD order
+// or vtree, and drops it before the request is answered.
 TEST(QueryServiceTest, PlanOutlivesItsManager) {
   const Database db = BipartiteRstDatabase(4, 0.4);
   ServeOptions options;
@@ -413,11 +419,12 @@ TEST(QueryServiceTest, PlanOutlivesItsManager) {
       first_answer.emplace(route, response.probability);
     }
   }
-  // One manager per route: every compile after a route's first replaced
-  // the kept manager.
+  // No manager outlived its compile: the shard holds plans and nothing
+  // else.
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.totals.compiles, 2 * requests.size());
-  EXPECT_EQ(stats.totals.manager_evictions, 2 * (requests.size() - 1));
+  EXPECT_EQ(stats.totals.plan_cache_size, 2 * requests.size());
+  EXPECT_EQ(ManagerBytes(stats), 0u);
 
   // The first query's plans were compiled in managers that are gone; they
   // still answer, from the cache, exactly.
@@ -438,16 +445,13 @@ TEST(QueryServiceTest, PlanOutlivesItsManager) {
   EXPECT_EQ(stats.totals.plan_evictions, 0u);
 }
 
-// A compile leaves no root behind. A soft watermark of one byte keeps
-// the governor in its soft tier, so the shard collects its kept managers
-// after every compile; what survives is only what a manager never frees:
-// two terminals per manager and the SDD literals the compile interned.
+// A compile leaves no node behind: once both routes answered, the shard's
+// accounted bytes are its plan entries and their tapes, and every manager
+// layer reads 0.
 TEST(QueryServiceTest, CachedPlansPinNoNodes) {
   const Database db = BipartiteRstDatabase(4, 0.4);
   ServeOptions options;
   options.num_shards = 1;
-  options.mem_soft_bytes = 1;
-  options.mem_hard_bytes = 1ull << 30;
   QueryService service(options);
   QueryRequest request;
   request.query = HierarchicalRSQuery();
@@ -459,19 +463,13 @@ TEST(QueryServiceTest, CachedPlansPinNoNodes) {
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   }
 
-  // The SDD route's permanent nodes: the same compile in a fresh manager
-  // on the same vtree, collected with no root held.
-  const auto lineage = BuildLineage(request.query, db);
-  ASSERT_TRUE(lineage.ok());
-  auto vtree =
-      VtreeForStrategy(*lineage, lineage->Vars(), VtreeStrategy::kBalanced);
-  ASSERT_TRUE(vtree.ok());
-  SddManager sdd(std::move(vtree).value());
-  CompileCircuitToSdd(&sdd, *lineage);
-  sdd.GarbageCollect();
   const ServiceStats stats = service.stats();
-  EXPECT_GT(stats.totals.gc_reclaimed, 0u);
-  EXPECT_EQ(stats.totals.live_nodes, 2 + sdd.NumLiveNodes());
+  EXPECT_GT(stats.totals.peak_live_nodes, 0);
+  EXPECT_EQ(ManagerBytes(stats), 0u);
+  EXPECT_EQ(stats.totals.mem_bytes,
+            stats.totals.mem_bytes_by_layer[static_cast<int>(
+                MemLayer::kPlanCache)]);
+  EXPECT_GT(stats.totals.mem_bytes, 0u);
 
   // The plans still answer, from their tapes.
   const auto oracle = CompileQuery(request.query, db, VtreeStrategy::kBalanced);
@@ -549,16 +547,16 @@ TEST(QueryServiceTest, ParallelColdCompilesMatchSequentialService) {
   }
 }
 
-// GC-after-parallel-compile canonicity round-trip, end to end: cold
-// compiles run on the shared pool, eviction pressure forces collections,
-// and recompiled (parallel) plans must answer identically forever.
-TEST(QueryServiceTest, ParallelCompilesStayCanonicalUnderGcPressure) {
+// Recompile canonicity with parallel compiles, end to end: cold compiles
+// run on the shared pool, eviction pressure forces recompiles in fresh
+// managers, and recompiled (parallel) plans must answer identically
+// forever.
+TEST(QueryServiceTest, ParallelCompilesStayCanonicalUnderEviction) {
   const int kDomain = 6;
   const Database db = BipartiteRstDatabase(kDomain, 0.3);
   ServeOptions options;
   options.num_shards = 2;
   options.plan_cache_capacity = 3;
-  options.gc_live_node_ceiling = 64;
   options.exec_workers = 3;
   QueryService service(options);
   std::map<uint64_t, double> first_answer;
@@ -590,8 +588,7 @@ TEST(QueryServiceTest, ParallelCompilesStayCanonicalUnderGcPressure) {
   }
   const ServiceStats stats = service.stats();
   EXPECT_GT(stats.totals.plan_evictions, 0u);
-  EXPECT_GT(stats.totals.gc_runs, 0u);
-  EXPECT_GT(stats.totals.gc_reclaimed, 0u);
+  EXPECT_EQ(ManagerBytes(stats), 0u);
 }
 
 // --- Deadlines, budgets, shedding (the robustness contract) ---------------
@@ -648,8 +645,9 @@ TEST(QueryServiceRobustnessTest, ImpossibleBudgetRunsTheLadderThenFailsTyped) {
   EXPECT_EQ(stats.totals.fallbacks, 1u);
   EXPECT_EQ(stats.totals.budget_aborts, 2u);
   EXPECT_EQ(stats.totals.failures, 1u);
-  // The managers' partial work was collected right away.
-  EXPECT_GT(stats.totals.gc_runs, 0u);
+  // Both aborted compiles' managers went with their partial nodes.
+  EXPECT_EQ(ManagerBytes(stats), 0u);
+  EXPECT_EQ(stats.totals.mem_bytes, 0u);
 }
 
 // Measures the node-allocation demand of one route's compile through a
@@ -775,25 +773,16 @@ TEST(QueryServiceRobustnessTest, OverloadShedsTypedWithRetryHint) {
   ASSERT_TRUE(retry.status.ok()) << retry.status.ToString();
 }
 
-// Resident-node bound of one shard on the chaos streams below, in units
-// of gc_live_node_ceiling. A shard keeps one manager per route; each
-// carries at most the ceiling of garbage into a compile (it is collected
-// first when above), plus that compile's nodes. One compile on these
-// streams adds at most about 5x the ceiling, so a shard's two managers
-// stay within 8x.
-constexpr int kResidentCeilingsPerShard = 8;
-
 // Chaos mode: tiny budgets force ladder hops, moderate deadlines force
 // timeouts, bounded queues force sheds, and (in debug builds) armed
 // fault sites stall the shard loop — while every accepted answer must
-// stay oracle-exact and resident nodes must return to a plateau.
+// stay oracle-exact and no manager may outlive its compile.
 TEST(QueryServiceRobustnessTest, ChaosAcceptedAnswersStayOracleCorrect) {
   const int kDomain = 5;
   const Database db = BipartiteRstDatabase(kDomain, 0.3);
   ServeOptions options;
   options.num_shards = 2;
   options.plan_cache_capacity = 4;
-  options.gc_live_node_ceiling = 64;
   options.compile_node_budget = 600;  // some compiles abort, some ladder
   options.max_queue_depth = 4;
   options.flight_recorder_capacity = 1024;  // every request stays in the ring
@@ -859,15 +848,9 @@ TEST(QueryServiceRobustnessTest, ChaosAcceptedAnswersStayOracleCorrect) {
   EXPECT_GT(accepted, 0u);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.totals.requests, accepted + rejected);
-  // Resident nodes returned to the plateau of two kept managers per
-  // shard — far below unbounded growth over 240 requests. Almost every
-  // compile on this stream brings a new order or vtree, so replacing the
-  // kept manager, not collecting it, is what reclaims here (collections
-  // run only when a deadline aborts a compile mid-flight).
-  EXPECT_GT(stats.totals.manager_evictions, 0u);
-  EXPECT_LE(stats.totals.live_nodes, options.num_shards *
-                                         kResidentCeilingsPerShard *
-                                         options.gc_live_node_ceiling);
+  // Aborted, timed-out and successful compiles alike dropped their
+  // managers: nothing but plans is resident.
+  EXPECT_EQ(ManagerBytes(stats), 0u);
 
   // The flight recorder accounted every outcome exactly once: each
   // accepted answer and each typed rejection is one ring record.
@@ -936,10 +919,9 @@ TEST(QueryServiceMemoryTest, GovernedServingStaysUnderCeilingAndExact) {
             stats.totals.mem_rejects + stats.totals.mem_aborts);
 }
 
-// A compile's per-operation memos are released once its plan's tape is
-// built: after a warm setup over both routes the memo layer is back at
-// the managers' initial footprint, which is zero because the memos
-// allocate lazily, while every plan stays cached and answers from its
+// A compile's memos are released once its plan's tape is built (its
+// manager is destroyed): after a warm setup over both routes the memo
+// layer reads zero, while every plan stays cached and answers from its
 // tape.
 TEST(QueryServiceMemoryTest, WarmSetupReleasesCompileMemos) {
   const int kDomain = 5;
@@ -1072,6 +1054,67 @@ TEST(QueryServiceMemoryTest, ExternalGovernorCeilingDeniesThenRecovers) {
   const auto oracle = CompileQuery(request.query, db, VtreeStrategy::kBalanced);
   ASSERT_TRUE(oracle.ok());
   EXPECT_NEAR(served.probability, oracle->probability, 1e-9);
+}
+
+// A cold compile that lands the governor in its critical tier sheds plans
+// only after it answered. Every request below is admitted below the
+// critical tier; then a fault action at compile start charges an account
+// outside the service past the critical watermark, so evicting plans
+// cannot relieve the pressure and the shed empties the shard's cache,
+// the plan just compiled included. Every answer must still be exact.
+TEST(QueryServiceMemoryTest, CriticalTierAfterAColdCompileAnswersExactly) {
+  const Database db = BipartiteRstDatabase(4, 0.4);
+  MemGovernor gov;
+  // Critical opens at soft + 3/4 (hard - soft) = 52 MB; the 11 MB left
+  // below the hard ceiling fit any compile here.
+  gov.SetWatermarks(16ull << 20, 64ull << 20);
+  MemAccount elsewhere;
+  elsewhere.SetGovernor(&gov);
+  constexpr int64_t kPressure = int64_t{53} << 20;
+  std::atomic<bool> pressed{false};
+  fault::FaultSpec press;
+  press.fire_every = 1;
+  press.action = [&] {
+    if (!pressed.exchange(true)) elsewhere.Charge(MemLayer::kCache, kPressure);
+  };
+  ServeOptions options;
+  options.num_shards = 2;
+  options.mem_governor = &gov;
+  QueryService service(options);
+  fault::Arm("serve.compile", press);
+
+  std::vector<Ucq> queries = {HierarchicalRSQuery(), NonHierarchicalH0Query()};
+  for (int c = 1; c <= 4; ++c) queries.push_back(PerConstantRsQuery(c));
+  uint64_t served = 0;
+  for (const Ucq& query : queries) {
+    const auto oracle = CompileQuery(query, db, VtreeStrategy::kBalanced);
+    ASSERT_TRUE(oracle.ok());
+    for (const PlanRoute route : {PlanRoute::kObdd, PlanRoute::kSdd}) {
+      QueryRequest request;
+      request.query = query;
+      request.db = &db;
+      request.route = route;
+      const QueryResponse response = service.Execute(request);
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_FALSE(response.plan_cache_hit);
+      EXPECT_NEAR(response.probability, oracle->probability, 1e-9);
+      ++served;
+      ASSERT_TRUE(pressed.exchange(false));
+      elsewhere.Charge(MemLayer::kCache, -kPressure);
+      ASSERT_EQ(gov.tier(), MemGovernor::Tier::kNone);
+    }
+  }
+  fault::DisarmAll();
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.totals.compiles, served);
+  EXPECT_EQ(stats.totals.mem_rejects, 0u);
+  // Each compile's plan was shed after its answer: the cache held that
+  // one plan, and evicting it left the tier critical.
+  EXPECT_EQ(stats.totals.pressure_evictions, served);
+  EXPECT_EQ(stats.totals.plan_cache_size, 0u);
+  EXPECT_EQ(stats.governor.critical_transitions, served);
+  EXPECT_EQ(stats.governor.hard_breaches, 0u);
 }
 
 // --- Supervision: hangs, deaths, quarantine, hedging ----------------------
@@ -1390,7 +1433,6 @@ TEST(QueryServiceSupervisionTest, ChaosSoakSurvivesHangsAndDeaths) {
   ServeOptions options;
   options.num_shards = 2;
   options.plan_cache_capacity = 4;
-  options.gc_live_node_ceiling = 64;
   options.compile_node_budget = 600;
   options.max_queue_depth = 4;
   options.heartbeat_window_ms = 10;
@@ -1450,19 +1492,18 @@ TEST(QueryServiceSupervisionTest, ChaosSoakSurvivesHangsAndDeaths) {
   }
   fault::DisarmAll();
   EXPECT_GT(accepted, 0u);
+  // A hung carcass still holds the manager of its in-flight compile until
+  // the stalled compile returns; no other manager bytes may remain.
+  for (int spin = 0; spin < 1000 && ManagerBytes(service.stats()) != 0;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   const ServiceStats stats = service.stats();
   // 96+ dequeues against fire cadences of 37 and 53: at least one
   // restart happened, and the books still balance.
   EXPECT_GE(stats.supervision.shard_restarts, 1u);
   EXPECT_EQ(stats.totals.requests, accepted + rejected);
-  // Residency: each live worker holds its two kept managers; every
-  // restart can additionally leave one carcass whose nodes count until
-  // the supervisor reaps it.
-  const int per_worker_bound =
-      kResidentCeilingsPerShard * options.gc_live_node_ceiling;
-  EXPECT_LE(static_cast<uint64_t>(stats.totals.live_nodes),
-            (options.num_shards + stats.supervision.shard_restarts) *
-                static_cast<uint64_t>(per_worker_bound));
+  EXPECT_EQ(ManagerBytes(stats), 0u);
 }
 
 // --- Metrics export --------------------------------------------------------
