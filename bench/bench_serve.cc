@@ -812,7 +812,6 @@ int main(int argc, char** argv) {
   recovery.max_queue_depth = 16;
   recovery.compile_node_budget = recovery_budget;
   recovery.heartbeat_window_ms = 20;
-  recovery.hedge_after_ms = 25;
   recovery.quarantine_threshold = 3;
   recovery.quarantine_parole_ms = 120000;  // beyond the stream: permanent
   recovery.quarantine_parole_max_ms = 120000;
@@ -891,12 +890,8 @@ int main(int argc, char** argv) {
           chaos.stats.supervision.failed_on_restart),
       static_cast<unsigned long long>(chaos.retries));
   std::printf(
-      "  [chaos]      hedges %llu (wins %llu, cancels %llu), poison: %llu "
-      "offered, %llu strikes (bounded: %s), %llu fast rejects, %llu answered\n",
-      static_cast<unsigned long long>(
-          chaos.stats.supervision.hedges_dispatched),
-      static_cast<unsigned long long>(chaos.stats.supervision.hedge_wins),
-      static_cast<unsigned long long>(chaos.stats.supervision.hedge_cancels),
+      "  [chaos]      poison: %llu offered, %llu strikes (bounded: %s), %llu "
+      "fast rejects, %llu answered\n",
       static_cast<unsigned long long>(chaos.poison_offered),
       static_cast<unsigned long long>(
           chaos.stats.supervision.quarantine_strikes),
@@ -1043,7 +1038,7 @@ int main(int argc, char** argv) {
   // Fresh database content (cold compiles) and exec workers, so the
   // exported trace carries the full span taxonomy: request tracks,
   // queue.wait, shard.process, compile (+ budget.lease instants), wmc,
-  // and exec.task spans on the exec-N tracks. The segment runs
+  // and exec.task spans. The segment runs
   // at a capped domain regardless of --domain: the export is a taxonomy
   // artifact gated by scripts/validate_trace.py, and it must fit the
   // per-thread rings without wrapping (a wrapped ring overwrites early
@@ -1054,9 +1049,8 @@ int main(int argc, char** argv) {
     obs::Tracer::Arm(/*events_per_thread=*/size_t{1} << 17);
     ServeOptions traced = bounded;
     traced.num_shards = 2;
-    traced.exec_workers = 2;  // cold compiles fork: exec.task spans appear
+    traced.exec_workers = 2;
     traced.heartbeat_window_ms = 200;
-    traced.hedge_after_ms = 50;
     const int traced_domain = std::min(domain, 5);
     const int traced_edges =
         std::min(4 * traced_domain, traced_domain * traced_domain);
@@ -1065,8 +1059,19 @@ int main(int argc, char** argv) {
       QueryService service(traced);
       const Database traced_db =
           RandomContentDb(traced_domain, traced_edges, /*seed=*/777);
+      // Only a semantic SDD compile forks, and only at a vtree node with a
+      // child scope wider than one word (kSmallScopeVars). On this
+      // database the population's lineages have at most 11 variables or
+      // more than kSemanticCircuitMaxVars, so none forks. H0 over the
+      // complete 3x3 bipartite database has 15: its cold compile forks
+      // and emits exec.task spans.
+      const Database fork_db = BipartiteRstDatabase(3, 0.4);
+      QueryRequest fork_request;
+      fork_request.query = NonHierarchicalH0Query();
+      fork_request.db = &fork_db;
+      fork_request.route = PlanRoute::kSdd;
       Rng rng(123);
-      std::vector<QueryRequest> batch;
+      std::vector<QueryRequest> batch = {fork_request};
       for (int i = 0; i < 256; ++i) {
         QueryRequest request;
         request.query = traced_queries[rng.NextBelow(traced_queries.size())];
@@ -1234,10 +1239,6 @@ int main(int argc, char** argv) {
              static_cast<double>(chaos.stats.supervision.shard_restarts)},
             {"failed_on_restart",
              static_cast<double>(chaos.stats.supervision.failed_on_restart)},
-            {"hedges_dispatched",
-             static_cast<double>(chaos.stats.supervision.hedges_dispatched)},
-            {"hedge_wins",
-             static_cast<double>(chaos.stats.supervision.hedge_wins)},
             {"quarantine_strikes",
              static_cast<double>(chaos.stats.supervision.quarantine_strikes)},
             {"quarantine_rejects",

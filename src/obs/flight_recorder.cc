@@ -34,14 +34,14 @@ void AppendRecord(std::string* out, const FlightRecord& r) {
       "{\"trace_id\": %llu, \"query_sig\": \"%016llx\", "
       "\"db_sig\": \"%016llx\", \"shard\": %d, \"route\": %d, "
       "\"status\": %d, \"cache_hit\": %d, \"degraded\": %d, "
-      "\"hedged\": %d, \"queue_ms\": %.3f, \"compile_ms\": %.3f, "
+      "\"queue_ms\": %.3f, \"compile_ms\": %.3f, "
       "\"wmc_ms\": %.3f, \"total_ms\": %.3f, "
       "\"bytes_charged\": %lld, \"plan_size\": %d, \"ts_ms\": %.3f}",
       static_cast<unsigned long long>(r.trace_id),
       static_cast<unsigned long long>(r.query_sig),
       static_cast<unsigned long long>(r.db_sig), r.shard, r.route,
       r.status_code, r.cache_hit ? 1 : 0, r.degraded ? 1 : 0,
-      r.hedged ? 1 : 0, r.queue_ms, r.compile_ms, r.wmc_ms,
+      r.queue_ms, r.compile_ms, r.wmc_ms,
       r.total_ms, static_cast<long long>(r.bytes_charged), r.plan_size,
       r.ts_ms);
   *out += buf;

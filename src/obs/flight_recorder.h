@@ -42,7 +42,6 @@ struct FlightRecord {
   int status_code = 0;  // StatusCode as int; 0 = OK
   bool cache_hit = false;
   bool degraded = false;
-  bool hedged = false;   // answered by the hedge copy
   double queue_ms = 0;   // admission -> dequeue
   double compile_ms = 0; // lineage + compile (0 on cache hits)
   double wmc_ms = 0;     // weighted model count pass

@@ -1,10 +1,9 @@
 // Per-plan telemetry: every compiled plan carries a stats block that
-// records how it was built (route, ladder hops, compile time, predicted
-// width parameters) and how it performs (hit count, per-plan WMC
-// latency histogram). This is the training set ROADMAP item 4's
-// width-driven admission router learns from — predicted treewidth /
-// pathwidth on one side, actual compiled node count on the other, one
-// row per plan, harvested from live traffic by /plansz.
+// records how it was built (route, ladder hops, compile time), what it
+// compiled to (nodes, width), and how it performs (hit count, per-plan
+// WMC latency histogram). /plansz lists one row per live plan,
+// so a plan that answers slowly or compiled large can be traced back to
+// its signature and shard.
 //
 // Ownership and thread-safety: the stats block is shared_ptr-owned by
 // the CompiledPlan (plan cache) AND by the PlanStatsRegistry's live
@@ -52,14 +51,6 @@ struct PlanStats {
   uint64_t width = 0;        // route-specific width of the compiled form
   int lineage_gates = 0;
   int num_vars = 0;
-
-  // Width-engine predictions (-1 = not run / not applicable). The
-  // heuristic is a min-fill upper bound on the lineage circuit's
-  // treewidth; exact values only for circuits small enough for the
-  // exact engines.
-  int predicted_treewidth = -1;
-  int exact_treewidth = -1;
-  int exact_pathwidth = -1;
 
   // --- Live counters (concurrent-safe) ------------------------------
   std::atomic<uint64_t> hits{0};  // cache hits (first compile not counted)

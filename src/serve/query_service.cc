@@ -372,9 +372,6 @@ void QueryService::StartDebugServer() {
       rows.Num("nodes", p->nodes);
       rows.Num("edges", p->edges);
       rows.Num("width", p->width);
-      rows.Num("predicted_treewidth", p->predicted_treewidth);
-      rows.Num("exact_treewidth", p->exact_treewidth);
-      rows.Num("exact_pathwidth", p->exact_pathwidth);
       rows.Num("hits", hits);
       rows.Num("evaluations", evals);
       rows.Open("wmc_us", '{');
@@ -522,10 +519,9 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         static_cast<size_t>(Hash2(key.query_sig, key.db_sig)) %
         slots_.size();
     auto state = std::make_shared<JobState>();
-    state->request = request;  // owned copy: survives hedging/fail-over
+    state->request = request;  // owned copy: survives supervisor fail-over
     state->response = &responses[i];
     state->key = key;
-    state->primary_shard = static_cast<int>(shard);
     state->submitted_at = admitted_at;
     state->is_parole_trial = admission == Quarantine::Admission::kTrial;
     state->remaining = &remaining;
@@ -556,8 +552,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       worker = slots_[shard]->worker;
     }
     double retry_after_ms = 0;
-    if (!worker->Submit(ShardJob{state, /*is_hedge=*/false},
-                        &retry_after_ms)) {
+    if (!worker->Submit(state, &retry_after_ms)) {
       // Admission control shed the job: fail it typed, with a backoff
       // hint, instead of queueing without bound.
       responses[i].status =
@@ -621,10 +616,6 @@ ServiceStats QueryService::stats() const {
   sup.deaths_detected = m.deaths_detected->value();
   sup.shard_restarts = m.shard_restarts->value();
   sup.failed_on_restart = m.failed_on_restart->value();
-  sup.hedges_dispatched = m.hedges_dispatched->value();
-  sup.hedge_sheds = m.hedge_sheds->value();
-  sup.hedge_wins = m.hedge_wins->value();
-  sup.hedge_cancels = m.hedge_cancels->value();
   const Quarantine::Counters q = quarantine_->counters();
   sup.quarantine_rejects = q.rejects;
   sup.quarantine_strikes = q.strikes;

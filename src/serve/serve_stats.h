@@ -69,18 +69,8 @@ struct ServeOptions {
   // worker thread that exited without being asked is declared dead.
   // Queued and in-flight requests of the torn-down shard fail typed
   // UNAVAILABLE with a retry hint. 0 disables the supervisor thread
-  // entirely (no heartbeats, no hedging).
+  // entirely (no heartbeats, no restarts).
   double heartbeat_window_ms = 0;
-  // Hedged re-dispatch: a request waiting on one shard longer than the
-  // hedge threshold is re-submitted once to a healthy sibling shard; the
-  // first exact answer wins and the loser's in-flight compile budget is
-  // cancelled. 0 disables hedging. Requires the supervisor
-  // (heartbeat_window_ms). The threshold adapts per shard: each worker
-  // tracks a latency EWMA and deviation, and the supervisor hedges jobs
-  // older than ewma + 2 sigma — this value is the *floor* of that
-  // adaptive threshold and 8x this value is its ceiling, so a
-  // misbehaving estimate can neither hedge instantly nor never.
-  double hedge_after_ms = 0;
   // Memory governor watermarks over the process-total accounted bytes
   // (util/mem_governor.h). hard = 0 disables governing entirely;
   // soft = 0 derives soft as 3/4 of hard. With a hard ceiling set, every
@@ -128,19 +118,12 @@ struct ServeOptions {
   // the endpoints expose plans, memory maps and stacks — widen only on
   // trusted networks.
   std::string debug_bind_addr = "127.0.0.1";
-  // Width-prediction gate for per-plan telemetry: cold compiles whose
-  // lineage circuit has at most this many gates also run the min-fill
-  // treewidth heuristic (and the exact treewidth/pathwidth engines when
-  // small enough), recording predicted-width vs. actual-size pairs for
-  // the admission-router training set. 0 disables prediction. At the
-  // default, on the perfbench serve_cold lineages (mostly 20-30 gates),
-  // prediction's p50 was 34 us: about 3x the 11 us OBDD compile it
-  // accompanies and under half the 80 us SDD compile.
+  // Read only by perfbench/layers.cc; the next benchmark change deletes it.
   int width_predict_max_gates = 256;
 };
 
-// Supervision-layer counters: detection/restart events, hedging, and
-// quarantine (the quarantine fields are read from the Quarantine).
+// Supervision-layer counters: detection/restart events and quarantine
+// (the quarantine fields are read from the Quarantine).
 struct SupervisionStats {
   uint64_t hangs_detected = 0;
   uint64_t deaths_detected = 0;
@@ -148,14 +131,6 @@ struct SupervisionStats {
   // Queued or in-flight requests failed typed UNAVAILABLE when their
   // shard was torn down.
   uint64_t failed_on_restart = 0;
-  uint64_t hedges_dispatched = 0;
-  // Hedge submissions dropped because the sibling's queue was full (the
-  // primary copy is still in flight, so nothing is lost).
-  uint64_t hedge_sheds = 0;
-  // Requests answered by the hedge copy (the primary lost the claim).
-  uint64_t hedge_wins = 0;
-  // In-flight compile budgets cancelled by a claim winner.
-  uint64_t hedge_cancels = 0;
   uint64_t quarantine_rejects = 0;
   // Double-route budget exhaustions recorded against a signature — each
   // strike is one full ladder compile burned on a poison query.
@@ -190,8 +165,8 @@ struct ShardStats {
   uint64_t fallbacks = 0;
   // Compiles aborted by the node-allocation budget.
   uint64_t budget_aborts = 0;
-  // Jobs a worker dequeued after another copy (hedge or supervisor)
-  // had already answered them — skipped without compiling.
+  // Jobs a worker finished (or dequeued) after the supervisor had
+  // already failed them on restart — the worker's result is discarded.
   uint64_t duplicate_skips = 0;
   // Memory-governor interactions (all zero when ungoverned):
   // cold compiles rejected typed RESOURCE_EXHAUSTED at the critical
@@ -313,10 +288,6 @@ struct ServeMetrics {
   obs::Counter* deaths_detected = nullptr;
   obs::Counter* shard_restarts = nullptr;
   obs::Counter* failed_on_restart = nullptr;
-  obs::Counter* hedges_dispatched = nullptr;
-  obs::Counter* hedge_sheds = nullptr;
-  obs::Counter* hedge_wins = nullptr;
-  obs::Counter* hedge_cancels = nullptr;
   // Resident gauges: each worker moves them by deltas and retracts its
   // share when destroyed (live_nodes stays 0, like gc_runs).
   obs::Gauge* live_nodes = nullptr;
@@ -353,10 +324,6 @@ inline ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry) {
       {&ServeMetrics::deaths_detected, "supervision.deaths_detected"},
       {&ServeMetrics::shard_restarts, "supervision.shard_restarts"},
       {&ServeMetrics::failed_on_restart, "supervision.failed_on_restart"},
-      {&ServeMetrics::hedges_dispatched, "supervision.hedges_dispatched"},
-      {&ServeMetrics::hedge_sheds, "supervision.hedge_sheds"},
-      {&ServeMetrics::hedge_wins, "supervision.hedge_wins"},
-      {&ServeMetrics::hedge_cancels, "supervision.hedge_cancels"},
   };
   for (const auto& c : kCounters) {
     this->*c.handle = registry->GetCounter(c.name);

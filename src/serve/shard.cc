@@ -1,14 +1,11 @@
 #include "serve/shard.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
 #include "circuit/eval.h"
-#include "circuit/primal_graph.h"
 #include "db/lineage.h"
-#include "graph/exact_treewidth.h"
 #include "obdd/obdd_compile.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
@@ -82,13 +79,14 @@ ShardWorker::~ShardWorker() {
   metrics_->plan_cache_size->Add(-plans_share_);
 }
 
-bool ShardWorker::Submit(const ShardJob& job, double* retry_after_ms) {
+bool ShardWorker::Submit(std::shared_ptr<JobState> job,
+                         double* retry_after_ms) {
   size_t depth;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!stopping_ && (options_.max_queue_depth == 0 ||
                        queue_.size() < options_.max_queue_depth)) {
-      queue_.push_back(job);
+      queue_.push_back(std::move(job));
       cv_.notify_one();
       return true;
     }
@@ -107,47 +105,21 @@ bool ShardWorker::Submit(const ShardJob& job, double* retry_after_ms) {
   return false;
 }
 
-double ShardWorker::AdaptiveHedgeMs(double floor_ms) const {
-  const double ewma = ewma_service_ms_.load(std::memory_order_relaxed);
-  const double var = ewma_var_ms2_.load(std::memory_order_relaxed);
-  const double threshold = ewma + 2.0 * std::sqrt(std::max(var, 0.0));
-  return std::clamp(threshold, floor_ms, 8.0 * floor_ms);
-}
-
-void ShardWorker::Retire(std::vector<ShardJob>* drained, ShardJob* in_flight) {
+void ShardWorker::Retire(std::vector<std::shared_ptr<JobState>>* orphans) {
   std::lock_guard<std::mutex> lock(mu_);
   stopping_ = true;
-  while (!queue_.empty()) {
-    drained->push_back(std::move(queue_.front()));
-    queue_.pop_front();
+  if (current_ != nullptr) orphans->push_back(current_);
+  for (std::shared_ptr<JobState>& job : queue_) {
+    orphans->push_back(std::move(job));
   }
-  if (current_ != nullptr) {
-    in_flight->state = current_;
-    in_flight->is_hedge = current_is_hedge_;
-  }
+  queue_.clear();
   cv_.notify_all();
-}
-
-void ShardWorker::CollectHedgeCandidates(
-    std::chrono::steady_clock::time_point cutoff,
-    std::vector<std::shared_ptr<JobState>>* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto consider = [&](const std::shared_ptr<JobState>& state) {
-    if (state == nullptr) return;
-    if (state->submitted_at > cutoff) return;
-    if (state->claimed.load(std::memory_order_acquire)) return;
-    // One hedge per request: the exchange both tests and marks.
-    if (state->hedged.exchange(true, std::memory_order_acq_rel)) return;
-    out->push_back(state);
-  };
-  consider(current_);
-  for (const ShardJob& job : queue_) consider(job.state);
 }
 
 void ShardWorker::Loop() {
   obs::SetCurrentThreadName("shard-" + std::to_string(id_));
   for (;;) {
-    ShardJob job;
+    std::shared_ptr<JobState> job;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
@@ -157,8 +129,7 @@ void ShardWorker::Loop() {
       }
       job = std::move(queue_.front());
       queue_.pop_front();
-      current_ = job.state;
-      current_is_hedge_ = job.is_hedge;
+      current_ = job;
     }
     busy_.store(true, std::memory_order_release);
     Beat();
@@ -172,7 +143,7 @@ void ShardWorker::Loop() {
       exited_.store(true, std::memory_order_release);
       return;
     }
-    Process(job);
+    Process(*job);
     {
       std::lock_guard<std::mutex> lock(mu_);
       current_.reset();
@@ -182,10 +153,10 @@ void ShardWorker::Loop() {
   }
 }
 
-void ShardWorker::Process(const ShardJob& job) {
-  JobState& state = *job.state;
+void ShardWorker::Process(JobState& state) {
   if (state.claimed.load(std::memory_order_acquire)) {
-    // Another copy (hedge sibling or the supervisor) already answered.
+    // The supervisor failed this job while the worker stalled between
+    // dequeue and here.
     metrics_->duplicate_skips->Add();
     SyncResidentGauges();
     return;
@@ -203,7 +174,6 @@ void ShardWorker::Process(const ShardJob& job) {
   pending_record_.query_sig = state.key.query_sig;
   pending_record_.db_sig = state.key.db_sig;
   pending_record_.shard = id_;
-  pending_record_.hedged = job.is_hedge;
   pending_record_.queue_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - state.submitted_at)
@@ -220,7 +190,6 @@ void ShardWorker::Process(const ShardJob& job) {
   obs::TraceSpan process_span("serve", "shard.process", state.trace);
   if (process_span.armed()) {
     process_span.AddArg("shard", static_cast<uint64_t>(id_));
-    if (job.is_hedge) process_span.AddArg2("hedge", 1);
   }
 
   // Deadline respect at dequeue: a job that expired while queued fails
@@ -229,7 +198,7 @@ void ShardWorker::Process(const ShardJob& job) {
       std::chrono::steady_clock::now() >= state.deadline) {
     response.status =
         Status::DeadlineExceeded("deadline expired while queued");
-    FinishJob(job, response, timer.ElapsedMillis());
+    FinishJob(state, response, timer.ElapsedMillis());
     return;
   }
 
@@ -251,7 +220,7 @@ void ShardWorker::Process(const ShardJob& job) {
                              std::chrono::steady_clock::now())) {
       response.status = Status::ResourceExhausted(
           "query signature quarantined; retry after parole");
-      FinishJob(job, response, timer.ElapsedMillis());
+      FinishJob(state, response, timer.ElapsedMillis());
       return;
     }
     // Critical-tier admission tightening: a cold compile is the one
@@ -270,11 +239,11 @@ void ShardWorker::Process(const ShardJob& job) {
       response.status = Status::ResourceExhausted(
           "memory pressure: cold compile rejected; retry later");
       response.retry_after_ms = MemRetryHintMs();
-      FinishJob(job, response, timer.ElapsedMillis());
+      FinishJob(state, response, timer.ElapsedMillis());
       return;
     }
     Timer compile_timer;
-    auto compiled = CompilePlan(job);
+    auto compiled = CompilePlan(state);
     pending_record_.compile_ms = compile_timer.ElapsedMillis();
     if (compiled.ok()) {
       plan = plans_.Insert(state.key, std::move(compiled).value());
@@ -334,23 +303,19 @@ void ShardWorker::Process(const ShardJob& job) {
   // each one (and returns at once below the critical tier). It may evict
   // the plan just answered from, so `plan` is not used past this point.
   if (!response.plan_cache_hit) ShedPlansUnderPressure();
-  FinishJob(job, response, timer.ElapsedMillis());
+  FinishJob(state, response, timer.ElapsedMillis());
 }
 
-void ShardWorker::FinishJob(const ShardJob& job, QueryResponse& response,
+void ShardWorker::FinishJob(JobState& state, QueryResponse& response,
                             double ms) {
   response.latency_ms = ms;
   Beat();
-  if (!job.state->TryClaim()) {
-    // The computed result is discarded; the plan (if any) stays cached,
-    // so the duplicate work still warms this shard.
+  if (!state.TryClaim()) {
+    // The supervisor already failed this job on restart: the computed
+    // result is discarded.
     metrics_->duplicate_skips->Add();
     SyncResidentGauges();
     return;
-  }
-  if (job.is_hedge) metrics_->hedge_wins->Add();
-  if (job.state->CancelLoserBudgets(StatusCode::kCancelled)) {
-    metrics_->hedge_cancels->Add();
   }
   metrics_->requests->Add();
   if (!response.status.ok()) {
@@ -377,16 +342,9 @@ void ShardWorker::FinishJob(const ShardJob& job, QueryResponse& response,
     }
   }
   const double ewma = ewma_service_ms_.load(std::memory_order_relaxed);
-  const double next_ewma = 0.8 * ewma + 0.2 * ms;
-  ewma_service_ms_.store(next_ewma, std::memory_order_relaxed);
-  // Squared-deviation EWMA of the same stream: the spread estimate
-  // behind the adaptive hedge threshold (ewma + 2 sigma).
-  const double dev = ms - next_ewma;
-  const double var = ewma_var_ms2_.load(std::memory_order_relaxed);
-  ewma_var_ms2_.store(0.8 * var + 0.2 * dev * dev,
-                      std::memory_order_relaxed);
+  ewma_service_ms_.store(0.8 * ewma + 0.2 * ms, std::memory_order_relaxed);
   SyncResidentGauges();
-  job.state->Publish(response);
+  state.Publish(response);
 }
 
 namespace {
@@ -409,11 +367,9 @@ PlanRoute AlternateRoute(PlanRoute route) {
 
 }  // namespace
 
-StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
+StatusOr<CompiledPlan> ShardWorker::CompilePlan(JobState& state) {
   CTSDD_FAULT_POINT_COARSE("serve.compile");
-  JobState& state = *job.state;
   const QueryRequest& request = state.request;
-  const int side = job.is_hedge ? 1 : 0;
   metrics_->compiles->Add();
   last_compile_mem_pressure_ = false;
   obs::TraceSpan compile_span("compile", "compile", state.trace);
@@ -423,8 +379,8 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
   auto lineage = BuildLineage(request.query, *request.db);
   CTSDD_RETURN_IF_ERROR(lineage.status());
   // The steps before the budget's lease pulse beats the heartbeat
-  // (lineage, width prediction, vtree, manager) each beat once, so their
-  // sum never reads as a hang.
+  // (lineage, vtree, manager) each beat once, so their sum never reads
+  // as a hang.
   Beat();
   const Circuit& circuit = lineage.value();
   std::vector<int> vars = circuit.Vars();
@@ -443,46 +399,17 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
     return plan;
   }
 
-  // Width predictions for the admission-router training set (ROADMAP
-  // item 4): a min-fill upper bound on the lineage circuit's treewidth,
-  // plus exact treewidth/pathwidth when the circuit fits the exact
-  // engines. Gated on gate count so the heuristic stays a small fixed
-  // fraction of a cold compile; results are stamped onto whichever
-  // ladder plan ultimately wins.
-  int pred_tw = -1;
-  int exact_tw = -1;
-  int exact_pw = -1;
-  if (options_.width_predict_max_gates > 0 &&
-      circuit.num_gates() <= options_.width_predict_max_gates) {
-    pred_tw = HeuristicCircuitTreewidth(circuit);
-    if (circuit.num_gates() <= kMaxExactVertices) {
-      auto tw = ExactCircuitTreewidth(circuit);
-      if (tw.ok()) exact_tw = tw.value();
-      auto pw = ExactPathwidth(PrimalGraph(circuit));
-      if (pw.ok()) exact_pw = pw.value();
-    }
-    Beat();
-  }
-  const auto stamp = [&](StatusOr<CompiledPlan>& result, int hops) {
-    if (!result.ok() || result.value().stats == nullptr) return;
-    PlanStats& s = *result.value().stats;
-    s.ladder_hops = hops;
-    s.predicted_treewidth = pred_tw;
-    s.exact_treewidth = exact_tw;
-    s.exact_pathwidth = exact_pw;
-  };
-
   // Every service compile runs budgeted, even with unlimited limits: the
   // lease pulse keeps a long compile's heartbeat alive, and the budget is
-  // the cancel handle for supervisor restarts and hedge losers.
+  // the cancel handle for supervisor restarts.
   WorkBudget primary(options_.compile_node_budget, DeadlineLeftMs(state));
   primary.BindPulse(&progress_);
   if (obs::TraceArmed()) primary.SetTraceContext(obs::CurrentContext());
-  state.RegisterBudget(side, &primary);
+  state.RegisterBudget(&primary);
   t_active_budget = &primary;
   auto first = CompileRoute(request, request.route, circuit, vars, &primary);
   t_active_budget = nullptr;
-  state.RegisterBudget(side, nullptr);
+  state.RegisterBudget(nullptr);
   if (first.ok() || primary.reason() != StatusCode::kResourceExhausted ||
       primary.memory_pressure()) {
     // Success, a non-budget failure (e.g. bad vtree), or a deadline/
@@ -495,7 +422,6 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
       metrics_->mem_aborts->Add();
       last_compile_mem_pressure_ = true;
     }
-    stamp(first, 1);
     return first;
   }
   metrics_->budget_aborts->Add();
@@ -503,14 +429,16 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
   WorkBudget fallback(options_.compile_node_budget, DeadlineLeftMs(state));
   fallback.BindPulse(&progress_);
   if (obs::TraceArmed()) fallback.SetTraceContext(obs::CurrentContext());
-  state.RegisterBudget(side, &fallback);
+  state.RegisterBudget(&fallback);
   t_active_budget = &fallback;
   auto second = CompileRoute(request, AlternateRoute(request.route), circuit,
                              std::move(vars), &fallback);
   t_active_budget = nullptr;
-  state.RegisterBudget(side, nullptr);
-  stamp(second, 2);
-  if (second.ok()) return second;
+  state.RegisterBudget(nullptr);
+  if (second.ok()) {
+    second.value().stats->ladder_hops = 2;
+    return second;
+  }
   if (fallback.reason() == StatusCode::kResourceExhausted) {
     if (fallback.memory_pressure()) {
       // The fallback died at the memory ceiling, not on its node budget:

@@ -12,12 +12,12 @@
 // Supervision surface: the worker stamps an atomic progress counter at
 // every job phase and flags busy/exited, so the service's supervisor can
 // detect a hang (busy with stale progress past the heartbeat window) or
-// a death (thread exited unbidden) from outside. A request may be
-// dispatched more than once — a hedge copy to a sibling shard, or a
-// supervisor failing it typed when its shard is torn down — so the
-// request/response slots live in a shared, claim-guarded JobState:
-// exactly one completer wins the atomic claim and fills the response,
-// and the winner cancels every other copy's in-flight compile budget.
+// a death (thread exited unbidden) from outside. A request has two
+// possible completers — its worker, or the supervisor failing it typed
+// when its shard is torn down — so the request/response slots live in a
+// shared, claim-guarded JobState: exactly one completer wins the atomic
+// claim and fills the response, and a winning supervisor cancels the
+// worker's in-flight compile budget.
 
 #ifndef CTSDD_SERVE_SHARD_H_
 #define CTSDD_SERVE_SHARD_H_
@@ -45,17 +45,16 @@
 
 namespace ctsdd {
 
-// Shared completion record for one request. Every dispatched copy
-// (primary shard job, hedge copy, supervisor fail-over) holds a
-// reference; the request/response slots point into the batch
-// submitter's frame, which blocks on (remaining, done_mu, done_cv)
-// until every response is filled — so they are valid exactly until the
-// claim winner decrements `remaining`.
+// Shared completion record for one request, held by its shard (queued
+// or in flight) and, after a restart, by the supervisor failing it. The
+// request/response slots point into the batch submitter's frame, which
+// blocks on (remaining, done_mu, done_cv) until every response is
+// filled — so they are valid exactly until the claim winner decrements
+// `remaining`.
 struct JobState {
   QueryRequest request;  // owned copy: outlives the submitter's loop frame
   QueryResponse* response = nullptr;
   PlanKey key;  // signatures precomputed by the router
-  int primary_shard = -1;
   // Absolute deadline (from the request's or the service's default
   // deadline_ms, stamped at admission). Checked at dequeue — a job that
   // expired while queued fails without compiling — and threaded into the
@@ -67,62 +66,51 @@ struct JobState {
   // trial; workers skip the quarantine re-check for it.
   bool is_parole_trial = false;
   // Tracing hand-off (zero when the tracer was disarmed at admission):
-  // every dispatched copy roots its spans under the same trace id, and
-  // the claim winner emits the terminal async end event in Publish.
+  // the worker roots its spans under the request's trace id, and the
+  // claim winner emits the terminal async end event in Publish.
   obs::TraceContext trace;
   double submit_ts_us = 0;  // TraceNowUs() at admission, for queue.wait
   std::atomic<int>* remaining = nullptr;
   std::mutex* done_mu = nullptr;
   std::condition_variable* done_cv = nullptr;
 
-  // First completer wins; every other copy observes `claimed` and
-  // discards its result.
+  // First completer wins; the other observes `claimed` and discards its
+  // result.
   std::atomic<bool> claimed{false};
-  // At most one hedge copy per request (set by the supervisor when it
-  // collects the candidate).
-  std::atomic<bool> hedged{false};
 
-  // In-flight compile budgets of the dispatched copies (slot 0 =
-  // primary shard, slot 1 = hedge), registered around the compile under
-  // `budget_mu` so the claim winner can cancel a loser's stack-allocated
-  // budget without racing its destruction.
+  // The worker's in-flight compile budget, registered around each compile
+  // under `budget_mu` so a supervisor failing the job on restart can
+  // cancel the stack-allocated budget without racing its destruction.
   std::mutex budget_mu;
-  WorkBudget* budgets[2] = {nullptr, nullptr};
+  WorkBudget* budget = nullptr;
 
-  // Registers (or, with null, deregisters) a copy's compile budget. If
-  // the job was claimed while the budget was being set up, it is
-  // cancelled immediately — closing the race with a winner that
+  // Registers (or, with null, deregisters) the worker's compile budget.
+  // If the job was claimed while the budget was being set up, it is
+  // cancelled immediately — closing the race with a supervisor that
   // cancelled before registration.
-  void RegisterBudget(int side, WorkBudget* budget) {
+  void RegisterBudget(WorkBudget* compile_budget) {
     std::lock_guard<std::mutex> lock(budget_mu);
-    budgets[side] = budget;
+    budget = compile_budget;
     if (budget != nullptr && claimed.load(std::memory_order_acquire)) {
-      budget->Cancel(StatusCode::kCancelled);
+      budget->Cancel(StatusCode::kUnavailable);
     }
   }
 
   // Completion happens in three steps so the winner can finish its
   // bookkeeping between winning and waking the submitter (a stats()
   // call racing the batch return must already see the request counted):
-  //   if (TryClaim()) { CancelLoserBudgets(...); <account>; Publish(r); }
+  //   if (TryClaim()) { <account>; Publish(r); }
 
   // Wins or loses the one claim. A loser discards its result.
   bool TryClaim() { return !claimed.exchange(true, std::memory_order_acq_rel); }
 
-  // Winner-only: cancels every still-registered copy's budget with
-  // `loser_reason` (duplicate work dies through WorkBudget::Cancel).
-  // Returns whether a live budget was actually cancelled.
-  bool CancelLoserBudgets(StatusCode loser_reason) {
-    bool cancelled_any = false;
+  // Supervisor-only, after winning the claim: cancels the worker's
+  // registered compile budget, so a budget-bound stall unwinds instead of
+  // running to completion.
+  void CancelBudget() {
     std::lock_guard<std::mutex> lock(budget_mu);
-    for (WorkBudget*& budget : budgets) {
-      if (budget != nullptr) {
-        budget->Cancel(loser_reason);
-        cancelled_any = true;
-        budget = nullptr;
-      }
-    }
-    return cancelled_any;
+    if (budget != nullptr) budget->Cancel(StatusCode::kUnavailable);
+    budget = nullptr;
   }
 
   // Winner-only: fills the response slot and releases the submitter.
@@ -140,12 +128,6 @@ struct JobState {
     std::lock_guard<std::mutex> lock(*done_mu);
     if (remaining->fetch_sub(1) == 1) done_cv->notify_all();
   }
-};
-
-// A unit of work handed to a shard.
-struct ShardJob {
-  std::shared_ptr<JobState> state;
-  bool is_hedge = false;
 };
 
 class ShardWorker {
@@ -182,19 +164,12 @@ class ShardWorker {
   // worker is retiring; the caller gets a backoff hint (queue depth x
   // smoothed service time, clamped to ServeOptions::retry_after_max_ms)
   // in `*retry_after_ms` and must complete and count the response itself.
-  bool Submit(const ShardJob& job, double* retry_after_ms);
+  bool Submit(std::shared_ptr<JobState> job, double* retry_after_ms);
 
   // The shard's memory account (root of its compiles' and plan cache's
   // accounting subtree); chains to the service governor when one is
   // configured. Byte reads are thread-safe.
   const MemAccount& mem_account() const { return account_; }
-
-  // Adaptive hedge threshold for this shard: latency EWMA plus two
-  // standard deviations (of the same smoothing window), clamped to
-  // [floor_ms, 8 * floor_ms] so a cold or misbehaving estimate can
-  // neither hedge instantly nor never. Thread-safe (supervisor reads it
-  // each scan).
-  double AdaptiveHedgeMs(double floor_ms) const;
 
   // --- Supervision surface (all thread-safe) ---
 
@@ -216,16 +191,10 @@ class ShardWorker {
   bool exited() const { return exited_.load(std::memory_order_acquire); }
 
   // Begins teardown: marks the worker stopping (subsequent Submits
-  // shed), steals every queued job into `*drained`, and reports the
-  // in-flight job (state left null when idle). The caller fails the
-  // stolen jobs typed; the worker thread exits once its current job —
-  // if any — finishes or its budget is cancelled.
-  void Retire(std::vector<ShardJob>* drained, ShardJob* in_flight);
-
-  // Collects jobs submitted before `cutoff` that are still unclaimed and
-  // not yet hedged, marking them hedged. Called by the supervisor.
-  void CollectHedgeCandidates(std::chrono::steady_clock::time_point cutoff,
-                              std::vector<std::shared_ptr<JobState>>* out);
+  // shed) and moves the in-flight job, if any, and every queued job into
+  // `*orphans`. The caller fails them typed; the worker thread exits once
+  // its current job — if any — finishes or its budget is cancelled.
+  void Retire(std::vector<std::shared_ptr<JobState>>* orphans);
 
   // Fault-injection hooks, to be called from a fault action running on
   // this worker's thread: make the worker thread exit before its next
@@ -237,17 +206,17 @@ class ShardWorker {
 
  private:
   void Loop();
-  void Process(const ShardJob& job);
+  void Process(JobState& state);
   // Delivers `response` through the job's claim; on a win, records
   // latency and counts the outcome.
-  void FinishJob(const ShardJob& job, QueryResponse& response, double ms);
+  void FinishJob(JobState& state, QueryResponse& response, double ms);
   void Beat() { progress_.fetch_add(1, std::memory_order_relaxed); }
   // Compiles the request's plan, enforcing the compile budget/deadline
   // and running the degradation ladder: requested route first; on a
   // node-budget abort, the alternate route once with a fresh budget; then
   // the typed over-budget status. Deadline/cancel trips never retry.
   // Reports double-route budget exhaustion into the quarantine.
-  StatusOr<CompiledPlan> CompilePlan(const ShardJob& job);
+  StatusOr<CompiledPlan> CompilePlan(JobState& state);
   // One budgeted compile on `route`, in a manager built for it and
   // destroyed on return. On abort the budget's typed status is returned.
   StatusOr<CompiledPlan> CompileRoute(const QueryRequest& request,
@@ -316,9 +285,6 @@ class ShardWorker {
   // Written by the worker thread, read by Submit on client threads for
   // the retry-after hint.
   std::atomic<double> ewma_service_ms_{1.0};
-  // Squared-deviation EWMA of the same latency stream (same 0.8/0.2
-  // smoothing), read by the supervisor for the adaptive hedge threshold.
-  std::atomic<double> ewma_var_ms2_{0.0};
 
   // Supervision heartbeats (see accessors above).
   std::atomic<uint64_t> progress_{0};
@@ -327,11 +293,10 @@ class ShardWorker {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<ShardJob> queue_;
+  std::deque<std::shared_ptr<JobState>> queue_;
   // In-flight job (guarded by mu_): set at dequeue, cleared after
   // completion; Retire reports it so the supervisor can fail it typed.
   std::shared_ptr<JobState> current_;
-  bool current_is_hedge_ = false;
   bool stopping_ = false;
   std::thread thread_;
 };

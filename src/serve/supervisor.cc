@@ -96,15 +96,13 @@ void Supervisor::ScanOnce(std::chrono::steady_clock::time_point now) {
     }
     seen_[i] = {worker->progress(), now};
   }
-  if (options_.hedge_after_ms > 0 && slots_->size() > 1) DispatchHedges(now);
 }
 
 void Supervisor::Restart(size_t i, std::shared_ptr<ShardWorker> old,
                          std::chrono::steady_clock::time_point now) {
   metrics_->shard_restarts->Add();
   // Fresh worker first: new traffic flows while the carcass drains. Its
-  // recompiles are pointer-identical by canonicity, so swapping managers
-  // under the plans is invisible to answers.
+  // recompiles give the same answers by canonicity.
   std::shared_ptr<ShardWorker> fresh = factory_(static_cast<int>(i));
   {
     std::lock_guard<std::mutex> lock((*slots_)[i]->mu);
@@ -116,11 +114,9 @@ void Supervisor::Restart(size_t i, std::shared_ptr<ShardWorker> old,
     std::lock_guard<std::mutex> lock(retired_mu_);
     retired_.push_back(old);
   }
-  std::vector<ShardJob> orphans;
-  ShardJob in_flight;
-  old->Retire(&orphans, &in_flight);
-  if (in_flight.state != nullptr) orphans.push_back(std::move(in_flight));
-  for (const ShardJob& job : orphans) {
+  std::vector<std::shared_ptr<JobState>> orphans;
+  old->Retire(&orphans);
+  for (const std::shared_ptr<JobState>& job : orphans) {
     QueryResponse response;
     response.status =
         Status::Unavailable("shard restarted; retry");
@@ -131,13 +127,13 @@ void Supervisor::Restart(size_t i, std::shared_ptr<ShardWorker> old,
     response.retry_after_ms =
         std::clamp(options_.heartbeat_window_ms, 0.1,
                    std::max(0.1, options_.retry_after_max_ms));
-    // Claim may fail if the job's hedge copy answered in the meantime —
-    // then there is nothing to fail. The winner path cancels the hung
-    // copy's registered budget (typed kUnavailable) so a budget-bound
-    // stall unwinds instead of running to completion. Counter bumps
-    // precede Publish so a stats() racing the batch return sees them.
-    if (job.state->TryClaim()) {
-      job.state->CancelLoserBudgets(StatusCode::kUnavailable);
+    // Claim may fail if the in-flight job's worker answered in the
+    // meantime — then there is nothing to fail. The winner path cancels
+    // the worker's registered budget so a budget-bound stall unwinds
+    // instead of running to completion. Counter bumps precede Publish so
+    // a stats() racing the batch return sees them.
+    if (job->TryClaim()) {
+      job->CancelBudget();
       metrics_->failed_on_restart->Add();
       metrics_->requests->Add();
       metrics_->failures->Add();
@@ -145,52 +141,17 @@ void Supervisor::Restart(size_t i, std::shared_ptr<ShardWorker> old,
         // Restart failures bypass the worker's FinishJob path; account
         // for them here so the ring covers every typed rejection.
         obs::FlightRecord rec;
-        rec.trace_id = job.state->trace.trace_id;
-        rec.query_sig = job.state->key.query_sig;
-        rec.db_sig = job.state->key.db_sig;
+        rec.trace_id = job->trace.trace_id;
+        rec.query_sig = job->key.query_sig;
+        rec.db_sig = job->key.db_sig;
         rec.shard = static_cast<int>(i);
         rec.status_code = static_cast<int>(StatusCode::kUnavailable);
-        rec.hedged = job.is_hedge;
         flight_->Record(rec);
       }
-      job.state->Publish(response);
+      job->Publish(response);
     }
   }
   seen_[i] = {0, now};
-}
-
-void Supervisor::DispatchHedges(std::chrono::steady_clock::time_point now) {
-  std::vector<std::shared_ptr<JobState>> candidates;
-  for (const auto& slot : *slots_) {
-    // Per-shard adaptive threshold: the shard's own latency EWMA plus
-    // two sigma, clamped to [hedge_after_ms, 8x]. A shard serving cache
-    // hits hedges stragglers fast; one grinding through cold compiles
-    // does not hedge its own normal work.
-    std::shared_ptr<ShardWorker> worker = slot->Get();
-    const double after_ms = worker->AdaptiveHedgeMs(options_.hedge_after_ms);
-    const auto cutoff =
-        now - std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double, std::milli>(after_ms));
-    worker->CollectHedgeCandidates(cutoff, &candidates);
-  }
-  for (std::shared_ptr<JobState>& state : candidates) {
-    // Next healthy sibling of the primary shard. With every sibling
-    // exited (mass death mid-restart) the hedge is skipped; the primary
-    // copy still completes or fails through its own shard's restart.
-    const size_t n = slots_->size();
-    for (size_t k = 1; k < n; ++k) {
-      const size_t j = (static_cast<size_t>(state->primary_shard) + k) % n;
-      std::shared_ptr<ShardWorker> sibling = (*slots_)[j]->Get();
-      if (sibling->exited()) continue;
-      metrics_->hedges_dispatched->Add();
-      obs::TraceInstant("serve", "hedge.dispatch", state->trace,
-                        "target", static_cast<uint64_t>(j));
-      if (!sibling->Submit(ShardJob{state, /*is_hedge=*/true}, nullptr)) {
-        metrics_->hedge_sheds->Add();
-      }
-      break;
-    }
-  }
 }
 
 void Supervisor::Reap() {

@@ -10,21 +10,15 @@
 //   - dead  = the worker thread exited without being asked (a crash
 //     simulated by the serve.shard.death fault site).
 //
-// Repair is a restart: a fresh worker (empty manager pools + plan
-// cache) is swapped into the slot first, so new traffic flows
-// immediately; then the old worker is retired — its queued jobs are
-// stolen and failed typed UNAVAILABLE with a retry hint (never silently
-// dropped), its in-flight job is failed the same way and its registered
-// compile budget cancelled so a budget-bound hang unwinds, and the
-// carcass is kept until its thread actually exits (joining a hung
-// thread would block the supervisor), then destroyed. Recompiles on the
-// fresh worker are pointer-identical by canonicity, the property the
-// managers already enforce.
-//
-// The same scan drives hedged re-dispatch: any unclaimed job older than
-// ServeOptions::hedge_after_ms is submitted once more to the next
-// healthy sibling shard. The two copies race through JobState's claim;
-// the first exact answer wins and cancels the loser's budget.
+// Repair is a restart: a fresh worker (empty plan cache) is swapped
+// into the slot first, so new traffic flows immediately; then the old
+// worker is retired — its queued jobs are stolen and failed typed
+// UNAVAILABLE with a retry hint (never silently dropped), its in-flight
+// job is failed the same way and its registered compile budget
+// cancelled so a budget-bound hang unwinds, and the carcass is kept
+// until its thread actually exits (joining a hung thread would block
+// the supervisor), then destroyed. Recompiles on the fresh worker give
+// the same answers by canonicity.
 
 #ifndef CTSDD_SERVE_SUPERVISOR_H_
 #define CTSDD_SERVE_SUPERVISOR_H_
@@ -87,7 +81,6 @@ class Supervisor {
   // in-flight jobs typed, and parks the carcass for reaping.
   void Restart(size_t i, std::shared_ptr<ShardWorker> old,
                std::chrono::steady_clock::time_point now);
-  void DispatchHedges(std::chrono::steady_clock::time_point now);
   // Destroys retired workers whose threads have exited.
   void Reap();
 

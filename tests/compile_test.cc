@@ -298,20 +298,29 @@ TEST(PipelineTest, ExactTreewidthOption) {
 }
 
 TEST(PipelineTest, Result1WidthBoundedByTreewidthFunction) {
-  // Result 1 (qualitative check): for the fixed-treewidth ladder family,
-  // the Lemma-1-vtree SDD width stays bounded as n grows.
+  // Result 1: at fixed treewidth the Lemma 1 vtree gives an SDD whose
+  // width is bounded by a function of the treewidth and whose size is
+  // linear in n. Over growing ladders the predicted width (the min-fill
+  // bound) stays constant, and so do the compiled width and the size
+  // per variable. From n = 8 each 4 extra rows (8 variables) add 188
+  // elements, so size/vars stays below 23.5; a vtree that ignores the
+  // decomposition passes 24 by n = 8.
+  const int predicted = HeuristicCircuitTreewidth(LadderCircuit(4, 2));
   int max_width = 0;
-  for (int n = 3; n <= 8; ++n) {
+  int last_width = 0;
+  for (int n = 4; n <= 32; n += 4) {
     const Circuit c = LadderCircuit(n, 2);
+    EXPECT_EQ(HeuristicCircuitTreewidth(c), predicted) << "n=" << n;
     const auto result = CompileWithTreewidth(c);
     ASSERT_TRUE(result.ok());
+    const double size_per_var =
+        static_cast<double>(result->sdd.size) / c.Vars().size();
+    ASSERT_LT(size_per_var, 24.0) << "n=" << n;
     max_width = std::max(max_width, result->sdd.width);
+    last_width = result->sdd.width;
   }
-  // The specific constant is implementation-defined; boundedness is the
-  // point — compare the n=8 width against the sweep maximum.
-  const auto last = CompileWithTreewidth(LadderCircuit(8, 2));
-  ASSERT_TRUE(last.ok());
-  EXPECT_EQ(last->sdd.width, max_width);
+  // The width saturates: the largest ladder's width is the sweep maximum.
+  EXPECT_EQ(last_width, max_width);
 }
 
 TEST(IsaTest, VtreeShape) {

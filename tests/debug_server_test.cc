@@ -220,12 +220,12 @@ TEST(QueryServiceIntrospectionTest, EndpointsServeLiveState) {
   EXPECT_NE(r.body.find("\"node_store\":"), std::string::npos);
   EXPECT_NE(r.body.find("\"plan_cache\":"), std::string::npos);
 
-  // /plansz: one row per live plan with the width-prediction pair the
-  // admission router trains on (predicted_* vs actual nodes).
+  // /plansz: one row per live plan with its compiled shape (width and
+  // nodes) next to its route and per-plan evaluation counts.
   r = Get(port, "/plansz");
   EXPECT_EQ(r.status, 200);
   EXPECT_NE(r.body.find("\"live_plans\":2"), std::string::npos);
-  EXPECT_NE(r.body.find("\"predicted_treewidth\":"), std::string::npos);
+  EXPECT_NE(r.body.find("\"width\":"), std::string::npos);
   EXPECT_NE(r.body.find("\"nodes\":"), std::string::npos);
   EXPECT_NE(r.body.find("\"route\":\"obdd\""), std::string::npos);
   EXPECT_NE(r.body.find("\"route\":\"sdd\""), std::string::npos);

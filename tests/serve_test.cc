@@ -1117,12 +1117,12 @@ TEST(QueryServiceMemoryTest, CriticalTierAfterAColdCompileAnswersExactly) {
   EXPECT_EQ(stats.governor.hard_breaches, 0u);
 }
 
-// --- Supervision: hangs, deaths, quarantine, hedging ----------------------
+// --- Supervision: hangs, deaths, quarantine -------------------------------
 
-// A worker that stalls past the heartbeat window while busy is declared
+// A worker whose compile stalls past the heartbeat window is declared
 // hung; its queued and in-flight requests fail typed UNAVAILABLE with a
-// retry hint — never silently dropped — and the restarted shard serves
-// the retry.
+// retry hint — never silently dropped — the in-flight compile's budget
+// is cancelled, and the restarted shard serves the retry.
 TEST(QueryServiceSupervisionTest, HungShardFailsQueuedRequestsTyped) {
   const Database db = BipartiteRstDatabase(4, 0.4);
   ServeOptions options;
@@ -1131,9 +1131,9 @@ TEST(QueryServiceSupervisionTest, HungShardFailsQueuedRequestsTyped) {
   QueryService service(options);
 
   fault::FaultSpec hang;
-  hang.fire_at = 1;       // the first dequeue stalls...
+  hang.fire_at = 1;       // the first compile stalls, budget registered...
   hang.delay_ms = 150;    // ...far past the heartbeat window
-  fault::Arm("serve.shard.hang", hang);
+  fault::Arm("serve.compile.route", hang);
 
   std::vector<QueryRequest> batch;
   for (int i = 0; i < 4; ++i) {
@@ -1165,6 +1165,17 @@ TEST(QueryServiceSupervisionTest, HungShardFailsQueuedRequestsTyped) {
   EXPECT_GE(during.supervision.failed_on_restart, batch.size());
   EXPECT_EQ(during.totals.requests, batch.size());
   EXPECT_EQ(during.totals.failures, batch.size());
+
+  // The stalled worker wakes to a budget the restart cancelled: its
+  // compile aborts, it loses the claim, and it never caches a plan.
+  for (int spin = 0; spin < 200; ++spin) {
+    if (service.stats().totals.duplicate_skips >= 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(service.stats().totals.duplicate_skips, 1u);
+  EXPECT_EQ(service.plan_stats()->live_plans() +
+                service.plan_stats()->evicted_plans(),
+            0u);
 
   // The fresh worker serves the retry with a correct answer.
   const QueryResponse retry = service.Execute(batch.front());
@@ -1373,52 +1384,6 @@ TEST(QueryServiceSupervisionTest, TransientPoisonIsParoledThenCached) {
   EXPECT_EQ(stats.totals.requests, 4u);
 }
 
-// A request stuck behind a stalled compile is hedged to a sibling
-// shard; the sibling's exact answer wins, the primary's in-flight
-// budget is cancelled, and the late duplicate is skipped — exactly one
-// response reaches the client.
-TEST(QueryServiceSupervisionTest, HedgedRequestWinsOnceAndCancelsTheLoser) {
-  const Database db = BipartiteRstDatabase(4, 0.4);
-  ServeOptions options;
-  options.num_shards = 2;
-  options.heartbeat_window_ms = 100;  // scan every 25ms; stall < window
-  options.hedge_after_ms = 5;
-  options.compile_node_budget = 1u << 30;  // a budget exists to cancel
-  QueryService service(options);
-
-  fault::FaultSpec stall;
-  stall.fire_at = 1;    // only the primary's compile stalls
-  stall.delay_ms = 80;  // long enough to hedge, short of a hang verdict
-  fault::Arm("serve.compile.route", stall);
-
-  QueryRequest request;
-  request.query = HierarchicalRSQuery();
-  request.db = &db;
-  request.route = PlanRoute::kSdd;
-  const QueryResponse response = service.Execute(request);
-  fault::DisarmAll();
-  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-  const auto oracle = CompileQuery(request.query, db, VtreeStrategy::kBalanced);
-  ASSERT_TRUE(oracle.ok());
-  EXPECT_NEAR(response.probability, oracle->probability, 1e-9);
-
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.supervision.hedges_dispatched, 1u);
-  EXPECT_EQ(stats.supervision.hedge_wins, 1u);
-  // The winner cancelled the primary's registered compile budget.
-  EXPECT_EQ(stats.supervision.hedge_cancels, 1u);
-
-  // The stalled primary eventually wakes, loses the claim, and skips:
-  // the request is counted exactly once.
-  for (int spin = 0; spin < 200; ++spin) {
-    if (service.stats().totals.duplicate_skips >= 1) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  const ServiceStats settled = service.stats();
-  EXPECT_GE(settled.totals.duplicate_skips, 1u);
-  EXPECT_EQ(settled.totals.requests, 1u);
-}
-
 // Chaos soak: periodic hangs and thread deaths ride a mixed stream with
 // budgets, deadlines, and bounded queues. Every outcome must be typed,
 // every accepted answer oracle-exact, and the counters must reconcile.
@@ -1549,8 +1514,7 @@ constexpr const char* kPublishedMetricNames[] = {
     "serve.rejected_quarantine", "serve.requests", "serve.sheds",
     "serve.timeouts", "supervision.deaths_detected",
     "supervision.failed_on_restart", "supervision.hangs_detected",
-    "supervision.hedge_cancels", "supervision.hedge_wins",
-    "supervision.hedges_dispatched", "supervision.shard_restarts",
+    "supervision.shard_restarts",
     "trace.dropped_events",
 };
 
@@ -1658,10 +1622,6 @@ TEST(QueryServiceMetricsTest, StatsAreTheExportedMetrics) {
       {"supervision.deaths_detected", s.supervision.deaths_detected},
       {"supervision.shard_restarts", s.supervision.shard_restarts},
       {"supervision.failed_on_restart", s.supervision.failed_on_restart},
-      {"supervision.hedges_dispatched", s.supervision.hedges_dispatched},
-      {"supervision.hedge_sheds", s.supervision.hedge_sheds},
-      {"supervision.hedge_wins", s.supervision.hedge_wins},
-      {"supervision.hedge_cancels", s.supervision.hedge_cancels},
       {"quarantine.rejects", s.supervision.quarantine_rejects},
       {"quarantine.strikes", s.supervision.quarantine_strikes},
       {"quarantine.parole_trials", s.supervision.parole_trials},
