@@ -76,7 +76,7 @@ Ucq DistinctPairQuery();
 
 // R(c), S(c, y) for a fixed constant c: one distinct lineage function
 // per constant over a shared database — the parameterized long tail the
-// serving benchmarks and GC stress tests sample from.
+// serving benchmarks and tests sample from.
 Ucq PerConstantRsQuery(int c);
 
 }  // namespace ctsdd

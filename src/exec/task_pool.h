@@ -1,5 +1,5 @@
 // Work-stealing fork-join pool: the parallel runtime behind the SDD
-// semantic compiler's cofactor-class fork and the managers' GC mark.
+// semantic compiler's cofactor-class fork.
 //
 // Shape: the pool owns `workers() - 1` background threads; the thread that
 // enters a parallel operation participates as the final worker, so

@@ -47,7 +47,7 @@ ObddManager::NodeId ObddManager::HashCons(int level, NodeId lo, NodeId hi) {
   if (found != UniqueTable::kEmpty) return found;
   if (budget_ != nullptr && !Charge()) return kAborted;
   CTSDD_FAULT_POINT("obdd.alloc");
-  const NodeId id = NewSlot(Node{level, lo, hi});
+  const auto id = static_cast<NodeId>(nodes_.PushBack(Node{level, lo, hi}));
   unique_.Insert(hash, id);
   return id;
 }
@@ -68,10 +68,7 @@ void ObddManager::AccountStructures(MemAccount* account) {
 Status ObddManager::Validate() const {
   const int levels = num_levels();
   const size_t n = nodes_.size();
-  std::vector<bool> dead;
-  CTSDD_RETURN_IF_ERROR(ValidateFreeList(&dead));
   for (size_t id = 2; id < n; ++id) {
-    if (dead[id]) continue;
     const Node& node = nodes_[id];
     if (node.level < 0 || node.level >= levels) {
       return Status::Internal("node level out of range");
@@ -85,41 +82,21 @@ Status ObddManager::Validate() const {
     }
     if (nodes_[node.lo].level <= node.level ||
         nodes_[node.hi].level <= node.level) {
-      return Status::Internal("child level not below parent (or dead child)");
+      return Status::Internal("child level not below parent");
     }
-    const int32_t found = unique_.Find(UniqueHash(id), [&](int32_t cand) {
+    const uint64_t hash = NodeHash(node.level, node.lo, node.hi);
+    const int32_t found = unique_.Find(hash, [&](int32_t cand) {
       const Node& c = nodes_[cand];
       return c.level == node.level && c.lo == node.lo && c.hi == node.hi;
     });
     if (found != static_cast<int32_t>(id)) {
       return Status::Internal(
           found == UniqueTable::kEmpty
-              ? "live node missing from the unique table"
+              ? "node missing from the unique table"
               : "duplicate node in the unique table");
     }
   }
   return Status::Ok();
-}
-
-size_t ObddManager::GarbageCollect() {
-  return Collect("obdd.gc", {}, [&](const std::vector<uint8_t>&) {
-    // Freed ids may be reused, so cached results naming them must go.
-    ite_cache_.Clear();
-    nary_cache_.Clear();
-  });
-}
-
-void ObddManager::ShrinkCaches() {
-  CheckQuiescent("ShrinkCaches");
-  ite_cache_.Shrink();
-  nary_cache_.Shrink();
-  ReleaseMemos();
-}
-
-void ObddManager::ReleaseMemos() {
-  CheckQuiescent("ReleaseMemos");
-  ite_memo_.Shrink();
-  nary_memo_.Shrink();
 }
 
 ObddManager::NodeId ObddManager::Literal(int var, bool positive) {

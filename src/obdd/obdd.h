@@ -15,11 +15,11 @@
 // recomputation, never change results — canonicity lives in the unique
 // table alone.
 //
-// Every operation runs sequentially on the owning thread. An attached
-// exec/ pool only parallelizes the GC mark: forking Ite/AndN/OrN cofactor
-// branches across workers lost to the sequential sweep on nearly every
-// measured workload, by up to 10x on narrow diagrams (src/README.md, "The
-// parallel runtime"), so the manager has no parallel apply path.
+// Every operation runs sequentially on the owning thread, and an attached
+// exec/ pool is ignored: forking Ite/AndN/OrN cofactor branches across
+// workers lost to the sequential sweep on nearly every measured workload,
+// by up to 10x on narrow diagrams (src/README.md, "The parallel
+// runtime"), so the manager has no parallel path.
 
 #ifndef CTSDD_OBDD_OBDD_H_
 #define CTSDD_OBDD_OBDD_H_
@@ -48,8 +48,8 @@ struct ObddOptions {
   size_t nary_cache_slots = 1 << 18;
 };
 
-// Node ids, roots, GarbageCollect's contract, budgets and memory
-// accounting are the shared lifecycle in util/manager_core.h.
+// Node ids, budgets and memory accounting are the shared lifecycle in
+// util/manager_core.h.
 class ObddManager : public ManagerCore<ObddManager> {
  public:
   using Options = ObddOptions;
@@ -115,9 +115,9 @@ class ObddManager : public ManagerCore<ObddManager> {
   // Nodes per level, for profile plots.
   std::vector<int> LevelProfile(NodeId f) const;
 
-  // Structural self-check: every live node is reduced (lo != hi), level-
-  // ordered, reachable children are live, and the unique table maps each
-  // live node to itself (no duplicates, no strays). Used by tests to
+  // Structural self-check: every node is reduced (lo != hi) and level-
+  // ordered, its children are in range, and the unique table maps each
+  // node to itself (no duplicates, no strays). Used by tests to
   // assert aborted operations left the manager consistent. O(nodes).
   Status Validate() const;
 
@@ -128,19 +128,6 @@ class ObddManager : public ManagerCore<ObddManager> {
            ite_cache_.MemoryBytes() + nary_cache_.MemoryBytes() +
            ite_memo_.MemoryBytes() + nary_memo_.MemoryBytes();
   }
-
-  // Mark-from-roots collection; returns the number of nodes reclaimed.
-  size_t GarbageCollect();
-
-  // Returns the computed caches and per-operation memos to their initial
-  // footprint (contents dropped — only recomputation cost). Pair with
-  // GarbageCollect() when a service wants a manager back to baseline.
-  void ShrinkCaches();
-
-  // Releases only the per-operation memos (ite and n-ary), which keep
-  // the capacity of the largest recent operation between operations; the
-  // computed caches keep their cross-operation reuse.
-  void ReleaseMemos();
 
   struct Node {
     int level;  // index into var_order_
@@ -194,15 +181,8 @@ class ObddManager : public ManagerCore<ObddManager> {
     return true;
   }
 
-  // ManagerCore hooks. A freed slot's level is kDeadLevel, so stale-id
-  // use trips the level checks fast.
+  // ManagerCore hooks.
   friend class ManagerCore<ObddManager>;
-  static constexpr int kDeadLevel = -2;
-  bool IsDeadSlot(NodeId id) const { return nodes_[id].level == kDeadLevel; }
-  uint64_t UniqueHash(NodeId id) const {
-    return NodeHash(nodes_[id].level, nodes_[id].lo, nodes_[id].hi);
-  }
-  void KillSlot(NodeId id) { nodes_[id] = {kDeadLevel, -1, -1}; }
   template <class F>
   void ForEachChild(NodeId id, F&& f) const {
     f(nodes_[id].lo);

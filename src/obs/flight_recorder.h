@@ -4,7 +4,7 @@
 //
 // Every completed request — including service-level rejects that never
 // reached a worker — appends one fixed-size record: signature, route,
-// per-phase timing breakdown (queue / compile / WMC / GC), terminal
+// per-phase timing breakdown (queue / compile / WMC), terminal
 // status code, and the bytes the request's shard account moved. The
 // ring holds the most recent `capacity` records; recording is one short
 // mutex-guarded copy (requests complete at most a few hundred thousand

@@ -169,18 +169,11 @@ void SddManager::EndParallelRegion() {
   CTSDD_CHECK(par_active_);
   par_active_ = false;
   for (Ctx& cx : ctxs_) {
-    // Unused tails of per-worker id blocks become ordinary free-list
-    // entries, reusable by the next sequential allocation and invisible
-    // to GC marking.
+    // Unused tails of per-worker id blocks stay behind as holes.
     for (size_t id = cx.alloc_next; id < cx.alloc_end; ++id) {
-      MarkSlotDead(static_cast<NodeId>(id));
-      free_ids_.push_back(static_cast<NodeId>(id));
+      MarkHole(static_cast<NodeId>(id));
     }
     cx.alloc_next = cx.alloc_end = 0;
-    // Unused recycled ids go back too (they are already dead-marked).
-    free_ids_.insert(free_ids_.end(), cx.recycled.begin(),
-                     cx.recycled.end());
-    cx.recycled.clear();
     AddCounters(cx.counters);
     cx.counters = PerfCounters{};
   }
@@ -199,14 +192,9 @@ void SddManager::AccountStructures(MemAccount* account) {
 
 Status SddManager::Validate() const {
   const size_t n = nodes_.size();
-  std::vector<bool> dead;
-  CTSDD_RETURN_IF_ERROR(ValidateFreeList(&dead));
   for (size_t id = 2; id < n; ++id) {
-    if (dead[id]) continue;
     const Node& node = nodes_[id];
-    if (node.kind == Kind::kConst) {
-      return Status::Internal("non-terminal constant node");
-    }
+    if (IsHole(static_cast<NodeId>(id))) continue;
     if (node.kind == Kind::kLiteral) {
       if (node.var < 0 || !vtree_.is_leaf(node.vnode) ||
           vtree_.LeafOf(node.var) != node.vnode) {
@@ -231,9 +219,8 @@ Status SddManager::Validate() const {
         if (child < 0 || static_cast<size_t>(child) >= n) {
           return Status::Internal("element id out of range");
         }
-        const Node& c = nodes_[child];
-        if (child > 1 && c.kind == Kind::kConst) {
-          return Status::Internal("element references a dead node");
+        if (IsHole(child)) {
+          return Status::Internal("element references a hole");
         }
       }
       if (p <= 1) {
@@ -251,73 +238,11 @@ Status SddManager::Validate() const {
     if (found != static_cast<int32_t>(id)) {
       return Status::Internal(
           found == UniqueTable::kEmpty
-              ? "live decision missing from the unique table"
+              ? "decision missing from the unique table"
               : "duplicate decision in the unique table");
     }
   }
   return Status::Ok();
-}
-
-size_t SddManager::GarbageCollect() {
-  // Constants and literals are permanent roots.
-  std::vector<NodeId> literals;
-  for (const NodeId lit : literal_ids_) {
-    if (lit >= 0) literals.push_back(lit);
-  }
-  return Collect("sdd.gc", std::move(literals),
-                 [&](const std::vector<uint8_t>& marked) {
-    // Sever negation links into collected nodes: the link slots are id-
-    // valued, and a freed id may be recycled by an unrelated function.
-    for (size_t id = 0; id < nodes_.size(); ++id) {
-      if (!marked[id]) continue;
-      NodeId& neg = fast_info_[id].negation;
-      if (neg >= 0 && !marked[neg]) neg = -1;
-    }
-    // Caches hold freed ids; invalidate them, then re-register the
-    // survivors' semantic words so FastApply does not cold-start.
-    apply_cache_.Clear();
-    sem_cache_.Clear();
-    RebuildSemanticCache();
-  });
-}
-
-void SddManager::KillSlot(NodeId id) {
-  const Node& n = nodes_[id];
-  if (n.kind == Kind::kDecision && n.num_elems > 0) {
-    free_elements_[n.num_elems].push_back(const_cast<Element*>(n.elems));
-  }
-  MarkSlotDead(id);
-}
-
-void SddManager::RebuildSemanticCache() {
-  for (size_t id = 2; id < nodes_.size(); ++id) {
-    const Node& n = nodes_[id];
-    // Non-terminal kConst slots are dead sentinels (real constants are
-    // ids 0 and 1, skipped above).
-    if (n.kind == Kind::kConst) continue;
-    const FastInfo& fi = fast_info_[id];
-    if (fi.anchor >= 0) {
-      sem_cache_.Store(Hash2SemKey(fi.anchor, fi.word),
-                       SemKey{fi.anchor, fi.word}, static_cast<NodeId>(id));
-    }
-  }
-}
-
-void SddManager::ShrinkCaches() {
-  CheckQuiescent("ShrinkCaches");
-  apply_cache_.Shrink();
-  ReleaseMemos();
-  for (Ctx& cx : ctxs_) cx.scratch.clear();
-  // The semantic cache backs an invariant (live small-scope functions
-  // resolve by word), not just memoized work: release its grown array,
-  // then repopulate compactly from the live nodes.
-  sem_cache_.Shrink();
-  RebuildSemanticCache();
-}
-
-void SddManager::ReleaseMemos() {
-  CheckQuiescent("ReleaseMemos");
-  apply_memo_.Shrink();
 }
 
 SddManager::NodeId SddManager::Literal(int var, bool positive) {
@@ -434,7 +359,7 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
     return unique_.FindOrInsert(hash, eq, [&] {
       if (budget_ != nullptr) ChargePar(cx);
       CTSDD_FAULT_POINT("sdd.alloc");
-      Element* stored = AllocateElements<true>(cx, elements.size());
+      Element* stored = cx.element_arena.Allocate(elements.size());
       std::copy(elements.begin(), elements.end(), stored);
       const NodeId id =
           AllocNodePar(cx, {Kind::kDecision, false, -1, vnode, stored,
@@ -447,7 +372,7 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
     if (found != UniqueTable::kEmpty) return found;
     if (budget_ != nullptr && !ChargeSeq(cx)) return kAborted;
     CTSDD_FAULT_POINT("sdd.alloc");
-    Element* stored = AllocateElements<false>(cx, elements.size());
+    Element* stored = cx.element_arena.Allocate(elements.size());
     std::copy(elements.begin(), elements.end(), stored);
     const NodeId id = NewNode({Kind::kDecision, false, -1, vnode, stored,
                                static_cast<uint32_t>(elements.size())});
@@ -458,36 +383,13 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
 }
 
 SddManager::NodeId SddManager::NewNode(const Node& n) {
-  const NodeId id = NewSlot(n);
+  const auto id = static_cast<NodeId>(nodes_.PushBack(n));
   fast_info_.Reserve(static_cast<size_t>(id) + 1);
   return id;
 }
 
 SddManager::NodeId SddManager::AllocNodePar(Ctx& cx, const Node& n) {
-  if (!cx.recycled.empty()) {
-    const NodeId id = cx.recycled.back();
-    cx.recycled.pop_back();
-    nodes_[id] = n;
-    return id;
-  }
   if (cx.alloc_next == cx.alloc_end) {
-    // Refill from the GC free list before claiming fresh ids: without
-    // reuse, every parallel cold compile would grow the store past what
-    // collection can ever reclaim.
-    {
-      SpinLockGuard guard(free_ids_lock_);
-      const size_t take = std::min(kAllocBlock, free_ids_.size());
-      if (take > 0) {
-        cx.recycled.assign(free_ids_.end() - take, free_ids_.end());
-        free_ids_.resize(free_ids_.size() - take);
-      }
-    }
-    if (!cx.recycled.empty()) {
-      const NodeId id = cx.recycled.back();
-      cx.recycled.pop_back();
-      nodes_[id] = n;
-      return id;
-    }
     cx.alloc_next = nodes_.ClaimBlock(kAllocBlock);
     cx.alloc_end = cx.alloc_next + kAllocBlock;
     fast_info_.Reserve(cx.alloc_end);
@@ -495,24 +397,6 @@ SddManager::NodeId SddManager::AllocNodePar(Ctx& cx, const Node& n) {
   const NodeId id = static_cast<NodeId>(cx.alloc_next++);
   nodes_[id] = n;
   return id;
-}
-
-template <bool kPar>
-SddManager::Element* SddManager::AllocateElements(Ctx& cx, size_t n) {
-  if (n == 0) return nullptr;
-  if constexpr (!kPar) {
-    // The free map stays empty until a collection has run, so pre-GC
-    // workloads never pay the bucket probe on this hot path.
-    if (!free_elements_.empty()) {
-      const auto it = free_elements_.find(n);
-      if (it != free_elements_.end() && !it->second.empty()) {
-        Element* out = it->second.back();
-        it->second.pop_back();
-        return out;
-      }
-    }
-  }
-  return cx.element_arena.Allocate(n);
 }
 
 SddManager::NodeId SddManager::Decision(int vnode, Elements elements) {

@@ -35,8 +35,8 @@
 // stripes, and the owning-thread assertion is suspended
 // (util/thread_check.h ParallelRegion). Results are pointer-identical to
 // sequential compilation — canonicity hash-conses every decision to one
-// id regardless of which worker builds it first — so GC, negation links,
-// and the semantic cache work unchanged. The only operation a region
+// id regardless of which worker builds it first — so negation links and
+// the semantic cache work unchanged. The only operation a region
 // admits is Decision on an already-compressed partition; Apply, AndN,
 // OrN and Not are single-owner and never fork (forking element-product
 // rows lost to the sequential path on every measured workload;
@@ -61,7 +61,6 @@
 #include "util/manager_core.h"
 #include "util/node_store.h"
 #include "util/scoped_memo.h"
-#include "util/spinlock.h"
 #include "util/status.h"
 #include "util/wmc_tape.h"
 #include "vtree/vtree.h"
@@ -191,9 +190,11 @@ class SddManager : public ManagerCore<SddManager> {
   // With a parallel pool attached, the vtree-semantic compiler spans its
   // whole recursion in one explicit region and forks there. Inside a
   // region workers may call only Decision, LookupSemantic and Literal
-  // (pre-interned); Apply/AndN/OrN/Not, Restrict, GC and root bookkeeping
-  // are single-owner operations outside regions. Results are pointer-
-  // identical to sequential execution.
+  // (pre-interned); Apply/AndN/OrN/Not and Restrict are single-owner
+  // operations outside regions. Results are pointer-identical to
+  // sequential execution. Each region leaves the unused tail of every
+  // worker's id block as a hole: a dead-marked slot that Validate()
+  // skips and nothing reuses.
 
   bool InParallelRegion() const { return par_active_; }
 
@@ -208,33 +209,11 @@ class SddManager : public ManagerCore<SddManager> {
   }
 
   // Manager-wide structural self-check (contrast Validate(NodeId), which
-  // checks one root's partition semantics): every live node is well-
-  // formed, element ids are live and in range, dead slots match the free
-  // list, and the unique table maps each live decision to itself. Used
-  // by tests to assert aborted operations left the manager consistent.
+  // checks one root's partition semantics): every node is well-formed,
+  // element ids are in range and never name a hole, and the unique table
+  // maps each decision to itself. Used by tests to assert aborted
+  // operations left the manager consistent.
   Status Validate() const;
-
-  // --- Memory lifecycle -------------------------------------------------
-  //
-  // Beyond the shared contract: constants and literals are permanent
-  // roots; a collection severs negation links into collected nodes and
-  // rebuilds the (anchor, word) semantic cache from the survivors; freed
-  // decisions donate their element spans to a size-bucketed free list
-  // that MakeDecision reuses, so the element arenas' footprint is bounded
-  // by their live + recycled high-water mark.
-
-  // Mark-from-roots collection; returns the number of nodes reclaimed.
-  size_t GarbageCollect();
-
-  // Returns the computed caches and per-operation memos to their initial
-  // footprint (contents dropped — only recomputation cost; the semantic
-  // cache repopulates as nodes are created).
-  void ShrinkCaches();
-
-  // Releases only the per-operation apply memo, which keeps the capacity
-  // of the largest recent operation between operations; the computed and
-  // semantic caches are untouched (no semantic-cache rebuild).
-  void ReleaseMemos();
 
   // Accounted-resident bytes: both node stores, the unique table, the
   // apply/semantic caches, the apply memo, and every context's element
@@ -386,15 +365,11 @@ class SddManager : public ManagerCore<SddManager> {
     std::vector<NodeId> nary_probe_scratch;
     // Exact memo for n-ary folds within the current top-level operation.
     std::unordered_map<NaryKey, NodeId, NaryKeyHash> nary_memo;
-    // Element span stripe (stable addresses; see AllocateElements).
+    // Element span stripe (stable addresses).
     PoolArena<Element> element_arena;
-    // Node-id block cursor (parallel regions only), plus the context's
-    // batch of GC-recycled ids (refilled from the shared free list under
-    // free_ids_lock_ — parallel regions must reuse freed ids or the node
-    // store would grow monotonically across GC cycles).
+    // Node-id block cursor (parallel regions only).
     size_t alloc_next = 0;
     size_t alloc_end = 0;
-    std::vector<NodeId> recycled;
     PerfCounters counters;
     // Remaining node allocations pre-charged against the attached budget
     // (see ChargeSeq/ChargePar; reset by AttachBudget).
@@ -440,22 +415,13 @@ class SddManager : public ManagerCore<SddManager> {
   template <bool kPar>
   NodeId MakeDecisionT(Ctx& cx, int vnode, Elements* elements);
   // The unique-table hash of a decision's sorted elements (shared by
-  // MakeDecision and the GC rebuild).
+  // MakeDecision and Validate).
   static uint64_t DecisionHash(int vnode, ElementSpan elements);
-  // Arena allocation with recycling: exact-size spans freed by the GC are
-  // reused before the arena grows (single-owner path; parallel contexts
-  // allocate straight from their stripe).
-  template <bool kPar>
-  Element* AllocateElements(Ctx& cx, size_t n);
-  // NewSlot plus the lockstep fast_info_ slot (single-owner path).
+  // Appends a node plus its lockstep fast_info_ slot (single-owner path).
   NodeId NewNode(const Node& n);
   // Node allocation inside a parallel region: bump-allocates from the
   // context's claimed id block.
   NodeId AllocNodePar(Ctx& cx, const Node& n);
-  // Re-registers every live small-scope node's (anchor, word) -> id
-  // entry, restoring the semantic layer after the cache was cleared
-  // (GC) or released (ShrinkCaches).
-  void RebuildSemanticCache();
   // Two-level memoization: the bounded global apply cache gives cross-
   // operation reuse; an exact memo scoped to each top-level Apply call
   // preserves the O(|a|·|b|) apply bound even when the global cache
@@ -602,27 +568,17 @@ class SddManager : public ManagerCore<SddManager> {
     }
   };
 
-  // ManagerCore hooks. A freed slot reads as a constant with var ==
-  // kDeadVar until its id is recycled (real constants are ids 0 and 1,
-  // live literals have var >= 0). Only decisions are hash-consed;
-  // literals are interned in literal_ids_.
+  // A hole (an unused parallel id; see BeginParallelRegion) reads as a
+  // constant: the real constants are ids 0 and 1, so any other kConst
+  // slot is a hole.
+  void MarkHole(NodeId id) {
+    nodes_[id] = {Kind::kConst, false, -1, -1, nullptr, 0};
+  }
+  bool IsHole(NodeId id) const {
+    return id > kTrue && nodes_[id].kind == Kind::kConst;
+  }
+  // ManagerCore hooks.
   friend class ManagerCore<SddManager>;
-  static constexpr int kDeadVar = -2;
-  bool IsDeadSlot(NodeId id) const {
-    return nodes_[id].kind == Kind::kConst && nodes_[id].var == kDeadVar;
-  }
-  bool IsUniqueKeyed(NodeId id) const {
-    return nodes_[id].kind == Kind::kDecision;
-  }
-  uint64_t UniqueHash(NodeId id) const {
-    return DecisionHash(nodes_[id].vnode, elements(id));
-  }
-  // Donates a decision's element span to free_elements_, then dead-marks.
-  void KillSlot(NodeId id);
-  void MarkSlotDead(NodeId id) {
-    nodes_[id] = {Kind::kConst, false, kDeadVar, -1, nullptr, 0};
-    fast_info_[id] = {-1, -1, 0};
-  }
   template <class F>
   void ForEachChild(NodeId id, F&& f) const {
     for (const auto& [p, s] : elements(id)) {
@@ -659,14 +615,6 @@ class SddManager : public ManagerCore<SddManager> {
   // EnsureCtxSlots appends.
   std::deque<Ctx> ctxs_;
   bool par_active_ = false;
-  // Guards free_ids_ inside parallel regions only (AllocNodePar refills
-  // context batches from it); single-owner access outside regions stays
-  // lock-free, ordered by the region bracket.
-  SpinLock free_ids_lock_;
-  // Size-bucketed element spans of freed decisions. Spans are arena-
-  // backed and never return to the allocator, but exact-size reuse bounds
-  // the arenas at their live + recycled high-water mark.
-  std::unordered_map<size_t, std::vector<Element*>> free_elements_;
 };
 
 }  // namespace ctsdd

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -17,7 +16,7 @@
 namespace ctsdd {
 namespace {
 
-// The vtree-guided semantic compiler (the default CompileFuncToSdd route).
+// The vtree-guided semantic compiler behind CompileFuncToSdd.
 //
 // Invariant: CompileShrunk(v, g) takes a subfunction g that depends on
 // every variable in g.vars() (callers shrink first), with all of those
@@ -311,28 +310,6 @@ class SemanticSddCompiler {
   std::atomic<uint64_t> memo_hits_{0};
 };
 
-SddManager::NodeId CompileFuncToSddShannon(SddManager* manager,
-                                           const BoolFunc& f) {
-  std::unordered_map<BoolFunc, SddManager::NodeId, BoolFunc::Hasher> memo;
-  std::function<SddManager::NodeId(const BoolFunc&)> rec =
-      [&](const BoolFunc& g) -> SddManager::NodeId {
-    if (g.IsConstantFalse()) return manager->False();
-    if (g.IsConstantTrue()) return manager->True();
-    const auto it = memo.find(g);
-    if (it != memo.end()) return it->second;
-    const int var = g.vars()[0];
-    const SddManager::NodeId lo = rec(g.Restrict(var, false));
-    const SddManager::NodeId hi = rec(g.Restrict(var, true));
-    const SddManager::NodeId x = manager->Literal(var, true);
-    const SddManager::NodeId result = manager->Or(
-        manager->And(x, hi), manager->And(manager->Not(x), lo));
-    if (result < 0) return result;  // budget abort: never memoized
-    memo.emplace(g, result);
-    return result;
-  };
-  return rec(f);
-}
-
 }  // namespace
 
 SddManager::NodeId CompileCircuitToSdd(SddManager* manager,
@@ -413,11 +390,7 @@ SddManager::NodeId CompileCircuitToSdd(SddManager* manager,
   return value[circuit.output()];
 }
 
-SddManager::NodeId CompileFuncToSdd(SddManager* manager, const BoolFunc& f,
-                                    SddFuncCompile strategy) {
-  if (strategy == SddFuncCompile::kShannonApply) {
-    return CompileFuncToSddShannon(manager, f);
-  }
+SddManager::NodeId CompileFuncToSdd(SddManager* manager, const BoolFunc& f) {
   return SemanticSddCompiler(manager).Compile(f);
 }
 

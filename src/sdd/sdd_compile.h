@@ -7,19 +7,16 @@
 // it directly from factors — the constructions are cross-checked in the
 // tests).
 //
-// Two routes exist for explicit functions:
-//
-//  - kVtreeSemantic (default): recurses on the vtree. At each internal
-//    node v it partitions the current subfunction into its distinct
-//    left-scope cofactors with one word-parallel BoolFunc::CofactorsOver
-//    sweep, and emits the already-compressed {(prime_i, sub_i)} partition
-//    directly — the primes are the cofactor equivalence classes, so no
-//    Shannon expansion and no Or(And, And) applies ever run. Memoized per
-//    subfunction (the minimal vtree node is determined by the
-//    subfunction's support, so the function alone is the key).
-//  - kShannonApply: the historical variable-at-a-time Shannon expansion
-//    through binary applies. Quadratically more apply work; retained as a
-//    cross-check oracle for the randomized equivalence tests.
+// Explicit functions compile by recursing on the vtree. At each internal
+// node v the compiler partitions the current subfunction into its
+// distinct left-scope cofactors with one word-parallel
+// BoolFunc::CofactorsOver sweep, and emits the already-compressed
+// {(prime_i, sub_i)} partition directly — the primes are the cofactor
+// equivalence classes, so no Shannon expansion and no Or(And, And)
+// applies ever run. Memoized per subfunction (the minimal vtree node is
+// determined by the subfunction's support, so the function alone is the
+// key). The randomized equivalence tests cross-check it against a
+// Shannon-expansion oracle built from binary applies.
 //
 // Circuit compilation picks the semantic route automatically when the
 // circuit's variable count makes an explicit truth table cheap (the
@@ -36,10 +33,6 @@
 
 namespace ctsdd {
 
-// Strategy for CompileFuncToSdd. kVtreeSemantic is the production path;
-// kShannonApply is the retained oracle.
-enum class SddFuncCompile { kVtreeSemantic, kShannonApply };
-
 // Largest circuit variable count routed through the semantic compiler by
 // CompileCircuitToSdd (2^18-entry tables; must be <= BoolFunc::kMaxVars).
 inline constexpr int kSemanticCircuitMaxVars = 18;
@@ -50,10 +43,8 @@ inline constexpr int kSemanticCircuitMaxVars = 18;
 SddManager::NodeId CompileCircuitToSdd(SddManager* manager,
                                        const Circuit& circuit);
 
-// Compilation of an explicit function (see strategy notes above).
-SddManager::NodeId CompileFuncToSdd(
-    SddManager* manager, const BoolFunc& f,
-    SddFuncCompile strategy = SddFuncCompile::kVtreeSemantic);
+// Compilation of an explicit function (see the notes above).
+SddManager::NodeId CompileFuncToSdd(SddManager* manager, const BoolFunc& f);
 
 struct SddStats {
   int size = 0;       // total elements (AND gates)

@@ -9,13 +9,14 @@
 // WMC pass over the compiled diagram and nothing else.
 //
 // Requests are sharded by (query, database) signature across worker
-// threads. Each shard owns its managers (the managers stay
-// single-threaded; see util/thread_check.h) and its plan-cache
-// partition, and bounds resident memory with the managers' mark-from-
-// roots garbage collection: evicted plans release their root refs, the
-// next collection reclaims their nodes, and caches shrink back to
-// baseline — so the service runs indefinitely where the one-shot
-// pipeline's managers grow without limit.
+// threads. Each shard owns its plan-cache partition and builds a fresh
+// manager for every cold compile (single-threaded; see
+// util/thread_check.h). A plan keeps only the compiled WMC tape, so the
+// manager and its whole diagram are destroyed before the request is
+// answered, and a shard's resident memory is its plan cache, which
+// evicts under its capacity bound and memory pressure — so the service
+// runs indefinitely where the one-shot pipeline's managers grow without
+// limit.
 
 #ifndef CTSDD_SERVE_QUERY_SERVICE_H_
 #define CTSDD_SERVE_QUERY_SERVICE_H_
@@ -149,9 +150,8 @@ class QueryService {
   ServeOptions options_;
   // Service-wide work-stealing pool lent to every shard's managers (null
   // when options_.exec_workers <= 1); it speeds only semantic SDD
-  // compiles of at most kSemanticCircuitMaxVars variables, plus GC
-  // marking. Declared before the shards so it outlives every manager
-  // that borrowed it.
+  // compiles of at most kSemanticCircuitMaxVars variables. Declared
+  // before the shards so it outlives every manager that borrowed it.
   std::unique_ptr<exec::TaskPool> exec_pool_;
   // Unified metrics registry and the serve layer's handles into it: the
   // only store of the service's counters. flight_ is the bounded ring of

@@ -530,10 +530,9 @@ StatusOr<int> ShardWorker::CompileBudgeted(M* manager, MemAccount* account,
   const int root = compile();
   if (gov != nullptr) gov->UnregisterCompile(budget);
   manager->DetachBudget();
-  // Nothing collects mid-compile, so the live count now is the
-  // manager's peak.
+  // The node store only grows, so its size now is the manager's peak.
   peak_nodes_ =
-      std::max(peak_nodes_, static_cast<int64_t>(manager->NumLiveNodes()));
+      std::max(peak_nodes_, static_cast<int64_t>(manager->NumNodes()));
   if (root < 0) return budget->status();
   return root;
 }

@@ -8,8 +8,8 @@
 // evictions of live entries pile up — but only up to the caller-supplied
 // slot bound, so memory stays bounded no matter how long an operation
 // sequence runs (the guarantee the unbounded std::unordered_map caches it
-// replaces could not give). Clear() is generational: a stamp bump
-// invalidates every entry in O(1) without touching the array.
+// replaces could not give). The cache lives as long as its manager,
+// which lives for one compile, so nothing ever clears it.
 //
 // Concurrent protocol (exec-managed parallel regions): BeginConcurrent()
 // freezes the slot array (growth would move entries under readers) and
@@ -98,7 +98,7 @@ class ComputedCache {
     ++lookups_;
     if (slots_.empty()) return false;
     const Slot& slot = slots_[hash & (slots_.size() - 1)];
-    if (slot.stamp == generation_ && slot.key == key) {
+    if (slot.stamp == kFilled && slot.key == key) {
       *out = slot.value;
       ++hits_;
       return true;
@@ -117,7 +117,7 @@ class ComputedCache {
       SyncBytes();
     }
     Slot& slot = slots_[hash & (slots_.size() - 1)];
-    if (slot.stamp == generation_ && !(slot.key == key)) {
+    if (slot.stamp == kFilled && !(slot.key == key)) {
       // Conflict eviction of a live entry: when half the table has been
       // churned since the last resize, the live result set has outgrown
       // the array — double it (within the bound) instead of thrashing.
@@ -128,14 +128,14 @@ class ComputedCache {
         moved.hash = hash;
         moved.key = std::move(key);
         moved.value = std::move(value);
-        moved.stamp = generation_;
+        moved.stamp = kFilled;
         return;
       }
     }
     slot.hash = hash;
     slot.key = std::move(key);
     slot.value = std::move(value);
-    slot.stamp = generation_;
+    slot.stamp = kFilled;
   }
 
   // --- Concurrent protocol (see file comment) ---------------------------
@@ -177,7 +177,7 @@ class ComputedCache {
     const size_t index = hash & (slots_.size() - 1);
     SpinLockGuard guard(locks_[index & (kStripes - 1)]);
     const Slot& slot = slots_[index];
-    if (slot.stamp == generation_ && slot.key == key) {
+    if (slot.stamp == kFilled && slot.key == key) {
       *out = slot.value;
       c_hits_.fetch_add(1, std::memory_order_relaxed);
       return true;
@@ -192,42 +192,26 @@ class ComputedCache {
     slot.hash = hash;
     slot.key = std::move(key);
     slot.value = std::move(value);
-    slot.stamp = generation_;
-  }
-
-  // Invalidates all entries in O(1).
-  void Clear() { ++generation_; }
-
-  // Invalidates all entries AND returns the slot array to its initial
-  // footprint (the array is re-allocated lazily at `init_slots` on the
-  // next Store). Clear() alone never releases capacity, so a cache that
-  // sized up under one workload's eviction pressure would pin its peak
-  // footprint for the manager's lifetime — long-running services call
-  // this from the managers' ShrinkCaches() after garbage collection.
-  void Shrink() {
-    ++generation_;
-    evictions_ = 0;
-    slots_.clear();
-    slots_.shrink_to_fit();
-    SyncBytes();
+    slot.stamp = kFilled;
   }
 
  private:
   static constexpr size_t kInitialSlots = 1 << 8;
   static constexpr size_t kStripes = 64;
+  static constexpr uint32_t kFilled = 1;
 
   struct Slot {
     uint64_t hash = 0;  // retained so live entries can move on Grow()
     Key key{};
     Value value{};
-    uint32_t stamp = 0;  // entry is live iff stamp == generation_
+    uint32_t stamp = 0;  // kFilled once the slot holds an entry
   };
 
   void Grow() {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.size() * 2, Slot{});
     for (Slot& s : old) {
-      if (s.stamp != generation_) continue;
+      if (s.stamp != kFilled) continue;
       slots_[s.hash & (slots_.size() - 1)] = std::move(s);
     }
     evictions_ = 0;
@@ -259,7 +243,6 @@ class ComputedCache {
   size_t init_slots_ = kInitialSlots;
   size_t charged_bytes_ = 0;
   MemAccount* account_ = nullptr;
-  uint32_t generation_ = 1;
   uint64_t lookups_ = 0;
   uint64_t hits_ = 0;
   uint64_t evictions_ = 0;

@@ -1,35 +1,25 @@
 // The lifecycle ObddManager and SddManager share: node ids and the abort
-// sentinel, external roots, mark-from-roots garbage collection, budget
-// leases, memory accounting and admission, the borrowed executor, and
-// thread ownership. Written once here; each manager keeps only its node
-// layout, hash-consing key, caches and apply recursions.
+// sentinel, budget leases, memory accounting and admission, the borrowed
+// executor, and thread ownership. Written once here; each manager keeps
+// only its node layout, hash-consing key, caches and apply recursions.
 //
-// Node ids. 0 is the false terminal and 1 the true terminal, both
-// permanent. kAborted (-2) is the cooperative-abort sentinel (see
-// Budgets); it is never stored in the unique table, a cache, a memo, or
-// an SDD negation link.
+// A manager is a compile arena: its node store only grows, and the
+// manager lives for one compile (or one test). The serving layer builds a
+// manager per cold compile, linearizes the root into a WmcTape and
+// destroys the manager before answering, so nothing is ever collected:
+// canonicity needs every node in the unique table, and dropping the whole
+// manager is the only release.
 //
-// Roots and collection. A manager never frees nodes on its own:
-// canonicity needs every reachable node in the unique table, and the
-// manager cannot see which ids a caller still holds. Callers register the
-// roots they keep with AddRootRef, ref-counted (k adds need k releases;
-// terminals, and SDD literals, are permanent and need none).
-// GarbageCollect() marks from those roots, sweeps every unreachable node
-// onto a free list that allocation pops before growing the store, and
-// rebuilds the unique table over the survivors. Live ids never change, so
-// held ids of protected roots stay valid, and recompiling a collected
-// function reproduces pointer-identical ids for every surviving subgraph.
-// The computed caches are cleared (freed ids may be reused), which only
-// costs recomputation. With a parallel pool attached the mark runs one
-// DFS per root as pool tasks; the marked set, and so everything after it,
-// equals the sequential mark's.
+// Node ids. 0 is the false terminal and 1 the true terminal. kAborted
+// (-2) is the cooperative-abort sentinel (see Budgets); it is never
+// stored in the unique table, a cache, a memo, or an SDD negation link.
 //
 // Budgets. While a WorkBudget is attached, every node allocation charges
 // it through leases (one shared-atomic touch per lease_chunk_
 // allocations), and every operation unwinds with kAborted once it trips:
 // on node exhaustion, on deadline, or on Cancel(). The unwind caches,
 // interns and links nothing, so the manager stays Validate()-clean, the
-// partial nodes are unreferenced garbage for the next collection, and a
+// partial nodes are unreferenced (they go with the manager), and a
 // recompile after detaching or refreshing the budget is pointer-
 // identical. With no budget attached the allocation path pays one
 // predictable branch.
@@ -37,8 +27,9 @@
 // Memory accounting. AttachMemAccount charges every byte-owning structure
 // to the account, transferring the bytes already resident; nullptr
 // detaches. The manager's MemoryBytes() recomputes the total, which
-// equals mem_account()->bytes() at quiescent points (debug-checked at the
-// end of every collection). When the account chains to an enabled
+// equals mem_account()->bytes() at quiescent points: debug builds check
+// it at every Attach* call, so each budgeted compile is checked before
+// it starts and after it ends. When the account chains to an enabled
 // MemGovernor and a budget is attached, each lease refill first asks the
 // governor for the worst-case growth until the next refill; a denial
 // trips the budget RESOURCE_EXHAUSTED with the memory-pressure marker
@@ -46,32 +37,26 @@
 // watermark.
 //
 // Threading. A manager is single-owner: debug builds assert that every
-// entry point runs on one thread. Attach*, GarbageCollect and ShrinkCaches
-// run outside operations (and outside SDD parallel regions).
+// entry point runs on one thread. Attach* calls run outside operations
+// (and outside SDD parallel regions).
 //
 // ManagerCore<M> is a non-virtual CRTP base. M reaches it through a
 // friend declaration and supplies:
 //   nodes_                  its NodeStore
-//   IsDeadSlot(id)          the slot is on the free list
-//   UniqueHash(id)          the unique-table hash of a live, keyed slot
-//   KillSlot(id)            dead-marks an unreachable slot
 //   ForEachChild(id, f)     calls f on every child id
 //   ResetLeases()           zeroes its lease counters
 //   AccountStructures(a)    points its byte-owning structures at `a`
 //   MemoryBytes()           recomputed accounted bytes
-// and may shadow IsUniqueKeyed (default: every live slot is keyed) and
-// CheckOutsideRegion (default: no regions).
+// and may shadow CheckOutsideRegion (default: no regions).
 
 #ifndef CTSDD_UTIL_MANAGER_CORE_H_
 #define CTSDD_UTIL_MANAGER_CORE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "exec/task_pool.h"
-#include "obs/trace.h"
 #include "util/budget.h"
 #include "util/logging.h"
 #include "util/mem_governor.h"
@@ -93,46 +78,16 @@ class ManagerCore {
   NodeId False() const { return kFalse; }
   NodeId True() const { return kTrue; }
 
-  // --- Roots and collection ---------------------------------------------
-
-  // Registers `id` as an external root. Terminals need no protection.
-  void AddRootRef(NodeId id) {
-    thread_check_.Check();
-    if (id <= kTrue) return;
-    const size_t slots = self().nodes_.size();
-    CTSDD_CHECK(static_cast<size_t>(id) < slots && !self().IsDeadSlot(id))
-        << "AddRootRef on a freed node";
-    if (external_refs_.size() < slots) external_refs_.resize(slots, 0);
-    ++external_refs_[id];
-  }
-  // Drops one reference added by AddRootRef.
-  void ReleaseRootRef(NodeId id) {
-    thread_check_.Check();
-    if (id <= kTrue) return;
-    CTSDD_CHECK(static_cast<size_t>(id) < external_refs_.size() &&
-                external_refs_[id] > 0)
-        << "ReleaseRootRef without a matching AddRootRef";
-    --external_refs_[id];
-  }
-
-  // Total node slots ever created (the footprint high-water mark).
+  // Node slots created so far, terminals included. The store only grows,
+  // so this is also the manager's peak. SDD parallel regions leave the
+  // unused tails of their id blocks as holes (at most one 128-id block
+  // per worker per region), which count here.
   int NumNodes() const { return static_cast<int>(self().nodes_.size()); }
-  // Nodes currently resident (slots minus the free list), terminals
-  // included. The quantity a long-running service bounds.
-  int NumLiveNodes() const {
-    return static_cast<int>(self().nodes_.size() - free_ids_.size());
-  }
-
-  struct GcStats {
-    uint64_t runs = 0;       // GarbageCollect() invocations
-    uint64_t reclaimed = 0;  // nodes freed across all runs
-  };
-  const GcStats& gc_stats() const { return gc_stats_; }
 
   // --- Executor -----------------------------------------------------------
 
-  // Lends the manager a work-stealing pool for the GC mark (and, in the
-  // SDD manager, the semantic compiler's parallel region).
+  // Lends the manager a work-stealing pool for the SDD semantic
+  // compiler's parallel region. ObddManager never forks and ignores it.
   void AttachExecutor(exec::TaskPool* pool) { pool_ = pool; }
   exec::TaskPool* executor() const { return pool_; }
 
@@ -175,15 +130,23 @@ class ManagerCore {
   Manager& self() { return static_cast<Manager&>(*this); }
   const Manager& self() const { return static_cast<const Manager&>(*this); }
 
-  // Lifecycle calls (GC, Attach*, ShrinkCaches) run on the owning thread,
-  // outside every operation and parallel region.
+  // Attach* calls run on the owning thread, outside every operation and
+  // parallel region. They are the manager's quiescent points, so debug
+  // builds check there that the attached account agrees exactly with
+  // the recomputed per-structure bytes.
   void CheckQuiescent(const char* what) const {
     thread_check_.Check();
     CTSDD_CHECK_EQ(op_depth_, 0) << what << " inside an operation";
     self().CheckOutsideRegion(what);
+#ifndef NDEBUG
+    if (mem_account_ != nullptr) {
+      CTSDD_CHECK_EQ(mem_account_->bytes(),
+                     static_cast<uint64_t>(self().MemoryBytes()))
+          << what << ": memory accounting drift";
+    }
+#endif
   }
   void CheckOutsideRegion(const char*) const {}
-  bool IsUniqueKeyed(NodeId) const { return true; }
 
   // Refills `*lease` (the caller's lease counter) from the attached
   // budget after the governor's admission check; false when either
@@ -193,32 +156,6 @@ class ManagerCore {
     if (!AdmitMemGrowth()) return false;
     *lease = static_cast<uint32_t>(budget_->AcquireLease(lease_chunk_));
     return *lease > 0;
-  }
-
-  // One collection: mark from `roots` plus the registered external roots,
-  // sweep, run `after_sweep(marked)` (the manager's cache invalidation),
-  // and account the run. `span_name` names the trace span.
-  template <class AfterSweep>
-  size_t Collect(const char* span_name, std::vector<NodeId> roots,
-                 AfterSweep&& after_sweep) {
-    CheckQuiescent("GC");
-    obs::TraceSpan gc_span("gc", span_name);
-    ++gc_stats_.runs;
-    const std::vector<uint8_t> marked = Mark(std::move(roots));
-    const size_t reclaimed = Sweep(marked);
-    after_sweep(marked);
-    gc_stats_.reclaimed += reclaimed;
-#ifndef NDEBUG
-    // GC is a quiescent point: the rolled-up account must agree with the
-    // recomputed per-structure bytes exactly, or accounting has drifted.
-    if (mem_account_ != nullptr) {
-      CTSDD_CHECK_EQ(mem_account_->bytes(),
-                     static_cast<uint64_t>(self().MemoryBytes()))
-          << span_name << ": memory accounting drift after GC";
-    }
-#endif
-    gc_span.AddArg("reclaimed", reclaimed);
-    return reclaimed;
   }
 
   // Linearizes the diagram under `root` into a tape over `num_slots`
@@ -266,46 +203,9 @@ class ManagerCore {
     return tape;
   }
 
-  // Places `node` in a freed slot when one exists, else appends it.
-  template <class Node>
-  NodeId NewSlot(const Node& node) {
-    if (free_ids_.empty()) {
-      return static_cast<NodeId>(self().nodes_.PushBack(node));
-    }
-    const NodeId id = free_ids_.back();
-    free_ids_.pop_back();
-    self().nodes_[id] = node;
-    return id;
-  }
-
-  // Validate() helper: every free-list id is an in-range dead slot and
-  // every dead slot is on the free list. Fills `*dead` with the dead-slot
-  // bitmap.
-  Status ValidateFreeList(std::vector<bool>* dead) const {
-    const size_t n = self().nodes_.size();
-    dead->assign(n, false);
-    for (const NodeId id : free_ids_) {
-      if (id < 2 || static_cast<size_t>(id) >= n) {
-        return Status::Internal("free-list id out of range");
-      }
-      if (!self().IsDeadSlot(id)) {
-        return Status::Internal("free-list id not dead-marked");
-      }
-      (*dead)[id] = true;
-    }
-    for (size_t id = 2; id < n; ++id) {
-      if (self().IsDeadSlot(static_cast<NodeId>(id)) && !(*dead)[id]) {
-        return Status::Internal("dead node missing from the free list");
-      }
-    }
-    return Status::Ok();
-  }
-
   UniqueTable unique_;
-  // Nesting depth of the running operation; lifecycle calls need 0.
+  // Nesting depth of the running operation; Attach* calls need 0.
   int op_depth_ = 0;
-  // Freed ids, popped by allocation before the node store grows.
-  std::vector<NodeId> free_ids_;
   exec::TaskPool* pool_ = nullptr;
   WorkBudget* budget_ = nullptr;  // may be null
   uint32_t lease_chunk_ = 0;      // allocations per lease
@@ -335,73 +235,6 @@ class ManagerCore {
     budget_->Cancel(StatusCode::kResourceExhausted);
     return false;
   }
-
-  std::vector<uint8_t> Mark(std::vector<NodeId> roots) const {
-    const Manager& m = self();
-    std::vector<uint8_t> marked(m.nodes_.size(), 0);
-    marked[kFalse] = marked[kTrue] = 1;
-    for (size_t id = 0; id < external_refs_.size(); ++id) {
-      if (external_refs_[id] > 0) roots.push_back(static_cast<NodeId>(id));
-    }
-    if (pool_ != nullptr && pool_->parallel() && roots.size() > 1) {
-      // One DFS per root as exec tasks: claiming a node with a relaxed
-      // atomic exchange makes subgraphs shared between roots traverse
-      // exactly once, and running on the shared pool lets a cold compile
-      // on another shard overlap this pause instead of queueing behind it.
-      exec::ParallelFor(pool_, roots.size(), [&](size_t i) {
-        std::vector<NodeId> stack{roots[i]};
-        while (!stack.empty()) {
-          const NodeId u = stack.back();
-          stack.pop_back();
-          if (std::atomic_ref<uint8_t>(marked[u]).exchange(
-                  1, std::memory_order_relaxed)) {
-            continue;
-          }
-          m.ForEachChild(u, [&](NodeId c) { stack.push_back(c); });
-        }
-      });
-    } else {
-      std::vector<NodeId> stack = std::move(roots);
-      while (!stack.empty()) {
-        const NodeId u = stack.back();
-        stack.pop_back();
-        if (marked[u]) continue;
-        marked[u] = 1;
-        m.ForEachChild(u, [&](NodeId c) { stack.push_back(c); });
-      }
-    }
-    return marked;
-  }
-
-  // Frees every unmarked slot onto the free list and rebuilds the unique
-  // table over the keyed survivors (open addressing cannot delete in
-  // place). Returns the number of slots freed.
-  size_t Sweep(const std::vector<uint8_t>& marked) {
-    Manager& m = self();
-    const size_t n = m.nodes_.size();
-    size_t live = 0;
-    for (size_t id = 2; id < n; ++id) {
-      if (marked[id] && m.IsUniqueKeyed(static_cast<NodeId>(id))) ++live;
-    }
-    unique_.Clear(live);
-    size_t reclaimed = 0;
-    for (size_t id = 2; id < n; ++id) {
-      const NodeId u = static_cast<NodeId>(id);
-      if (m.IsDeadSlot(u)) continue;  // already on the free list
-      if (!marked[id]) {
-        m.KillSlot(u);
-        free_ids_.push_back(u);
-        ++reclaimed;
-      } else if (m.IsUniqueKeyed(u)) {
-        unique_.Insert(m.UniqueHash(u), u);
-      }
-    }
-    return reclaimed;
-  }
-
-  // External root ref-counts, indexed by node id and grown lazily.
-  std::vector<int32_t> external_refs_;
-  GcStats gc_stats_;
 };
 
 }  // namespace ctsdd

@@ -107,7 +107,7 @@ bool MemGovernor::AdmitProjected(uint64_t projected_bytes) {
   admit_denials_.fetch_add(1, std::memory_order_relaxed);
   // The denied compile trips itself; also cancel the largest in-flight
   // compile so the bytes backing the denial actually become reclaimable
-  // (its partial nodes are garbage at the next collection).
+  // (its manager, partial nodes and all, is destroyed when it unwinds).
   CancelLargestCompile();
   return false;
 }

@@ -2,7 +2,7 @@
 // with watermark-tiered pressure response.
 //
 // The paper's size bounds are per-diagram promises; a serving process
-// composing many shards, manager pools, plan caches, and computed caches
+// composing many shards, compile managers, plan caches, and computed caches
 // has no aggregate guarantee — a burst of wide-but-under-budget compiles
 // can still drive the process into the kernel OOM killer, the one
 // failure a thread supervisor cannot restart its way out of. The
@@ -30,12 +30,12 @@
 //     the largest one (`WorkBudget::Cancel(kResourceExhausted)`) when
 //     denial alone cannot relieve pressure.
 //
-// Exactness contract: at every quiescent point (GC end, eviction end),
+// Exactness contract: at every quiescent point (a manager's Attach*
+// calls, which bracket every budgeted compile; a plan eviction's end),
 // an account's bytes() equals the owning structures' recomputed
 // MemoryBytes() sums — debug-asserted by the managers and pinned by the
-// randomized round-trip tests. All shedding preserves exactness and
-// pointer-identical recompiles (shrink/GC/evict are the same operations
-// the bounded-serving policy already runs).
+// randomized round-trip tests. Shedding (plan eviction, denied cache
+// growth) preserves exactness and pointer-identical recompiles.
 //
 // Fault site: `mem.reserve` (coarse, always compiled) fires on every
 // governed reservation; an armed action may call

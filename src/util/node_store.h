@@ -24,12 +24,12 @@
 //     claims a block of ids with one fetch_add and bump-allocates inside
 //     it, so id allocation is striped per worker and the only shared
 //     write is the (rare) block claim. Unused block tails are the
-//     claimer's to account for (the managers mark them dead and free-list
-//     them when the parallel region ends).
+//     claimer's to account for (the SDD manager marks them as holes when
+//     the parallel region ends).
 //
 // Capacity is kMaxChunks * 2^kChunkBits ids (64M at the defaults, ~32KB
 // of inline directory); exceeding it is a CHECK failure, far above any
-// workload the managers bound with GC ceilings. Chunks are allocated
+// single compile the node budgets admit. Chunks are allocated
 // with default-initialization: POD element types leave pages untouched
 // until first written, so thousands of tiny short-lived managers (order
 // search) pay one ~192KB virtual allocation, not a physical one.

@@ -59,19 +59,6 @@ class ScopedMemo {
     ResetShard(&seq_, trim_slots_);
   }
 
-  // Invalidates all entries and releases the slot arrays entirely (they
-  // are re-allocated lazily at the initial size on the next Insert).
-  // Reset() only trims down to `trim_slots`, so a memo sized up by one
-  // giant operation keeps that much capacity; Shrink() returns it to
-  // baseline for managers entering an idle period.
-  void Shrink() {
-    ChargeBytes(-static_cast<int64_t>(num_slots() * sizeof(Slot)));
-    ++generation_;
-    seq_.live = 0;
-    seq_.slots.clear();
-    seq_.slots.shrink_to_fit();
-  }
-
   bool Lookup(uint64_t hash, const Key& key, Value* out) const {
     ++lookups_;
     if (LookupIn(seq_, hash, key, out)) {

@@ -23,7 +23,7 @@
 //    CAS-based insert-or-find. A thread that finds no match claims the
 //    first empty probe slot by CASing in a reservation, constructs the
 //    node (the `make` callback — so exactly one node is ever built per
-//    key, no losers to garbage-collect), publishes the id with a release
+//    key, no losers left behind), publishes the id with a release
 //    store, and every other thread racing on that key either waits out
 //    the reservation or acquires the published id. Canonicity is
 //    preserved under any interleaving: for a given key, one slot wins
@@ -89,19 +89,6 @@ class UniqueTable {
 
   size_t MemoryBytes() const {
     return num_slots_.load(std::memory_order_relaxed) * kSlotBytes;
-  }
-
-  // Empties the table, shrinking the slot array to hold `expected_live`
-  // entries under the growth load factor (at least the construction-time
-  // minimum). Garbage collection uses this to rebuild the table over the
-  // surviving nodes: open addressing cannot delete entries in place
-  // (tombstones would break the Find/Insert probe contract), so the sweep
-  // clears and re-inserts the live set. Single-owner protocol only.
-  void Clear(size_t expected_live = 0) {
-    size_t n = 16;
-    while (n * 2 < expected_live * 3) n <<= 1;
-    Allocate(n);
-    size_.store(0, std::memory_order_relaxed);
   }
 
   // Returns the id of the entry whose stored hash equals `hash` and for

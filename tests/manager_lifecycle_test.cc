@@ -1,19 +1,15 @@
 // The lifecycle contract util/manager_core.h defines once, checked on
-// both managers: counted root refs, the two misuse deaths, and a GC mark
-// whose outcome does not depend on an attached pool.
+// both managers: the memory-accounting check at the quiescent points
+// every budgeted compile passes.
 
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "exec/task_pool.h"
-#include "func/bool_func.h"
 #include "gtest/gtest.h"
 #include "obdd/obdd.h"
-#include "obdd/obdd_compile.h"
 #include "sdd/sdd.h"
-#include "sdd/sdd_compile.h"
-#include "util/random.h"
+#include "util/budget.h"
+#include "util/mem_governor.h"
 
 namespace ctsdd {
 namespace {
@@ -24,8 +20,7 @@ std::vector<int> Iota(int n) {
   return vars;
 }
 
-// How to build each manager over variables 0..n-1 and compile a function
-// into it.
+// How to build each manager over variables 0..n-1.
 template <class M>
 struct Traits;
 
@@ -34,18 +29,12 @@ struct Traits<ObddManager> {
   static std::unique_ptr<ObddManager> Make(int n) {
     return std::make_unique<ObddManager>(Iota(n));
   }
-  static int Compile(ObddManager* m, const BoolFunc& f) {
-    return CompileFuncToObdd(m, f);
-  }
 };
 
 template <>
 struct Traits<SddManager> {
   static std::unique_ptr<SddManager> Make(int n) {
     return std::make_unique<SddManager>(Vtree::Balanced(Iota(n)));
-  }
-  static int Compile(SddManager* m, const BoolFunc& f) {
-    return CompileFuncToSdd(m, f);
   }
 };
 
@@ -55,71 +44,24 @@ class ManagerLifecycleTest : public ::testing::Test {};
 using Managers = ::testing::Types<ObddManager, SddManager>;
 TYPED_TEST_SUITE(ManagerLifecycleTest, Managers);
 
-TYPED_TEST(ManagerLifecycleTest, RootRefsAreCounted) {
+// A byte charged to the account that no manager structure owns is drift:
+// the debug-build check at AttachBudget (which DetachBudget runs too)
+// must catch it before the next compile starts.
+TYPED_TEST(ManagerLifecycleTest, AccountingDriftDiesAtAttachBudget) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the accounting check is debug-only";
+#else
+  MemAccount account;  // outlives the manager, which releases into it
   auto manager = Traits<TypeParam>::Make(4);
-  const auto root = manager->And(manager->Literal(0, true),
-                                 manager->Literal(1, true));
-  manager->AddRootRef(root);
-  manager->AddRootRef(root);
-  manager->ReleaseRootRef(root);
-  manager->GarbageCollect();  // one ref left: must survive
-  EXPECT_EQ(manager->And(manager->Literal(0, true), manager->Literal(1, true)),
-            root);
-  manager->ReleaseRootRef(root);
-}
-
-TYPED_TEST(ManagerLifecycleTest, UnmatchedReleaseDies) {
-  auto manager = Traits<TypeParam>::Make(4);
-  const auto root = manager->And(manager->Literal(0, true),
-                                 manager->Literal(1, true));
-  EXPECT_DEATH(manager->ReleaseRootRef(root),
-               "ReleaseRootRef without a matching AddRootRef");
-}
-
-TYPED_TEST(ManagerLifecycleTest, RootRefOnCollectedNodeDies) {
-  auto manager = Traits<TypeParam>::Make(4);
-  const auto root = manager->And(manager->Literal(0, true),
-                                 manager->Literal(1, true));
-  ASSERT_GT(manager->GarbageCollect(), 0u);  // nothing pins `root`
-  EXPECT_DEATH(manager->AddRootRef(root), "AddRootRef on a freed node");
-}
-
-// The parallel mark claims nodes concurrently, one DFS per root; it must
-// mark exactly what the sequential mark does.
-TYPED_TEST(ManagerLifecycleTest, PooledMarkMatchesSequentialMark) {
-  const int kVars = 8;
-  const int kFuncs = 24;
-  Rng rng(20261016);
-  std::vector<BoolFunc> funcs;
-  for (int i = 0; i < kFuncs; ++i) {
-    funcs.push_back(BoolFunc::Random(Iota(kVars), &rng));
-  }
-  exec::TaskPool pool(4);
-  auto pooled = Traits<TypeParam>::Make(kVars);
-  auto sequential = Traits<TypeParam>::Make(kVars);
-  std::vector<std::pair<int, int>> pinned;  // (function, root id)
-  for (int i = 0; i < kFuncs; ++i) {
-    const int a = Traits<TypeParam>::Compile(pooled.get(), funcs[i]);
-    const int b = Traits<TypeParam>::Compile(sequential.get(), funcs[i]);
-    ASSERT_EQ(a, b);  // same sequence, same ids
-    if (i % 3 != 0) continue;
-    pooled->AddRootRef(a);
-    sequential->AddRootRef(b);
-    pinned.emplace_back(i, a);
-  }
-  pooled->AttachExecutor(&pool);
-  const size_t reclaimed_pooled = pooled->GarbageCollect();
-  const size_t reclaimed_sequential = sequential->GarbageCollect();
-  EXPECT_GT(reclaimed_sequential, 0u);
-  EXPECT_EQ(reclaimed_pooled, reclaimed_sequential);
-  EXPECT_EQ(pooled->NumLiveNodes(), sequential->NumLiveNodes());
-  EXPECT_TRUE(pooled->Validate().ok());
-  // Detach so recompiling runs the same sequential path on both sides.
-  pooled->AttachExecutor(nullptr);
-  for (const auto& [i, root] : pinned) {
-    EXPECT_EQ(Traits<TypeParam>::Compile(pooled.get(), funcs[i]), root);
-    EXPECT_EQ(Traits<TypeParam>::Compile(sequential.get(), funcs[i]), root);
-  }
+  manager->AttachMemAccount(&account);
+  manager->And(manager->Literal(0, true), manager->Literal(1, true));
+  WorkBudget budget(0);
+  manager->AttachBudget(&budget);  // exact so far: no death
+  manager->DetachBudget();
+  account.Charge(MemLayer::kCache, 1);
+  EXPECT_DEATH(manager->AttachBudget(&budget),
+               "AttachBudget: memory accounting drift");
+#endif
 }
 
 }  // namespace

@@ -5,10 +5,9 @@
 // regardless of which worker builds it first. The suite drives randomized
 // compiles in both orders (sequential-then-parallel and
 // parallel-then-sequential), cross-checks semantics against BoolFunc
-// ground truth, validates SDD invariants on every parallel-built root, and
-// round-trips garbage collection after a parallel compile (canonicity
-// across GC). Apply operations and the apply-route circuit compilers must
-// ignore an attached pool: same ids, zero pool tasks.
+// ground truth, and validates SDD invariants on every parallel-built root.
+// Apply operations and the apply-route circuit compilers must ignore an
+// attached pool: same ids, zero pool tasks.
 
 #include <map>
 #include <memory>
@@ -163,62 +162,6 @@ TEST(ParallelSddTest, PoolAttachedApplyFirstValidatesAndMatchesTruth) {
   EXPECT_EQ(m.Or(a, b), par_or);
   EXPECT_EQ(m.ToBoolFunc(par_and), (fa & fb).ExpandTo(Iota(n)));
   EXPECT_EQ(m.ToBoolFunc(par_or), (fa | fb).ExpandTo(Iota(n)));
-}
-
-TEST(ParallelSddTest, GcAfterParallelCompileRoundTripsCanonically) {
-  Rng rng(424242);
-  exec::TaskPool pool(4);
-  const int n = 12;
-  SddManager m(Vtree::Balanced(Iota(n)));
-  m.AttachExecutor(&pool);
-  const BoolFunc keep_f = BoolFunc::Random(Iota(n), &rng);
-  const BoolFunc drop_f = BoolFunc::Random(Iota(n), &rng);
-  const auto keep = CompileFuncToSdd(&m, keep_f);
-  const auto drop = CompileFuncToSdd(&m, drop_f);
-  const auto keep_and_drop = m.And(keep, drop);
-  (void)keep_and_drop;
-  m.AddRootRef(keep);
-  const int live_before = m.NumLiveNodes();
-  // Collect: everything reachable only from `drop` and the And result
-  // goes; `keep`'s subgraph must survive with identical ids.
-  const size_t reclaimed = m.GarbageCollect();
-  EXPECT_GT(reclaimed, 0u);
-  EXPECT_LT(m.NumLiveNodes(), live_before);
-  // Parallel recompilation after GC: pointer-identical for the survivor,
-  // and the dropped function rebuilds to a valid, semantically equal SDD.
-  const auto keep_again = CompileFuncToSdd(&m, keep_f);
-  EXPECT_EQ(keep_again, keep);
-  const auto drop_again = CompileFuncToSdd(&m, drop_f);
-  EXPECT_TRUE(m.Validate(drop_again).ok());
-  m.AttachExecutor(nullptr);
-  EXPECT_EQ(m.ToBoolFunc(drop_again), drop_f.ExpandTo(Iota(n)));
-  EXPECT_EQ(m.ToBoolFunc(keep), keep_f.ExpandTo(Iota(n)));
-  m.ReleaseRootRef(keep);
-}
-
-// Parallel regions must reuse GC-freed ids: a serve-style
-// compile/release/collect loop with a pool attached has to plateau the
-// node-store high-water mark, not grow it monotonically.
-TEST(ParallelSddTest, ParallelRegionsReuseFreedIds) {
-  Rng rng(31337);
-  exec::TaskPool pool(4);
-  const int n = 10;
-  SddManager m(Vtree::Balanced(Iota(n)));
-  m.AttachExecutor(&pool);
-  auto churn = [&](int rounds) {
-    for (int round = 0; round < rounds; ++round) {
-      const SddManager::NodeId root =
-          CompileFuncToSdd(&m, BoolFunc::Random(Iota(n), &rng));
-      m.AddRootRef(root);
-      m.ReleaseRootRef(root);
-      if (round % 10 == 9) m.GarbageCollect();
-    }
-  };
-  churn(50);
-  const int high_water_after_warmup = m.NumNodes();
-  churn(300);
-  EXPECT_LE(m.NumNodes(), 4 * high_water_after_warmup)
-      << "parallel compiles are not reusing the GC free list";
 }
 
 // The sequential path must keep feeding the manager's diagnostic

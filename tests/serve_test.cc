@@ -1,7 +1,6 @@
-// Tests for the serve/ subsystem and the manager memory lifecycle it
-// rides on: mark-from-roots GC keeps long-running managers bounded and
-// canonical, and QueryService answers correct probabilities with plan
-// caching, sharding, and plan eviction under pressure.
+// Tests for the serve/ subsystem: QueryService answers correct
+// probabilities with plan caching, sharding, and plan eviction under
+// pressure.
 
 #include <atomic>
 #include <chrono>
@@ -20,7 +19,6 @@
 #include "db/lineage.h"
 #include "db/query.h"
 #include "db/query_compile.h"
-#include "func/bool_func.h"
 #include "gtest/gtest.h"
 #include "obs/flight_recorder.h"
 #include "obdd/obdd.h"
@@ -34,16 +32,9 @@
 #include "util/budget.h"
 #include "util/fault_injection.h"
 #include "util/mem_governor.h"
-#include "util/random.h"
 
 namespace ctsdd {
 namespace {
-
-std::vector<int> Iota(int n) {
-  std::vector<int> vars(n);
-  for (int i = 0; i < n; ++i) vars[i] = i;
-  return vars;
-}
 
 // Accounted bytes the shards hold outside their plan caches: node stores,
 // arenas, unique tables, caches and memos. A compile's manager is
@@ -57,114 +48,6 @@ uint64_t ManagerBytes(const ServiceStats& stats) {
     }
   }
   return bytes;
-}
-
-// --- Manager GC -----------------------------------------------------------
-
-TEST(ObddGcTest, RoundTripsStayBoundedAndCanonical) {
-  const int kVars = 10;
-  ObddManager manager(Iota(kVars));
-  Rng rng(20260729);
-
-  // A protected root that must survive every collection with its id.
-  const BoolFunc pinned_func = BoolFunc::Random(Iota(kVars), &rng);
-  const ObddManager::NodeId pinned = CompileFuncToObdd(&manager, pinned_func);
-  manager.AddRootRef(pinned);
-
-  int bound_after_warmup = 0;
-  for (int round = 0; round < 1000; ++round) {
-    const BoolFunc f = BoolFunc::Random(Iota(kVars), &rng);
-    const ObddManager::NodeId root = CompileFuncToObdd(&manager, f);
-    manager.AddRootRef(root);
-    // Spot-check semantics before releasing.
-    std::vector<bool> point(kVars);
-    for (int i = 0; i < kVars; ++i) point[i] = rng.NextBool(0.5);
-    uint32_t index = 0;
-    for (int i = 0; i < kVars; ++i) index |= (point[i] ? 1u : 0u) << i;
-    EXPECT_EQ(manager.Evaluate(root, point), f.EvalIndex(index));
-    manager.ReleaseRootRef(root);
-
-    if (round % 50 == 49) {
-      manager.GarbageCollect();
-      // The pinned root keeps its id, and recompiling its function must
-      // land on the very same node (canonicity preserved across GC).
-      EXPECT_EQ(CompileFuncToObdd(&manager, pinned_func), pinned);
-      if (round == 49) bound_after_warmup = manager.NumNodes();
-    }
-  }
-  manager.GarbageCollect();
-  // Live nodes collapse to the pinned root's diagram (plus terminals).
-  EXPECT_LE(manager.NumLiveNodes(), manager.Size(pinned) + 2 + kVars);
-  // The arena high-water mark plateaus: 1000 rounds of garbage fit in
-  // the footprint established by the first 50-round window (with slack).
-  EXPECT_LE(manager.NumNodes(), 4 * bound_after_warmup);
-  EXPECT_GE(manager.gc_stats().runs, 20u);
-  EXPECT_GT(manager.gc_stats().reclaimed, 0u);
-
-  manager.ShrinkCaches();
-  const ObddManager::NodeId again = CompileFuncToObdd(&manager, pinned_func);
-  EXPECT_EQ(again, pinned);
-}
-
-TEST(SddGcTest, RoundTripsStayBoundedCanonicalAndValid) {
-  const int kVars = 8;
-  SddManager manager(Vtree::Balanced(Iota(kVars)));
-  Rng rng(777);
-
-  const BoolFunc pinned_func = BoolFunc::Random(Iota(kVars), &rng);
-  const SddManager::NodeId pinned = CompileFuncToSdd(&manager, pinned_func);
-  manager.AddRootRef(pinned);
-
-  for (int round = 0; round < 1000; ++round) {
-    const BoolFunc f = BoolFunc::Random(Iota(kVars), &rng);
-    const SddManager::NodeId root = CompileFuncToSdd(&manager, f);
-    manager.AddRootRef(root);
-    if (round % 100 == 0) {
-      EXPECT_TRUE(manager.ToBoolFunc(root) == f);
-    }
-    manager.ReleaseRootRef(root);
-
-    if (round % 50 == 49) {
-      const int live_before = manager.NumLiveNodes();
-      manager.GarbageCollect();
-      EXPECT_LE(manager.NumLiveNodes(), live_before);
-      // Pointer-identity canonicity after collection, cross-checked
-      // against BoolFunc: the same function must recompile to the same
-      // node, and the structure must still validate.
-      EXPECT_EQ(CompileFuncToSdd(&manager, pinned_func), pinned);
-      ASSERT_TRUE(manager.Validate(pinned).ok());
-      EXPECT_TRUE(manager.ToBoolFunc(pinned) == pinned_func);
-    }
-  }
-  manager.GarbageCollect();
-  // 2 constants + 2*kVars literals + the pinned diagram, nothing else.
-  EXPECT_LE(manager.NumLiveNodes(), 2 + 2 * kVars + manager.Size(pinned) +
-                                        manager.NumDecisions(pinned));
-  EXPECT_GT(manager.gc_stats().reclaimed, 0u);
-
-  // ShrinkCaches drops cache capacity but no semantics: apply still
-  // reproduces canonical nodes.
-  manager.ShrinkCaches();
-  EXPECT_EQ(CompileFuncToSdd(&manager, pinned_func), pinned);
-  ASSERT_TRUE(manager.Validate(pinned).ok());
-}
-
-TEST(SddGcTest, NegationLinksSurviveOrSeverCorrectly) {
-  const int kVars = 6;
-  SddManager manager(Vtree::Balanced(Iota(kVars)));
-  Rng rng(99);
-  for (int round = 0; round < 100; ++round) {
-    const BoolFunc f = BoolFunc::Random(Iota(kVars), &rng);
-    const SddManager::NodeId a = CompileFuncToSdd(&manager, f);
-    const SddManager::NodeId na = manager.Not(a);
-    manager.AddRootRef(a);  // keep a, let !a die
-    manager.GarbageCollect();
-    // a survived; its negation link either survived (na reachable from a
-    // only if shared structure) or was severed — recomputing must agree.
-    const SddManager::NodeId na2 = manager.Not(a);
-    EXPECT_TRUE(manager.ToBoolFunc(na2) == ~manager.ToBoolFunc(a));
-    manager.ReleaseRootRef(a);
-  }
 }
 
 // --- Signatures -----------------------------------------------------------
