@@ -1,15 +1,12 @@
 // Exact-width engine benchmark: the pruned branch-and-bound solvers
-// (graph/exact_treewidth.h) against the dense subset-DP oracle
-// (graph/width_oracle.h) on identical instances, branch-and-bound-only
-// sizes the dense engine cannot reach, the WidthCache repeat-call path,
-// and the CircuitTreewidthBounds vtree sweep that dominated tier-1 test
-// time before this engine existed.
+// (graph/exact_treewidth.h) on partial k-trees up to 32 vertices, the
+// WidthCache repeat-call path, and the CircuitTreewidthBounds vtree sweep
+// that dominated tier-1 test time before this engine existed. The dense
+// subset-DP oracle the engine replaced cross-checks it in
+// tests/width_search_test.cc.
 //
-// Emits two JSON sections (min of 3 reps each, the BENCH protocol):
-//   exact_width_dense — the old engine's times (feasible sizes only)
-//   exact_width_bnb   — the new engine on the same workloads + extras
-// Point --json at a scratch path and hand-merge into
-// BENCH_exact_width.json (a curated before/after artifact).
+// --json=PATH writes one section (min of 3 reps each):
+//   exact_width_bnb — per-workload milliseconds
 
 #include <cstring>
 #include <string>
@@ -23,7 +20,6 @@
 #include "graph/exact_treewidth.h"
 #include "graph/generators.h"
 #include "graph/width_cache.h"
-#include "graph/width_oracle.h"
 #include "util/random.h"
 
 namespace ctsdd {
@@ -38,79 +34,34 @@ Graph Instance(int n, int k, uint64_t seed) {
   return RandomPartialKTree(n, k, 0.8, &rng);
 }
 
-void Run(const std::string& json_path, bool skip_dense) {
-  bench::Header("Exact width: dense subset DP vs pruned branch-and-bound");
-  std::vector<bench::JsonMetric> dense;
+void Run(const std::string& json_path) {
+  bench::Header("Exact width: pruned branch-and-bound");
   std::vector<bench::JsonMetric> bnb;
 
-  std::printf("%-34s %12s %12s %9s\n", "workload", "dense_ms", "bnb_ms",
-              "speedup");
-  // Head-to-head on identical instances at dense-feasible sizes. The
-  // dense side costs ~25-30 s by design; --skip_dense (CI smoke) keeps
-  // only the sub-second branch-and-bound side.
-  for (const int n : {16, 18, 20, 22, 24}) {
-    const Graph g = Instance(n, 5, /*seed=*/n);
-    int tw_dense = -1;
-    const double dense_ms =
-        skip_dense ? 0.0
-                   : bench::MinMillis(kReps, [&] {
-                       tw_dense = DenseExactTreewidth(g).value();
-                     });
-    int tw_bnb = -1;
-    const double bnb_ms = bench::MinMillis(kReps, [&] {
+  std::printf("%-34s %12s\n", "workload", "bnb_ms");
+  for (const int n : {16, 18, 20, 22, 24, 26, 28, 30, 32}) {
+    // Seeds fix each key's instance, so runs stay comparable per key.
+    const Graph g = Instance(n, 5, /*seed=*/n <= 24 ? n : 100 + n);
+    int tw = -1;
+    const double ms = bench::MinMillis(kReps, [&] {
       WidthCache::Global().Clear();  // time the solver, not the cache
-      tw_bnb = ExactTreewidth(g).value();
+      tw = ExactTreewidth(g).value();
     });
-    if (!skip_dense && tw_dense != tw_bnb) {
-      std::printf("  !! width mismatch on n=%d: dense %d vs bnb %d\n", n,
-                  tw_dense, tw_bnb);
-    }
-    const std::string key = "tw_n" + std::to_string(n) + "_ms";
-    if (!skip_dense) dense.push_back({key, dense_ms});
-    bnb.push_back({key, bnb_ms});
-    std::printf("%-34s %12.2f %12.3f %8.0fx\n", ("treewidth n=" +
-                std::to_string(n) + " (tw=" + std::to_string(tw_bnb) + ")")
-                .c_str(),
-                dense_ms, bnb_ms, dense_ms / bnb_ms);
+    bnb.push_back({"tw_n" + std::to_string(n) + "_ms", ms});
+    std::printf("%-34s %12.3f\n", ("treewidth n=" + std::to_string(n) +
+                " (tw=" + std::to_string(tw) + ")").c_str(), ms);
   }
   {
     const Graph g = Instance(20, 4, /*seed=*/7);
-    int pw_dense = -1;
-    const double dense_ms =
-        skip_dense ? 0.0
-                   : bench::MinMillis(kReps, [&] {
-                       pw_dense = DenseExactPathwidth(g).value();
-                     });
-    int pw_bnb = -1;
-    const double bnb_ms = bench::MinMillis(kReps, [&] {
-      WidthCache::Global().Clear();
-      pw_bnb = ExactPathwidth(g).value();
-    });
-    if (!skip_dense && pw_dense != pw_bnb) {
-      std::printf("  !! pathwidth mismatch: dense %d vs bnb %d\n", pw_dense,
-                  pw_bnb);
-    }
-    if (!skip_dense) dense.push_back({"pw_n20_ms", dense_ms});
-    bnb.push_back({"pw_n20_ms", bnb_ms});
-    std::printf("%-34s %12.2f %12.3f %8.0fx\n",
-                ("pathwidth n=20 (pw=" + std::to_string(pw_bnb) + ")").c_str(),
-                dense_ms, bnb_ms, dense_ms / bnb_ms);
-  }
-
-  // Beyond the dense engine's ceiling: branch-and-bound only.
-  for (const int n : {26, 28, 30, 32}) {
-    const Graph g = Instance(n, 5, /*seed=*/100 + n);
-    int tw = -1;
+    int pw = -1;
     const double ms = bench::MinMillis(kReps, [&] {
       WidthCache::Global().Clear();
-      tw = ExactTreewidth(g).value();
+      pw = ExactPathwidth(g).value();
     });
-    const std::string key = "tw_n" + std::to_string(n) + "_ms";
-    bnb.push_back({key, ms});
-    std::printf("%-34s %12s %12.3f %9s\n", ("treewidth n=" +
-                std::to_string(n) + " (tw=" + std::to_string(tw) + ")")
-                .c_str(),
-                "(2^n)", ms, "-");
+    bnb.push_back({"pw_n20_ms", ms});
+    std::printf("%-34s %12.3f\n",
+                ("pathwidth n=20 (pw=" + std::to_string(pw) + ")").c_str(),
+                ms);
   }
 
   // Cross-call memoization: the same circuit's primal graph re-solved.
@@ -125,16 +76,13 @@ void Run(const std::string& json_path, bool skip_dense) {
     });
     bnb.push_back({"ladder6_tw_cold_ms", cold_ms});
     bnb.push_back({"ladder6_tw_cached_ms", warm_ms});
-    std::printf("%-34s %12s %12.3f %9s\n", "ladder6 tw cold", "-", cold_ms,
-                "-");
-    std::printf("%-34s %12s %12.4f %9s\n", "ladder6 tw cached", "-", warm_ms,
-                "-");
+    std::printf("%-34s %12.3f\n", "ladder6 tw cold", cold_ms);
+    std::printf("%-34s %12.4f\n", "ladder6 tw cached", warm_ms);
   }
 
   // The workload that used to burn ~330 s of tier-1 time: the full
   // 120-vtree CircuitTreewidthBounds sweep (compile + bounded exact
-  // treewidth per vtree). Dense timing comes from the seed measurement in
-  // BENCH_exact_width.json; regenerating it would take minutes by design.
+  // treewidth per vtree).
   {
     Rng rng(5);
     const BoolFunc parity = BoolFunc::FromCircuit(ParityCircuit(4));
@@ -149,22 +97,14 @@ void Run(const std::string& json_path, bool skip_dense) {
     });
     bnb.push_back({"ctw_bounds_parity4_ms", parity_ms});
     bnb.push_back({"ctw_bounds_random4_ms", random_ms});
-    std::printf("%-34s %12s %12.2f %9s\n", "ctw bounds sweep (parity4)", "-",
-                parity_ms, "-");
-    std::printf("%-34s %12s %12.2f %9s\n", "ctw bounds sweep (random4)", "-",
-                random_ms, "-");
+    std::printf("%-34s %12.2f\n", "ctw bounds sweep (parity4)", parity_ms);
+    std::printf("%-34s %12.2f\n", "ctw bounds sweep (random4)", random_ms);
   }
 
-  if (!json_path.empty()) {
-    bool ok = true;
-    if (!skip_dense) {
-      ok = bench::WriteJsonSection(json_path, "exact_width_dense", dense);
-    }
-    if (ok && bench::WriteJsonSection(json_path, "exact_width_bnb", bnb,
-                                      /*append=*/!skip_dense)) {
-      bench::WriteMetaSection(json_path);
-      std::printf("  wrote %s\n", json_path.c_str());
-    }
+  if (!json_path.empty() &&
+      bench::WriteJsonSection(json_path, "exact_width_bnb", bnb)) {
+    bench::WriteMetaSection(json_path);
+    std::printf("  wrote %s\n", json_path.c_str());
   }
 }
 
@@ -174,14 +114,11 @@ void Run(const std::string& json_path, bool skip_dense) {
 int main(int argc, char** argv) {
   static constexpr char kFlag[] = "--json=";
   std::string json_path;
-  bool skip_dense = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
       json_path = argv[i] + sizeof(kFlag) - 1;
-    } else if (std::strcmp(argv[i], "--skip_dense") == 0) {
-      skip_dense = true;
     }
   }
-  ctsdd::Run(json_path, skip_dense);
+  ctsdd::Run(json_path);
   return 0;
 }

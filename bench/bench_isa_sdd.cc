@@ -51,7 +51,7 @@ void Run(const std::string& json_path) {
   std::vector<double> witness;
   for (const IsaParams params : {IsaParams{1, 2}, IsaParams{2, 4}}) {
     // Min of 3 full compiles (fresh managers each rep), matching the
-    // BENCH_apply_core.json protocol.
+    // apply-core suite's protocol.
     int sdd_size = 0;
     int obdd_size = 0;
     IsaCompilation comp;

@@ -4,8 +4,8 @@
 //
 // Run with --apply_core_json=PATH to instead execute the fixed apply-core
 // suite (deterministic apply-heavy workloads) and write its timings as a
-// machine-readable JSON section — the artifact tracked in
-// BENCH_apply_core.json across perf PRs.
+// machine-readable JSON section (CI's trace-overhead gate compares two
+// builds' sections).
 
 #include <cstring>
 #include <map>

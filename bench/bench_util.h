@@ -121,11 +121,10 @@ inline double SemiLogSlope(const std::vector<double>& x,
 // Benches that feed the perf trajectory emit flat JSON files of the shape
 //   { "section": { "metric": value, ... }, ... }
 // via WriteJsonSection below. Appending re-reads the file (it must be in
-// the flat format written here — point benches at a scratch path, not at
-// a curated artifact like BENCH_apply_core.json), replaces any existing
-// section of the same name, and splices the new section before the
-// closing brace, so several bench binaries can contribute sections to one
-// file and reruns stay idempotent.
+// the flat format written here — point benches at a scratch path),
+// replaces any existing section of the same name, and splices the new
+// section before the closing brace, so several bench binaries can
+// contribute sections to one file and reruns stay idempotent.
 
 struct JsonMetric {
   std::string key;
@@ -134,8 +133,8 @@ struct JsonMetric {
 
 // True iff `s` is in the flat two-level shape WriteJsonSection produces:
 // braces nest at most two deep and every depth-1 value is an object. A
-// curated artifact like BENCH_apply_core.json (nested sections, string
-// values) fails this check, which protects it from being clobbered.
+// file of any other shape (nested sections, string values) fails this
+// check, which protects it from being clobbered.
 inline bool IsFlatSectionFormat(const std::string& s) {
   int depth = 0;
   bool in_string = false;

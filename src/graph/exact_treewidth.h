@@ -1,7 +1,7 @@
 // Exact treewidth and pathwidth via pruned branch-and-bound over
 // elimination prefixes (QuickBB-style search on the Bodlaender–Fomin–
 // Koster recurrence), replacing the exhaustive O(2^n * n^2) subset DP
-// (kept as a cross-check oracle in width_oracle.h).
+// (kept as a cross-check oracle in tests/width_search_test.cc).
 //
 // The search is seeded with the min-fill/min-degree heuristic upper bound
 // (elimination.h) and the MMD+ degeneracy lower bound (lower_bound.h),

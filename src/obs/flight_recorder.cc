@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "obs/trace.h"
+
 namespace ctsdd::obs {
 
 namespace {
@@ -10,21 +12,6 @@ namespace {
 double SinceMs(std::chrono::steady_clock::time_point then,
                std::chrono::steady_clock::time_point now) {
   return std::chrono::duration<double, std::milli>(now - then).count();
-}
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char hex[8];
-      std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-      *out += hex;
-    } else {
-      out->push_back(c);
-    }
-  }
 }
 
 void AppendRecord(std::string* out, const FlightRecord& r) {

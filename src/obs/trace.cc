@@ -83,6 +83,8 @@ std::chrono::steady_clock::time_point Epoch() {
   return epoch;
 }
 
+}  // namespace
+
 void AppendEscaped(std::string* out, const std::string& s) {
   for (const char c : s) {
     if (c == '"' || c == '\\') {
@@ -97,8 +99,6 @@ void AppendEscaped(std::string* out, const std::string& s) {
     }
   }
 }
-
-}  // namespace
 
 double TraceNowUs() {
   return std::chrono::duration<double, std::micro>(

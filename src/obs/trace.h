@@ -89,6 +89,11 @@ uint32_t NewSpanId();
 // "exec-1", ...). Idempotent; cheap enough to call per thread start.
 void SetCurrentThreadName(const std::string& name);
 
+// Appends `s` to `out` as the contents of a JSON string literal: quotes
+// and backslashes escaped, control characters as \uXXXX. Shared by the
+// trace exporter and the flight recorder.
+void AppendEscaped(std::string* out, const std::string& s);
+
 // The calling thread's innermost open armed span, for hand-off capture.
 // Zeros when disarmed or no span is open.
 TraceContext CurrentContext();

@@ -56,43 +56,49 @@ class ScopedMemo {
   // excess capacity left behind by an unusually large previous operation.
   void Reset() {
     ++generation_;
-    ResetShard(&seq_, trim_slots_);
+    live_ = 0;
+    if (slots_.size() > trim_slots_) {
+      ChargeBytes(
+          -static_cast<int64_t>((slots_.size() - trim_slots_) * sizeof(Slot)));
+      slots_.assign(trim_slots_, Slot{});
+      // assign leaves stamp 0 everywhere; generation_ > 0 keeps them free.
+    }
   }
 
   bool Lookup(uint64_t hash, const Key& key, Value* out) const {
     ++lookups_;
-    if (LookupIn(seq_, hash, key, out)) {
-      ++hits_;
-      return true;
-    }
-    return false;
+    const size_t i = Find(hash, key);
+    if (i == kNotFound) return false;
+    ++hits_;
+    *out = slots_[i].value;
+    return true;
   }
 
   // Inserts the key or overwrites the value stored under an equal key.
   // Branch-and-bound dominance memos use this to tighten a state's bound
   // in place when the search re-reaches it along a better prefix.
   void Upsert(uint64_t hash, const Key& key, Value value) {
-    Shard& shard = seq_;
-    if (!shard.slots.empty()) {
-      const size_t mask = shard.slots.size() - 1;
-      for (size_t i = hash & mask;; i = (i + 1) & mask) {
-        Slot& slot = shard.slots[i];
-        if (slot.stamp != generation_) break;  // free (empty or stale)
-        if (slot.key == key) {
-          slot.value = std::move(value);
-          return;
-        }
-      }
+    const size_t i = Find(hash, key);
+    if (i != kNotFound) {
+      slots_[i].value = std::move(value);
+      return;
     }
     Insert(hash, key, std::move(value));
   }
 
   // Inserts a key not currently present (callers always Lookup first).
   void Insert(uint64_t hash, Key key, Value value) {
-    InsertIn(&seq_, hash, std::move(key), std::move(value));
+    if (slots_.empty()) {
+      slots_.resize(kInitialSlots);
+      ChargeBytes(static_cast<int64_t>(kInitialSlots * sizeof(Slot)));
+    } else if ((live_ + 1) * 3 > slots_.size() * 2) {
+      Grow();
+    }
+    InsertNoGrow(hash, std::move(key), std::move(value));
+    ++live_;
   }
 
-  size_t num_slots() const { return seq_.slots.size(); }
+  size_t num_slots() const { return slots_.size(); }
   // Cumulative across generations (Reset does not clear them): memo
   // effectiveness counters for manager-level stats reporting.
   uint64_t lookups() const { return lookups_; }
@@ -100,6 +106,7 @@ class ScopedMemo {
 
  private:
   static constexpr size_t kInitialSlots = 1 << 8;
+  static constexpr size_t kNotFound = ~size_t{0};
 
   struct Slot {
     uint64_t hash = 0;
@@ -108,61 +115,31 @@ class ScopedMemo {
     uint64_t stamp = 0;  // slot is live iff stamp == generation_
   };
 
-  struct Shard {
-    std::vector<Slot> slots;
-    size_t live = 0;
-  };
-
-  void ResetShard(Shard* shard, size_t trim) {
-    shard->live = 0;
-    if (shard->slots.size() > trim) {
-      ChargeBytes(-static_cast<int64_t>(
-          (shard->slots.size() - trim) * sizeof(Slot)));
-      shard->slots.assign(trim, Slot{});
-      // assign leaves stamp 0 everywhere; generation_ > 0 keeps them
-      // free.
-    }
-  }
-
-  bool LookupIn(const Shard& shard, uint64_t hash, const Key& key,
-                Value* out) const {
-    if (shard.slots.empty()) return false;
-    const size_t mask = shard.slots.size() - 1;
+  // Index of the live slot holding `key`, or kNotFound.
+  size_t Find(uint64_t hash, const Key& key) const {
+    if (slots_.empty()) return kNotFound;
+    const size_t mask = slots_.size() - 1;
     for (size_t i = hash & mask;; i = (i + 1) & mask) {
-      const Slot& slot = shard.slots[i];
-      if (slot.stamp != generation_) return false;  // free (empty/stale)
-      if (slot.key == key) {
-        *out = slot.value;
-        return true;
-      }
+      const Slot& slot = slots_[i];
+      if (slot.stamp != generation_) return kNotFound;  // free/stale
+      if (slot.key == key) return i;
     }
   }
 
-  void InsertIn(Shard* shard, uint64_t hash, Key key, Value value) {
-    if (shard->slots.empty()) {
-      shard->slots.resize(kInitialSlots);
-      ChargeBytes(static_cast<int64_t>(kInitialSlots * sizeof(Slot)));
-    } else if ((shard->live + 1) * 3 > shard->slots.size() * 2) {
-      GrowShard(shard);
-    }
-    InsertNoGrow(shard, hash, std::move(key), std::move(value));
-    ++shard->live;
-  }
-
-  void InsertNoGrow(Shard* shard, uint64_t hash, Key key, Value value) {
-    const size_t mask = shard->slots.size() - 1;
+  void InsertNoGrow(uint64_t hash, Key key, Value value) {
+    const size_t mask = slots_.size() - 1;
     size_t i = hash & mask;
-    while (shard->slots[i].stamp == generation_) i = (i + 1) & mask;
-    shard->slots[i] = {hash, std::move(key), std::move(value), generation_};
+    while (slots_[i].stamp == generation_) i = (i + 1) & mask;
+    slots_[i] = {hash, std::move(key), std::move(value), generation_};
   }
 
-  void GrowShard(Shard* shard) {
-    std::vector<Slot> old = std::move(shard->slots);
-    shard->slots.assign(old.size() * 2, Slot{});
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{});
     ChargeBytes(static_cast<int64_t>(old.size() * sizeof(Slot)));
     for (Slot& s : old) {
       if (s.stamp != generation_) continue;
-      InsertNoGrow(shard, s.hash, std::move(s.key), std::move(s.value));
+      InsertNoGrow(s.hash, std::move(s.key), std::move(s.value));
     }
   }
 
@@ -172,7 +149,8 @@ class ScopedMemo {
     }
   }
 
-  Shard seq_;
+  std::vector<Slot> slots_;
+  size_t live_ = 0;
   MemAccount* account_ = nullptr;
   size_t trim_slots_ = 0;
   uint64_t generation_ = 1;

@@ -121,8 +121,29 @@ TEST(QueryServiceTest, RepeatsHitThePlanCacheAndWeightsVaryFreely) {
   EXPECT_NEAR(warm.probability,
               BruteForceQueryProbability(query, reweighted).value(), 1e-9);
 
+  // A vector shorter than the tuple count is the documented contract:
+  // ids beyond it fall back to the database's probabilities, so it
+  // answers exactly like the full vector padded with db.TupleProb.
+  QueryRequest short_request = request;
+  short_request.weights.clear();
+  for (int id = 0; id < db.num_tuples() / 2; ++id) {
+    short_request.weights.push_back(0.1 + 0.05 * id);
+  }
+  QueryRequest padded_request = short_request;
+  for (int id = db.num_tuples() / 2; id < db.num_tuples(); ++id) {
+    padded_request.weights.push_back(db.TupleProb(id));
+  }
+  const QueryResponse short_weights = service.Execute(short_request);
+  const QueryResponse padded = service.Execute(padded_request);
+  ASSERT_TRUE(short_weights.status.ok());
+  ASSERT_TRUE(padded.status.ok());
+  EXPECT_TRUE(short_weights.plan_cache_hit);
+  EXPECT_TRUE(padded.plan_cache_hit);
+  EXPECT_DOUBLE_EQ(short_weights.probability, padded.probability);
+  EXPECT_NE(short_weights.probability, cold.probability);
+
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.totals.plan_hits, 1u);
+  EXPECT_EQ(stats.totals.plan_hits, 3u);
   EXPECT_EQ(stats.totals.compiles, 1u);
 }
 

@@ -1,9 +1,13 @@
 // Validation of the branch-and-bound exact-width engine: randomized
-// cross-checks against the dense subset-DP oracle (width_oracle.h), known
+// cross-checks against the dense subset-DP oracle (below), known
 // width values at sizes the old 24-vertex dense engine could not reach,
 // bounded-query semantics, and the cross-call WidthCache.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "circuit/builder.h"
 #include "circuit/families.h"
@@ -13,7 +17,6 @@
 #include "graph/generators.h"
 #include "graph/path_decomposition.h"
 #include "graph/width_cache.h"
-#include "graph/width_oracle.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
 
@@ -22,6 +25,91 @@ namespace {
 
 static_assert(kMaxExactVertices >= 32,
               "the B&B engine is expected to reach 32-vertex graphs");
+
+// --- Dense subset-DP oracle ------------------------------------------------
+// The engine the branch-and-bound search replaced: O(2^n * n^2) time and
+// a 2^n-byte table, so callers keep to small graphs (the pools below stay
+// at 14 vertices or fewer).
+
+std::vector<uint32_t> BitAdjacency(const Graph& g) {
+  std::vector<uint32_t> adj(g.num_vertices(), 0);
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    for (int w : g.Neighbors(v)) adj[v] |= (1u << w);
+  }
+  return adj;
+}
+
+// Q(S, v): vertices outside S∪{v} reachable from v via paths whose internal
+// vertices all lie in S. |Q(S, v)| is the degree of v when eliminated after
+// exactly the vertices of S (in the chordal completion).
+uint32_t ReachableThrough(const std::vector<uint32_t>& adj, uint32_t s,
+                          int v) {
+  uint32_t visited = (1u << v);
+  uint32_t frontier = adj[v];
+  uint32_t reach = adj[v] & ~s & ~(1u << v);
+  frontier &= s & ~visited;
+  while (frontier != 0) {
+    const int u = std::countr_zero(frontier);
+    frontier &= frontier - 1;
+    if (visited & (1u << u)) continue;
+    visited |= (1u << u);
+    reach |= adj[u] & ~s & ~(1u << v);
+    frontier |= adj[u] & s & ~visited;
+  }
+  return reach;
+}
+
+// Exact treewidth by the full Bodlaender et al. subset DP:
+// tw(S) = min_{v in S} max(|Q(S\{v}, v)|, tw(S\{v})).
+int DenseExactTreewidth(const Graph& graph) {
+  const int n = graph.num_vertices();
+  if (n == 0) return 0;
+  const auto adj = BitAdjacency(graph);
+  const uint32_t full = (1u << n) - 1;
+  std::vector<int8_t> dp(static_cast<size_t>(full) + 1, 0);
+  for (uint32_t s = 1; s <= full; ++s) {
+    int best = std::numeric_limits<int>::max();
+    uint32_t rest = s;
+    while (rest != 0) {
+      const int v = std::countr_zero(rest);
+      rest &= rest - 1;
+      const uint32_t without = s & ~(1u << v);
+      const int q = std::popcount(ReachableThrough(adj, without, v));
+      best = std::min(best, std::max(q, static_cast<int>(dp[without])));
+    }
+    dp[s] = static_cast<int8_t>(best);
+  }
+  return dp[full];
+}
+
+// Exact pathwidth by the vertex-separation subset DP:
+// vs(S) = min_{v in S} max(vs(S\{v}), cost(S)), where
+// cost(S) = |{u in S : u has a neighbor outside S}|. vs(V) = pathwidth.
+int DenseExactPathwidth(const Graph& graph) {
+  const int n = graph.num_vertices();
+  if (n == 0) return 0;
+  const auto adj = BitAdjacency(graph);
+  const uint32_t full = (1u << n) - 1;
+  std::vector<int8_t> dp(static_cast<size_t>(full) + 1, 0);
+  for (uint32_t s = 1; s <= full; ++s) {
+    int boundary = 0;
+    uint32_t rest = s;
+    while (rest != 0) {
+      const int u = std::countr_zero(rest);
+      rest &= rest - 1;
+      if ((adj[u] & ~s) != 0) ++boundary;
+    }
+    int best = std::numeric_limits<int>::max();
+    rest = s;
+    while (rest != 0) {
+      const int v = std::countr_zero(rest);
+      rest &= rest - 1;
+      best = std::min(best, static_cast<int>(dp[s & ~(1u << v)]));
+    }
+    dp[s] = static_cast<int8_t>(std::max(best, boundary));
+  }
+  return dp[full];
+}
 
 // A varied pool of small graphs: Erdos–Renyi across densities, partial
 // k-trees (the circuit-like regime), trees, and structured families.
@@ -55,7 +143,7 @@ std::vector<Graph> CrossCheckPool(int count, Rng* rng) {
 TEST(WidthSearchTest, TreewidthMatchesDenseOracle) {
   Rng rng(101);
   for (const Graph& g : CrossCheckPool(200, &rng)) {
-    const int expected = DenseExactTreewidth(g).value();
+    const int expected = DenseExactTreewidth(g);
     EXPECT_EQ(ExactTreewidth(g).value(), expected) << g.DebugString();
     // The optimal order must achieve exactly the optimal width.
     const auto order = OptimalEliminationOrder(g).value();
@@ -66,7 +154,7 @@ TEST(WidthSearchTest, TreewidthMatchesDenseOracle) {
 TEST(WidthSearchTest, PathwidthMatchesDenseOracle) {
   Rng rng(103);
   for (const Graph& g : CrossCheckPool(200, &rng)) {
-    const int expected = DenseExactPathwidth(g).value();
+    const int expected = DenseExactPathwidth(g);
     EXPECT_EQ(ExactPathwidth(g).value(), expected) << g.DebugString();
     const auto layout = OptimalPathLayout(g).value();
     EXPECT_EQ(PathLayoutWidth(g, layout), expected) << g.DebugString();
@@ -77,7 +165,7 @@ TEST(WidthSearchTest, BoundedQuerySemantics) {
   Rng rng(107);
   for (int trial = 0; trial < 40; ++trial) {
     const Graph g = RandomGraph(rng.NextInt(3, 12), 0.4, &rng);
-    const int tw = DenseExactTreewidth(g).value();
+    const int tw = DenseExactTreewidth(g);
     // A cap above the treewidth yields the exact value; a cap at or below
     // it is returned unchanged (certifying tw >= cap).
     EXPECT_EQ(ExactTreewidthAtMost(g, tw + 1).value(), tw);
