@@ -12,7 +12,6 @@
 
 #include "graph/graph.h"
 #include "graph/tree_decomposition.h"
-#include "util/random.h"
 
 namespace ctsdd {
 
@@ -21,11 +20,11 @@ enum class EliminationHeuristic {
   kMinFill,
 };
 
-// Greedy elimination order. Ties are broken by vertex id (deterministic) or,
-// if `rng` is provided, uniformly at random among the tied candidates.
+// Greedy elimination order: each step eliminates the vertex with the
+// smallest score (current degree, or number of fill edges), ties going to
+// the lowest vertex id.
 std::vector<int> GreedyEliminationOrder(const Graph& graph,
-                                        EliminationHeuristic heuristic,
-                                        Rng* rng = nullptr);
+                                        EliminationHeuristic heuristic);
 
 // Width of an elimination order (max neighborhood size during elimination,
 // i.e., max bag size - 1 of the induced decomposition).
@@ -36,11 +35,10 @@ int EliminationOrderWidth(const Graph& graph, const std::vector<int>& order);
 TreeDecomposition DecompositionFromOrder(const Graph& graph,
                                          const std::vector<int>& order);
 
-// Convenience: greedy heuristic decomposition (min-fill by default, which
-// is almost always at least as good as min-degree).
-TreeDecomposition HeuristicDecomposition(
-    const Graph& graph,
-    EliminationHeuristic heuristic = EliminationHeuristic::kMinFill);
+// The decomposition of the min-fill order, built in the same elimination
+// pass that chooses the order. Equal to
+// DecompositionFromOrder(graph, GreedyEliminationOrder(graph, kMinFill)).
+TreeDecomposition HeuristicDecomposition(const Graph& graph);
 
 }  // namespace ctsdd
 

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "circuit/builder.h"
 #include "circuit/eval.h"
@@ -321,6 +323,86 @@ TEST(PipelineTest, Result1WidthBoundedByTreewidthFunction) {
   }
   // The width saturates: the largest ladder's width is the sweep maximum.
   EXPECT_EQ(last_width, max_width);
+}
+
+// `circuit` with variable v renamed perm[v]; gates keep their ids, so the
+// primal graph (and its decomposition) is unchanged.
+Circuit PermuteVars(const Circuit& circuit, const std::vector<int>& perm) {
+  Circuit out;
+  out.DeclareVars(circuit.num_vars());
+  std::vector<int> id(circuit.num_gates());
+  for (int g = 0; g < circuit.num_gates(); ++g) {
+    const Gate& gate = circuit.gate(g);
+    std::vector<int> inputs;
+    for (const int in : gate.inputs) inputs.push_back(id[in]);
+    switch (gate.kind) {
+      case GateKind::kConstFalse: id[g] = out.ConstGate(false); break;
+      case GateKind::kConstTrue: id[g] = out.ConstGate(true); break;
+      case GateKind::kVar: id[g] = out.VarGate(perm[gate.var]); break;
+      case GateKind::kNot: id[g] = out.NotGate(inputs[0]); break;
+      case GateKind::kAnd: id[g] = out.AndGate(inputs); break;
+      case GateKind::kOr: id[g] = out.OrGate(inputs); break;
+    }
+  }
+  out.SetOutput(id[circuit.output()]);
+  return out;
+}
+
+// Result 1 as a scaling assertion: over growing n at fixed min-fill width,
+// the Lemma 1 SDD has fewer than `bound` elements per variable.
+void ExpectLemma1SizePerVarBelow(const std::function<Circuit(int)>& make,
+                                 const std::vector<int>& ns, double bound) {
+  int width = -1;
+  for (const int n : ns) {
+    const Circuit c = make(n);
+    const auto result = CompileWithTreewidth(c);
+    ASSERT_TRUE(result.ok()) << "n=" << n;
+    if (width < 0) width = result->decomposition_width;
+    EXPECT_EQ(result->decomposition_width, width) << "n=" << n;
+    const double size_per_var =
+        static_cast<double>(result->sdd.size) / c.Vars().size();
+    ASSERT_LT(size_per_var, bound) << "n=" << n;
+  }
+}
+
+TEST(PipelineTest, Result1LinearSizeOnBandedCnf) {
+  // Width 3 at every n. From n = 16 each 8 extra variables add 192
+  // elements, so size/var climbs toward 24 from below (23.2 at n = 128).
+  // A seeded random vtree passes 37 at n = 16.
+  std::vector<int> ns;
+  for (int n = 8; n <= 128; n += 8) ns.push_back(n);
+  ExpectLemma1SizePerVarBelow(
+      [](int n) { return BandedCnfCircuit(n, 3); }, ns, 24.0);
+}
+
+TEST(PipelineTest, Result1LinearSizeOnTreeCnf) {
+  // Width 3 at every n. From 64 leaves each doubling adds 12 elements per
+  // new variable, so size/var climbs toward 12 from below (11.97 at 128
+  // leaves). A seeded random vtree passes 66 at 8 leaves, and a balanced
+  // vtree over the heap-ordered ids 73 at 16.
+  ExpectLemma1SizePerVarBelow([](int n) { return TreeCnfCircuit(n); },
+                              {8, 16, 32, 64, 128}, 12.0);
+}
+
+TEST(PipelineTest, Result1LinearSizeOnPermutedLadder) {
+  // The ladder with seeded random variable ids: the ids carry no layout,
+  // so only a vtree that follows the decomposition stays linear. Sizes
+  // equal the plain ladder's (below 23.5 per variable); a seeded random
+  // vtree passes 38 at n = 8.
+  const auto permuted = [](int n) {
+    Rng rng(static_cast<uint64_t>(n));
+    return PermuteVars(LadderCircuit(n, 2), rng.Permutation(2 * n));
+  };
+  std::vector<int> ns;
+  for (int n = 4; n <= 32; n += 4) ns.push_back(n);
+  ExpectLemma1SizePerVarBelow(permuted, ns, 24.0);
+  // A balanced vtree over the ids, which passes on the plain ladder, does
+  // not pass here.
+  const Circuit c = permuted(16);
+  SddManager manager(Vtree::Balanced(c.Vars()));
+  const SddStats stats =
+      ComputeSddStats(manager, CompileCircuitToSdd(&manager, c));
+  EXPECT_GT(static_cast<double>(stats.size) / c.Vars().size(), 24.0);
 }
 
 TEST(IsaTest, VtreeShape) {

@@ -1,5 +1,11 @@
 #include <algorithm>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "circuit/families.h"
+#include "circuit/primal_graph.h"
 #include "graph/elimination.h"
 #include "graph/exact_treewidth.h"
 #include "graph/generators.h"
@@ -90,6 +96,164 @@ TEST(TreeDecompositionTest, DetectsDisconnectedOccurrences) {
   const int b = td.AddNode({1, 2}, a);
   td.AddNode({0, 2}, b);  // 0 occurs at nodes 0 and 2 but not at node 1
   EXPECT_FALSE(td.Validate(g).ok());
+}
+
+// The set-based elimination loop the library engine replaced, kept as an
+// oracle: each step rescores every live vertex over a Graph copy.
+std::vector<int> NaiveGreedyOrder(const Graph& graph,
+                                  EliminationHeuristic heuristic) {
+  Graph g = graph;
+  const int n = g.num_vertices();
+  std::vector<bool> eliminated(n, false);
+  std::vector<int> order;
+  for (int step = 0; step < n; ++step) {
+    int best = -1;
+    long best_score = std::numeric_limits<long>::max();
+    for (int v = 0; v < n; ++v) {
+      if (eliminated[v]) continue;
+      long score = g.Degree(v);
+      if (heuristic == EliminationHeuristic::kMinFill) {
+        score = 0;
+        const auto& nbrs = g.Neighbors(v);
+        for (auto it = nbrs.begin(); it != nbrs.end(); ++it) {
+          for (auto jt = std::next(it); jt != nbrs.end(); ++jt) {
+            if (!g.HasEdge(*it, *jt)) ++score;
+          }
+        }
+      }
+      if (score < best_score) {
+        best_score = score;
+        best = v;
+      }
+    }
+    g.MakeNeighborsClique(best);
+    g.IsolateVertex(best);
+    eliminated[best] = true;
+    order.push_back(best);
+  }
+  return order;
+}
+
+// Bag of v = {v} plus its neighborhood at elimination; the width is the
+// largest neighborhood.
+std::vector<std::vector<int>> NaiveBags(const Graph& graph,
+                                        const std::vector<int>& order,
+                                        int* width) {
+  Graph g = graph;
+  std::vector<std::vector<int>> bags(graph.num_vertices());
+  *width = 0;
+  for (const int v : order) {
+    *width = std::max(*width, g.Degree(v));
+    bags[v].push_back(v);
+    for (const int w : g.Neighbors(v)) bags[v].push_back(w);
+    g.MakeNeighborsClique(v);
+    g.IsolateVertex(v);
+  }
+  return bags;
+}
+
+// The decomposition the old DecompositionFromOrder built: bags linked to
+// the earliest-eliminated later neighbor, built in reverse order, with
+// parentless bags of a disconnected graph hung under the root.
+TreeDecomposition NaiveDecomposition(const Graph& graph,
+                                     const std::vector<int>& order) {
+  const int n = graph.num_vertices();
+  TreeDecomposition td;
+  if (n == 0) {
+    td.AddNode({}, -1);
+    return td;
+  }
+  int width = 0;
+  const std::vector<std::vector<int>> bags = NaiveBags(graph, order, &width);
+  std::vector<int> position(n);
+  for (int i = 0; i < n; ++i) position[order[i]] = i;
+  std::vector<int> td_id(n, -1);
+  for (int i = n - 1; i >= 0; --i) {
+    const int v = order[i];
+    int parent_vertex = -1;
+    for (const int w : bags[v]) {
+      if (w != v &&
+          (parent_vertex < 0 || position[w] < position[parent_vertex])) {
+        parent_vertex = w;
+      }
+    }
+    const int parent_id = parent_vertex < 0 ? -1 : td_id[parent_vertex];
+    td_id[v] = td.AddNode(bags[v], parent_id < 0 && td.num_nodes() > 0
+                                       ? td.root()
+                                       : parent_id);
+  }
+  return td;
+}
+
+void ExpectSameDecomposition(const TreeDecomposition& got,
+                             const TreeDecomposition& want,
+                             const std::string& label) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes()) << label;
+  for (int i = 0; i < got.num_nodes(); ++i) {
+    ASSERT_EQ(got.bag(i), want.bag(i)) << label << " node " << i;
+    ASSERT_EQ(got.parent(i), want.parent(i)) << label << " node " << i;
+  }
+}
+
+// Orders under both heuristics, widths, and bag-for-bag decompositions
+// (from an order, and from the one-pass min-fill decomposition) all match
+// the naive loop.
+void ExpectEngineMatchesNaive(const Graph& g, const std::string& label) {
+  for (const EliminationHeuristic h :
+       {EliminationHeuristic::kMinFill, EliminationHeuristic::kMinDegree}) {
+    const std::string which =
+        label + (h == EliminationHeuristic::kMinFill ? " min-fill"
+                                                     : " min-degree");
+    const std::vector<int> order = GreedyEliminationOrder(g, h);
+    const std::vector<int> naive = NaiveGreedyOrder(g, h);
+    ASSERT_EQ(order, naive) << which;
+    int width = 0;
+    NaiveBags(g, order, &width);
+    EXPECT_EQ(EliminationOrderWidth(g, order), width) << which;
+    const TreeDecomposition want = NaiveDecomposition(g, naive);
+    ExpectSameDecomposition(DecompositionFromOrder(g, order), want, which);
+    if (h == EliminationHeuristic::kMinFill) {
+      ExpectSameDecomposition(HeuristicDecomposition(g), want,
+                              label + " one pass");
+    }
+  }
+}
+
+TEST(EliminationTest, EngineMatchesNaiveReference) {
+  Rng rng(20);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = static_cast<int>(rng.NextBelow(81));  // 0..80
+    const double p = 0.02 + 0.48 * rng.NextDouble();
+    const std::string label = "trial " + std::to_string(trial);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectEngineMatchesNaive(RandomGraph(n, p, &rng), label));
+    // Two components of n vertices in all, then two isolated vertices.
+    const int split = static_cast<int>(rng.NextBelow(n + 1));
+    Graph g = RandomGraph(split, p, &rng);
+    const Graph other = RandomGraph(n - split, p, &rng);
+    for (int v = 0; v < other.num_vertices(); ++v) {
+      for (const int w : other.Neighbors(v)) g.AddEdge(split + v, split + w);
+    }
+    g.EnsureVertices(n + 2);
+    ASSERT_NO_FATAL_FAILURE(ExpectEngineMatchesNaive(g, label + " split"));
+  }
+  // The primal graphs of kc_compile's decomposed circuit families.
+  const std::vector<std::pair<std::string, Circuit>> families = {
+      {"ladder_8_3", LadderCircuit(8, 3)},
+      {"ladder_12_3", LadderCircuit(12, 3)},
+      {"ladder_16_3", LadderCircuit(16, 3)},
+      {"ladder_32_2", LadderCircuit(32, 2)},
+      {"banded_cnf_64_4", BandedCnfCircuit(64, 4)},
+      {"banded_cnf_128_4", BandedCnfCircuit(128, 4)},
+      {"tree_cnf_64", TreeCnfCircuit(64)},
+      {"tree_cnf_128", TreeCnfCircuit(128)},
+      {"h_chain_2_6_1", HChainCircuit(2, 6, 1)},
+      {"parity_128", ParityCircuit(128)},
+  };
+  for (const auto& [name, circuit] : families) {
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectEngineMatchesNaive(PrimalGraph(circuit), name));
+  }
 }
 
 TEST(EliminationTest, PathHasWidthOne) {
