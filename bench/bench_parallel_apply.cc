@@ -10,13 +10,20 @@
 // host: the JSON's meta section records host_cores, and on a single-core
 // host every multi-worker configuration measures overhead, not scaling.
 //
-// Workloads (cold compiles, fresh managers per rep, min-of-3):
+// Each workload runs kRounds interleaved rounds of (seq, w1, w2, w4, w8),
+// one cold compile per configuration per round in a fresh manager, so
+// host drift hits every configuration alike. The JSON reports each
+// configuration's median time and the median of the per-round
+// speedup_w4 (seq / w4 within one round).
+//
+// Workloads:
 //   sdd_semantic14     12 random 14-var semantic compiles
 //   isa_k2_m4          the Appendix-A ISA compile (k=2, m=4, n=18)
 //
 // Regenerate the checked-in curve with
 //   build/bench_parallel_apply --json=BENCH_parallel_apply.json
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -32,6 +39,7 @@
 #include "sdd/sdd.h"
 #include "sdd/sdd_compile.h"
 #include "util/random.h"
+#include "util/timer.h"
 #include "vtree/vtree.h"
 
 namespace ctsdd {
@@ -44,6 +52,7 @@ std::vector<int> Iota(int n) {
 }
 
 constexpr int kWorkerCounts[] = {1, 2, 4, 8};
+constexpr int kRounds = 9;
 
 // Local sink (this binary does not link google-benchmark).
 template <typename T>
@@ -51,27 +60,45 @@ inline void Consume(T&& value) {
   asm volatile("" : : "g"(value) : "memory");
 }
 
-// Runs `body(pool)` with no pool, then per worker count, and emits one
-// JSON section: seq_ms, w{N}_ms, speedup_w4 (= seq_ms / w4_ms).
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                 : (values[mid - 1] + values[mid]) / 2;
+}
+
+// Runs kRounds rounds of `body(pool)` with no pool, then per worker
+// count, and emits one JSON section: seq_ms, w{N}_ms (medians),
+// speedup_w4 (median of per-round seq / w4).
 template <typename Body>
 void RunWorkload(const char* name, const std::string& json_path,
                  bool* first_section, const Body& body) {
-  std::vector<bench::JsonMetric> metrics;
-  const double seq_ms =
-      bench::MinMillis(3, [&] { body(static_cast<exec::TaskPool*>(nullptr)); });
-  metrics.push_back({"seq_ms", seq_ms});
-  std::printf("  %-18s seq %8.2f ms |", name, seq_ms);
-  double w4_ms = seq_ms;
-  for (const int workers : kWorkerCounts) {
-    exec::TaskPool pool(workers);
-    const double ms = bench::MinMillis(3, [&] { body(&pool); });
-    metrics.push_back({"w" + std::to_string(workers) + "_ms", ms});
-    if (workers == 4) w4_ms = ms;
-    std::printf(" %dw %8.2f ms", workers, ms);
+  // times[0] is sequential; times[i + 1] uses kWorkerCounts[i] workers.
+  std::vector<std::vector<double>> times(std::size(kWorkerCounts) + 1);
+  std::vector<double> speedups;
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t c = 0; c < times.size(); ++c) {
+      const auto pool =
+          c == 0 ? nullptr
+                 : std::make_unique<exec::TaskPool>(kWorkerCounts[c - 1]);
+      const Timer timer;
+      body(pool.get());
+      times[c].push_back(timer.ElapsedMillis());
+    }
+    static_assert(kWorkerCounts[2] == 4);
+    speedups.push_back(times[0].back() / times[3].back());
   }
-  const double speedup = w4_ms > 0 ? seq_ms / w4_ms : 0.0;
+  std::vector<bench::JsonMetric> metrics;
+  metrics.push_back({"seq_ms", Median(times[0])});
+  std::printf("  %-18s seq %8.2f ms |", name, Median(times[0]));
+  for (size_t i = 0; i < std::size(kWorkerCounts); ++i) {
+    const double ms = Median(times[i + 1]);
+    metrics.push_back({"w" + std::to_string(kWorkerCounts[i]) + "_ms", ms});
+    std::printf(" %dw %8.2f ms", kWorkerCounts[i], ms);
+  }
+  const double speedup = Median(speedups);
   metrics.push_back({"speedup_w4", speedup});
-  std::printf(" | x%.2f @4w\n", speedup);
+  std::printf(" | x%.2f @4w (median of %d rounds)\n", speedup, kRounds);
   if (!json_path.empty()) {
     bench::WriteJsonSection(json_path, name, metrics,
                             /*append=*/!*first_section);

@@ -1,7 +1,6 @@
-// Shared helpers for the table-emitting benchmark harnesses: fixed-width
-// row printing and growth-rate estimation (log-log slope between sweep
-// points), so every bench reports the paper's qualitative shape —
-// constant vs linear vs polynomial vs exponential — next to raw numbers.
+// Shared helpers for the benchmark harnesses: section headers, a fitted
+// power-law exponent, min-of-reps timing and the flat JSON records the
+// benches write.
 
 #ifndef CTSDD_BENCH_BENCH_UTIL_H_
 #define CTSDD_BENCH_BENCH_UTIL_H_
@@ -73,10 +72,6 @@ inline void Header(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
 
-inline void Note(const std::string& text) {
-  std::printf("  %s\n", text.c_str());
-}
-
 // Least-squares slope of log(y) against log(x): the fitted exponent of a
 // power law y ~ x^slope. Ignores non-positive entries.
 inline double LogLogSlope(const std::vector<double>& x,
@@ -91,25 +86,6 @@ inline double LogLogSlope(const std::vector<double>& x,
     sy += ly;
     sxx += lx * lx;
     sxy += lx * ly;
-    ++n;
-  }
-  if (n < 2) return 0.0;
-  return (n * sxy - sx * sy) / (n * sxx - sx * sx);
-}
-
-// Least-squares slope of log2(y) against x: the fitted exponent base of
-// an exponential law y ~ 2^{slope * x}.
-inline double SemiLogSlope(const std::vector<double>& x,
-                           const std::vector<double>& y) {
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  int n = 0;
-  for (size_t i = 0; i < x.size() && i < y.size(); ++i) {
-    if (y[i] <= 0) continue;
-    const double ly = std::log2(y[i]);
-    sx += x[i];
-    sy += ly;
-    sxx += x[i] * x[i];
-    sxy += x[i] * ly;
     ++n;
   }
   if (n < 2) return 0.0;
@@ -245,7 +221,8 @@ inline bool WriteJsonSection(const std::string& path,
 
 // Version of the flat-section schema above. Bump on any change to the
 // section shape or metric semantics so trajectory consumers can gate.
-inline constexpr double kBenchSchemaVersion = 2;
+// Version 3: bench_parallel_apply reports medians of interleaved rounds.
+inline constexpr double kBenchSchemaVersion = 3;
 
 // Writes (or refreshes) the shared "meta" section every emitter stamps
 // into its BENCH_*.json: schema version plus the host topology the

@@ -51,9 +51,12 @@ struct QueryCompilation {
 
 // Compiles L(Q, D) to both an OBDD (tuple-id order) and an SDD (chosen
 // strategy), checks the two probabilities agree, and returns statistics.
+// The default is the serve path's balanced vtree: kFromTreewidth pays for
+// min-fill and can take minutes where the lineage's width is large (9 for
+// InequalityExampleQuery at domain 8), so callers ask for it explicitly.
 StatusOr<QueryCompilation> CompileQuery(
     const Ucq& query, const Database& db,
-    VtreeStrategy strategy = VtreeStrategy::kFromTreewidth);
+    VtreeStrategy strategy = VtreeStrategy::kBalanced);
 
 }  // namespace ctsdd
 

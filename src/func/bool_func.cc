@@ -139,8 +139,13 @@ BoolFunc BoolFunc::FromCircuitOver(const Circuit& circuit,
           v = ~0ULL;
           break;
         case GateKind::kVar: {
+          // A variable outside `vars` labels a gate the output does not
+          // reach (GateFunc sweeps a whole circuit for one gate); its lane
+          // is never read.
           const int p = pos_of_var[g.var];
-          if (p < 6) {
+          if (p < 0) {
+            v = 0;
+          } else if (p < 6) {
             v = ~kLowHalfMask[p];  // bit pattern of position p inside a word
           } else {
             v = ((base >> p) & 1) ? ~0ULL : 0;

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/builder.h"
@@ -224,18 +226,57 @@ TEST(WidthsTest, VtreeEnumerationCounts) {
 }
 
 TEST(WidthsTest, MinWidthsOnKnownFunctions) {
+  // (fw, fiw, sdw) minimized over every vtree.
   const BoolFunc parity = BoolFunc::FromCircuit(ParityCircuit(4));
   EXPECT_EQ(MinFactorWidthOverVtrees(parity), 2);
+  EXPECT_EQ(MinFiwOverVtrees(parity), 4);
+  EXPECT_EQ(MinSdwOverVtrees(parity), 4);
+  const BoolFunc majority = BoolFunc::FromCircuit(MajorityCircuit(5));
+  EXPECT_EQ(MinFactorWidthOverVtrees(majority), 3);
+  EXPECT_EQ(MinFiwOverVtrees(majority), 5);
+  EXPECT_EQ(MinSdwOverVtrees(majority), 6);
   const BoolFunc lit = BoolFunc::Literal(0, true);
   EXPECT_EQ(MinFactorWidthOverVtrees(lit), 2);
 }
 
+// The width sandwich of Prop. 2 and inequalities (22), (23), (29) on one
+// (function, vtree) pair: fiw <= fw^2, sdw <= 2^{2 fw + 1} and
+// tw(C_{F,T}) <= 3 fiw.
+void ExpectWidthSandwich(const std::string& name, const BoolFunc& f,
+                         const Vtree& vt) {
+  const int fw = FactorWidth(f, vt);
+  const FactorCompilation cft = CompileFactorNnf(f, vt);
+  const int sdw = CompileCanonicalSdd(f, vt).sdw;
+  const int tw = cft.circuit.num_gates() <= kMaxExactVertices
+                     ? ExactCircuitTreewidth(cft.circuit).value()
+                     : HeuristicCircuitTreewidth(cft.circuit);
+  EXPECT_LE(cft.fiw, fw * fw) << name;
+  EXPECT_LE(sdw, 1 << (2 * fw + 1)) << name;
+  EXPECT_LE(tw, 3 * cft.fiw) << name;
+}
+
 TEST(WidthsTest, SandwichBounds) {
-  // fiw and sdw are sandwiched by computable functions of each other via
-  // fw; spot-check the chain fw <= fiw-ish relations on random functions:
-  // fiw <= fw^2 and sdw <= 2^{2 fw + 1} minimized over vtrees.
-  Rng rng(23);
-  const BoolFunc f = BoolFunc::Random(Iota(4), &rng);
+  // Per vtree: random 4-6-variable functions on random vtrees, and the
+  // named families on balanced vtrees.
+  Rng rng(2024);
+  for (int i = 0; i < 6; ++i) {
+    const std::vector<int> vars = Iota(4 + i % 3);
+    const BoolFunc f = BoolFunc::Random(vars, &rng);
+    ExpectWidthSandwich("random#" + std::to_string(i), f,
+                        Vtree::Random(vars, &rng));
+  }
+  const std::pair<const char*, Circuit> families[] = {
+      {"parity6", ParityCircuit(6)},
+      {"majority5", MajorityCircuit(5)},
+      {"disjoint3", DisjointnessCircuit(3)},
+      {"banded6", BandedCnfCircuit(6, 2)}};
+  for (const auto& [name, circuit] : families) {
+    const BoolFunc f = BoolFunc::FromCircuit(circuit);
+    ExpectWidthSandwich(name, f, Vtree::Balanced(f.vars()));
+  }
+  // Minimized over all vtrees.
+  Rng min_rng(23);
+  const BoolFunc f = BoolFunc::Random(Iota(4), &min_rng);
   const int fw = MinFactorWidthOverVtrees(f);
   const int fiw = MinFiwOverVtrees(f);
   const int sdw = MinSdwOverVtrees(f);
@@ -302,27 +343,62 @@ TEST(PipelineTest, ExactTreewidthOption) {
 TEST(PipelineTest, Result1WidthBoundedByTreewidthFunction) {
   // Result 1: at fixed treewidth the Lemma 1 vtree gives an SDD whose
   // width is bounded by a function of the treewidth and whose size is
-  // linear in n. Over growing ladders the predicted width (the min-fill
-  // bound) stays constant, and so do the compiled width and the size
-  // per variable. From n = 8 each 4 extra rows (8 variables) add 188
-  // elements, so size/vars stays below 23.5; a vtree that ignores the
-  // decomposition passes 24 by n = 8.
-  const int predicted = HeuristicCircuitTreewidth(LadderCircuit(4, 2));
-  int max_width = 0;
-  int last_width = 0;
-  for (int n = 4; n <= 32; n += 4) {
-    const Circuit c = LadderCircuit(n, 2);
-    EXPECT_EQ(HeuristicCircuitTreewidth(c), predicted) << "n=" << n;
-    const auto result = CompileWithTreewidth(c);
-    ASSERT_TRUE(result.ok());
-    const double size_per_var =
-        static_cast<double>(result->sdd.size) / c.Vars().size();
-    ASSERT_LT(size_per_var, 24.0) << "n=" << n;
-    max_width = std::max(max_width, result->sdd.width);
-    last_width = result->sdd.width;
+  // linear in n. On ladders of k columns the predicted width (the min-fill
+  // bound) is constant from `tw_constant` rows on and never above that
+  // value: 2, 3 and 5 for k = 1, 2, 3, from 4, 4 and 8 rows. From
+  // `saturated` rows on the compiled width stays constant too, and every 4
+  // extra rows add the same number of elements:
+  //   k = 1: width 4 from 4 rows, +16 elements (4.0 per variable);
+  //   k = 2: width 24 from 8 rows, +188 (23.5 per variable);
+  //   k = 3: width 195 from 12 rows, +1160 (96.7 per variable).
+  // Size per variable climbs toward that step from below. At k = 2 a
+  // vtree that ignores the decomposition passes 24 per variable by n = 8.
+  struct Ladder {
+    int k;
+    int tw_constant;
+    int saturated;
+    double size_per_var_bound;
+  };
+  for (const Ladder& ladder : {Ladder{1, 4, 4, 4.0}, Ladder{2, 4, 8, 24.0},
+                               Ladder{3, 8, 12, 97.0}}) {
+    const int k = ladder.k;
+    const int predicted =
+        HeuristicCircuitTreewidth(LadderCircuit(ladder.tw_constant, k));
+    int saturated_width = -1;
+    int max_width = 0;
+    int prev_size = 0;
+    int step = -1;
+    for (int n = 4; n <= 32; n += 4) {
+      const Circuit c = LadderCircuit(n, k);
+      const auto result = CompileWithTreewidth(c);
+      ASSERT_TRUE(result.ok());
+      const double size_per_var =
+          static_cast<double>(result->sdd.size) / c.Vars().size();
+      ASSERT_LT(size_per_var, ladder.size_per_var_bound)
+          << "k=" << k << " n=" << n;
+      const int tw = HeuristicCircuitTreewidth(c);
+      if (n >= ladder.tw_constant) {
+        EXPECT_EQ(tw, predicted) << "k=" << k << " n=" << n;
+      } else {
+        EXPECT_LE(tw, predicted) << "k=" << k << " n=" << n;
+      }
+      if (n >= ladder.saturated) {
+        if (saturated_width < 0) saturated_width = result->sdd.width;
+        EXPECT_EQ(result->sdd.width, saturated_width)
+            << "k=" << k << " n=" << n;
+      }
+      if (n > ladder.saturated) {
+        if (step < 0) step = result->sdd.size - prev_size;
+        EXPECT_EQ(result->sdd.size - prev_size, step)
+            << "k=" << k << " n=" << n;
+      }
+      max_width = std::max(max_width, result->sdd.width);
+      prev_size = result->sdd.size;
+    }
+    EXPECT_EQ(max_width, saturated_width) << "k=" << k;
+    // Size per variable approaches the step's per-variable cost.
+    EXPECT_LE(step / (4.0 * k), ladder.size_per_var_bound) << "k=" << k;
   }
-  // The width saturates: the largest ladder's width is the sweep maximum.
-  EXPECT_EQ(last_width, max_width);
 }
 
 // `circuit` with variable v renamed perm[v]; gates keep their ids, so the

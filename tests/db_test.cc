@@ -191,12 +191,27 @@ TEST(QueryCompileTest, NonUniformProbabilities) {
   EXPECT_NEAR(comp->probability, 0.9 * (1.0 - 0.8 * 0.3), 1e-9);
 }
 
+TEST(QueryCompileTest, DefaultStrategyIsBalanced) {
+  // The defaulted call compiles on the balanced vtree, as the serve path
+  // does; kFromTreewidth stays available when asked for.
+  const Database db = ChainDatabase(1, 3);
+  const Ucq q = InversionChainUcq(1);
+  const auto defaulted = CompileQuery(q, db);
+  const auto balanced = CompileQuery(q, db, VtreeStrategy::kBalanced);
+  const auto lemma1 = CompileQuery(q, db, VtreeStrategy::kFromTreewidth);
+  ASSERT_TRUE(defaulted.ok());
+  ASSERT_TRUE(balanced.ok());
+  ASSERT_TRUE(lemma1.ok());
+  EXPECT_EQ(defaulted->sdd_size, balanced->sdd_size);
+  EXPECT_NE(defaulted->sdd_size, lemma1->sdd_size);
+}
+
 TEST(QueryCompileTest, HierarchicalQueryConstantObddWidth) {
   // Figure 2: inversion-free lineages have constant OBDD width under the
   // "process tuples group by group" order; tuple-id order realizes it for
   // the RS query.
   int max_width = 0;
-  for (int n = 2; n <= 6; ++n) {
+  for (int n = 2; n <= 8; ++n) {
     Database db;
     db.AddRelation("R", 1);
     db.AddRelation("S", 2);
