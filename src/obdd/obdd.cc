@@ -173,9 +173,38 @@ ObddManager::NodeId ObddManager::ApplyN(std::vector<NodeId> ops,
                                         bool is_and) {
   thread_check_.Check();
   ++op_depth_;
-  const NodeId result = ApplyNRec(std::move(ops), is_and);
+  const NodeId result = (is_and && ops.size() > kNaryFoldArity)
+                            ? AndFold(std::move(ops))
+                            : ApplyNRec(std::move(ops), is_and);
   LeaveOp();
   return result;
+}
+
+ObddManager::NodeId ObddManager::AndFold(std::vector<NodeId> ops) {
+  if (budget_ != nullptr) {
+    if (budget_->tripped()) return kAborted;
+    for (const NodeId op : ops) {
+      if (op < 0) return kAborted;
+    }
+  }
+  // Deepest top level first, ties in operand order: (levels - level,
+  // index) packed per word, so a plain sort is stable.
+  std::vector<uint64_t> keyed;
+  keyed.reserve(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i] == kFalse) return kFalse;
+    if (ops[i] == kTrue) continue;
+    keyed.push_back(
+        (static_cast<uint64_t>(num_levels() - nodes_[ops[i]].level) << 32) |
+        i);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  NodeId acc = kTrue;
+  for (const uint64_t k : keyed) {
+    acc = IteRec(ops[k & 0xffffffffu], acc, kFalse);
+    if (acc == kFalse || acc < 0) break;
+  }
+  return acc;
 }
 
 ObddManager::NodeId ObddManager::ApplyNRec(std::vector<NodeId> ops,

@@ -70,11 +70,15 @@ class ObddManager : public ManagerCore<ObddManager> {
   NodeId Xor(NodeId f, NodeId g);
   NodeId Ite(NodeId f, NodeId g, NodeId h);
 
-  // Multi-way conjunction/disjunction by simultaneous cofactoring: all
-  // operands are cofactored on the smallest live level at once, so a wide
-  // gate costs one sweep instead of a chain of binary applies that re-walks
-  // the accumulated result per operand. Neutral operands are dropped and
-  // absorbing terminals short-circuit before any recursion.
+  // Multi-way conjunction/disjunction. Neutral operands are dropped and
+  // absorbing terminals short-circuit before any recursion. OrN, and AndN
+  // up to kNaryFoldArity operands, cofactor all operands on the smallest
+  // live level at once: one sweep instead of a chain of binary applies.
+  // Wider AndN folds along the variable order instead, conjoining the
+  // operands deepest top level first into one accumulator (the right-
+  // linear-vtree case of SddManager::AndN's bucket fold): each step then
+  // only touches the levels of the operand it adds, where one sweep would
+  // copy, sort and hash the whole operand vector at every level.
   NodeId AndN(std::vector<NodeId> ops);
   NodeId OrN(std::vector<NodeId> ops);
 
@@ -150,6 +154,8 @@ class ObddManager : public ManagerCore<ObddManager> {
   NodeId HashCons(int level, NodeId lo, NodeId hi);
   NodeId IteRec(NodeId f, NodeId g, NodeId h);
   NodeId ApplyNRec(std::vector<NodeId> ops, bool is_and);
+  // AndN past kNaryFoldArity operands: the fold along the variable order.
+  NodeId AndFold(std::vector<NodeId> ops);
   // The unique-table hash of node (level, lo, hi).
   static uint64_t NodeHash(int level, NodeId lo, NodeId hi) {
     return Hash3(static_cast<uint64_t>(level), static_cast<uint64_t>(lo),

@@ -28,10 +28,10 @@ ObddManager::NodeId CompileCircuitToObdd(ObddManager* manager,
         break;
       case GateKind::kAnd:
       case GateKind::kOr: {
-        // Multi-way apply: one simultaneous-cofactor sweep over all
-        // operands (neutral operands dropped, absorbing terminals
-        // short-circuited inside AndN/OrN) instead of a left-linear
-        // accumulator that re-walks the partial result per input.
+        // Multi-way apply (neutral operands dropped, absorbing terminals
+        // short-circuited inside AndN/OrN): one simultaneous-cofactor
+        // sweep, or for wide conjunctions a fold along the variable order
+        // (ObddManager::AndN).
         std::vector<ObddManager::NodeId> inputs;
         inputs.reserve(g.inputs.size());
         for (int input : g.inputs) inputs.push_back(value[input]);

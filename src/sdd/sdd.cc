@@ -48,6 +48,21 @@ SddManager::SddManager(Vtree vtree, Options options)
       stack.push_back(vtree_.left(v));
     }
   }
+  // Postorder (left subtree, right subtree, node) for AndN's bucket fold.
+  postorder_of_vnode_.assign(vtree_.num_nodes(), 0);
+  uint32_t next_post = 0;
+  std::vector<std::pair<int, bool>> todo = {{vtree_.root(), false}};
+  while (!todo.empty()) {
+    const auto [v, children_done] = todo.back();
+    todo.pop_back();
+    if (children_done || vtree_.is_leaf(v)) {
+      postorder_of_vnode_[v] = next_post++;
+      continue;
+    }
+    todo.push_back({v, true});
+    todo.push_back({vtree_.right(v), false});
+    todo.push_back({vtree_.left(v), false});
+  }
   EnsureCtxSlots(1);
   // Terminal constants (negations of each other).
   nodes_.PushBack({Kind::kConst, false, -1, -1, nullptr, 0});
@@ -729,21 +744,60 @@ SddManager::NodeId SddManager::ApplyN(Ctx& cx, const std::vector<NodeId>& ops,
 SddManager::NodeId SddManager::AndNRec(Ctx& cx, std::vector<NodeId> ops) {
   NodeId result;
   if (NormalizeNaryOps(cx, &ops, Op::kAnd, &result)) return result;
-  if (ops.size() <= kNaryFoldArity) {
-    // One n-ary element product: wide gates canonicalize once instead of
-    // paying MakeDecision per binary apply.
-    result = ApplyN(cx, ops, Op::kAnd);
-  } else {
-    // Sequential accumulation: each conjunct constrains the accumulator,
-    // so intermediates shrink as constraints pile up (the CNF-compilation
-    // regime, where a balanced fold would first build large unconstrained
-    // halves — ~300x slower on the ladder workloads).
-    result = ops[0];
-    for (size_t i = 1; i < ops.size() && result != kFalse; ++i) {
-      result = ApplyRec(cx, result, ops[i], Op::kAnd);
+  // One n-ary element product: narrow gates canonicalize once instead of
+  // paying MakeDecision per binary apply.
+  if (ops.size() <= kNaryFoldArity) return ApplyN(cx, ops, Op::kAnd);
+  // Wide gates fold bottom-up along the vtree. A conjunct joins the fold
+  // at the vtree node it is normalized at, so each intermediate is the
+  // conjunction of one subtree's conjuncts and stays within that subtree's
+  // scope. (Accumulating in circuit order took 4-5.5x the applies on
+  // kc_compile's tree CNFs.)
+  std::vector<uint64_t>& keys = cx.and_fold_keys;
+  keys.clear();
+  for (size_t i = 0; i < ops.size(); ++i) {
+    keys.push_back(
+        (static_cast<uint64_t>(postorder_of_vnode_[nodes_[ops[i]].vnode])
+         << 32) |
+        i);
+  }
+  std::sort(keys.begin(), keys.end());  // postorder, then operand order
+  return AndFoldRec(cx, ops, 0, keys.size());
+}
+
+SddManager::NodeId SddManager::AndFoldRec(Ctx& cx,
+                                          const std::vector<NodeId>& ops,
+                                          size_t lo, size_t hi) {
+  const std::vector<uint64_t>& keys = cx.and_fold_keys;
+  const auto op_at = [&](size_t k) { return ops[keys[k] & 0xffffffffu]; };
+  // The LCA of a postorder-sorted set is that of its first and last
+  // members, and w's own bucket closes the range (postorder ends each
+  // subtree with its root).
+  const int w =
+      vtree_.Lca(nodes_[op_at(lo)].vnode, nodes_[op_at(hi - 1)].vnode);
+  const uint64_t post_w = postorder_of_vnode_[w];
+  size_t bucket = hi;
+  while (bucket > lo && (keys[bucket - 1] >> 32) == post_w) --bucket;
+  NodeId acc = kTrue;
+  if (bucket > lo) {
+    // Keys below w: the left subtree's postorder range precedes the
+    // right's. Either half may be empty when w has a bucket.
+    const uint64_t left_last =
+        (static_cast<uint64_t>(postorder_of_vnode_[vtree_.left(w)]) << 32) |
+        0xffffffffu;
+    const size_t split = static_cast<size_t>(
+        std::upper_bound(keys.begin() + lo, keys.begin() + bucket,
+                         left_last) -
+        keys.begin());
+    if (split > lo) acc = AndFoldRec(cx, ops, lo, split);
+    if (split < bucket && acc != kFalse && acc >= 0) {
+      const NodeId right = AndFoldRec(cx, ops, split, bucket);
+      acc = (acc == kTrue) ? right : ApplyRec(cx, acc, right, Op::kAnd);
     }
   }
-  return result;
+  for (size_t k = bucket; k < hi && acc != kFalse && acc >= 0; ++k) {
+    acc = (acc == kTrue) ? op_at(k) : ApplyRec(cx, acc, op_at(k), Op::kAnd);
+  }
+  return acc;
 }
 
 SddManager::NodeId SddManager::OrNRec(Ctx& cx, std::vector<NodeId> ops) {

@@ -119,10 +119,13 @@ class SddManager : public ManagerCore<SddManager> {
   NodeId Not(NodeId a);
 
   // Multi-way conjunction/disjunction with neutral operands dropped and
-  // absorbing terminals short-circuited. AndN accumulates sequentially
-  // (each conjunct constrains the intermediate, the CNF regime); OrN folds
-  // pairwise in a balanced tree (disjuncts don't constrain each other, so
-  // a sequential accumulator would re-walk a growing DNF per operand).
+  // absorbing terminals short-circuited. Up to kNaryFoldArity operands
+  // (util/manager_core.h) combine in one n-ary element product. Wider
+  // conjunctions fold bottom-up along the vtree: each conjunct joins the
+  // fold at the vtree node it is normalized at, so every intermediate is
+  // the conjunction of one subtree's conjuncts. Wider disjunctions fold
+  // n-ary chunks in a balanced tree (disjuncts don't constrain each
+  // other, so an accumulator would re-walk a growing DNF).
   NodeId AndN(std::vector<NodeId> ops);
   NodeId OrN(std::vector<NodeId> ops);
 
@@ -363,6 +366,10 @@ class SddManager : public ManagerCore<SddManager> {
     // Scratch for NormalizeNaryOps's sorted probe set (that function
     // never re-enters itself within a context, so one buffer suffices).
     std::vector<NodeId> nary_probe_scratch;
+    // AndNRec's bucket-fold keys, (postorder of the operand's vnode,
+    // operand index) packed per word and sorted; AndNRec never re-enters
+    // itself within a context, so one buffer suffices.
+    std::vector<uint64_t> and_fold_keys;
     // Exact memo for n-ary folds within the current top-level operation.
     std::unordered_map<NaryKey, NodeId, NaryKeyHash> nary_memo;
     // Element span stripe (stable addresses).
@@ -376,10 +383,6 @@ class SddManager : public ManagerCore<SddManager> {
     uint32_t budget_lease = 0;
   };
 
-  // Fan-in up to which AndN/OrN use the n-ary element product (ApplyN)
-  // instead of folding binary applies; above it, AndN accumulates
-  // sequentially and OrN folds ApplyN chunks of this arity.
-  static constexpr size_t kNaryFoldArity = 8;
   // Element-product budget for one ApplyN expansion (product of operand
   // element counts); past it the operands fall back to binary folding,
   // whose intermediate canonicalization keeps the meet partition in check.
@@ -487,6 +490,12 @@ class SddManager : public ManagerCore<SddManager> {
   // key is sorted. Falls back to binary folds past kNaryProductCap.
   NodeId ApplyN(Ctx& cx, const std::vector<NodeId>& ops, Op op);
   NodeId AndNRec(Ctx& cx, std::vector<NodeId> ops);
+  // Conjoins ops[k] for the keys k in cx.and_fold_keys[lo, hi), which lie
+  // in one vtree subtree: the halves below the keys' LCA w fold first and
+  // are conjoined, then w's own bucket joins in operand order. Empty
+  // halves are skipped, so the recursion follows the keys' LCA tree.
+  NodeId AndFoldRec(Ctx& cx, const std::vector<NodeId>& ops, size_t lo,
+                    size_t hi);
   NodeId OrNRec(Ctx& cx, std::vector<NodeId> ops);
   // Shared operand normalization for AndN/OrN/ApplyN: drops identity
   // operands and duplicates, sorts, and detects absorbing terminals and
@@ -604,6 +613,8 @@ class SddManager : public ManagerCore<SddManager> {
   // bounded lossy caches alone cannot guarantee; reset when the
   // outermost operation ends so memory stays bounded per operation.
   ScopedMemo<ApplyKey, NodeId> apply_memo_;
+  // Postorder index of every vtree node (AndN's bucket fold).
+  std::vector<uint32_t> postorder_of_vnode_;
   // Small-scope semantic layer (see SmallAnchor): per-vtree-node anchors
   // and masks plus the (anchor, word) -> canonical node cache.
   std::vector<int> anchor_of_vnode_;

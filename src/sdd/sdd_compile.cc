@@ -375,11 +375,10 @@ SddManager::NodeId CompileCircuitToSdd(SddManager* manager,
                              return position(a) < position(b);
                            });
         }
-        // And inputs keep the circuit's own order: conjuncts are
-        // accumulated sequentially (SddManager::AndN) and the circuit's
-        // structural locality beats a vtree-preorder sort by orders of
-        // magnitude on constraint-chain workloads (the sort fronts the
-        // most global constraints, maximizing intermediate sizes).
+        // And inputs need no sort: SddManager::AndN schedules wide
+        // conjunctions itself, folding them bottom-up along the vtree
+        // (each conjunct joins at the node it is normalized at, in
+        // circuit order within a node).
         value[id] = g.kind == GateKind::kAnd
                         ? manager->AndN(std::move(inputs))
                         : manager->OrN(std::move(inputs));

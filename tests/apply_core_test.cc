@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "circuit/families.h"
@@ -114,25 +115,62 @@ TEST(ApplyCoreObddTest, TinyCachesNeverChangeResults) {
   }
 }
 
+// Fan-in `k` operands over variables 0..n-1 for the multi-way tests: each
+// a literal or the And/Or of two literals at most 3 apart, so their top
+// levels (OBDD) and vtree nodes (SDD) spread over the whole order or
+// vtree and wide AndN folds see several non-empty buckets. With
+// `contradict`, two of them become x_{b-1} & x_b and !x_b & x_{b+1}: a
+// pair in different buckets whose conjunction is false.
+template <class Manager>
+std::vector<typename Manager::NodeId> SpreadOperands(Manager* m, Rng* rng,
+                                                     int n, int k,
+                                                     bool contradict) {
+  std::vector<typename Manager::NodeId> ops;
+  for (int i = 0; i < k; ++i) {
+    const int a = rng->NextInt(0, n - 1);
+    const int b = std::min(n - 1, a + rng->NextInt(1, 3));
+    // Mostly positive literals and mostly clauses, so that wide
+    // conjunctions are often satisfiable.
+    const auto la = m->Literal(a, rng->NextInt(0, 3) != 0);
+    const auto lb = m->Literal(b, rng->NextInt(0, 3) != 0);
+    const int shape = rng->NextInt(0, 3);
+    ops.push_back(shape == 0   ? la
+                  : shape == 1 ? m->And(la, lb)
+                               : m->Or(la, lb));
+  }
+  if (contradict) {
+    const int b = rng->NextInt(1, n - 2);
+    const size_t i = rng->NextBelow(ops.size());
+    const size_t j = (i + 1 + rng->NextBelow(ops.size() - 1)) % ops.size();
+    ops[i] = m->And(m->Literal(b - 1, true), m->Literal(b, true));
+    ops[j] = m->And(m->Literal(b, false), m->Literal(b + 1, true));
+  }
+  return ops;
+}
+
 TEST(ApplyCoreObddTest, MultiWayApplyMatchesBinaryChain) {
+  // Fan-in 2..16: past kNaryFoldArity, AndN folds along the order.
   Rng rng(99);
-  ObddManager m(Iota(10));
-  for (int trial = 0; trial < 20; ++trial) {
-    const int k = rng.NextInt(2, 7);
-    std::vector<ObddManager::NodeId> ops;
-    for (int i = 0; i < k; ++i) {
-      const auto a = m.Literal(rng.NextInt(0, 9), rng.NextBool());
-      const auto b = m.Literal(rng.NextInt(0, 9), rng.NextBool());
-      ops.push_back(rng.NextBool() ? m.And(a, b) : m.Or(a, b));
+  const int n = 24;
+  ObddManager m(Iota(n));
+  for (int k = 2; k <= 16; ++k) {
+    for (const bool contradict : {false, false, true}) {
+      const auto ops = SpreadOperands(&m, &rng, n, k, contradict);
+      ObddManager::NodeId and_chain = m.True();
+      ObddManager::NodeId or_chain = m.False();
+      std::set<int> top_levels;
+      for (const auto op : ops) {
+        and_chain = m.And(and_chain, op);
+        or_chain = m.Or(or_chain, op);
+        top_levels.insert(m.node(op).level);
+      }
+      if (k > static_cast<int>(ObddManager::kNaryFoldArity)) {
+        EXPECT_GE(top_levels.size(), 3u) << "k=" << k;
+      }
+      if (contradict) EXPECT_EQ(and_chain, m.False());
+      EXPECT_EQ(m.AndN(ops), and_chain) << "k=" << k;
+      EXPECT_EQ(m.OrN(ops), or_chain) << "k=" << k;
     }
-    ObddManager::NodeId and_chain = m.True();
-    ObddManager::NodeId or_chain = m.False();
-    for (const auto op : ops) {
-      and_chain = m.And(and_chain, op);
-      or_chain = m.Or(or_chain, op);
-    }
-    EXPECT_EQ(m.AndN(ops), and_chain);
-    EXPECT_EQ(m.OrN(ops), or_chain);
   }
 }
 
@@ -232,24 +270,34 @@ TEST(ApplyCoreSddTest, TinyAndDefaultCachesAgreeNodeForNode) {
 }
 
 TEST(ApplyCoreSddTest, MultiWaySddFoldMatchesChain) {
+  // Fan-in 2..16: past kNaryFoldArity, AndN folds along the vtree. The
+  // right-linear vtree puts buckets on a spine whose left halves are
+  // single leaves.
   Rng rng(55);
-  SddManager m(Vtree::Balanced(Iota(8)));
-  for (int trial = 0; trial < 10; ++trial) {
-    const int k = rng.NextInt(2, 6);
-    std::vector<SddManager::NodeId> ops;
-    for (int i = 0; i < k; ++i) {
-      const auto a = m.Literal(rng.NextInt(0, 7), rng.NextBool());
-      const auto b = m.Literal(rng.NextInt(0, 7), rng.NextBool());
-      ops.push_back(rng.NextBool() ? m.And(a, b) : m.Or(a, b));
+  const int n = 24;
+  for (const Vtree& vtree :
+       {Vtree::Balanced(Iota(n)), Vtree::RightLinear(Iota(n))}) {
+    SddManager m(vtree);
+    for (int k = 2; k <= 16; ++k) {
+      for (const bool contradict : {false, false, true}) {
+        const auto ops = SpreadOperands(&m, &rng, n, k, contradict);
+        SddManager::NodeId and_chain = m.True();
+        SddManager::NodeId or_chain = m.False();
+        std::set<int> buckets;
+        for (const auto op : ops) {
+          and_chain = m.And(and_chain, op);
+          or_chain = m.Or(or_chain, op);
+          buckets.insert(m.VtreeOf(op));
+        }
+        if (k > static_cast<int>(SddManager::kNaryFoldArity)) {
+          EXPECT_GE(buckets.size(), 3u) << "k=" << k;
+        }
+        if (contradict) EXPECT_EQ(and_chain, m.False());
+        EXPECT_EQ(m.AndN(ops), and_chain) << "k=" << k;
+        EXPECT_EQ(m.OrN(ops), or_chain) << "k=" << k;
+      }
     }
-    SddManager::NodeId and_chain = m.True();
-    SddManager::NodeId or_chain = m.False();
-    for (const auto op : ops) {
-      and_chain = m.And(and_chain, op);
-      or_chain = m.Or(or_chain, op);
-    }
-    EXPECT_EQ(m.AndN(ops), and_chain);
-    EXPECT_EQ(m.OrN(ops), or_chain);
+    EXPECT_TRUE(m.Validate().ok());
   }
 }
 

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <string>
@@ -14,12 +15,16 @@
 #include "compile/sdd_canonical.h"
 #include "compile/widths.h"
 #include "func/bool_func.h"
+#include "graph/elimination.h"
 #include "graph/exact_treewidth.h"
+#include "graph/path_decomposition.h"
 #include "gtest/gtest.h"
 #include "nnf/checks.h"
 #include "nnf/nnf.h"
+#include "obdd/obdd_compile.h"
 #include "sdd/sdd_compile.h"
 #include "util/random.h"
+#include "vtree/from_decomposition.h"
 
 namespace ctsdd {
 namespace {
@@ -479,6 +484,87 @@ TEST(PipelineTest, Result1LinearSizeOnPermutedLadder) {
   const SddStats stats =
       ComputeSddStats(manager, CompileCircuitToSdd(&manager, c));
   EXPECT_GT(static_cast<double>(stats.size) / c.Vars().size(), 24.0);
+}
+
+// `circuit` compiled gate by gate with every And gate a chain of binary
+// Ands in input order: the schedule the wide AndN fold replaced.
+template <class Manager>
+typename Manager::NodeId CompileWithAndChains(Manager* manager,
+                                              const Circuit& circuit) {
+  std::vector<typename Manager::NodeId> value(circuit.num_gates());
+  for (int id = 0; id < circuit.num_gates(); ++id) {
+    const Gate& g = circuit.gate(id);
+    std::vector<typename Manager::NodeId> inputs;
+    for (const int in : g.inputs) inputs.push_back(value[in]);
+    switch (g.kind) {
+      case GateKind::kConstFalse: value[id] = manager->False(); break;
+      case GateKind::kConstTrue: value[id] = manager->True(); break;
+      case GateKind::kVar: value[id] = manager->Literal(g.var, true); break;
+      case GateKind::kNot: value[id] = manager->Not(inputs[0]); break;
+      case GateKind::kAnd:
+        value[id] = manager->True();
+        for (const auto in : inputs) value[id] = manager->And(value[id], in);
+        break;
+      case GateKind::kOr: value[id] = manager->OrN(inputs); break;
+    }
+  }
+  return value[circuit.output()];
+}
+
+TEST(PipelineTest, WideAndFoldIsNodeIdenticalToTheCircuitOrderChain) {
+  // AndN folds wide conjunctions bottom-up along the vtree (SDD) and the
+  // variable order (OBDD). By canonicity the diagram cannot change, only
+  // the work: on each family the compile returns the very node a
+  // circuit-order chain of binary Ands builds in the same manager, on the
+  // Lemma 1 vtree and on the path-layout order (tree CNFs have no OBDD
+  // here: their path-layout OBDD does not fit in memory). No pool is
+  // attached, so the apply route and its counters are deterministic; the
+  // tree CNF's count pins the schedule (the circuit-order accumulator
+  // took 105,175 applies).
+  struct Family {
+    const char* name;
+    Circuit circuit;
+    bool obdd;
+    uint64_t max_apply_calls;  // 0: not pinned
+  };
+  for (const Family& family :
+       {Family{"ladder_16_3", LadderCircuit(16, 3), true, 0},
+        Family{"banded_cnf_128_4", BandedCnfCircuit(128, 4), true, 0},
+        Family{"tree_cnf_128", TreeCnfCircuit(128), false, 30000}}) {
+    SCOPED_TRACE(family.name);
+    const Circuit& c = family.circuit;
+    size_t max_and_fanin = 0;
+    for (int id = 0; id < c.num_gates(); ++id) {
+      if (c.gate(id).kind == GateKind::kAnd) {
+        max_and_fanin = std::max(max_and_fanin, c.gate(id).inputs.size());
+      }
+    }
+    ASSERT_GT(max_and_fanin, SddManager::kNaryFoldArity);
+
+    auto vtree = VtreeFromNiceDecomposition(
+        c, MakeNice(HeuristicDecomposition(PrimalGraph(c))));
+    ASSERT_TRUE(vtree.ok());
+    SddManager sdd(std::move(vtree).value());
+    const SddManager::NodeId root = CompileCircuitToSdd(&sdd, c);
+    const uint64_t apply_calls = sdd.counters().apply_calls;
+    ASSERT_GE(root, 0);
+    EXPECT_EQ(root, CompileWithAndChains(&sdd, c));
+    if (family.max_apply_calls > 0) {
+      EXPECT_LE(apply_calls, family.max_apply_calls);
+    }
+
+    if (!family.obdd) continue;
+    std::vector<int> order;
+    for (const int gate : BfsLayout(PrimalGraph(c))) {
+      if (c.gate(gate).kind == GateKind::kVar) {
+        order.push_back(c.gate(gate).var);
+      }
+    }
+    ObddManager obdd(order);
+    const ObddManager::NodeId obdd_root = CompileCircuitToObdd(&obdd, c);
+    ASSERT_GE(obdd_root, 0);
+    EXPECT_EQ(obdd_root, CompileWithAndChains(&obdd, c));
+  }
 }
 
 TEST(IsaTest, VtreeShape) {

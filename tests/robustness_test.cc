@@ -316,6 +316,51 @@ TEST(BudgetAbortTest, SddApplyAbortsMidOperation) {
             (fa.ExpandTo(Iota(n)) & ~fb.ExpandTo(Iota(n))));
 }
 
+// Banded 3-clauses (x_i | x_{i+1} | x_{i+2}) over n variables: n - 2
+// operands for one wide AndN.
+template <class Manager>
+std::vector<typename Manager::NodeId> BandedClauses(Manager* m, int n) {
+  std::vector<typename Manager::NodeId> clauses;
+  for (int i = 0; i + 2 < n; ++i) {
+    clauses.push_back(m->OrN({m->Literal(i, true), m->Literal(i + 1, true),
+                              m->Literal(i + 2, true)}));
+  }
+  return clauses;
+}
+
+// A wide AndN (past kNaryFoldArity, so the fold along the vtree or the
+// order) under a tiny budget aborts inside the fold and unwinds cleanly:
+// bounded overshoot, a valid manager, exact memory accounting, and the
+// unbudgeted AndN then equals the binary chain.
+template <class Manager>
+void ExpectWideAndNAbortsCleanly(Manager* m, MemAccount* account, int n) {
+  m->AttachMemAccount(account);
+  const auto ops = BandedClauses(m, n);
+  ASSERT_GT(ops.size(), Manager::kNaryFoldArity);
+  const int baseline = m->NumNodes();
+  WorkBudget tiny(2);
+  m->AttachBudget(&tiny);
+  EXPECT_EQ(m->AndN(ops), Manager::kAborted);
+  m->DetachBudget();  // debug builds also check the accounting here
+  EXPECT_LE(static_cast<uint64_t>(m->NumNodes() - baseline),
+            OvershootCeiling(2));
+  EXPECT_TRUE(m->Validate().ok());
+  EXPECT_EQ(account->bytes(), static_cast<uint64_t>(m->MemoryBytes()));
+  auto chain = m->True();
+  for (const auto op : ops) chain = m->And(chain, op);
+  EXPECT_EQ(m->AndN(ops), chain);
+}
+
+TEST(BudgetAbortTest, WideAndNAbortsInsideTheFold) {
+  const int n = 32;
+  MemAccount obdd_account;  // outlives the manager, which releases into it
+  ObddManager obdd(Iota(n));
+  ExpectWideAndNAbortsCleanly(&obdd, &obdd_account, n);
+  MemAccount sdd_account;
+  SddManager sdd(Vtree::Balanced(Iota(n)));
+  ExpectWideAndNAbortsCleanly(&sdd, &sdd_account, n);
+}
+
 // --- Fault injection -------------------------------------------------------
 
 TEST(FaultInjectionTest, CancelsCompileAtNthAllocation) {
