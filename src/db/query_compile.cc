@@ -2,9 +2,12 @@
 
 #include <cmath>
 #include <map>
+#include <optional>
 #include <sstream>
 
+#include "circuit/primal_graph.h"
 #include "compile/pipeline.h"
+#include "graph/elimination.h"
 #include "obdd/obdd_compile.h"
 #include "sdd/sdd_compile.h"
 #include "util/logging.h"
@@ -33,6 +36,21 @@ StatusOr<Vtree> VtreeForStrategy(const Circuit& circuit,
       return VtreeForCircuit(circuit);
   }
   return Status::InvalidArgument("unknown vtree strategy");
+}
+
+StatusOr<LineageVtree> VtreeForLineage(const Circuit& circuit,
+                                       const std::vector<int>& vars) {
+  if (static_cast<int>(vars.size()) > kSemanticCircuitMaxVars) {
+    const std::optional<TreeDecomposition> td =
+        HeuristicDecomposition(PrimalGraph(circuit), kLemma1ServeMaxWidth);
+    if (td) {
+      auto vtree = VtreeFromNiceDecomposition(circuit, MakeNice(*td));
+      CTSDD_RETURN_IF_ERROR(vtree.status());
+      return LineageVtree{std::move(vtree).value(),
+                          VtreeStrategy::kFromTreewidth};
+    }
+  }
+  return LineageVtree{Vtree::Balanced(vars), VtreeStrategy::kBalanced};
 }
 
 StatusOr<QueryCompilation> CompileQuery(const Ucq& query, const Database& db,

@@ -27,11 +27,34 @@ enum class VtreeStrategy {
 };
 
 // The vtree the given strategy prescribes for compiling `circuit`, whose
-// sorted variable set is `vars` (non-empty). Shared by the one-shot
-// CompileQuery below and the serve/ layer's plan compiler.
+// sorted variable set is `vars` (non-empty).
 StatusOr<Vtree> VtreeForStrategy(const Circuit& circuit,
                                  const std::vector<int>& vars,
                                  VtreeStrategy strategy);
+
+// Largest min-fill width at which VtreeForLineage serves the Lemma 1
+// vtree. On the serve population, hierarchical RS has width 2, H0 6 and
+// the inequality query 9; every cap from 2 to 5 splits them the same way.
+inline constexpr int kLemma1ServeMaxWidth = 3;
+
+// A vtree and the strategy that produced it (kFromTreewidth or kBalanced).
+struct LineageVtree {
+  Vtree vtree;
+  VtreeStrategy strategy = VtreeStrategy::kBalanced;
+};
+
+// The serve path's SDD vtree for the lineage `circuit` over its sorted
+// variables `vars` (non-empty). A lineage with more than
+// kSemanticCircuitMaxVars variables compiles by apply, where the Lemma 1
+// vtree makes small-width lineages far smaller (about 4,300 elements on
+// balanced against 167 for hierarchical RS at domain 8). It gets that
+// vtree when the min-fill pass over its primal graph finishes within
+// kLemma1ServeMaxWidth; the pass gives up at its first wider elimination,
+// so a wide lineage pays only that prefix. Every other lineage, and every
+// semantic-route lineage (whose compile the decomposition would only
+// slow), gets the balanced vtree.
+StatusOr<LineageVtree> VtreeForLineage(const Circuit& circuit,
+                                       const std::vector<int>& vars);
 
 struct QueryCompilation {
   int num_tuples = 0;
@@ -51,9 +74,10 @@ struct QueryCompilation {
 
 // Compiles L(Q, D) to both an OBDD (tuple-id order) and an SDD (chosen
 // strategy), checks the two probabilities agree, and returns statistics.
-// The default is the serve path's balanced vtree: kFromTreewidth pays for
-// min-fill and can take minutes where the lineage's width is large (9 for
-// InequalityExampleQuery at domain 8), so callers ask for it explicitly.
+// The default is the balanced vtree: kFromTreewidth runs an uncapped
+// min-fill pass and can take minutes where the lineage's width is large
+// (9 for InequalityExampleQuery at domain 8), so callers ask for it
+// explicitly. The serve path picks per lineage (VtreeForLineage).
 StatusOr<QueryCompilation> CompileQuery(
     const Ucq& query, const Database& db,
     VtreeStrategy strategy = VtreeStrategy::kBalanced);

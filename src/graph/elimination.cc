@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -96,9 +97,14 @@ class EliminationGraph {
 };
 
 // The greedy pass. When `bags` is non-null, (*bags)[v] receives v's
-// neighborhood at its elimination.
-std::vector<int> GreedyPass(const Graph& graph, EliminationHeuristic heuristic,
-                            std::vector<std::vector<int>>* bags) {
+// neighborhood at its elimination. Returns nullopt, before eliminating it,
+// at the first vertex whose neighborhood is larger than `max_width`: the
+// order's width is its largest elimination neighborhood, so the pass stops
+// exactly when the finished order's width would exceed the cap.
+std::optional<std::vector<int>> GreedyPass(
+    const Graph& graph, EliminationHeuristic heuristic,
+    std::vector<std::vector<int>>* bags,
+    int max_width = std::numeric_limits<int>::max()) {
   EliminationGraph g(graph);
   const int n = graph.num_vertices();
   const bool by_fill = heuristic == EliminationHeuristic::kMinFill;
@@ -128,6 +134,9 @@ std::vector<int> GreedyPass(const Graph& graph, EliminationHeuristic heuristic,
   while (!queue.empty()) {
     const int step = static_cast<int>(order.size());
     const int v = queue.begin()->second;
+    if (static_cast<int>(g.Neighbors(v).size()) > max_width) {
+      return std::nullopt;
+    }
     queue.erase(queue.begin());
     order.push_back(v);
     fill.clear();
@@ -205,7 +214,7 @@ TreeDecomposition DecompositionFromBags(const std::vector<int>& order,
 
 std::vector<int> GreedyEliminationOrder(const Graph& graph,
                                         EliminationHeuristic heuristic) {
-  return GreedyPass(graph, heuristic, nullptr);
+  return *GreedyPass(graph, heuristic, nullptr);
 }
 
 int EliminationOrderWidth(const Graph& graph, const std::vector<int>& order) {
@@ -228,10 +237,16 @@ TreeDecomposition DecompositionFromOrder(const Graph& graph,
 }
 
 TreeDecomposition HeuristicDecomposition(const Graph& graph) {
+  return *HeuristicDecomposition(graph, std::numeric_limits<int>::max());
+}
+
+std::optional<TreeDecomposition> HeuristicDecomposition(const Graph& graph,
+                                                        int max_width) {
   std::vector<std::vector<int>> bags(graph.num_vertices());
-  const std::vector<int> order =
-      GreedyPass(graph, EliminationHeuristic::kMinFill, &bags);
-  return DecompositionFromBags(order, std::move(bags));
+  const std::optional<std::vector<int>> order =
+      GreedyPass(graph, EliminationHeuristic::kMinFill, &bags, max_width);
+  if (!order) return std::nullopt;
+  return DecompositionFromBags(*order, std::move(bags));
 }
 
 }  // namespace ctsdd

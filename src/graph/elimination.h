@@ -8,6 +8,7 @@
 #ifndef CTSDD_GRAPH_ELIMINATION_H_
 #define CTSDD_GRAPH_ELIMINATION_H_
 
+#include <optional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -39,6 +40,13 @@ TreeDecomposition DecompositionFromOrder(const Graph& graph,
 // pass that chooses the order. Equal to
 // DecompositionFromOrder(graph, GreedyEliminationOrder(graph, kMinFill)).
 TreeDecomposition HeuristicDecomposition(const Graph& graph);
+
+// The same decomposition when the min-fill order's width is at most
+// `max_width`, and nullopt otherwise. The pass stops at the first vertex
+// whose elimination neighborhood is larger than `max_width`, so a graph
+// of large width costs only the steps up to that vertex.
+std::optional<TreeDecomposition> HeuristicDecomposition(const Graph& graph,
+                                                        int max_width);
 
 }  // namespace ctsdd
 

@@ -1,6 +1,6 @@
 // Bounded LRU cache of compiled query plans.
 //
-// A plan is the reusable product of one (query, database, strategy)
+// A plan is the reusable product of one (query, database, route)
 // compilation, and it is a tape, not a diagram: the lineage's WMC tape
 // (util/wmc_tape.h, linearized once at compile), the variable list that
 // maps request weights onto the tape's slots, and the compile's shape
@@ -8,7 +8,8 @@
 // manager as soon as the tape exists — a plan holds no manager pointer
 // and no root, and a shard keeps no manager between requests.
 // Repeats, weight-varied ones included, pay one forward loop over the
-// tape.
+// tape. The key names no vtree: an SDD plan's vtree is a function of its
+// lineage (VtreeForLineage), so one key has one plan.
 //
 // The cache is single-threaded (each shard owns one; see serve/shard.h)
 // and capacity-bounded with LRU eviction. Eviction runs the owner's
@@ -26,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "db/query_compile.h"
 #include "serve/plan_stats.h"
 #include "util/hashing.h"
 #include "util/mem_governor.h"
@@ -40,7 +40,6 @@ enum class PlanRoute : uint8_t { kObdd, kSdd };
 struct PlanKey {
   uint64_t query_sig = 0;
   uint64_t db_sig = 0;
-  VtreeStrategy strategy = VtreeStrategy::kBalanced;
   PlanRoute route = PlanRoute::kSdd;
   bool operator==(const PlanKey&) const = default;
 };
@@ -48,9 +47,7 @@ struct PlanKey {
 struct PlanKeyHash {
   size_t operator()(const PlanKey& k) const {
     return static_cast<size_t>(
-        Hash3(k.query_sig, k.db_sig,
-              (static_cast<uint64_t>(k.strategy) << 8) |
-                  static_cast<uint64_t>(k.route)));
+        Hash3(k.query_sig, k.db_sig, static_cast<uint64_t>(k.route)));
   }
 };
 

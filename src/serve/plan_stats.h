@@ -1,7 +1,7 @@
 // Per-plan telemetry: every compiled plan carries a stats block that
-// records how it was built (route, ladder hops, compile time), what it
-// compiled to (nodes, width), and how it performs (hit count, per-plan
-// WMC latency histogram). /plansz lists one row per live plan,
+// records how it was built (route, vtree, ladder hops, compile time),
+// what it compiled to (nodes, width), and how it performs (hit count,
+// per-plan WMC latency histogram). /plansz lists one row per live plan,
 // so a plan that answers slowly or compiled large can be traced back to
 // its signature and shard.
 //
@@ -49,6 +49,9 @@ struct PlanStats {
   uint64_t nodes = 0;        // plan size (OBDD nodes / SDD elements)
   uint64_t edges = 0;        // child pointers (2 per node/element)
   uint64_t width = 0;        // route-specific width of the compiled form
+  // The SDD plan's vtree, "lemma1" or "balanced" (VtreeForLineage); null
+  // for OBDD and constant plans.
+  const char* vtree = nullptr;
   int lineage_gates = 0;
   int num_vars = 0;
 

@@ -372,6 +372,7 @@ void QueryService::StartDebugServer() {
       rows.Num("nodes", p->nodes);
       rows.Num("edges", p->edges);
       rows.Num("width", p->width);
+      if (p->vtree != nullptr) rows.Str("vtree", p->vtree);
       rows.Num("hits", hits);
       rows.Num("evaluations", evals);
       rows.Open("wmc_us", '{');
@@ -490,8 +491,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     // Signature-routed sharding: repeats of a (query, database) pair
     // always land on the shard holding their plan and managers.
     const PlanKey key{QuerySignature(request.query),
-                      DatabaseSignature(*request.db), request.strategy,
-                      request.route};
+                      DatabaseSignature(*request.db), request.route};
     // Poison-query quarantine at admission: a quarantined signature
     // fails typed RESOURCE_EXHAUSTED here, without queueing — no compile
     // slot burnt, no worker touched.

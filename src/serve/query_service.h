@@ -3,7 +3,7 @@
 // as a service instead of a one-shot pipeline).
 //
 // A request is (query, database, weights): lineage L(Q, D) compiles to
-// an OBDD or SDD once per (query shape, database content, strategy) and
+// an OBDD or SDD once per (query shape, database content, route) and
 // is cached; every repeat — including weight-varied repeats, since
 // tuple probabilities enter only at weighted-model-count time — pays a
 // WMC pass over the compiled diagram and nothing else.
@@ -57,6 +57,9 @@ struct QueryRequest {
   // is NaN, infinite or outside [0, 1] fails the request
   // INVALID_ARGUMENT at admission.
   std::vector<double> weights;
+  // Ignored: the shard picks each SDD plan's vtree from its lineage
+  // (VtreeForLineage). Kept until perfbench/serve_workloads.cc stops
+  // setting it.
   VtreeStrategy strategy = VtreeStrategy::kBalanced;
   PlanRoute route = PlanRoute::kSdd;
   // Per-request deadline measured from batch admission; 0 falls back to

@@ -6,6 +6,7 @@
 
 #include "circuit/eval.h"
 #include "db/lineage.h"
+#include "db/query_compile.h"
 #include "obdd/obdd_compile.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
@@ -493,10 +494,13 @@ StatusOr<CompiledPlan> ShardWorker::CompileRoute(const QueryRequest& request,
     plan.size = manager.Size(*root);
     plan.width = manager.Width(*root);
   } else {
-    auto vtree = VtreeForStrategy(circuit, plan.vars, request.strategy);
+    auto vtree = VtreeForLineage(circuit, plan.vars);
     CTSDD_RETURN_IF_ERROR(vtree.status());
     Beat();
-    SddManager manager(std::move(vtree).value());
+    plan.stats->vtree = vtree->strategy == VtreeStrategy::kFromTreewidth
+                            ? "lemma1"
+                            : "balanced";
+    SddManager manager(std::move(vtree->vtree));
     const auto root = CompileBudgeted(
         &manager, &manager_account, budget,
         [&] { return CompileCircuitToSdd(&manager, circuit); });

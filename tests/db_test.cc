@@ -1,12 +1,21 @@
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "circuit/eval.h"
+#include "circuit/primal_graph.h"
 #include "db/database.h"
 #include "db/inversion.h"
 #include "db/lineage.h"
 #include "db/query.h"
 #include "db/query_compile.h"
+#include "graph/elimination.h"
 #include "gtest/gtest.h"
+#include "perfbench/serve_inputs.h"
+#include "sdd/sdd_compile.h"
+#include "util/logging.h"
+#include "vtree/from_decomposition.h"
 
 namespace ctsdd {
 namespace {
@@ -192,8 +201,8 @@ TEST(QueryCompileTest, NonUniformProbabilities) {
 }
 
 TEST(QueryCompileTest, DefaultStrategyIsBalanced) {
-  // The defaulted call compiles on the balanced vtree, as the serve path
-  // does; kFromTreewidth stays available when asked for.
+  // The defaulted call compiles on the balanced vtree; kFromTreewidth
+  // stays available when asked for.
   const Database db = ChainDatabase(1, 3);
   const Ucq q = InversionChainUcq(1);
   const auto defaulted = CompileQuery(q, db);
@@ -204,6 +213,87 @@ TEST(QueryCompileTest, DefaultStrategyIsBalanced) {
   ASSERT_TRUE(lemma1.ok());
   EXPECT_EQ(defaulted->sdd_size, balanced->sdd_size);
   EXPECT_NE(defaulted->sdd_size, lemma1->sdd_size);
+}
+
+// The serve rule, checked on vtrees alone: nothing here compiles, so a
+// rule that let the width-9 inequality lineage through would fail fast
+// instead of compiling it on Lemma 1 for minutes.
+Circuit ServeLineage(const Ucq& query, uint64_t db_seed) {
+  const Database db = perfbench::RandomContentDb(8, 32, db_seed);
+  auto lineage = BuildLineage(query, db);
+  CTSDD_CHECK(lineage.ok());
+  return std::move(lineage).value();
+}
+
+int MinFillWidth(const Circuit& circuit) {
+  return HeuristicDecomposition(PrimalGraph(circuit)).Width();
+}
+
+TEST(QueryCompileTest, LineageVtreeIsLemma1OnHierarchicalRs) {
+  for (const uint64_t seed : {7, 99, 12345}) {
+    const Circuit c = ServeLineage(HierarchicalRSQuery(), seed);
+    const std::vector<int> vars = c.Vars();
+    ASSERT_GT(static_cast<int>(vars.size()), kSemanticCircuitMaxVars);
+    ASSERT_LE(MinFillWidth(c), kLemma1ServeMaxWidth);
+    const auto got = VtreeForLineage(c, vars);
+    const auto lemma1 = VtreeForCircuit(c);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(lemma1.ok()) << lemma1.status();
+    EXPECT_EQ(got->strategy, VtreeStrategy::kFromTreewidth) << seed;
+    EXPECT_EQ(got->vtree.DebugString(), lemma1->DebugString()) << seed;
+  }
+}
+
+TEST(QueryCompileTest, LineageVtreeIsBalancedOnWideOrSmallLineages) {
+  struct Case {
+    std::string name;
+    Ucq query;
+    bool wide;  // min-fill width above the cap, else few variables
+  };
+  Ucq pair = PerConstantRsQuery(1);
+  pair.disjuncts.push_back(PerConstantRsQuery(2).disjuncts[0]);
+  const std::vector<Case> cases = {
+      {"inequality", InequalityExampleQuery(), true},
+      {"H0", NonHierarchicalH0Query(), true},
+      {"per-constant pair", pair, false},
+  };
+  for (const Case& tc : cases) {
+    const Circuit c = ServeLineage(tc.query, 7);
+    const std::vector<int> vars = c.Vars();
+    ASSERT_FALSE(vars.empty()) << tc.name;
+    const int width = MinFillWidth(c);
+    if (tc.wide) {
+      ASSERT_GT(static_cast<int>(vars.size()), kSemanticCircuitMaxVars);
+      ASSERT_GT(width, kLemma1ServeMaxWidth) << tc.name;
+    } else {
+      // Narrow enough, but the semantic route compiles it.
+      ASSERT_LE(static_cast<int>(vars.size()), kSemanticCircuitMaxVars);
+      ASSERT_LE(width, kLemma1ServeMaxWidth) << tc.name;
+    }
+    const auto got = VtreeForLineage(c, vars);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->strategy, VtreeStrategy::kBalanced) << tc.name;
+    EXPECT_EQ(got->vtree.DebugString(), Vtree::Balanced(vars).DebugString())
+        << tc.name << " (min-fill width " << width << ")";
+  }
+}
+
+// Over the serve workloads' 39 shapes, only hierarchical RS (shape 0)
+// gets the Lemma 1 vtree.
+TEST(QueryCompileTest, LineageVtreeSelectsHierarchicalRsInTheServePopulation) {
+  const std::vector<Ucq> shapes = perfbench::QueryPopulation(8);
+  ASSERT_EQ(shapes.size(), 39u);
+  for (const uint64_t seed : {7, 99, 12345}) {
+    for (size_t i = 0; i < shapes.size(); ++i) {
+      const Circuit c = ServeLineage(shapes[i], seed);
+      const std::vector<int> vars = c.Vars();
+      if (vars.empty()) continue;
+      const auto got = VtreeForLineage(c, vars);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->strategy == VtreeStrategy::kFromTreewidth, i == 0)
+          << "shape " << i << " seed " << seed;
+    }
+  }
 }
 
 TEST(QueryCompileTest, HierarchicalQueryConstantObddWidth) {

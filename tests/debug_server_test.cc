@@ -221,7 +221,8 @@ TEST(QueryServiceIntrospectionTest, EndpointsServeLiveState) {
   EXPECT_NE(r.body.find("\"plan_cache\":"), std::string::npos);
 
   // /plansz: one row per live plan with its compiled shape (width and
-  // nodes) next to its route and per-plan evaluation counts.
+  // nodes) next to its route, the SDD plan's vtree, and per-plan
+  // evaluation counts.
   r = Get(port, "/plansz");
   EXPECT_EQ(r.status, 200);
   EXPECT_NE(r.body.find("\"live_plans\":2"), std::string::npos);
@@ -229,6 +230,9 @@ TEST(QueryServiceIntrospectionTest, EndpointsServeLiveState) {
   EXPECT_NE(r.body.find("\"nodes\":"), std::string::npos);
   EXPECT_NE(r.body.find("\"route\":\"obdd\""), std::string::npos);
   EXPECT_NE(r.body.find("\"route\":\"sdd\""), std::string::npos);
+  // Only the SDD plan names a vtree; this lineage has few variables.
+  EXPECT_NE(r.body.find("\"vtree\":\"balanced\""), std::string::npos);
+  EXPECT_EQ(r.body.find("\"vtree\":"), r.body.rfind("\"vtree\":"));
   // Each plan served 3 evaluations; conservation sums live + evicted.
   EXPECT_NE(r.body.find("\"total_evaluations\":6"), std::string::npos);
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -219,14 +220,16 @@ void ExpectEngineMatchesNaive(const Graph& g, const std::string& label) {
   }
 }
 
-TEST(EliminationTest, EngineMatchesNaiveReference) {
+// 80 seeded random graphs (connected or not, isolated vertices included)
+// and the primal graphs of kc_compile's decomposed circuit families.
+std::vector<std::pair<std::string, Graph>> EngineTestGraphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
   Rng rng(20);
   for (int trial = 0; trial < 40; ++trial) {
     const int n = static_cast<int>(rng.NextBelow(81));  // 0..80
     const double p = 0.02 + 0.48 * rng.NextDouble();
     const std::string label = "trial " + std::to_string(trial);
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectEngineMatchesNaive(RandomGraph(n, p, &rng), label));
+    graphs.emplace_back(label, RandomGraph(n, p, &rng));
     // Two components of n vertices in all, then two isolated vertices.
     const int split = static_cast<int>(rng.NextBelow(n + 1));
     Graph g = RandomGraph(split, p, &rng);
@@ -235,9 +238,8 @@ TEST(EliminationTest, EngineMatchesNaiveReference) {
       for (const int w : other.Neighbors(v)) g.AddEdge(split + v, split + w);
     }
     g.EnsureVertices(n + 2);
-    ASSERT_NO_FATAL_FAILURE(ExpectEngineMatchesNaive(g, label + " split"));
+    graphs.emplace_back(label + " split", std::move(g));
   }
-  // The primal graphs of kc_compile's decomposed circuit families.
   const std::vector<std::pair<std::string, Circuit>> families = {
       {"ladder_8_3", LadderCircuit(8, 3)},
       {"ladder_12_3", LadderCircuit(12, 3)},
@@ -251,9 +253,41 @@ TEST(EliminationTest, EngineMatchesNaiveReference) {
       {"parity_128", ParityCircuit(128)},
   };
   for (const auto& [name, circuit] : families) {
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectEngineMatchesNaive(PrimalGraph(circuit), name));
+    graphs.emplace_back(name, PrimalGraph(circuit));
   }
+  return graphs;
+}
+
+TEST(EliminationTest, EngineMatchesNaiveReference) {
+  for (const auto& [label, g] : EngineTestGraphs()) {
+    ASSERT_NO_FATAL_FAILURE(ExpectEngineMatchesNaive(g, label));
+  }
+}
+
+// The capped pass accepts exactly the graphs whose min-fill width is at
+// most the cap, and then returns the uncapped decomposition bag for bag.
+TEST(EliminationTest, CappedPassMatchesUncappedOrExceeds) {
+  std::vector<int> at_cap(7, 0);  // graphs whose width equals the cap
+  int exceeded = 0;
+  for (const auto& [label, g] : EngineTestGraphs()) {
+    const TreeDecomposition want = HeuristicDecomposition(g);
+    for (int k = 0; k <= 6; ++k) {
+      const std::string which = label + " k=" + std::to_string(k);
+      const std::optional<TreeDecomposition> got =
+          HeuristicDecomposition(g, k);
+      if (want.Width() <= k) {
+        ASSERT_TRUE(got.has_value()) << which << " width " << want.Width();
+        ASSERT_NO_FATAL_FAILURE(ExpectSameDecomposition(*got, want, which));
+        at_cap[k] += want.Width() == k;
+      } else {
+        EXPECT_FALSE(got.has_value()) << which << " width " << want.Width();
+        ++exceeded;
+      }
+    }
+  }
+  // Every cap is met exactly by some graph, and many graphs exceed.
+  for (int k = 0; k <= 6; ++k) EXPECT_GT(at_cap[k], 0) << "k=" << k;
+  EXPECT_GT(exceeded, 100);
 }
 
 TEST(EliminationTest, PathHasWidthOne) {

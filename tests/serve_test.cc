@@ -23,6 +23,7 @@
 #include "obs/flight_recorder.h"
 #include "obdd/obdd.h"
 #include "obdd/obdd_compile.h"
+#include "perfbench/serve_inputs.h"
 #include "sdd/sdd.h"
 #include "sdd/sdd_compile.h"
 #include "serve/plan_cache.h"
@@ -84,8 +85,7 @@ TEST(QueryServiceTest, MatchesBruteForceAcrossRoutesAndStrategies) {
       request.query = query;
       request.db = &db;
       request.route = route;
-      request.strategy = VtreeStrategy::kBalanced;
-      const QueryResponse response = service.Execute(request);
+        const QueryResponse response = service.Execute(request);
       ASSERT_TRUE(response.status.ok()) << response.status.ToString();
       EXPECT_NEAR(response.probability, expected, 1e-9);
     }
@@ -267,7 +267,6 @@ TEST(QueryServiceTest, StaysBoundedUnderEvictionPressure) {
     if (round % 5 == 1) request.query = InequalityExampleQuery();
     request.db = &db;
     request.route = round % 2 == 0 ? PlanRoute::kObdd : PlanRoute::kSdd;
-    request.strategy = VtreeStrategy::kBalanced;
     const QueryResponse response = service.Execute(request);
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     const uint64_t sig = QuerySignature(request.query);
@@ -360,7 +359,6 @@ TEST(QueryServiceTest, CachedPlansPinNoNodes) {
   QueryRequest request;
   request.query = HierarchicalRSQuery();
   request.db = &db;
-  request.strategy = VtreeStrategy::kBalanced;
   for (const PlanRoute route : {PlanRoute::kObdd, PlanRoute::kSdd}) {
     request.route = route;
     const QueryResponse response = service.Execute(request);
@@ -390,6 +388,81 @@ TEST(QueryServiceTest, CachedPlansPinNoNodes) {
 // A plan's entry charge covers its tape: inserting a plan moves the
 // kPlanCache layer by more than the tape's bytes, and evicting it returns
 // the layer exactly to where it started.
+// The vtree recorded for the one live SDD plan of `service`.
+std::string ServedVtree(const QueryService& service) {
+  const auto plans = service.plan_stats()->Snapshot();
+  if (plans.size() != 1 || plans[0]->vtree == nullptr) return "";
+  return plans[0]->vtree;
+}
+
+// Hierarchical RS at domain 8 takes the apply route with min-fill width
+// 2, so the shard serves it on the Lemma 1 vtree: a tenth of the balanced
+// compile's size or less, with the same probability.
+TEST(QueryServiceTest, ServedHierarchicalRsPlanIsLemma1Sized) {
+  for (const uint64_t seed : {7, 99, 12345}) {
+    const Database db = perfbench::RandomContentDb(8, 32, seed);
+    const Circuit lineage = BuildLineage(HierarchicalRSQuery(), db).value();
+    const std::vector<int> vars = lineage.Vars();
+    SddManager balanced(Vtree::Balanced(vars));
+    const int root = CompileCircuitToSdd(&balanced, lineage);
+    const int balanced_size = ComputeSddStats(balanced, root).size;
+    std::map<int, double> probs;
+    for (const int v : vars) probs[v] = db.TupleProb(v);
+    // Read-once: P = 1 - prod_x (1 - P(R_x) (1 - prod_y (1 - P(S_xy)))).
+    std::map<int, double> none_of_s;  // x -> P(no S(x, y) tuple)
+    for (const DbTuple& t : db.TuplesOf("S")) {
+      none_of_s.emplace(t.values[0], 1.0).first->second *= 1.0 - t.prob;
+    }
+    double none = 1.0;
+    for (const DbTuple& t : db.TuplesOf("R")) {
+      const auto it = none_of_s.find(t.values[0]);
+      if (it != none_of_s.end()) none *= 1.0 - t.prob * (1.0 - it->second);
+    }
+
+    ServeOptions options;
+    options.num_shards = 1;
+    QueryService service(options);
+    QueryRequest request;
+    request.query = HierarchicalRSQuery();
+    request.db = &db;
+    request.route = PlanRoute::kSdd;
+    const QueryResponse response = service.Execute(request);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(ServedVtree(service), "lemma1") << seed;
+    EXPECT_LE(10 * response.size, balanced_size) << seed;
+    EXPECT_NEAR(response.probability,
+                balanced.WeightedModelCount(root, probs), 1e-9);
+    EXPECT_NEAR(response.probability, 1.0 - none, 1e-9);
+  }
+}
+
+// A Lemma 1 plan small enough for the brute-force oracle: 5 R tuples and
+// 14 S tuples, all in the lineage, so it takes the apply route.
+TEST(QueryServiceTest, ServedLemma1PlanMatchesBruteForce) {
+  Database db;
+  db.AddRelation("R", 1);
+  db.AddRelation("S", 2);
+  for (int x = 1; x <= 5; ++x) db.AddTuple("R", {x}, 0.15 * x);
+  for (int i = 0; i < 14; ++i) {
+    db.AddTuple("S", {1 + i % 5, 1 + i / 5}, 0.05 + 0.06 * i);
+  }
+  const Ucq query = HierarchicalRSQuery();
+  ASSERT_GT(static_cast<int>(BuildLineage(query, db)->Vars().size()),
+            kSemanticCircuitMaxVars);
+  ServeOptions options;
+  options.num_shards = 1;
+  QueryService service(options);
+  QueryRequest request;
+  request.query = query;
+  request.db = &db;
+  request.route = PlanRoute::kSdd;
+  const QueryResponse response = service.Execute(request);
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(ServedVtree(service), "lemma1");
+  EXPECT_NEAR(response.probability,
+              BruteForceQueryProbability(query, db).value(), 1e-9);
+}
+
 TEST(PlanCacheTest, TapeBytesRoundTripThroughInsertAndEviction) {
   const Database db = BipartiteRstDatabase(4, 0.3);
   const auto lineage = BuildLineage(HierarchicalRSQuery(), db);
