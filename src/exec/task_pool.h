@@ -9,8 +9,7 @@
 //
 // Every participating thread (background worker or an external thread
 // that forked) holds a *slot*: a stable small integer indexing its
-// Chase–Lev deque (exec/deque.h) and any per-worker state a client keeps
-// (the SDD manager stripes node allocation and element arenas by slot).
+// Chase–Lev deque (exec/deque.h).
 // Background workers own slots [0, workers()-1); external threads claim
 // slots lazily from [workers()-1, kMaxSlots) the first time they touch
 // the pool and keep them for the thread's lifetime.
@@ -75,8 +74,6 @@ class TaskPool {
  public:
   // Hard bound on simultaneously registered participants (background
   // workers + external threads that ever forked through this pool).
-  // Clients size per-slot state off max_slots(), so the bound is part of
-  // the contract, not just an implementation limit.
   static constexpr int kMaxSlots = 64;
 
   // `workers` is the total parallelism (>= 1): workers - 1 background
@@ -88,12 +85,11 @@ class TaskPool {
   TaskPool& operator=(const TaskPool&) = delete;
 
   int workers() const { return workers_; }
-  int max_slots() const { return kMaxSlots; }
 
   // True when forking can actually buy parallelism (workers() > 1).
   bool parallel() const { return workers_ > 1; }
 
-  // The calling thread's slot in [0, max_slots()), claiming one if this
+  // The calling thread's slot in [0, kMaxSlots), claiming one if this
   // is the thread's first contact with the pool.
   int CurrentSlot();
 

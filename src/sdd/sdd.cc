@@ -63,7 +63,6 @@ SddManager::SddManager(Vtree vtree, Options options)
     todo.push_back({vtree_.right(v), false});
     todo.push_back({vtree_.left(v), false});
   }
-  EnsureCtxSlots(1);
   // Terminal constants (negations of each other).
   nodes_.PushBack({Kind::kConst, false, -1, -1, nullptr, 0});
   nodes_.PushBack({Kind::kConst, true, -1, -1, nullptr, 0});
@@ -95,8 +94,7 @@ uint64_t SddManager::DecisionHash(int vnode, ElementSpan elements) {
   return hash;
 }
 
-template <bool kPar>
-void SddManager::RegisterSemanticT(NodeId id) {
+void SddManager::RegisterSemantic(NodeId id) {
   const Node& n = nodes_[id];
   const int anchor = anchor_of_vnode_[n.vnode];
   FastInfo& info = fast_info_[id];
@@ -125,12 +123,7 @@ void SddManager::RegisterSemanticT(NodeId id) {
   }
   info.anchor = anchor;
   info.word = w;
-  const uint64_t hash = Hash2SemKey(anchor, w);
-  if constexpr (kPar) {
-    sem_cache_.StoreC(hash, SemKey{anchor, w}, id);
-  } else {
-    sem_cache_.Store(hash, SemKey{anchor, w}, id);
-  }
+  sem_cache_.Store(Hash2SemKey(anchor, w), SemKey{anchor, w}, id);
 }
 
 SddManager::NodeId SddManager::LookupSemantic(int vnode, uint64_t word) {
@@ -140,60 +133,7 @@ SddManager::NodeId SddManager::LookupSemantic(int vnode, uint64_t word) {
   if (word == anchor_mask_of_vnode_[vnode]) return kTrue;
   NodeId hit;
   const uint64_t hash = Hash2SemKey(anchor, word);
-  const SemKey key{anchor, word};
-  const bool found = par_active_ ? sem_cache_.LookupC(hash, key, &hit)
-                                 : sem_cache_.Lookup(hash, key, &hit);
-  return found ? hit : -1;
-}
-
-void SddManager::AddCounters(const PerfCounters& delta) {
-  counters_.apply_calls += delta.apply_calls;
-  counters_.element_products += delta.element_products;
-  counters_.absorb_collapses += delta.absorb_collapses;
-  counters_.compression_merges += delta.compression_merges;
-  counters_.nary_applies += delta.nary_applies;
-  counters_.nary_fallbacks += delta.nary_fallbacks;
-  counters_.sem_apply_hits += delta.sem_apply_hits;
-  counters_.semantic_partitions += delta.semantic_partitions;
-  counters_.semantic_memo_hits += delta.semantic_memo_hits;
-}
-
-void SddManager::BeginParallelRegion() {
-  CTSDD_CHECK(pool_ != nullptr && pool_->parallel())
-      << "BeginParallelRegion without a parallel executor attached";
-  CTSDD_CHECK(!par_active_) << "parallel regions do not nest";
-  CTSDD_CHECK_EQ(op_depth_, 0) << "parallel region inside an operation";
-  thread_check_.Check();  // verify ownership before suspending it
-  // Pre-intern every literal: parallel tasks then always hit the
-  // literal_ids_ cache and never write it (or link negations through the
-  // sequential Literal path).
-  for (const int v : vtree_.Vars()) {
-    Literal(v, true);
-    Literal(v, false);
-  }
-  thread_check_.BeginShared();
-  EnsureCtxSlots(1 + static_cast<size_t>(pool_->max_slots()));
-  // Pre-size the striped semantic cache: it cannot grow while the region
-  // runs, and a miss there cascades into recompilation. The apply cache
-  // and memo stay sequential (no apply runs inside a region).
-  sem_cache_.BeginConcurrent(1 << 14);
-  par_active_ = true;
-}
-
-void SddManager::EndParallelRegion() {
-  CTSDD_CHECK(par_active_);
-  par_active_ = false;
-  for (Ctx& cx : ctxs_) {
-    // Unused tails of per-worker id blocks stay behind as holes.
-    for (size_t id = cx.alloc_next; id < cx.alloc_end; ++id) {
-      MarkHole(static_cast<NodeId>(id));
-    }
-    cx.alloc_next = cx.alloc_end = 0;
-    AddCounters(cx.counters);
-    cx.counters = PerfCounters{};
-  }
-  sem_cache_.EndConcurrent();
-  thread_check_.EndShared();
+  return sem_cache_.Lookup(hash, SemKey{anchor, word}, &hit) ? hit : -1;
 }
 
 void SddManager::AccountStructures(MemAccount* account) {
@@ -202,14 +142,13 @@ void SddManager::AccountStructures(MemAccount* account) {
   apply_cache_.SetMemAccount(account);
   sem_cache_.SetMemAccount(account);
   apply_memo_.SetMemAccount(account);
-  for (Ctx& cx : ctxs_) cx.element_arena.SetMemAccount(account);
+  element_arena_.SetMemAccount(account);
 }
 
 Status SddManager::Validate() const {
   const size_t n = nodes_.size();
   for (size_t id = 2; id < n; ++id) {
     const Node& node = nodes_[id];
-    if (IsHole(static_cast<NodeId>(id))) continue;
     if (node.kind == Kind::kLiteral) {
       if (node.var < 0 || !vtree_.is_leaf(node.vnode) ||
           vtree_.LeafOf(node.var) != node.vnode) {
@@ -233,9 +172,6 @@ Status SddManager::Validate() const {
       for (const NodeId child : {p, s}) {
         if (child < 0 || static_cast<size_t>(child) >= n) {
           return Status::Internal("element id out of range");
-        }
-        if (IsHole(child)) {
-          return Status::Internal("element references a hole");
         }
       }
       if (p <= 1) {
@@ -266,13 +202,10 @@ SddManager::NodeId SddManager::Literal(int var, bool positive) {
   CTSDD_CHECK(var >= 0 && key < literal_ids_.size())
       << "variable x" << var << " not in vtree";
   if (literal_ids_[key] >= 0) return literal_ids_[key];
-  CTSDD_CHECK(!par_active_)
-      << "literal interning inside a parallel region (BeginParallelRegion "
-         "pre-interns the full literal set)";
   const int leaf = vtree_.LeafOf(var);
   CTSDD_CHECK_GE(leaf, 0) << "variable x" << var << " not in vtree";
   const NodeId id = NewNode({Kind::kLiteral, positive, var, leaf, nullptr, 0});
-  RegisterSemanticT<false>(id);
+  RegisterSemantic(id);
   literal_ids_[key] = id;
   // Complement literals are always linked: the second one created links
   // both, so Apply's x op !x short-circuit never misses a literal pair.
@@ -280,9 +213,7 @@ SddManager::NodeId SddManager::Literal(int var, bool positive) {
   return id;
 }
 
-template <bool kPar>
-SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
-                                             Elements* elements_in) {
+SddManager::NodeId SddManager::MakeDecision(int vnode, Elements* elements_in) {
   Elements& elements = *elements_in;
   if (budget_ != nullptr && budget_->tripped()) return kAborted;
   // Drop false primes.
@@ -320,11 +251,7 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
     size_t j = i + 1;
     while (j < elements.size() && elements[j].second == sub) ++j;
     if (j - i > 1) {
-      // Inside a region only the semantic compiler builds decisions, and
-      // its partitions arrive compressed: applies never run concurrently.
-      CTSDD_CHECK(!kPar)
-          << "equal subs in a decision built inside a parallel region";
-      ++cx.counters.compression_merges;
+      ++counters_.compression_merges;
       // Balanced in-place fold of the run's primes (they are pairwise
       // disjoint, so operand sizes roughly add: pairing keeps each Or
       // small instead of one ever-growing accumulator).
@@ -332,7 +259,7 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
       while (len > 1) {
         size_t w = 0;
         for (size_t p = 0; p + 1 < len; p += 2) {
-          elements[i + w++].first = ApplyRec(cx, elements[i + p].first,
+          elements[i + w++].first = ApplyRec(elements[i + p].first,
                                              elements[i + p + 1].first,
                                              Op::kOr);
         }
@@ -370,31 +297,17 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
     return n.vnode == vnode && n.num_elems == elements.size() &&
            std::equal(elements.begin(), elements.end(), n.elems);
   };
-  if constexpr (kPar) {
-    return unique_.FindOrInsert(hash, eq, [&] {
-      if (budget_ != nullptr) ChargePar(cx);
-      CTSDD_FAULT_POINT("sdd.alloc");
-      Element* stored = cx.element_arena.Allocate(elements.size());
-      std::copy(elements.begin(), elements.end(), stored);
-      const NodeId id =
-          AllocNodePar(cx, {Kind::kDecision, false, -1, vnode, stored,
-                            static_cast<uint32_t>(elements.size())});
-      RegisterSemanticT<true>(id);
-      return id;
-    });
-  } else {
-    const int32_t found = unique_.Find(hash, eq);
-    if (found != UniqueTable::kEmpty) return found;
-    if (budget_ != nullptr && !ChargeSeq(cx)) return kAborted;
-    CTSDD_FAULT_POINT("sdd.alloc");
-    Element* stored = cx.element_arena.Allocate(elements.size());
-    std::copy(elements.begin(), elements.end(), stored);
-    const NodeId id = NewNode({Kind::kDecision, false, -1, vnode, stored,
-                               static_cast<uint32_t>(elements.size())});
-    RegisterSemanticT<false>(id);
-    unique_.Insert(hash, id);
-    return id;
-  }
+  const int32_t found = unique_.Find(hash, eq);
+  if (found != UniqueTable::kEmpty) return found;
+  if (budget_ != nullptr && !Charge()) return kAborted;
+  CTSDD_FAULT_POINT("sdd.alloc");
+  Element* stored = element_arena_.Allocate(elements.size());
+  std::copy(elements.begin(), elements.end(), stored);
+  const NodeId id = NewNode({Kind::kDecision, false, -1, vnode, stored,
+                             static_cast<uint32_t>(elements.size())});
+  RegisterSemantic(id);
+  unique_.Insert(hash, id);
+  return id;
 }
 
 SddManager::NodeId SddManager::NewNode(const Node& n) {
@@ -403,31 +316,16 @@ SddManager::NodeId SddManager::NewNode(const Node& n) {
   return id;
 }
 
-SddManager::NodeId SddManager::AllocNodePar(Ctx& cx, const Node& n) {
-  if (cx.alloc_next == cx.alloc_end) {
-    cx.alloc_next = nodes_.ClaimBlock(kAllocBlock);
-    cx.alloc_end = cx.alloc_next + kAllocBlock;
-    fast_info_.Reserve(cx.alloc_end);
-  }
-  const NodeId id = static_cast<NodeId>(cx.alloc_next++);
-  nodes_[id] = n;
-  return id;
-}
-
 SddManager::NodeId SddManager::Decision(int vnode, Elements elements) {
-  thread_check_.Check();
   CTSDD_CHECK(!vtree_.is_leaf(vnode))
       << "decisions are normalized at internal vtree nodes";
-  if (par_active_) {
-    return MakeDecisionT<true>(CurCtx(), vnode, &elements);
-  }
-  ++op_depth_;
-  const NodeId result = MakeDecisionT<false>(ctxs_[0], vnode, &elements);
+  EnterOp();
+  const NodeId result = MakeDecision(vnode, &elements);
   LeaveOp();
   return result;
 }
 
-SddManager::ElementSpan SddManager::LiftTo(Ctx& cx, int vnode, NodeId a,
+SddManager::ElementSpan SddManager::LiftTo(int vnode, NodeId a,
                                            std::array<Element, 2>* store) {
   const Node& n = nodes_[a];
   if (n.kind == Kind::kDecision && n.vnode == vnode) {
@@ -438,7 +336,7 @@ SddManager::ElementSpan SddManager::LiftTo(Ctx& cx, int vnode, NodeId a,
   if (vtree_.IsAncestorOrSelf(vtree_.left(vnode), where)) {
     // `a` lives in the left subtree: (a AND true) OR (!a AND false).
     // NotRec may grow nodes_, so `n` is dead after this point.
-    const NodeId not_a = NotRec(cx, a);
+    const NodeId not_a = NotRec(a);
     // Valid lifts are never empty, so an empty span is the abort
     // sentinel (callers check before reading elements).
     if (budget_ != nullptr && not_a < 0) return {};
@@ -453,22 +351,22 @@ SddManager::ElementSpan SddManager::LiftTo(Ctx& cx, int vnode, NodeId a,
 }
 
 SddManager::NodeId SddManager::Apply(NodeId a, NodeId b, Op op) {
-  EnterOp("Apply");
-  const NodeId result = ApplyRec(ctxs_[0], a, b, op);
+  EnterOp();
+  const NodeId result = ApplyRec(a, b, op);
   // The exact memos only live for the outermost operation; resetting them
   // here keeps apply memory bounded by a single operation's footprint.
   LeaveOp();
   return result;
 }
 
-SddManager::NodeId SddManager::ApplyRec(Ctx& cx, NodeId a, NodeId b, Op op) {
+SddManager::NodeId SddManager::ApplyRec(NodeId a, NodeId b, Op op) {
   if (budget_ != nullptr && ((a | b) < 0 || budget_->tripped())) {
     return kAborted;
   }
-  ++cx.counters.apply_calls;
+  ++counters_.apply_calls;
   // Terminals, f op f, recorded negations, and the small-scope word
   // semantics — all resolved before any cache probe.
-  const NodeId fast = FastApply(cx, a, b, op);
+  const NodeId fast = FastApply(a, b, op);
   if (fast >= 0) return fast;
   if (a > b) std::swap(a, b);
   const ApplyKey key{a, b, op};
@@ -486,16 +384,16 @@ SddManager::NodeId SddManager::ApplyRec(Ctx& cx, NodeId a, NodeId b, Op op) {
   // The spans stay valid across the recursive Apply calls below: arena
   // chunks never move and the lift stores live on this frame.
   std::array<Element, 2> store_a, store_b;
-  const ElementSpan ea = LiftTo(cx, lca, a, &store_a);
-  const ElementSpan eb = LiftTo(cx, lca, b, &store_b);
+  const ElementSpan ea = LiftTo(lca, a, &store_a);
+  const ElementSpan eb = LiftTo(lca, b, &store_b);
   // An empty span is LiftTo's abort sentinel (valid lifts never are).
   if (budget_ != nullptr && (ea.empty() || eb.empty())) return kAborted;
   // Depth-indexed scratch: deeper recursive frames (including the ones
   // MakeDecision's compression spawns) use deeper buffers, so this
   // frame's elements survive the recursion without a fresh allocation.
-  while (cx.scratch.size() <= cx.rec_depth) cx.scratch.emplace_back();
-  Elements& out = cx.scratch[cx.rec_depth];
-  ++cx.rec_depth;
+  while (scratch_.size() <= rec_depth_) scratch_.emplace_back();
+  Elements& out = scratch_[rec_depth_];
+  ++rec_depth_;
   out.clear();
   out.reserve(ea.size() + eb.size() + ea.size() * eb.size());
   // Absorbing-sub collapse: a row (column) whose sub is already the op's
@@ -511,7 +409,7 @@ SddManager::NodeId SddManager::ApplyRec(Ctx& cx, NodeId a, NodeId b, Op op) {
   for (const auto& [p2, s2] : eb) {
     if (s2 == absorbing) out.emplace_back(p2, s2);
   }
-  cx.counters.absorb_collapses += out.size();
+  counters_.absorb_collapses += out.size();
   for (const auto& [p1, s1] : ea) {
     if (s1 == absorbing) continue;
     for (const auto& [p2, s2] : eb) {
@@ -519,17 +417,17 @@ SddManager::NodeId SddManager::ApplyRec(Ctx& cx, NodeId a, NodeId b, Op op) {
       // Inline resolution first: for unstructured operands most prime
       // pairs are disjoint and die in FastApply's word compare without
       // a recursive call.
-      NodeId p = FastApply(cx, p1, p2, Op::kAnd);
-      if (p < 0) p = ApplyRec(cx, p1, p2, Op::kAnd);
+      NodeId p = FastApply(p1, p2, Op::kAnd);
+      if (p < 0) p = ApplyRec(p1, p2, Op::kAnd);
       if (p == kFalse) continue;
-      NodeId s = (s1 == s2) ? s1 : FastApply(cx, s1, s2, op);
-      if (s < 0) s = ApplyRec(cx, s1, s2, op);
+      NodeId s = (s1 == s2) ? s1 : FastApply(s1, s2, op);
+      if (s < 0) s = ApplyRec(s1, s2, op);
       out.emplace_back(p, s);
     }
   }
-  cx.counters.element_products += out.size();
-  const NodeId result = MakeDecisionT<false>(cx, lca, &out);
-  --cx.rec_depth;
+  counters_.element_products += out.size();
+  const NodeId result = MakeDecision(lca, &out);
+  --rec_depth_;
   if (budget_ != nullptr && result < 0) return result;  // never cached
   apply_cache_.Store(hash, key, result);
   apply_memo_.Insert(hash, key, result);
@@ -544,7 +442,7 @@ SddManager::NodeId SddManager::Or(NodeId a, NodeId b) {
   return Apply(a, b, Op::kOr);
 }
 
-bool SddManager::NormalizeNaryOps(Ctx& cx, std::vector<NodeId>* ops_in,
+bool SddManager::NormalizeNaryOps(std::vector<NodeId>* ops_in,
                                   Op op, NodeId* out) {
   std::vector<NodeId>& ops = *ops_in;
   // Abort propagation, checked before the fast_info_ negation probes
@@ -573,7 +471,7 @@ bool SddManager::NormalizeNaryOps(Ctx& cx, std::vector<NodeId>* ops_in,
   // to keep this allocation-free on the hot path — NormalizeNaryOps never
   // re-enters itself within a context): the caller's operand order is
   // deliberate (fold locality) and must be preserved.
-  std::vector<NodeId>& sorted = cx.nary_probe_scratch;
+  std::vector<NodeId>& sorted = nary_probe_scratch_;
   sorted.assign(ops.begin(), ops.end());
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
@@ -608,9 +506,8 @@ bool SddManager::NormalizeNaryOps(Ctx& cx, std::vector<NodeId>* ops_in,
   return false;
 }
 
-SddManager::NodeId SddManager::ApplyN(Ctx& cx, const std::vector<NodeId>& ops,
-                                      Op op) {
-  if (ops.size() == 2) return ApplyRec(cx, ops[0], ops[1], op);
+SddManager::NodeId SddManager::ApplyN(const std::vector<NodeId>& ops, Op op) {
+  if (ops.size() == 2) return ApplyRec(ops[0], ops[1], op);
   if (budget_ != nullptr) {
     if (budget_->tripped()) return kAborted;
     for (const NodeId x : ops) {
@@ -619,8 +516,8 @@ SddManager::NodeId SddManager::ApplyN(Ctx& cx, const std::vector<NodeId>& ops,
   }
   NaryKey key{op, ops};
   std::sort(key.ops.begin(), key.ops.end());  // order-insensitive memo key
-  const auto it = cx.nary_memo.find(key);
-  if (it != cx.nary_memo.end()) return it->second;
+  const auto it = nary_memo_.find(key);
+  if (it != nary_memo_.end()) return it->second;
 
   int lca = nodes_[ops[0]].vnode;
   for (size_t i = 1; i < ops.size(); ++i) {
@@ -633,7 +530,7 @@ SddManager::NodeId SddManager::ApplyN(Ctx& cx, const std::vector<NodeId>& ops,
   std::vector<ElementSpan> spans(ops.size());
   size_t product = 1;
   for (size_t i = 0; i < ops.size(); ++i) {
-    spans[i] = LiftTo(cx, lca, ops[i], &stores[i]);
+    spans[i] = LiftTo(lca, ops[i], &stores[i]);
     // An empty span is LiftTo's abort sentinel.
     if (budget_ != nullptr && spans[i].empty()) return kAborted;
     // Saturate at the cap: the running multiply must not wrap (eight
@@ -648,18 +545,18 @@ SddManager::NodeId SddManager::ApplyN(Ctx& cx, const std::vector<NodeId>& ops,
     // with binary applies, whose per-step canonicalization keeps
     // intermediates compressed. Sequential for And (each conjunct
     // constrains the accumulator), balanced for Or (disjuncts don't).
-    ++cx.counters.nary_fallbacks;
+    ++counters_.nary_fallbacks;
     if (op == Op::kAnd) {
       result = ops[0];
       for (size_t i = 1; i < ops.size() && result != kFalse; ++i) {
-        result = ApplyRec(cx, result, ops[i], op);
+        result = ApplyRec(result, ops[i], op);
       }
     } else {
       std::vector<NodeId> fold = ops;
       while (fold.size() > 1) {
         size_t next = 0;
         for (size_t i = 0; i + 1 < fold.size(); i += 2) {
-          fold[next++] = ApplyRec(cx, fold[i], fold[i + 1], op);
+          fold[next++] = ApplyRec(fold[i], fold[i + 1], op);
         }
         if (fold.size() % 2 == 1) fold[next++] = fold.back();
         fold.resize(next);
@@ -667,14 +564,14 @@ SddManager::NodeId SddManager::ApplyN(Ctx& cx, const std::vector<NodeId>& ops,
       result = fold[0];
     }
     if (budget_ != nullptr && result < 0) return result;  // never memoized
-    cx.nary_memo.emplace(std::move(key), result);
+    nary_memo_.emplace(std::move(key), result);
     return result;
   }
 
-  ++cx.counters.nary_applies;
-  while (cx.scratch.size() <= cx.rec_depth) cx.scratch.emplace_back();
-  Elements& out = cx.scratch[cx.rec_depth];
-  ++cx.rec_depth;
+  ++counters_.nary_applies;
+  while (scratch_.size() <= rec_depth_) scratch_.emplace_back();
+  Elements& out = scratch_[rec_depth_];
+  ++rec_depth_;
   out.clear();
   // Absorbing-sub collapse, n-ary: an element whose sub is already the
   // op's absorbing terminal contributes (prime, absorbing) outright (the
@@ -685,7 +582,7 @@ SddManager::NodeId SddManager::ApplyN(Ctx& cx, const std::vector<NodeId>& ops,
     for (const auto& [p, s] : span) {
       if (s == absorbing) {
         out.emplace_back(p, s);
-        ++cx.counters.absorb_collapses;
+        ++counters_.absorb_collapses;
       }
     }
   }
@@ -707,8 +604,8 @@ SddManager::NodeId SddManager::ApplyN(Ctx& cx, const std::vector<NodeId>& ops,
     if (level == spans.size()) {
       sub_ops.assign(subs.begin(), subs.end());
       NodeId s;
-      if (!NormalizeNaryOps(cx, &sub_ops, op, &s)) {
-        s = ApplyN(cx, sub_ops, op);
+      if (!NormalizeNaryOps(&sub_ops, op, &s)) {
+        s = ApplyN(sub_ops, op);
       }
       out.emplace_back(acc, s);
       return;
@@ -717,8 +614,8 @@ SddManager::NodeId SddManager::ApplyN(Ctx& cx, const std::vector<NodeId>& ops,
       if (s == absorbing) continue;  // collapsed above
       NodeId cell = p;
       if (acc != kTrue) {
-        cell = FastApply(cx, acc, p, Op::kAnd);
-        if (cell < 0) cell = ApplyRec(cx, acc, p, Op::kAnd);
+        cell = FastApply(acc, p, Op::kAnd);
+        if (cell < 0) cell = ApplyRec(acc, p, Op::kAnd);
       }
       // Aborted cell prime: skip the subtree — the tripped check after
       // the product returns kAborted before anything uses `out`.
@@ -730,29 +627,29 @@ SddManager::NodeId SddManager::ApplyN(Ctx& cx, const std::vector<NodeId>& ops,
   };
   dfs(dfs, 0, kTrue);
   if (budget_ != nullptr && budget_->tripped()) {
-    --cx.rec_depth;
+    --rec_depth_;
     return kAborted;
   }
-  cx.counters.element_products += out.size();
-  result = MakeDecisionT<false>(cx, lca, &out);
-  --cx.rec_depth;
+  counters_.element_products += out.size();
+  result = MakeDecision(lca, &out);
+  --rec_depth_;
   if (budget_ != nullptr && result < 0) return result;  // never memoized
-  cx.nary_memo.emplace(std::move(key), result);
+  nary_memo_.emplace(std::move(key), result);
   return result;
 }
 
-SddManager::NodeId SddManager::AndNRec(Ctx& cx, std::vector<NodeId> ops) {
+SddManager::NodeId SddManager::AndNRec(std::vector<NodeId> ops) {
   NodeId result;
-  if (NormalizeNaryOps(cx, &ops, Op::kAnd, &result)) return result;
+  if (NormalizeNaryOps(&ops, Op::kAnd, &result)) return result;
   // One n-ary element product: narrow gates canonicalize once instead of
   // paying MakeDecision per binary apply.
-  if (ops.size() <= kNaryFoldArity) return ApplyN(cx, ops, Op::kAnd);
+  if (ops.size() <= kNaryFoldArity) return ApplyN(ops, Op::kAnd);
   // Wide gates fold bottom-up along the vtree. A conjunct joins the fold
   // at the vtree node it is normalized at, so each intermediate is the
   // conjunction of one subtree's conjuncts and stays within that subtree's
   // scope. (Accumulating in circuit order took 4-5.5x the applies on
   // kc_compile's tree CNFs.)
-  std::vector<uint64_t>& keys = cx.and_fold_keys;
+  std::vector<uint64_t>& keys = and_fold_keys_;
   keys.clear();
   for (size_t i = 0; i < ops.size(); ++i) {
     keys.push_back(
@@ -761,13 +658,12 @@ SddManager::NodeId SddManager::AndNRec(Ctx& cx, std::vector<NodeId> ops) {
         i);
   }
   std::sort(keys.begin(), keys.end());  // postorder, then operand order
-  return AndFoldRec(cx, ops, 0, keys.size());
+  return AndFoldRec(ops, 0, keys.size());
 }
 
-SddManager::NodeId SddManager::AndFoldRec(Ctx& cx,
-                                          const std::vector<NodeId>& ops,
+SddManager::NodeId SddManager::AndFoldRec(const std::vector<NodeId>& ops,
                                           size_t lo, size_t hi) {
-  const std::vector<uint64_t>& keys = cx.and_fold_keys;
+  const std::vector<uint64_t>& keys = and_fold_keys_;
   const auto op_at = [&](size_t k) { return ops[keys[k] & 0xffffffffu]; };
   // The LCA of a postorder-sorted set is that of its first and last
   // members, and w's own bucket closes the range (postorder ends each
@@ -788,21 +684,21 @@ SddManager::NodeId SddManager::AndFoldRec(Ctx& cx,
         std::upper_bound(keys.begin() + lo, keys.begin() + bucket,
                          left_last) -
         keys.begin());
-    if (split > lo) acc = AndFoldRec(cx, ops, lo, split);
+    if (split > lo) acc = AndFoldRec(ops, lo, split);
     if (split < bucket && acc != kFalse && acc >= 0) {
-      const NodeId right = AndFoldRec(cx, ops, split, bucket);
-      acc = (acc == kTrue) ? right : ApplyRec(cx, acc, right, Op::kAnd);
+      const NodeId right = AndFoldRec(ops, split, bucket);
+      acc = (acc == kTrue) ? right : ApplyRec(acc, right, Op::kAnd);
     }
   }
   for (size_t k = bucket; k < hi && acc != kFalse && acc >= 0; ++k) {
-    acc = (acc == kTrue) ? op_at(k) : ApplyRec(cx, acc, op_at(k), Op::kAnd);
+    acc = (acc == kTrue) ? op_at(k) : ApplyRec(acc, op_at(k), Op::kAnd);
   }
   return acc;
 }
 
-SddManager::NodeId SddManager::OrNRec(Ctx& cx, std::vector<NodeId> ops) {
+SddManager::NodeId SddManager::OrNRec(std::vector<NodeId> ops) {
   NodeId result;
-  if (NormalizeNaryOps(cx, &ops, Op::kOr, &result)) return result;
+  if (NormalizeNaryOps(&ops, Op::kOr, &result)) return result;
   // Balanced chunked fold: disjuncts do not constrain each other, so a
   // sequential accumulator would re-walk an ever-growing DNF-like result
   // per operand; combining up to kNaryFoldArity scope-adjacent disjuncts
@@ -815,8 +711,8 @@ SddManager::NodeId SddManager::OrNRec(Ctx& cx, std::vector<NodeId> ops) {
       const size_t end = std::min(ops.size(), i + kNaryFoldArity);
       std::vector<NodeId> chunk(ops.begin() + i, ops.begin() + end);
       NodeId combined;
-      if (!NormalizeNaryOps(cx, &chunk, Op::kOr, &combined)) {
-        combined = ApplyN(cx, chunk, Op::kOr);
+      if (!NormalizeNaryOps(&chunk, Op::kOr, &combined)) {
+        combined = ApplyN(chunk, Op::kOr);
       }
       saw_true = (combined == kTrue);
       ops[next++] = combined;
@@ -831,27 +727,27 @@ SddManager::NodeId SddManager::OrNRec(Ctx& cx, std::vector<NodeId> ops) {
 }
 
 SddManager::NodeId SddManager::AndN(std::vector<NodeId> ops) {
-  EnterOp("AndN");
-  const NodeId result = AndNRec(ctxs_[0], std::move(ops));
+  EnterOp();
+  const NodeId result = AndNRec(std::move(ops));
   LeaveOp();
   return result;
 }
 
 SddManager::NodeId SddManager::OrN(std::vector<NodeId> ops) {
-  EnterOp("OrN");
-  const NodeId result = OrNRec(ctxs_[0], std::move(ops));
+  EnterOp();
+  const NodeId result = OrNRec(std::move(ops));
   LeaveOp();
   return result;
 }
 
 SddManager::NodeId SddManager::Not(NodeId a) {
-  EnterOp("Not");
-  const NodeId result = NotRec(ctxs_[0], a);
+  EnterOp();
+  const NodeId result = NotRec(a);
   LeaveOp();
   return result;
 }
 
-SddManager::NodeId SddManager::NotRec(Ctx& cx, NodeId a) {
+SddManager::NodeId SddManager::NotRec(NodeId a) {
   if (budget_ != nullptr && (a < 0 || budget_->tripped())) return kAborted;
   if (a == kFalse) return kTrue;
   if (a == kTrue) return kFalse;
@@ -869,8 +765,8 @@ SddManager::NodeId SddManager::NotRec(Ctx& cx, NodeId a) {
     result = Literal(n.var, !n.sense);
   } else {
     Elements out(n.elems, n.elems + n.num_elems);
-    for (auto& [p, s] : out) s = NotRec(cx, s);
-    result = MakeDecisionT<false>(cx, n.vnode, &out);
+    for (auto& [p, s] : out) s = NotRec(s);
+    result = MakeDecision(n.vnode, &out);
   }
   if (budget_ != nullptr && result < 0) return result;  // never linked
   LinkNegations(a, result);
@@ -880,7 +776,7 @@ SddManager::NodeId SddManager::NotRec(Ctx& cx, NodeId a) {
 SddManager::NodeId SddManager::Restrict(NodeId a, int var, bool value) {
   const int leaf = vtree_.LeafOf(var);
   CTSDD_CHECK_GE(leaf, 0);
-  EnterOp("Restrict");
+  EnterOp();
   std::unordered_map<NodeId, NodeId> memo;
   std::function<NodeId(NodeId)> rec = [&](NodeId u) -> NodeId {
     if (IsConst(u)) return u;
@@ -900,7 +796,7 @@ SddManager::NodeId SddManager::Restrict(NodeId a, int var, bool value) {
       } else {
         for (auto& [p, s] : out) s = rec(s);
       }
-      result = MakeDecisionT<false>(ctxs_[0], n.vnode, &out);
+      result = MakeDecision(n.vnode, &out);
     }
     memo.emplace(u, result);
     return result;

@@ -26,27 +26,20 @@
 // and the apply hot path consults them to resolve f op !f without
 // a cache probe.
 //
-// Parallel compile (exec/): AttachExecutor lends the manager a
-// work-stealing pool, and the vtree-guided semantic compiler
-// (sdd/sdd_compile.cc) forks its left-scope cofactor classes across
-// workers inside a *parallel region*. Within a region the unique table
-// runs its CAS insert-or-find protocol, the semantic cache is lock-
-// striped, node ids and element spans are allocated from per-worker
-// stripes, and the owning-thread assertion is suspended
-// (util/thread_check.h ParallelRegion). Results are pointer-identical to
-// sequential compilation — canonicity hash-conses every decision to one
-// id regardless of which worker builds it first — so negation links and
-// the semantic cache work unchanged. The only operation a region
-// admits is Decision on an already-compressed partition; Apply, AndN,
-// OrN and Not are single-owner and never fork (forking element-product
-// rows lost to the sequential path on every measured workload;
-// src/README.md, "The parallel runtime").
+// Threading: the manager is single-owner, and debug builds assert that
+// every entry point runs on one thread. AttachExecutor lends it a
+// work-stealing pool (exec/) for the vtree-guided semantic compiler
+// (sdd/sdd_compile.cc), whose workers only plan cofactor partitions over
+// BoolFunc tables; the owning thread then makes every manager call, so
+// a compile assigns the same node ids with or without the pool. Apply,
+// AndN, OrN and Not never fork (forking element-product rows lost to the
+// sequential path on every measured workload; src/README.md, "The
+// parallel runtime").
 
 #ifndef CTSDD_SDD_SDD_H_
 #define CTSDD_SDD_SDD_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -108,10 +101,9 @@ class SddManager : public ManagerCore<SddManager> {
   // over the left scope of `vnode`, subs within the right scope — exactly
   // the contract Validate() checks. This is the entry point for compilers
   // that construct partitions directly (the vtree-guided semantic compiler
-  // in sdd/sdd_compile.cc) instead of going through Apply. Safe to call
-  // from worker tasks inside an open parallel region, where the partition
-  // must also be compressed already (distinct subs): the concurrent path
-  // canonicalizes without running any apply.
+  // in sdd/sdd_compile.cc) instead of going through Apply. Decision
+  // allocations charge the attached budget; literal interning is never
+  // charged (bounded by 2·|vars|).
   NodeId Decision(int vnode, Elements elements);
 
   NodeId And(NodeId a, NodeId b);
@@ -188,45 +180,20 @@ class SddManager : public ManagerCore<SddManager> {
   // the disjointness checks go through the apply cache.
   Status Validate(NodeId a);
 
-  // --- Parallel execution ------------------------------------------------
-  //
-  // With a parallel pool attached, the vtree-semantic compiler spans its
-  // whole recursion in one explicit region and forks there. Inside a
-  // region workers may call only Decision, LookupSemantic and Literal
-  // (pre-interned); Apply/AndN/OrN/Not and Restrict are single-owner
-  // operations outside regions. Results are pointer-identical to
-  // sequential execution. Each region leaves the unused tail of every
-  // worker's id block as a hole: a dead-marked slot that Validate()
-  // skips and nothing reuses.
-
-  bool InParallelRegion() const { return par_active_; }
-
-  void BeginParallelRegion();
-  void EndParallelRegion();
-
-  // Decision allocations charge per-context leases; literal interning is
-  // never charged (bounded by 2·|vars|). budget_token() is the attached
-  // budget's cancel token for exec::ParallelFor, or nullptr without one.
-  const std::atomic<bool>* budget_token() const {
-    return budget_ == nullptr ? nullptr : budget_->token();
-  }
-
   // Manager-wide structural self-check (contrast Validate(NodeId), which
   // checks one root's partition semantics): every node is well-formed,
-  // element ids are in range and never name a hole, and the unique table
-  // maps each decision to itself. Used by tests to assert aborted
-  // operations left the manager consistent.
+  // element ids are in range, and the unique table maps each decision to
+  // itself. Used by tests to assert aborted operations left the manager
+  // consistent.
   Status Validate() const;
 
   // Accounted-resident bytes: both node stores, the unique table, the
-  // apply/semantic caches, the apply memo, and every context's element
-  // arena. Sequential contexts only (walks the context arenas).
+  // apply/semantic caches, the apply memo, and the element arena.
   size_t MemoryBytes() const {
-    size_t total = nodes_.MemoryBytes() + fast_info_.MemoryBytes() +
-                   unique_.MemoryBytes() + apply_cache_.MemoryBytes() +
-                   sem_cache_.MemoryBytes() + apply_memo_.MemoryBytes();
-    for (const Ctx& cx : ctxs_) total += cx.element_arena.MemoryBytes();
-    return total;
+    return nodes_.MemoryBytes() + fast_info_.MemoryBytes() +
+           unique_.MemoryBytes() + apply_cache_.MemoryBytes() +
+           sem_cache_.MemoryBytes() + apply_memo_.MemoryBytes() +
+           element_arena_.MemoryBytes();
   }
 
   // Computed-cache effectiveness counters, for benches and tuning.
@@ -250,9 +217,7 @@ class SddManager : public ManagerCore<SddManager> {
   }
 
   // Work counters for the apply/compile hot paths, for benches and
-  // regression diagnosis. Monotone over the manager's lifetime; inside a
-  // parallel region increments accumulate per worker and merge when the
-  // region ends, so read them outside regions.
+  // regression diagnosis. Monotone over the manager's lifetime.
   struct PerfCounters {
     uint64_t apply_calls = 0;       // ApplyRec entries (incl. recursive)
     uint64_t element_products = 0;  // (prime, sub) pairs emitted by apply
@@ -267,12 +232,7 @@ class SddManager : public ManagerCore<SddManager> {
   const PerfCounters& counters() const { return counters_; }
   // The semantic compiler (sdd/sdd_compile.cc) reports its partition and
   // memo-hit counts here so one stats surface covers both pipelines.
-  // Single-owner contexts only; worker tasks report through
-  // AddCounters().
   PerfCounters* mutable_counters() { return &counters_; }
-  // Merges a batch of externally accumulated counters (the parallel
-  // semantic compiler's per-task tallies).
-  void AddCounters(const PerfCounters& delta);
 
   // The recorded negation of `a`, or -1 when not (yet) known. Complement
   // literal pairs and every Not() result are linked eagerly, which lets
@@ -302,7 +262,6 @@ class SddManager : public ManagerCore<SddManager> {
   // The canonical node computing truth table `word` over the scope of
   // `vnode`'s small anchor, or -1 when none is cached. `vnode` must have
   // a small anchor and `word` must be masked to the anchor's table.
-  // Routes through the striped cache protocol inside a parallel region.
   NodeId LookupSemantic(int vnode, uint64_t word);
 
   // --- Node access (read-only) ---
@@ -350,97 +309,44 @@ class SddManager : public ManagerCore<SddManager> {
     }
   };
 
-  // Per-execution-context state: one Ctx per pool slot (plus slot 0 for
-  // the single-owner path). Everything decision construction mutates that
-  // is not a shared, protocol-guarded structure lives here, so region
-  // workers never contend: the element arena stripe, the node-id block
-  // cursor, the budget lease, and the worker's counter tally (merged into
-  // counters_ at region end). The apply scratch and n-ary memo are used
-  // by slot 0 only, since applies never run inside a region.
-  struct Ctx {
-    // Per-recursion-depth element buffers reused across ApplyRec frames,
-    // so the hot path performs no per-call allocation once warmed up. A
-    // deque keeps references stable while deeper frames extend it.
-    std::deque<Elements> scratch;
-    size_t rec_depth = 0;
-    // Scratch for NormalizeNaryOps's sorted probe set (that function
-    // never re-enters itself within a context, so one buffer suffices).
-    std::vector<NodeId> nary_probe_scratch;
-    // AndNRec's bucket-fold keys, (postorder of the operand's vnode,
-    // operand index) packed per word and sorted; AndNRec never re-enters
-    // itself within a context, so one buffer suffices.
-    std::vector<uint64_t> and_fold_keys;
-    // Exact memo for n-ary folds within the current top-level operation.
-    std::unordered_map<NaryKey, NodeId, NaryKeyHash> nary_memo;
-    // Element span stripe (stable addresses).
-    PoolArena<Element> element_arena;
-    // Node-id block cursor (parallel regions only).
-    size_t alloc_next = 0;
-    size_t alloc_end = 0;
-    PerfCounters counters;
-    // Remaining node allocations pre-charged against the attached budget
-    // (see ChargeSeq/ChargePar; reset by AttachBudget).
-    uint32_t budget_lease = 0;
-  };
-
   // Element-product budget for one ApplyN expansion (product of operand
   // element counts); past it the operands fall back to binary folding,
   // whose intermediate canonicalization keeps the meet partition in check.
   static constexpr size_t kNaryProductCap = 4096;
-  static constexpr size_t kAllocBlock = 128;  // node ids per worker claim
 
-  // The execution context for the current thread: slot 0 outside
-  // parallel regions, 1 + pool slot inside.
-  Ctx& CurCtx() {
-    return par_active_ ? ctxs_[1 + static_cast<size_t>(pool_->CurrentSlot())]
-                       : ctxs_[0];
-  }
-
-  // Budget charging through per-context leases. ChargeSeq denies (the caller
-  // returns kAborted before allocating); ChargePar charges but never
-  // denies — a worker losing the refill race still allocates, bounding
-  // overshoot by the number of in-flight workers.
-  bool ChargeSeq(Ctx& cx) {
-    if (cx.budget_lease == 0 && !RefillLease(&cx.budget_lease)) return false;
-    --cx.budget_lease;
+  // Charges one node allocation against the attached budget's lease;
+  // false when the budget denies it (the caller returns kAborted before
+  // allocating).
+  bool Charge() {
+    if (budget_lease_ == 0 && !RefillLease(&budget_lease_)) return false;
+    --budget_lease_;
     return true;
-  }
-  void ChargePar(Ctx& cx) {
-    if (cx.budget_lease == 0 && !RefillLease(&cx.budget_lease)) return;
-    --cx.budget_lease;
   }
 
   // Canonicalizes (compress + trim + hash-cons) the elements in *elements,
   // which is consumed as scratch space. All recursive Apply calls the
-  // compression needs happen before the unique-table probe. kPar == true
-  // is the parallel-region protocol (concurrent unique-table insert,
-  // per-worker allocation); it requires distinct subs and runs no apply.
-  template <bool kPar>
-  NodeId MakeDecisionT(Ctx& cx, int vnode, Elements* elements);
+  // compression needs happen before the unique-table probe.
+  NodeId MakeDecision(int vnode, Elements* elements);
   // The unique-table hash of a decision's sorted elements (shared by
   // MakeDecision and Validate).
   static uint64_t DecisionHash(int vnode, ElementSpan elements);
-  // Appends a node plus its lockstep fast_info_ slot (single-owner path).
+  // Appends a node plus its lockstep fast_info_ slot.
   NodeId NewNode(const Node& n);
-  // Node allocation inside a parallel region: bump-allocates from the
-  // context's claimed id block.
-  NodeId AllocNodePar(Ctx& cx, const Node& n);
   // Two-level memoization: the bounded global apply cache gives cross-
   // operation reuse; an exact memo scoped to each top-level Apply call
   // preserves the O(|a|·|b|) apply bound even when the global cache
   // evicts (a lossy cache alone turns deep recursions exponential once
   // the live set outgrows it). The memo is cleared when the outermost
   // Apply returns, so its memory is bounded by one operation's footprint.
-  // The recursions are single-owner: they run on the calling thread
-  // outside parallel regions and never fork.
+  // The recursions run on the calling thread and never fork.
   NodeId Apply(NodeId a, NodeId b, Op op);
-  NodeId ApplyRec(Ctx& cx, NodeId a, NodeId b, Op op);
+  NodeId ApplyRec(NodeId a, NodeId b, Op op);
   // Constant-time resolution attempt, inlined into the element-product
   // loops so the (dominant) trivially-resolvable pairs never pay a
   // recursive call: terminals, equality, recorded negations, and the
   // small-scope word semantics (disjointness, coverage, subsumption, and
   // cached result functions). Returns -1 when a full ApplyRec is needed.
-  NodeId FastApply(Ctx& cx, NodeId a, NodeId b, Op op) {
+  NodeId FastApply(NodeId a, NodeId b, Op op) {
     if (op == Op::kAnd) {
       if (a == kFalse || b == kFalse) return kFalse;
       if (a == kTrue) return b;
@@ -476,7 +382,7 @@ class SddManager : public ManagerCore<SddManager> {
         hit = cached;
       }
     }
-    if (hit >= 0) ++cx.counters.sem_apply_hits;
+    if (hit >= 0) ++counters_.sem_apply_hits;
     return hit;
   }
   static uint64_t Hash2SemKey(int anchor, uint64_t word);
@@ -488,56 +394,39 @@ class SddManager : public ManagerCore<SddManager> {
   // free with >= 2 entries (NormalizeNaryOps's postcondition); order is
   // free — the caller's sequence is preserved, and only the internal memo
   // key is sorted. Falls back to binary folds past kNaryProductCap.
-  NodeId ApplyN(Ctx& cx, const std::vector<NodeId>& ops, Op op);
-  NodeId AndNRec(Ctx& cx, std::vector<NodeId> ops);
-  // Conjoins ops[k] for the keys k in cx.and_fold_keys[lo, hi), which lie
+  NodeId ApplyN(const std::vector<NodeId>& ops, Op op);
+  NodeId AndNRec(std::vector<NodeId> ops);
+  // Conjoins ops[k] for the keys k in and_fold_keys_[lo, hi), which lie
   // in one vtree subtree: the halves below the keys' LCA w fold first and
   // are conjoined, then w's own bucket joins in operand order. Empty
   // halves are skipped, so the recursion follows the keys' LCA tree.
-  NodeId AndFoldRec(Ctx& cx, const std::vector<NodeId>& ops, size_t lo,
-                    size_t hi);
-  NodeId OrNRec(Ctx& cx, std::vector<NodeId> ops);
+  NodeId AndFoldRec(const std::vector<NodeId>& ops, size_t lo, size_t hi);
+  NodeId OrNRec(std::vector<NodeId> ops);
   // Shared operand normalization for AndN/OrN/ApplyN: drops identity
   // operands and duplicates, sorts, and detects absorbing terminals and
   // complementary pairs. Returns true if the fold is decided immediately
   // (result in *out).
-  bool NormalizeNaryOps(Ctx& cx, std::vector<NodeId>* ops, Op op,
-                        NodeId* out);
-  NodeId NotRec(Ctx& cx, NodeId a);
+  bool NormalizeNaryOps(std::vector<NodeId>* ops, Op op, NodeId* out);
+  NodeId NotRec(NodeId a);
   // Records a <-> b as negations of each other (for apply short-circuits).
-  // Single-owner: negations are only computed outside parallel regions.
   void LinkNegations(NodeId a, NodeId b);
   // Computes and registers the semantic word of a freshly created node
   // whose vnode has a small anchor (no-op otherwise). Must be called for
   // every node before its id is published.
-  template <bool kPar>
-  void RegisterSemanticT(NodeId id);
+  void RegisterSemantic(NodeId id);
   // A view of `a` as elements normalized at `vnode` (having lifted it if
   // needed); lifted literal/decision cases materialize into *store.
-  ElementSpan LiftTo(Ctx& cx, int vnode, NodeId a,
-                     std::array<Element, 2>* store);
-  // Brackets a single-owner apply operation (Apply, AndN, OrN, Not,
-  // Restrict): none may run inside a parallel region. LeaveOp resets the
-  // memos when the outermost operation returns and folds the sequential
-  // context's counter tally into the manager's (parallel contexts merge
-  // at EndParallelRegion instead).
-  void EnterOp(const char* op) {
+  ElementSpan LiftTo(int vnode, NodeId a, std::array<Element, 2>* store);
+  // Brackets an operation (Apply, AndN, OrN, Not, Restrict, Decision).
+  // LeaveOp resets the memos when the outermost operation returns.
+  void EnterOp() {
     thread_check_.Check();
-    CheckOutsideRegion(op);
     ++op_depth_;
   }
   void LeaveOp() {
     if (--op_depth_ == 0) {
       apply_memo_.Reset();
-      ctxs_[0].nary_memo.clear();
-      AddCounters(ctxs_[0].counters);
-      ctxs_[0].counters = PerfCounters{};
-    }
-  }
-  void EnsureCtxSlots(size_t n) {
-    while (ctxs_.size() < n) {
-      ctxs_.emplace_back();
-      ctxs_.back().element_arena.SetMemAccount(mem_account_);
+      nary_memo_.clear();
     }
   }
 
@@ -560,8 +449,7 @@ class SddManager : public ManagerCore<SddManager> {
   // the truth table word over the anchor scope (valid iff anchor >= 0;
   // written before the node id is published, read-only afterwards). The
   // struct stays POD — chunk allocation leaves entries untouched until
-  // their id is created. Negations are linked only by single-owner
-  // operations, so region workers never race on the negation field.
+  // their id is created.
   struct FastInfo {
     NodeId negation;
     int32_t anchor;
@@ -577,15 +465,6 @@ class SddManager : public ManagerCore<SddManager> {
     }
   };
 
-  // A hole (an unused parallel id; see BeginParallelRegion) reads as a
-  // constant: the real constants are ids 0 and 1, so any other kConst
-  // slot is a hole.
-  void MarkHole(NodeId id) {
-    nodes_[id] = {Kind::kConst, false, -1, -1, nullptr, 0};
-  }
-  bool IsHole(NodeId id) const {
-    return id > kTrue && nodes_[id].kind == Kind::kConst;
-  }
   // ManagerCore hooks.
   friend class ManagerCore<SddManager>;
   template <class F>
@@ -595,13 +474,8 @@ class SddManager : public ManagerCore<SddManager> {
       f(s);
     }
   }
-  void ResetLeases() {
-    for (Ctx& cx : ctxs_) cx.budget_lease = 0;
-  }
+  void ResetLeases() { budget_lease_ = 0; }
   void AccountStructures(MemAccount* account);
-  void CheckOutsideRegion(const char* what) const {
-    CTSDD_CHECK(!par_active_) << what << " inside a parallel region";
-  }
 
   Vtree vtree_;
   NodeStore<Node> nodes_;
@@ -621,11 +495,25 @@ class SddManager : public ManagerCore<SddManager> {
   std::vector<uint64_t> anchor_mask_of_vnode_;
   ComputedCache<SemKey, NodeId> sem_cache_;
   PerfCounters counters_;
-  // Execution contexts: ctxs_[0] is the single-owner context; parallel
-  // regions use ctxs_[1 + slot]. A deque keeps references stable while
-  // EnsureCtxSlots appends.
-  std::deque<Ctx> ctxs_;
-  bool par_active_ = false;
+  // Decision elements (stable addresses).
+  PoolArena<Element> element_arena_;
+  // Per-recursion-depth element buffers reused across ApplyRec frames,
+  // so the hot path performs no per-call allocation once warmed up. A
+  // deque keeps references stable while deeper frames extend it.
+  std::deque<Elements> scratch_;
+  size_t rec_depth_ = 0;
+  // Scratch for NormalizeNaryOps's sorted probe set (that function never
+  // re-enters itself, so one buffer suffices).
+  std::vector<NodeId> nary_probe_scratch_;
+  // AndNRec's bucket-fold keys, (postorder of the operand's vnode,
+  // operand index) packed per word and sorted; AndNRec never re-enters
+  // itself, so one buffer suffices.
+  std::vector<uint64_t> and_fold_keys_;
+  // Exact memo for n-ary folds within the current top-level operation.
+  std::unordered_map<NaryKey, NodeId, NaryKeyHash> nary_memo_;
+  // Remaining node allocations pre-charged against the attached budget
+  // (see Charge; reset by AttachBudget).
+  uint32_t budget_lease_ = 0;
 };
 
 }  // namespace ctsdd

@@ -269,7 +269,6 @@ void QueryService::StartDebugServer() {
     j.Num("plan_misses", s.totals.plan_misses);
     j.Num("plan_evictions", s.totals.plan_evictions);
     j.Num("plan_cache_size", s.totals.plan_cache_size);
-    j.Num("live_nodes", s.totals.live_nodes);
     j.Num("mem_bytes", s.totals.mem_bytes);
     j.Close('}');
     j.Open("latency_ms", '{');
@@ -608,7 +607,6 @@ ServiceStats QueryService::stats() const {
     t.mem_bytes_by_layer[static_cast<size_t>(l)] =
         mem_account_.bytes(static_cast<MemLayer>(l));
   }
-  t.live_nodes = static_cast<int>(m.live_nodes->value());
   t.peak_live_nodes = static_cast<int>(m.peak_live_nodes->value());
   t.plan_cache_size = static_cast<uint64_t>(m.plan_cache_size->value());
   SupervisionStats& sup = out.supervision;
@@ -631,10 +629,6 @@ ServiceStats QueryService::stats() const {
   out.p50_ms = static_cast<double>(m.latency_us->ValueAtPercentile(0.50)) / 1e3;
   out.p95_ms = static_cast<double>(m.latency_us->ValueAtPercentile(0.95)) / 1e3;
   out.p99_ms = static_cast<double>(m.latency_us->ValueAtPercentile(0.99)) / 1e3;
-  out.gc_pause_p50_ms =
-      static_cast<double>(m.gc_pause_us->ValueAtPercentile(0.50)) / 1e3;
-  out.gc_pause_p99_ms =
-      static_cast<double>(m.gc_pause_us->ValueAtPercentile(0.99)) / 1e3;
   return out;
 }
 

@@ -183,7 +183,6 @@ struct ShardStats {
   std::array<uint64_t, kMemLayerCount> mem_bytes_by_layer = {};
   // Resident gauges, each the sum of the existing workers' shares: a
   // worker retired by a restart counts until it is destroyed.
-  int live_nodes = 0;  // always 0: no manager outlives its compile
   // Sum over workers of the most nodes one of its compiles held.
   int peak_live_nodes = 0;
   uint64_t plan_cache_size = 0;  // plans resident in the plan caches
@@ -245,9 +244,6 @@ struct ServiceStats {
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
-  // Garbage-collection pause percentiles: 0, like gc_runs.
-  double gc_pause_p50_ms = 0.0;
-  double gc_pause_p99_ms = 0.0;
 
   double plan_hit_rate() const {
     const uint64_t lookups = totals.plan_hits + totals.plan_misses;
@@ -289,13 +285,11 @@ struct ServeMetrics {
   obs::Counter* shard_restarts = nullptr;
   obs::Counter* failed_on_restart = nullptr;
   // Resident gauges: each worker moves them by deltas and retracts its
-  // share when destroyed (live_nodes stays 0, like gc_runs).
-  obs::Gauge* live_nodes = nullptr;
+  // share when destroyed.
   obs::Gauge* peak_live_nodes = nullptr;
   obs::Gauge* plan_cache_size = nullptr;
   // Microsecond samples, recorded by every shard.
   obs::Histogram* latency_us = nullptr;
-  obs::Histogram* gc_pause_us = nullptr;  // no samples, like gc_runs
 };
 
 inline ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry) {
@@ -328,13 +322,10 @@ inline ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry) {
   for (const auto& c : kCounters) {
     this->*c.handle = registry->GetCounter(c.name);
   }
-  live_nodes = registry->GetGauge("serve.live_nodes");
   peak_live_nodes = registry->GetGauge("serve.peak_live_nodes");
   plan_cache_size = registry->GetGauge("plan_cache.size");
   latency_us = registry->GetHistogram(
       "serve.latency_us", "End-to-end request latency in microseconds");
-  gc_pause_us = registry->GetHistogram(
-      "serve.gc_pause_us", "Garbage-collection pause in microseconds");
 }
 
 }  // namespace ctsdd

@@ -15,7 +15,8 @@
 //
 // Both return "keep going?" and never block. Once tripped, every
 // subsequent lease is denied and `tripped()` / `token()` read true, so
-// concurrent workers in a parallel region all observe the abort promptly.
+// concurrent workers (the SDD semantic compiler's planners) all observe
+// the abort promptly.
 // The tripped flag is exposed as a raw `const std::atomic<bool>*` token
 // so cancellation can be threaded into exec::ParallelFor without the
 // callee knowing about budgets.

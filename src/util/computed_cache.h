@@ -9,31 +9,19 @@
 // slot bound, so memory stays bounded no matter how long an operation
 // sequence runs (the guarantee the unbounded std::unordered_map caches it
 // replaces could not give). The cache lives as long as its manager,
-// which lives for one compile, so nothing ever clears it.
-//
-// Concurrent protocol (exec-managed parallel regions): BeginConcurrent()
-// freezes the slot array (growth would move entries under readers) and
-// arms a lock stripe; LookupC/StoreC guard each probe with the spinlock
-// of the slot's stripe — a slot maps to exactly one stripe, so one short
-// critical section covers the whole read-check or overwrite. Losing an
-// entry to a racing overwrite only costs recomputation, exactly like
-// eviction. Sequential Lookup/Store never touch a lock and are unchanged;
-// the two protocols must not interleave (the managers' parallel-region
-// contract).
+// which lives for one compile, so nothing ever clears it. Single-owner,
+// like the managers that hold it (util/thread_check.h).
 
 #ifndef CTSDD_UTIL_COMPUTED_CACHE_H_
 #define CTSDD_UTIL_COMPUTED_CACHE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "util/mem_governor.h"
-#include "util/spinlock.h"
 
 namespace ctsdd {
 
@@ -67,10 +55,9 @@ class ComputedCache {
 
   // Attaches the governor account. Cache growth is *discretionary*: a
   // miss only costs recomputation, so above the soft watermark the
-  // governor denies doubling (and clamps presizes) instead of being
-  // charged for it — the one layer that sheds by simply not growing.
-  // Sequential-context only (growth never happens inside the striped
-  // protocol).
+  // governor denies doubling (and clamps the lazy first array) instead
+  // of being charged for it — the one layer that sheds by simply not
+  // growing.
   void SetMemAccount(MemAccount* account) {
     if (account_ != nullptr && charged_bytes_ > 0) {
       account_->Charge(MemLayer::kCache,
@@ -87,12 +74,8 @@ class ComputedCache {
 
   size_t num_slots() const { return slots_.size(); }
   size_t max_slots() const { return max_slots_; }
-  uint64_t lookups() const {
-    return lookups_ + c_lookups_.load(std::memory_order_relaxed);
-  }
-  uint64_t hits() const {
-    return hits_ + c_hits_.load(std::memory_order_relaxed);
-  }
+  uint64_t lookups() const { return lookups_; }
+  uint64_t hits() const { return hits_; }
 
   bool Lookup(uint64_t hash, const Key& key, Value* out) {
     ++lookups_;
@@ -138,66 +121,8 @@ class ComputedCache {
     slot.stamp = kFilled;
   }
 
-  // --- Concurrent protocol (see file comment) ---------------------------
-
-  // Arms the stripe locks and pre-sizes the array to at least
-  // `min_slots` (clamped to the bound, at least one slot per stripe):
-  // the array cannot grow while stripes are live, so warm-up thrash
-  // would otherwise be locked in for the whole region.
-  void BeginConcurrent(size_t min_slots) {
-    if (locks_ == nullptr) {
-      locks_ = std::make_unique<SpinLock[]>(kStripes);
-    }
-    size_t target = std::max<size_t>(min_slots, kStripes);
-    target = std::min(target, max_slots_);
-    size_t init = init_slots_;
-    // The presize is a warm-up optimization (the array is frozen for the
-    // region, so thrash would be locked in); under pressure the governor
-    // trades that thrash for bytes. One slot per stripe stays mandatory.
-    if (!AllowGrowthTo(std::max(target, init))) {
-      target = std::min<size_t>(std::max<size_t>(kStripes, kInitialSlots),
-                                max_slots_);
-      init = target;
-    }
-    if (slots_.empty()) {
-      size_t n = init;
-      while (n < target) n <<= 1;
-      slots_.resize(std::min(n, max_slots_));
-    }
-    while (slots_.size() < target) Grow();
-    SyncBytes();
-    concurrent_ = true;
-  }
-
-  void EndConcurrent() { concurrent_ = false; }
-  bool concurrent() const { return concurrent_; }
-
-  bool LookupC(uint64_t hash, const Key& key, Value* out) {
-    c_lookups_.fetch_add(1, std::memory_order_relaxed);
-    const size_t index = hash & (slots_.size() - 1);
-    SpinLockGuard guard(locks_[index & (kStripes - 1)]);
-    const Slot& slot = slots_[index];
-    if (slot.stamp == kFilled && slot.key == key) {
-      *out = slot.value;
-      c_hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-
-  void StoreC(uint64_t hash, Key key, Value value) {
-    const size_t index = hash & (slots_.size() - 1);
-    SpinLockGuard guard(locks_[index & (kStripes - 1)]);
-    Slot& slot = slots_[index];
-    slot.hash = hash;
-    slot.key = std::move(key);
-    slot.value = std::move(value);
-    slot.stamp = kFilled;
-  }
-
  private:
   static constexpr size_t kInitialSlots = 1 << 8;
-  static constexpr size_t kStripes = 64;
   static constexpr uint32_t kFilled = 1;
 
   struct Slot {
@@ -246,13 +171,6 @@ class ComputedCache {
   uint64_t lookups_ = 0;
   uint64_t hits_ = 0;
   uint64_t evictions_ = 0;
-  // Concurrent-protocol state: stripe locks (allocated on first use) and
-  // counters kept separate so the sequential hot path never pays an
-  // atomic increment.
-  std::unique_ptr<SpinLock[]> locks_;
-  bool concurrent_ = false;
-  std::atomic<uint64_t> c_lookups_{0};
-  std::atomic<uint64_t> c_hits_{0};
 };
 
 }  // namespace ctsdd

@@ -36,9 +36,10 @@
 // before anything is allocated, so accounted bytes never cross the hard
 // watermark.
 //
-// Threading. A manager is single-owner: debug builds assert that every
-// entry point runs on one thread. Attach* calls run outside operations
-// (and outside SDD parallel regions).
+// Threading. A manager is single-owner, with no exception: debug builds
+// assert that every entry point runs on one thread. Attach* calls run
+// outside operations. The SDD semantic compiler's pool workers compute
+// partitions without touching the manager (sdd/sdd_compile.cc).
 //
 // ManagerCore<M> is a non-virtual CRTP base. M reaches it through a
 // friend declaration and supplies:
@@ -47,7 +48,6 @@
 //   ResetLeases()           zeroes its lease counters
 //   AccountStructures(a)    points its byte-owning structures at `a`
 //   MemoryBytes()           recomputed accounted bytes
-// and may shadow CheckOutsideRegion (default: no regions).
 
 #ifndef CTSDD_UTIL_MANAGER_CORE_H_
 #define CTSDD_UTIL_MANAGER_CORE_H_
@@ -84,15 +84,13 @@ class ManagerCore {
   NodeId True() const { return kTrue; }
 
   // Node slots created so far, terminals included. The store only grows,
-  // so this is also the manager's peak. SDD parallel regions leave the
-  // unused tails of their id blocks as holes (at most one 128-id block
-  // per worker per region), which count here.
+  // so this is also the manager's peak.
   int NumNodes() const { return static_cast<int>(self().nodes_.size()); }
 
   // --- Executor -----------------------------------------------------------
 
   // Lends the manager a work-stealing pool for the SDD semantic
-  // compiler's parallel region. ObddManager never forks and ignores it.
+  // compiler's partition planning. ObddManager never forks and ignores it.
   void AttachExecutor(exec::TaskPool* pool) { pool_ = pool; }
   exec::TaskPool* executor() const { return pool_; }
 
@@ -135,14 +133,13 @@ class ManagerCore {
   Manager& self() { return static_cast<Manager&>(*this); }
   const Manager& self() const { return static_cast<const Manager&>(*this); }
 
-  // Attach* calls run on the owning thread, outside every operation and
-  // parallel region. They are the manager's quiescent points, so debug
-  // builds check there that the attached account agrees exactly with
-  // the recomputed per-structure bytes.
+  // Attach* calls run on the owning thread, outside every operation.
+  // They are the manager's quiescent points, so debug builds check there
+  // that the attached account agrees exactly with the recomputed
+  // per-structure bytes.
   void CheckQuiescent(const char* what) const {
     thread_check_.Check();
     CTSDD_CHECK_EQ(op_depth_, 0) << what << " inside an operation";
-    self().CheckOutsideRegion(what);
 #ifndef NDEBUG
     if (mem_account_ != nullptr) {
       CTSDD_CHECK_EQ(mem_account_->bytes(),
@@ -151,7 +148,6 @@ class ManagerCore {
     }
 #endif
   }
-  void CheckOutsideRegion(const char*) const {}
 
   // Refills `*lease` (the caller's lease counter) from the attached
   // budget after the governor's admission check; false when either
@@ -228,7 +224,7 @@ class ManagerCore {
   // table doubling, the memos doubling (their bytes come from the
   // account's atomic per-layer counter, not a walk), and fresh store and
   // arena chunks. Trips the budget with the memory-pressure marker on
-  // denial. Safe from SDD region workers.
+  // denial.
   bool AdmitMemGrowth() {
     if (mem_governor_ == nullptr || !mem_governor_->enabled()) return true;
     const uint64_t burst =

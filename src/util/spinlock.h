@@ -1,9 +1,9 @@
-// Minimal test-and-test-and-set spinlock for the lock-striped cache paths.
+// Minimal test-and-test-and-set spinlock for the trace ring buffers.
 //
-// The striped critical sections it guards are a handful of loads/stores
-// (one cache slot probe or update), far below the cost of parking a
-// thread, so a spinlock beats std::mutex there; everything long-lived
-// (worker parking, resize) uses real mutexes. Acquire/release ordering
+// The critical sections it guards are a handful of loads/stores (one
+// event append or a drain), far below the cost of parking a thread, so a
+// spinlock beats std::mutex there; everything long-lived (worker
+// parking) uses real mutexes. Acquire/release ordering
 // makes the guarded writes visible to the next holder — and keeps
 // ThreadSanitizer able to reason about the happens-before edges.
 

@@ -1,7 +1,7 @@
 // Unit tests for the exec/ work-stealing runtime: the Chase–Lev deque's
 // exactly-once removal guarantee, fork/join correctness (including nested
-// forks and external-thread participation), and the ParallelRegion
-// shared-mode escape of the owning-thread assertion.
+// forks and external-thread participation), and the owning-thread
+// assertion.
 
 #include <algorithm>
 #include <atomic>
@@ -149,59 +149,11 @@ TEST(TaskPoolTest, ManyPoolsSequentially) {
   }
 }
 
-TEST(ThreadCheckTest, ParallelRegionSuspendsOwnership) {
-  ThreadChecker checker;
-  checker.Check();  // bind to this thread
-  {
-    ParallelRegion region(checker);
-    // Inside the region every thread passes, including ones that never
-    // touched the checker before.
-    std::thread other([&] { checker.Check(); });
-    other.join();
-    checker.Check();
-  }
-  // After the region the checker re-arms and rebinds to the next caller.
-  checker.Check();
-}
-
-TEST(ThreadCheckTest, ParallelRegionsNest) {
-  ThreadChecker checker;
-  {
-    ParallelRegion outer(checker);
-    {
-      ParallelRegion inner(checker);
-      std::thread other([&] { checker.Check(); });
-      other.join();
-    }
-    // Still inside the outer region: other threads remain legal.
-    std::thread other([&] { checker.Check(); });
-    other.join();
-  }
-  checker.Check();
-}
-
 #ifndef NDEBUG
-TEST(ThreadCheckDeathTest, SecondThreadAbortsOutsideRegion) {
+TEST(ThreadCheckDeathTest, SecondThreadAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ThreadChecker checker;
   checker.Check();
-  EXPECT_DEATH(
-      {
-        std::thread other([&] { checker.Check(); });
-        other.join();
-      },
-      "single-threaded component");
-}
-
-TEST(ThreadCheckDeathTest, ReArmsAfterRegionEnds) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ThreadChecker checker;
-  {
-    ParallelRegion region(checker);
-    std::thread other([&] { checker.Check(); });
-    other.join();
-  }
-  checker.Check();  // rebinds to the main thread
   EXPECT_DEATH(
       {
         std::thread other([&] { checker.Check(); });

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <vector>
 
 #include "circuit/builder.h"
 #include "circuit/eval.h"
@@ -7,6 +8,7 @@
 #include "gtest/gtest.h"
 #include "obdd/obdd.h"
 #include "obdd/obdd_compile.h"
+#include "util/budget.h"
 #include "util/random.h"
 
 namespace ctsdd {
@@ -113,6 +115,39 @@ TEST(ObddCompileTest, FuncAndCircuitRoutesAgree) {
                                                     c, Iota(5)));
     EXPECT_EQ(via_circuit, via_func);
   }
+}
+
+// Functions over more than 20 variables take CompileFuncToObdd's Shannon
+// route (a layered table would hold 2^21 entries): the result counts and
+// evaluates like the BoolFunc, and a budgeted compile aborts cleanly.
+TEST(ObddCompileTest, ShannonRouteBeyondTwentyVariables) {
+  const int n = 21;
+  static_assert(21 <= BoolFunc::kMaxVars);
+  const BoolFunc f =
+      BoolFunc::FromCircuitOver(BandedCnfCircuit(n, 3), Iota(n)) ^
+      BoolFunc::FromCircuitOver(ParityCircuit(n), Iota(n));
+  ASSERT_EQ(f.num_vars(), n);
+  ObddManager m(Iota(n));
+  const auto root = CompileFuncToObdd(&m, f);
+  ASSERT_GE(root, 0);
+  EXPECT_EQ(m.CountModels(root), f.CountModels());
+  Rng rng(2121);
+  std::vector<bool> values(n);
+  for (int probe = 0; probe < 256; ++probe) {
+    for (int i = 0; i < n; ++i) values[i] = rng.NextBool();
+    EXPECT_EQ(m.Evaluate(root, values), f.Eval(values));
+  }
+
+  ObddManager budgeted(Iota(n));
+  WorkBudget budget(8);
+  budgeted.AttachBudget(&budget);
+  EXPECT_EQ(CompileFuncToObdd(&budgeted, f), ObddManager::kAborted);
+  budgeted.DetachBudget();
+  EXPECT_EQ(budget.reason(), StatusCode::kResourceExhausted);
+  const Status valid = budgeted.Validate();
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  EXPECT_EQ(budgeted.CountModels(CompileFuncToObdd(&budgeted, f)),
+            f.CountModels());
 }
 
 TEST(ObddCompileTest, OrderMattersForDisjointness) {

@@ -1,16 +1,19 @@
 // Determinism and correctness with an exec pool attached. The only fork
-// is the SDD semantic compiler's per-cofactor-class fork; its results
-// must be POINTER-IDENTICAL to sequential ones — not merely equivalent —
-// because canonicity hash-conses every node to one id per manager
-// regardless of which worker builds it first. The suite drives randomized
-// compiles in both orders (sequential-then-parallel and
-// parallel-then-sequential), cross-checks semantics against BoolFunc
-// ground truth, and validates SDD invariants on every parallel-built root.
-// Apply operations and the apply-route circuit compilers must ignore an
-// attached pool: same ids, zero pool tasks.
+// is the SDD semantic compiler's per-cofactor-class fork, where workers
+// plan partitions and the owning thread builds every node. Its results
+// must be POINTER-IDENTICAL to sequential ones — not merely equivalent:
+// within one manager because canonicity hash-conses every node to one
+// id, and in a fresh manager because the owner builds in the same order
+// with or without the pool. The suite drives randomized compiles in both
+// orders (sequential-then-parallel and parallel-then-sequential),
+// cross-checks semantics against BoolFunc ground truth, and validates
+// SDD invariants on every parallel-built root. Apply operations and the
+// apply-route circuit compilers must ignore an attached pool: same ids,
+// zero pool tasks.
 
 #include <map>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "exec/task_pool.h"
@@ -178,28 +181,60 @@ TEST(ParallelSddTest, SequentialCountersStillAccumulate) {
   EXPECT_GT(m.counters().element_products, 0u);
 }
 
-// Inside a parallel region the manager admits only Decision; an apply
-// there is a contract violation, caught before it can touch the
-// single-owner apply cache and memo.
-TEST(ParallelSddDeathTest, ApplyInsideRegionAborts) {
+#ifndef NDEBUG
+// The manager is single-owner with no exception: a second thread that
+// builds a node trips the owning-thread assertion, including the two
+// calls the semantic compiler makes (Literal, Decision).
+TEST(ParallelSddDeathTest, SecondThreadBuildingNodesAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SddManager m(Vtree::Balanced(Iota(4)));
+  const auto x = m.Literal(0, true);
+  const auto nx = m.Literal(0, false);
   EXPECT_DEATH(
       {
-        exec::TaskPool pool(2);
-        SddManager m(Vtree::Balanced(Iota(4)));
-        m.AttachExecutor(&pool);
-        const auto x = m.Literal(0, true);
-        const auto y = m.Literal(1, true);
-        m.BeginParallelRegion();
-        (void)m.And(x, y);
+        std::thread other([&] { (void)m.Literal(1, true); });
+        other.join();
       },
-      "Apply inside a parallel region");
+      "single-threaded component");
+  EXPECT_DEATH(
+      {
+        std::thread other([&] {
+          (void)m.Decision(m.vtree().parent(m.vtree().LeafOf(0)),
+                           {{x, SddManager::kTrue}, {nx, SddManager::kFalse}});
+        });
+        other.join();
+      },
+      "single-threaded component");
+}
+#endif  // NDEBUG
+
+// Workers only plan; the owning thread builds every node in the order a
+// pool-free compile does. So a pool-attached compile in a fresh manager
+// creates exactly the node ids of a pool-free one: the same root id and
+// the same NumNodes().
+TEST(ParallelSddTest, PoolCompileCreatesTheSameNodesInAFreshManager) {
+  Rng rng(1729);
+  exec::TaskPool pool(4);
+  for (const int n : {8, 11, 14}) {
+    for (const Vtree& vt : TestVtrees(n, &rng)) {
+      for (int i = 0; i < 3; ++i) {
+        const BoolFunc f = BoolFunc::Random(Iota(n), &rng);
+        SddManager seq(vt);
+        SddManager par(vt);
+        par.AttachExecutor(&pool);
+        const auto seq_root = CompileFuncToSdd(&seq, f);
+        EXPECT_EQ(CompileFuncToSdd(&par, f), seq_root) << "n=" << n;
+        EXPECT_EQ(par.NumNodes(), seq.NumNodes()) << "n=" << n;
+      }
+    }
+  }
 }
 
 // The acceptance workload of the semantic fork: the Appendix-A ISA
 // compile (18 variables, so CompileCircuitToSdd takes the semantic route)
 // must actually run pool tasks, and the parallel-built root must be
-// structurally clean and identical to a sequential recompile.
+// structurally clean, identical to a sequential recompile, and node for
+// node the root of a pool-free compile in a fresh manager.
 TEST(ParallelSddTest, IsaCompileForksAndMatchesSequential) {
   const IsaParams params{2, 4};
   const Circuit circuit = IsaCircuit(params);
@@ -215,7 +250,8 @@ TEST(ParallelSddTest, IsaCompileForksAndMatchesSequential) {
   EXPECT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_EQ(CompileCircuitToSdd(&m, circuit), par_root);
   SddManager seq(IsaVtree(params));
-  EXPECT_EQ(seq.Size(CompileCircuitToSdd(&seq, circuit)), m.Size(par_root));
+  EXPECT_EQ(CompileCircuitToSdd(&seq, circuit), par_root);
+  EXPECT_EQ(seq.NumNodes(), m.NumNodes());
 }
 
 // Circuits wider than kSemanticCircuitMaxVars take the apply route on

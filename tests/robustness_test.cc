@@ -2,7 +2,7 @@
 //
 // An aborted compile must be invisible afterwards: the manager passes its
 // structural Validate(), the node-budget overshoot over the pre-compile
-// node count is bounded (<= B/16 lease slack plus one parallel id block),
+// node count is bounded (<= B/16 lease slack),
 // and a subsequent compile — budgeted or not — produces the same
 // canonical result a never-aborted manager would.
 // Randomized over functions, budgets, vtrees, both managers' sequential
@@ -35,10 +35,9 @@ std::vector<int> Iota(int n) {
   return v;
 }
 
-// Overshoot ceiling from the ISSUE contract: lease slack (budget / 16,
-// leases are capped at 256) plus one parallel allocation id block.
+// Overshoot ceiling: lease slack (budget / 16, leases are capped at 256).
 uint64_t OvershootCeiling(uint64_t budget_nodes) {
-  return budget_nodes + budget_nodes / 16 + 128;
+  return budget_nodes + budget_nodes / 16;
 }
 
 // Interns every literal up front so the budgeted compile under test
@@ -54,16 +53,6 @@ void InternLiterals(SddManager* m, int n) {
     m->Literal(v, true);
     m->Literal(v, false);
   }
-}
-
-// Slots from `from` on that a parallel region left as holes (unused
-// id-block tails, which read as constants): not nodes, so never charged.
-int HolesSince(const SddManager& m, int from) {
-  int holes = 0;
-  for (int id = from; id < m.NumNodes(); ++id) {
-    if (m.node(id).kind == SddManager::Kind::kConst) ++holes;
-  }
-  return holes;
 }
 
 // --- OBDD ------------------------------------------------------------------
@@ -218,11 +207,14 @@ TEST(BudgetAbortTest, SddParallelRandomized) {
     ASSERT_EQ(aborted, SddManager::kAborted) << "budget " << budget_nodes;
     EXPECT_EQ(budget.reason(), StatusCode::kResourceExhausted);
 
-    // The region's unused id-block tails are holes, not nodes: at most
-    // one block per worker, and excluded from the overshoot.
-    const int holes = HolesSince(m, baseline);
-    EXPECT_LE(holes, 128 * pool.workers());
-    EXPECT_LE(static_cast<uint64_t>(m.NumNodes() - baseline - holes),
+    // Every slot the aborted compile created is a node: the owning
+    // thread allocates them one at a time, so no unused id is left as a
+    // hole (a constant-kind slot past the terminals).
+    for (int id = baseline; id < m.NumNodes(); ++id) {
+      EXPECT_NE(m.node(id).kind, SddManager::Kind::kConst)
+          << "hole at " << id;
+    }
+    EXPECT_LE(static_cast<uint64_t>(m.NumNodes() - baseline),
               OvershootCeiling(budget_nodes));
     const Status valid = m.Validate();
     EXPECT_TRUE(valid.ok()) << valid.ToString();

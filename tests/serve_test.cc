@@ -27,6 +27,7 @@
 #include "sdd/sdd.h"
 #include "sdd/sdd_compile.h"
 #include "serve/plan_cache.h"
+#include "serve/quarantine.h"
 #include "serve/query_service.h"
 #include "serve/shard.h"
 #include "serve/signature.h"
@@ -1255,8 +1256,33 @@ TEST(QueryServiceSupervisionTest, ReapedWorkerLeavesNoResidencyInTheTotals) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.supervision.shard_restarts, 1u);
   EXPECT_EQ(stats.totals.plan_cache_size, service.plan_stats()->live_plans());
-  EXPECT_EQ(stats.totals.live_nodes, 0);
   EXPECT_EQ(stats.totals.mem_bytes, 0u);
+}
+
+// The quarantine map is bounded: at capacity, a strike on a new
+// signature evicts the entry struck longest ago, which is then admitted
+// again while the newer entries stay quarantined.
+TEST(QuarantineTest, CapacityEvictsTheEarliestStruckSignature) {
+  Quarantine::Options options;
+  options.threshold = 1;
+  options.capacity = 2;
+  options.parole_ms = 1e7;  // no parole window opens in this test
+  options.parole_max_ms = 1e7;
+  Quarantine quarantine(options);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto at = [&](int ms) { return t0 + std::chrono::milliseconds(ms); };
+  quarantine.ReportExhausted(/*query_sig=*/1, /*db_sig=*/7, at(0));
+  quarantine.ReportExhausted(2, 7, at(1));
+  EXPECT_EQ(quarantine.counters().entries, 2u);
+  quarantine.ReportExhausted(3, 7, at(2));
+  EXPECT_EQ(quarantine.counters().entries, 2u);
+  EXPECT_EQ(quarantine.counters().strikes, 3u);
+  EXPECT_EQ(quarantine.Admit(1, 7, at(3), nullptr),
+            Quarantine::Admission::kAdmit);
+  EXPECT_EQ(quarantine.Admit(2, 7, at(3), nullptr),
+            Quarantine::Admission::kReject);
+  EXPECT_EQ(quarantine.Admit(3, 7, at(3), nullptr),
+            Quarantine::Admission::kReject);
 }
 
 // A signature whose compiles exhaust the budget on both ladder routes
@@ -1486,8 +1512,8 @@ constexpr const char* kPublishedMetricNames[] = {
     "quarantine.parole_successes", "quarantine.parole_trials",
     "quarantine.rejects", "quarantine.strikes", "serve.budget_aborts",
     "serve.compiles", "serve.duplicate_skips", "serve.failures",
-    "serve.fallbacks", "serve.gc_pause_us", "serve.latency_us",
-    "serve.live_nodes", "serve.peak_live_nodes", "serve.rejected_memory",
+    "serve.fallbacks", "serve.latency_us", "serve.peak_live_nodes",
+    "serve.rejected_memory",
     "serve.rejected_quarantine", "serve.requests", "serve.sheds",
     "serve.timeouts", "supervision.deaths_detected",
     "supervision.failed_on_restart", "supervision.hangs_detected",
@@ -1592,7 +1618,6 @@ TEST(QueryServiceMetricsTest, StatsAreTheExportedMetrics) {
       {"serve.mem_aborts", s.totals.mem_aborts},
       {"serve.pressure_evictions", s.totals.pressure_evictions},
       {"mem.bytes", s.totals.mem_bytes},
-      {"serve.live_nodes", s.totals.live_nodes},
       {"serve.peak_live_nodes", s.totals.peak_live_nodes},
       {"plan_cache.size", s.totals.plan_cache_size},
       {"supervision.hangs_detected", s.supervision.hangs_detected},
