@@ -19,12 +19,23 @@ constexpr uint64_t kIndexBitSet[6] = {
     0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
 };
 
+// A disjunction's fold-bucket operand that is a single conjunction
+// prime ∧ sub, at key position `pos`; ordered by (sub, pos).
+struct Conjunct {
+  SddManager::NodeId sub;
+  size_t pos;
+  SddManager::NodeId prime;
+  bool operator<(const Conjunct& o) const {
+    return sub != o.sub ? sub < o.sub : pos < o.pos;
+  }
+};
+
 }  // namespace
 
 SddManager::SddManager(Vtree vtree, Options options)
     : vtree_(std::move(vtree)),
       apply_cache_(options.apply_cache_slots),
-      sem_cache_(options.sem_cache_slots, options.sem_cache_init_slots) {
+      sem_cache_(options.sem_cache_slots) {
   CTSDD_CHECK_GE(vtree_.root(), 0) << "vtree must be rooted";
   // Small anchors: topmost ancestor (parents before children) whose scope
   // still fits one truth-table word.
@@ -48,7 +59,7 @@ SddManager::SddManager(Vtree vtree, Options options)
       stack.push_back(vtree_.left(v));
     }
   }
-  // Postorder (left subtree, right subtree, node) for AndN's bucket fold.
+  // Postorder (left subtree, right subtree, node) for the AndN/OrN fold.
   postorder_of_vnode_.assign(vtree_.num_nodes(), 0);
   uint32_t next_post = 0;
   std::vector<std::pair<int, bool>> todo = {{vtree_.root(), false}};
@@ -236,8 +247,8 @@ SddManager::NodeId SddManager::MakeDecision(int vnode, Elements* elements_in) {
   // Compress: merge elements with equal subs by disjoining their primes.
   // Sorting by sub turns compression into one linear merge over the runs;
   // each run's primes (pairwise disjoint by construction) fuse with a
-  // single balanced OrN instead of a sequential pairwise-Or chain. All
-  // Apply calls happen before the unique-table probe below, so no table
+  // balanced in-place Or fold instead of a sequential pairwise-Or chain.
+  // All Apply calls happen before the unique-table probe below, so no table
   // operation intervenes between Find and Insert.
   std::sort(elements.begin(), elements.end(),
             [](const Element& x, const Element& y) {
@@ -638,33 +649,42 @@ SddManager::NodeId SddManager::ApplyN(const std::vector<NodeId>& ops, Op op) {
   return result;
 }
 
-SddManager::NodeId SddManager::AndNRec(std::vector<NodeId> ops) {
+SddManager::NodeId SddManager::NaryRec(std::vector<NodeId> ops, Op op) {
   NodeId result;
-  if (NormalizeNaryOps(&ops, Op::kAnd, &result)) return result;
+  if (NormalizeNaryOps(&ops, op, &result)) return result;
   // One n-ary element product: narrow gates canonicalize once instead of
   // paying MakeDecision per binary apply.
-  if (ops.size() <= kNaryFoldArity) return ApplyN(ops, Op::kAnd);
-  // Wide gates fold bottom-up along the vtree. A conjunct joins the fold
-  // at the vtree node it is normalized at, so each intermediate is the
-  // conjunction of one subtree's conjuncts and stays within that subtree's
-  // scope. (Accumulating in circuit order took 4-5.5x the applies on
-  // kc_compile's tree CNFs.)
-  std::vector<uint64_t>& keys = and_fold_keys_;
-  keys.clear();
+  if (ops.size() <= kNaryFoldArity) return ApplyN(ops, op);
+  // Wide gates fold bottom-up along the vtree. An operand joins the fold
+  // at the vtree node it is normalized at, so each intermediate combines
+  // one subtree's operands and stays within that subtree's scope.
+  // (Accumulating conjunctions in circuit order took 4-5.5x the applies
+  // on kc_compile's tree CNFs; n-ary disjunction chunks in a balanced
+  // tree took 5-10x on H0's lineages.) The keys go past any enclosing
+  // fold's, which a grouped disjunction's inner prime fold re-enters.
+  std::vector<uint64_t>& keys = fold_keys_;
+  const size_t base = keys.size();
   for (size_t i = 0; i < ops.size(); ++i) {
     keys.push_back(
         (static_cast<uint64_t>(postorder_of_vnode_[nodes_[ops[i]].vnode])
          << 32) |
         i);
   }
-  std::sort(keys.begin(), keys.end());  // postorder, then operand order
-  return AndFoldRec(ops, 0, keys.size());
+  std::sort(keys.begin() + base, keys.end());  // postorder, operand order
+  result = FoldRec(ops, op, base, keys.size());
+  keys.resize(base);
+  return result;
 }
 
-SddManager::NodeId SddManager::AndFoldRec(const std::vector<NodeId>& ops,
-                                          size_t lo, size_t hi) {
-  const std::vector<uint64_t>& keys = and_fold_keys_;
+SddManager::NodeId SddManager::FoldRec(const std::vector<NodeId>& ops, Op op,
+                                       size_t lo, size_t hi) {
+  const std::vector<uint64_t>& keys = fold_keys_;
   const auto op_at = [&](size_t k) { return ops[keys[k] & 0xffffffffu]; };
+  const NodeId absorbing = (op == Op::kAnd) ? kFalse : kTrue;
+  const NodeId identity = (op == Op::kAnd) ? kTrue : kFalse;
+  const auto combine = [&](NodeId acc, NodeId x) {
+    return (acc == identity) ? x : ApplyRec(acc, x, op);
+  };
   // The LCA of a postorder-sorted set is that of its first and last
   // members, and w's own bucket closes the range (postorder ends each
   // subtree with its root).
@@ -673,7 +693,7 @@ SddManager::NodeId SddManager::AndFoldRec(const std::vector<NodeId>& ops,
   const uint64_t post_w = postorder_of_vnode_[w];
   size_t bucket = hi;
   while (bucket > lo && (keys[bucket - 1] >> 32) == post_w) --bucket;
-  NodeId acc = kTrue;
+  NodeId acc = identity;
   if (bucket > lo) {
     // Keys below w: the left subtree's postorder range precedes the
     // right's. Either half may be empty when w has a bucket.
@@ -684,58 +704,65 @@ SddManager::NodeId SddManager::AndFoldRec(const std::vector<NodeId>& ops,
         std::upper_bound(keys.begin() + lo, keys.begin() + bucket,
                          left_last) -
         keys.begin());
-    if (split > lo) acc = AndFoldRec(ops, lo, split);
-    if (split < bucket && acc != kFalse && acc >= 0) {
-      const NodeId right = AndFoldRec(ops, split, bucket);
-      acc = (acc == kTrue) ? right : ApplyRec(acc, right, Op::kAnd);
+    if (split > lo) acc = FoldRec(ops, op, lo, split);
+    if (split < bucket && acc != absorbing && acc >= 0) {
+      acc = combine(acc, FoldRec(ops, op, split, bucket));
     }
   }
-  for (size_t k = bucket; k < hi && acc != kFalse && acc >= 0; ++k) {
-    acc = (acc == kTrue) ? op_at(k) : ApplyRec(acc, op_at(k), Op::kAnd);
+  // A disjunction's bucket is compressed first (Darwiche 2011): its
+  // single conjunctions p ∧ s, decisions {(p, s), (¬p, ⊥)}, that share a
+  // sub s merge into (p_1 ∨ ... ∨ p_k) ∧ s, so their primes disjoin in
+  // w's left subtree instead of each p_i ∧ s walking the accumulated
+  // disjunction. Then the bucket accumulates in operand order, each group
+  // at its first member's place. (Joining the groups in sub order took
+  // 1.4x the applies on H0's lineage.)
+  const auto single_conjunction = [&](NodeId x, Element* e) {
+    const Node& n = nodes_[x];
+    if (op != Op::kOr || n.kind != Kind::kDecision || n.num_elems != 2 ||
+        (n.elems[0].second == kFalse) == (n.elems[1].second == kFalse)) {
+      return false;
+    }
+    *e = n.elems[n.elems[0].second == kFalse ? 1 : 0];
+    return true;
+  };
+  std::vector<Conjunct> by_sub;
+  Element e;
+  for (size_t k = bucket; k < hi; ++k) {
+    if (single_conjunction(op_at(k), &e)) {
+      by_sub.push_back({e.second, k, e.first});
+    }
+  }
+  std::sort(by_sub.begin(), by_sub.end());
+  for (size_t k = bucket; k < hi && acc != absorbing && acc >= 0; ++k) {
+    NodeId x = op_at(k);
+    if (single_conjunction(x, &e)) {
+      auto it = std::lower_bound(by_sub.begin(), by_sub.end(),
+                                 Conjunct{e.second, 0, kFalse});
+      if (it->pos != k) continue;  // in an earlier member's group
+      std::vector<NodeId> primes;
+      for (; it != by_sub.end() && it->sub == e.second; ++it) {
+        primes.push_back(it->prime);
+      }
+      if (primes.size() > 1) {
+        x = ApplyRec(NaryRec(std::move(primes), Op::kOr), e.second,
+                     Op::kAnd);
+      }
+    }
+    acc = combine(acc, x);
   }
   return acc;
 }
 
-SddManager::NodeId SddManager::OrNRec(std::vector<NodeId> ops) {
-  NodeId result;
-  if (NormalizeNaryOps(&ops, Op::kOr, &result)) return result;
-  // Balanced chunked fold: disjuncts do not constrain each other, so a
-  // sequential accumulator would re-walk an ever-growing DNF-like result
-  // per operand; combining up to kNaryFoldArity scope-adjacent disjuncts
-  // per n-ary product keeps intermediates local and skips their pairwise
-  // canonicalization.
-  while (ops.size() > 1) {
-    size_t next = 0;
-    bool saw_true = false;
-    for (size_t i = 0; i < ops.size() && !saw_true; i += kNaryFoldArity) {
-      const size_t end = std::min(ops.size(), i + kNaryFoldArity);
-      std::vector<NodeId> chunk(ops.begin() + i, ops.begin() + end);
-      NodeId combined;
-      if (!NormalizeNaryOps(&chunk, Op::kOr, &combined)) {
-        combined = ApplyN(chunk, Op::kOr);
-      }
-      saw_true = (combined == kTrue);
-      ops[next++] = combined;
-    }
-    ops.resize(next);
-    if (saw_true) {
-      ops = {kTrue};
-      break;
-    }
-  }
-  return ops[0];
-}
-
 SddManager::NodeId SddManager::AndN(std::vector<NodeId> ops) {
   EnterOp();
-  const NodeId result = AndNRec(std::move(ops));
+  const NodeId result = NaryRec(std::move(ops), Op::kAnd);
   LeaveOp();
   return result;
 }
 
 SddManager::NodeId SddManager::OrN(std::vector<NodeId> ops) {
   EnterOp();
-  const NodeId result = OrNRec(std::move(ops));
+  const NodeId result = NaryRec(std::move(ops), Op::kOr);
   LeaveOp();
   return result;
 }

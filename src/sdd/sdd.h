@@ -68,11 +68,6 @@ namespace ctsdd {
 struct SddOptions {
   size_t apply_cache_slots = 1 << 22;
   size_t sem_cache_slots = 1 << 21;  // (anchor, word) -> node cache
-  // The semantic cache starts at this size instead of growing from the
-  // default 256 slots: a miss there cascades into a whole recompilation
-  // of the missed function, so warm-up thrash is disproportionately
-  // expensive.
-  size_t sem_cache_init_slots = 1 << 14;
 };
 
 // Node ids, roots, budgets and memory accounting are the shared lifecycle
@@ -113,11 +108,12 @@ class SddManager : public ManagerCore<SddManager> {
   // Multi-way conjunction/disjunction with neutral operands dropped and
   // absorbing terminals short-circuited. Up to kNaryFoldArity operands
   // (util/manager_core.h) combine in one n-ary element product. Wider
-  // conjunctions fold bottom-up along the vtree: each conjunct joins the
-  // fold at the vtree node it is normalized at, so every intermediate is
-  // the conjunction of one subtree's conjuncts. Wider disjunctions fold
-  // n-ary chunks in a balanced tree (disjuncts don't constrain each
-  // other, so an accumulator would re-walk a growing DNF).
+  // ones fold bottom-up along the vtree: each operand joins the fold at
+  // the vtree node it is normalized at, so every intermediate combines
+  // one subtree's operands. A disjunction first compresses each node's
+  // operands: single conjunctions p ∧ s sharing a sub s become
+  // (p_1 ∨ ... ∨ p_k) ∧ s, the inner disjunction folding in the node's
+  // left subtree.
   NodeId AndN(std::vector<NodeId> ops);
   NodeId OrN(std::vector<NodeId> ops);
 
@@ -395,13 +391,16 @@ class SddManager : public ManagerCore<SddManager> {
   // free — the caller's sequence is preserved, and only the internal memo
   // key is sorted. Falls back to binary folds past kNaryProductCap.
   NodeId ApplyN(const std::vector<NodeId>& ops, Op op);
-  NodeId AndNRec(std::vector<NodeId> ops);
-  // Conjoins ops[k] for the keys k in and_fold_keys_[lo, hi), which lie
-  // in one vtree subtree: the halves below the keys' LCA w fold first and
-  // are conjoined, then w's own bucket joins in operand order. Empty
-  // halves are skipped, so the recursion follows the keys' LCA tree.
-  NodeId AndFoldRec(const std::vector<NodeId>& ops, size_t lo, size_t hi);
-  NodeId OrNRec(std::vector<NodeId> ops);
+  // AndN/OrN below EnterOp: normalizes, then one ApplyN up to
+  // kNaryFoldArity operands, else the vtree fold over fold_keys_.
+  NodeId NaryRec(std::vector<NodeId> ops, Op op);
+  // Combines ops[k] for the keys k in fold_keys_[lo, hi), which lie in
+  // one vtree subtree: the halves below the keys' LCA w fold first and
+  // are combined, then w's own bucket joins in operand order (for Or,
+  // after merging its single conjunctions by sub). Empty halves are
+  // skipped, so the recursion follows the keys' LCA tree.
+  NodeId FoldRec(const std::vector<NodeId>& ops, Op op, size_t lo,
+                 size_t hi);
   // Shared operand normalization for AndN/OrN/ApplyN: drops identity
   // operands and duplicates, sorts, and detects absorbing terminals and
   // complementary pairs. Returns true if the fold is decided immediately
@@ -487,7 +486,7 @@ class SddManager : public ManagerCore<SddManager> {
   // bounded lossy caches alone cannot guarantee; reset when the
   // outermost operation ends so memory stays bounded per operation.
   ScopedMemo<ApplyKey, NodeId> apply_memo_;
-  // Postorder index of every vtree node (AndN's bucket fold).
+  // Postorder index of every vtree node (the AndN/OrN vtree fold).
   std::vector<uint32_t> postorder_of_vnode_;
   // Small-scope semantic layer (see SmallAnchor): per-vtree-node anchors
   // and masks plus the (anchor, word) -> canonical node cache.
@@ -505,10 +504,10 @@ class SddManager : public ManagerCore<SddManager> {
   // Scratch for NormalizeNaryOps's sorted probe set (that function never
   // re-enters itself, so one buffer suffices).
   std::vector<NodeId> nary_probe_scratch_;
-  // AndNRec's bucket-fold keys, (postorder of the operand's vnode,
-  // operand index) packed per word and sorted; AndNRec never re-enters
-  // itself, so one buffer suffices.
-  std::vector<uint64_t> and_fold_keys_;
+  // The vtree fold's keys, (postorder of the operand's vnode, operand
+  // index) packed per word and sorted. Stack-shaped: a fold appends its
+  // keys past the enclosing fold's and drops them when it returns.
+  std::vector<uint64_t> fold_keys_;
   // Exact memo for n-ary folds within the current top-level operation.
   std::unordered_map<NaryKey, NodeId, NaryKeyHash> nary_memo_;
   // Remaining node allocations pre-charged against the attached budget

@@ -438,29 +438,6 @@ SddManager::NodeId CompileCircuitToSdd(SddManager* manager,
     return CompileFuncToSdd(
         manager, BoolFunc::FromCircuitOver(circuit, circuit.Vars()));
   }
-  // Preorder positions of vtree nodes: inputs of wide gates are sorted by
-  // the position of the vtree node they are normalized at, so that
-  // scope-adjacent operands combine first in the chunked n-ary Or fold.
-  const Vtree& vt = manager->vtree();
-  std::vector<int> preorder(vt.num_nodes(), 0);
-  {
-    int counter = 0;
-    std::vector<int> stack = {vt.root()};
-    while (!stack.empty()) {
-      const int node = stack.back();
-      stack.pop_back();
-      preorder[node] = counter++;
-      if (!vt.is_leaf(node)) {
-        stack.push_back(vt.right(node));
-        stack.push_back(vt.left(node));
-      }
-    }
-  }
-  auto position = [&](SddManager::NodeId id) {
-    if (id < 0) return -1;  // aborted operand (budget trip upstream)
-    const int vnode = manager->VtreeOf(id);
-    return vnode < 0 ? -1 : preorder[vnode];
-  };
   // The apply route runs sequentially even with a pool attached: each
   // gate's fold is too fine-grained for forking to pay.
   std::vector<SddManager::NodeId> value(circuit.num_gates());
@@ -484,17 +461,9 @@ SddManager::NodeId CompileCircuitToSdd(SddManager* manager,
         std::vector<SddManager::NodeId> inputs;
         inputs.reserve(g.inputs.size());
         for (int input : g.inputs) inputs.push_back(value[input]);
-        if (g.kind == GateKind::kOr) {
-          // Or fold: scope-adjacent disjuncts combine first.
-          std::stable_sort(inputs.begin(), inputs.end(),
-                           [&](SddManager::NodeId a, SddManager::NodeId b) {
-                             return position(a) < position(b);
-                           });
-        }
-        // And inputs need no sort: SddManager::AndN schedules wide
-        // conjunctions itself, folding them bottom-up along the vtree
-        // (each conjunct joins at the node it is normalized at, in
-        // circuit order within a node).
+        // No sort: SddManager::AndN/OrN schedule wide gates themselves,
+        // folding them bottom-up along the vtree (each operand joins at
+        // the node it is normalized at, in circuit order within a node).
         value[id] = g.kind == GateKind::kAnd
                         ? manager->AndN(std::move(inputs))
                         : manager->OrN(std::move(inputs));

@@ -29,21 +29,18 @@ namespace ctsdd {
 template <typename Key, typename Value = int32_t>
 class ComputedCache {
  public:
-  // `max_slots` is the hard size bound. The array starts at `init_slots`
+  // `max_slots` is the hard size bound. The array starts at 256 slots
   // (clamped to the bound) and doubles under eviction pressure until it
   // reaches the bound. The slot array is allocated lazily on the first
   // Store, so managers that never exercise an operation (or tiny
   // short-lived managers, of which order-search loops create thousands)
-  // pay nothing for the cache. Raise `init_slots` for caches whose misses
-  // trigger cascading recomputation (e.g. the SDD semantic node cache),
-  // where warm-up thrash at the default size is costlier than the array.
-  explicit ComputedCache(size_t max_slots = 1 << 22,
-                         size_t init_slots = kInitialSlots) {
+  // pay nothing for the cache, and a small compile touches only a few
+  // pages of it. (A pre-sized 512 KB first array for the SDD semantic
+  // cache about doubled serve_cold's median latency in page faults;
+  // src/README.md, the small-scope semantic layer.)
+  explicit ComputedCache(size_t max_slots = 1 << 22) {
     max_slots_ = 2;
     while (max_slots_ < max_slots) max_slots_ <<= 1;
-    init_slots_ = 2;
-    while (init_slots_ < init_slots) init_slots_ <<= 1;
-    init_slots_ = std::min(init_slots_, max_slots_);
   }
 
   ~ComputedCache() {
@@ -55,9 +52,8 @@ class ComputedCache {
 
   // Attaches the governor account. Cache growth is *discretionary*: a
   // miss only costs recomputation, so above the soft watermark the
-  // governor denies doubling (and clamps the lazy first array) instead
-  // of being charged for it — the one layer that sheds by simply not
-  // growing.
+  // governor denies doubling instead of being charged for it — the one
+  // layer that sheds by simply not growing.
   void SetMemAccount(MemAccount* account) {
     if (account_ != nullptr && charged_bytes_ > 0) {
       account_->Charge(MemLayer::kCache,
@@ -91,12 +87,7 @@ class ComputedCache {
 
   void Store(uint64_t hash, Key key, Value value) {
     if (slots_.empty()) {
-      // Under soft-watermark pressure the lazy array comes up at the
-      // floor instead of the tuned init size; misses recompute.
-      const size_t init = AllowGrowthTo(init_slots_)
-                              ? init_slots_
-                              : std::min(init_slots_, kInitialSlots);
-      slots_.resize(init);
+      slots_.resize(std::min(kInitialSlots, max_slots_));
       SyncBytes();
     }
     Slot& slot = slots_[hash & (slots_.size() - 1)];
@@ -165,7 +156,6 @@ class ComputedCache {
 
   std::vector<Slot> slots_;
   size_t max_slots_ = 0;
-  size_t init_slots_ = kInitialSlots;
   size_t charged_bytes_ = 0;
   MemAccount* account_ = nullptr;
   uint64_t lookups_ = 0;

@@ -14,6 +14,9 @@
 #include "compile/pipeline.h"
 #include "compile/sdd_canonical.h"
 #include "compile/widths.h"
+#include "db/lineage.h"
+#include "db/query.h"
+#include "db/query_compile.h"
 #include "func/bool_func.h"
 #include "graph/elimination.h"
 #include "graph/exact_treewidth.h"
@@ -22,7 +25,9 @@
 #include "nnf/checks.h"
 #include "nnf/nnf.h"
 #include "obdd/obdd_compile.h"
+#include "perfbench/serve_inputs.h"
 #include "sdd/sdd_compile.h"
+#include "util/logging.h"
 #include "util/random.h"
 #include "vtree/from_decomposition.h"
 
@@ -486,11 +491,13 @@ TEST(PipelineTest, Result1LinearSizeOnPermutedLadder) {
   EXPECT_GT(static_cast<double>(stats.size) / c.Vars().size(), 24.0);
 }
 
-// `circuit` compiled gate by gate with every And gate a chain of binary
-// Ands in input order: the schedule the wide AndN fold replaced.
+// `circuit` compiled gate by gate with every gate of kind `chained` (kAnd
+// or kOr) a chain of binary applies in input order, the schedule the wide
+// AndN/OrN fold replaced, and every other gate through AndN/OrN.
 template <class Manager>
-typename Manager::NodeId CompileWithAndChains(Manager* manager,
-                                              const Circuit& circuit) {
+typename Manager::NodeId CompileWithChains(Manager* manager,
+                                           const Circuit& circuit,
+                                           GateKind chained) {
   std::vector<typename Manager::NodeId> value(circuit.num_gates());
   for (int id = 0; id < circuit.num_gates(); ++id) {
     const Gate& g = circuit.gate(id);
@@ -502,13 +509,32 @@ typename Manager::NodeId CompileWithAndChains(Manager* manager,
       case GateKind::kVar: value[id] = manager->Literal(g.var, true); break;
       case GateKind::kNot: value[id] = manager->Not(inputs[0]); break;
       case GateKind::kAnd:
-        value[id] = manager->True();
-        for (const auto in : inputs) value[id] = manager->And(value[id], in);
+      case GateKind::kOr:
+        if (g.kind != chained) {
+          value[id] = g.kind == GateKind::kAnd ? manager->AndN(inputs)
+                                               : manager->OrN(inputs);
+          break;
+        }
+        value[id] = g.kind == GateKind::kAnd ? manager->True()
+                                             : manager->False();
+        for (const auto in : inputs) {
+          value[id] = g.kind == GateKind::kAnd ? manager->And(value[id], in)
+                                               : manager->Or(value[id], in);
+        }
         break;
-      case GateKind::kOr: value[id] = manager->OrN(inputs); break;
     }
   }
   return value[circuit.output()];
+}
+
+size_t MaxFanin(const Circuit& c, GateKind kind) {
+  size_t max_fanin = 0;
+  for (int id = 0; id < c.num_gates(); ++id) {
+    if (c.gate(id).kind == kind) {
+      max_fanin = std::max(max_fanin, c.gate(id).inputs.size());
+    }
+  }
+  return max_fanin;
 }
 
 TEST(PipelineTest, WideAndFoldIsNodeIdenticalToTheCircuitOrderChain) {
@@ -533,13 +559,7 @@ TEST(PipelineTest, WideAndFoldIsNodeIdenticalToTheCircuitOrderChain) {
         Family{"tree_cnf_128", TreeCnfCircuit(128), false, 30000}}) {
     SCOPED_TRACE(family.name);
     const Circuit& c = family.circuit;
-    size_t max_and_fanin = 0;
-    for (int id = 0; id < c.num_gates(); ++id) {
-      if (c.gate(id).kind == GateKind::kAnd) {
-        max_and_fanin = std::max(max_and_fanin, c.gate(id).inputs.size());
-      }
-    }
-    ASSERT_GT(max_and_fanin, SddManager::kNaryFoldArity);
+    ASSERT_GT(MaxFanin(c, GateKind::kAnd), SddManager::kNaryFoldArity);
 
     auto vtree = VtreeFromNiceDecomposition(
         c, MakeNice(HeuristicDecomposition(PrimalGraph(c))));
@@ -548,7 +568,7 @@ TEST(PipelineTest, WideAndFoldIsNodeIdenticalToTheCircuitOrderChain) {
     const SddManager::NodeId root = CompileCircuitToSdd(&sdd, c);
     const uint64_t apply_calls = sdd.counters().apply_calls;
     ASSERT_GE(root, 0);
-    EXPECT_EQ(root, CompileWithAndChains(&sdd, c));
+    EXPECT_EQ(root, CompileWithChains(&sdd, c, GateKind::kAnd));
     if (family.max_apply_calls > 0) {
       EXPECT_LE(apply_calls, family.max_apply_calls);
     }
@@ -563,7 +583,80 @@ TEST(PipelineTest, WideAndFoldIsNodeIdenticalToTheCircuitOrderChain) {
     ObddManager obdd(order);
     const ObddManager::NodeId obdd_root = CompileCircuitToObdd(&obdd, c);
     ASSERT_GE(obdd_root, 0);
-    EXPECT_EQ(obdd_root, CompileWithAndChains(&obdd, c));
+    EXPECT_EQ(obdd_root, CompileWithChains(&obdd, c, GateKind::kAnd));
+  }
+}
+
+// The lineage of `query` on a served-shape database over domain [n] with
+// `edges` S-tuples.
+Circuit Lineage(const Ucq& query, int n, int edges, uint64_t seed) {
+  auto lineage =
+      BuildLineage(query, perfbench::RandomContentDb(n, edges, seed));
+  CTSDD_CHECK(lineage.ok());
+  return std::move(lineage).value();
+}
+
+TEST(PipelineTest, WideOrFoldIsNodeIdenticalToTheCircuitOrderChain) {
+  // OrN folds wide disjunctions bottom-up along the vtree, first merging
+  // each vtree node's single conjunctions p ∧ s that share a sub s into
+  // (p_1 ∨ ... ∨ p_k) ∧ s. By canonicity the diagram cannot change, only
+  // the work: each served lineage shape compiles to the very node a
+  // circuit-order chain of binary Ors builds in the same manager, on the
+  // balanced and on the Lemma 1 vtree. Every lineage has more than
+  // kSemanticCircuitMaxVars variables, so it compiles by apply.
+  struct Lineages {
+    const char* name;
+    Circuit circuit;
+  };
+  for (const Lineages& lineage :
+       {Lineages{"h0_6", Lineage(NonHierarchicalH0Query(), 6, 18, 7)},
+        Lineages{"inequality_5", Lineage(InequalityExampleQuery(), 5, 15, 7)},
+        Lineages{"hierarchical_rs_8",
+                 Lineage(HierarchicalRSQuery(), 8, 32, 7)}}) {
+    const Circuit& c = lineage.circuit;
+    ASSERT_GT(MaxFanin(c, GateKind::kOr), SddManager::kNaryFoldArity);
+    ASSERT_GT(static_cast<int>(c.Vars().size()), kSemanticCircuitMaxVars);
+    for (const VtreeStrategy strategy :
+         {VtreeStrategy::kBalanced, VtreeStrategy::kFromTreewidth}) {
+      SCOPED_TRACE(std::string(lineage.name) +
+                   (strategy == VtreeStrategy::kBalanced ? "/balanced"
+                                                         : "/lemma1"));
+      auto vtree = VtreeForStrategy(c, c.Vars(), strategy);
+      ASSERT_TRUE(vtree.ok());
+      SddManager sdd(std::move(vtree).value());
+      const SddManager::NodeId root = CompileCircuitToSdd(&sdd, c);
+      ASSERT_GE(root, 0);
+      EXPECT_EQ(root, CompileWithChains(&sdd, c, GateKind::kOr));
+      EXPECT_TRUE(sdd.Validate().ok());
+    }
+  }
+}
+
+TEST(PipelineTest, WideOrFoldApplyCeilings) {
+  // The fold's work on two served lineages, balanced vtree, no pool (the
+  // apply route and its counters are deterministic). H0 is kc_compile's
+  // "H0 on the serving route" entry: the chunked balanced fold took
+  // 1,763,608 applies, the vtree fold takes 329,310 (420,684 without
+  // merging single conjunctions by sub). The inequality lineage, serve's
+  // widest SDD compile: 160,400 chunked, 103,463 ungrouped, 13,571
+  // grouped.
+  struct Ceiling {
+    const char* name;
+    Circuit circuit;
+    uint64_t max_apply_calls;
+  };
+  for (const Ceiling& ceiling :
+       {Ceiling{"h0_kc_compile", Lineage(NonHierarchicalH0Query(), 7, 28, 7),
+                400000},
+        Ceiling{"inequality_8", Lineage(InequalityExampleQuery(), 8, 32, 7),
+                20000}}) {
+    SCOPED_TRACE(ceiling.name);
+    const Circuit& c = ceiling.circuit;
+    auto vtree = VtreeForStrategy(c, c.Vars(), VtreeStrategy::kBalanced);
+    ASSERT_TRUE(vtree.ok());
+    SddManager sdd(std::move(vtree).value());
+    ASSERT_GE(CompileCircuitToSdd(&sdd, c), 0);
+    EXPECT_LE(sdd.counters().apply_calls, ceiling.max_apply_calls);
   }
 }
 

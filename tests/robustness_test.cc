@@ -353,6 +353,40 @@ TEST(BudgetAbortTest, WideAndNAbortsInsideTheFold) {
   ExpectWideAndNAbortsCleanly(&sdd, &sdd_account, n);
 }
 
+// A wide OrN whose operands are all single conjunctions p_i ∧ s at the
+// vtree root, sharing the sub s, is one group: the fold's first apply runs
+// inside the group's inner prime disjunction p_0 ∨ ... ∨ p_13, itself a
+// fold past kNaryFoldArity, and a tiny budget trips there. The unwind is
+// clean, and the unbudgeted OrN then equals the binary chain.
+TEST(BudgetAbortTest, WideOrNAbortsInsideAGroupsPrimeFold) {
+  const int n = 32;
+  MemAccount account;  // outlives the manager, which releases into it
+  SddManager m(Vtree::Balanced(Iota(n)));
+  m.AttachMemAccount(&account);
+  // Balanced over 0..31: the root splits 0..15 from 16..31.
+  const auto s = m.AndN({m.Literal(16, true), m.Literal(31, false)});
+  std::vector<SddManager::NodeId> primes, ops;
+  for (int i = 0; i + 2 < n / 2; ++i) {
+    primes.push_back(m.AndN({m.Literal(i, true), m.Literal(i + 1, true),
+                             m.Literal(i + 2, false)}));
+    ops.push_back(m.And(primes.back(), s));
+  }
+  ASSERT_GT(primes.size(), SddManager::kNaryFoldArity);
+  const int baseline = m.NumNodes();
+  WorkBudget tiny(2);
+  m.AttachBudget(&tiny);
+  EXPECT_EQ(m.OrN(ops), SddManager::kAborted);
+  m.DetachBudget();  // debug builds also check the accounting here
+  EXPECT_LE(static_cast<uint64_t>(m.NumNodes() - baseline),
+            OvershootCeiling(2));
+  EXPECT_TRUE(m.Validate().ok());
+  EXPECT_EQ(account.bytes(), static_cast<uint64_t>(m.MemoryBytes()));
+  auto chain = m.False();
+  for (const auto op : ops) chain = m.Or(chain, op);
+  EXPECT_EQ(m.OrN(ops), chain);
+  EXPECT_EQ(chain, m.And(m.OrN(primes), s));
+}
+
 // --- Fault injection -------------------------------------------------------
 
 TEST(FaultInjectionTest, CancelsCompileAtNthAllocation) {

@@ -142,7 +142,6 @@ TEST(SddSemanticTest, TinySemanticCacheNeverChangesResults) {
     SddManager::Options tiny;
     tiny.apply_cache_slots = 2;
     tiny.sem_cache_slots = 2;
-    tiny.sem_cache_init_slots = 2;
     const Vtree vt = Vtree::Random(Iota(6), &rng);
     SddManager a(vt);
     SddManager b(vt, tiny);

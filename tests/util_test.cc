@@ -114,15 +114,18 @@ TEST(RngTest, DoubleInUnitInterval) {
 }
 
 TEST(ComputedCacheTest, GrowthStaysWithinBound) {
-  ComputedCache<int, int> cache(/*max_slots=*/1 << 6, /*init_slots=*/1 << 2);
+  ComputedCache<int, int> cache(/*max_slots=*/1 << 10);
+  // The first Store allocates the 256-slot floor.
+  cache.Store(HashMix64(0), 0, 0);
+  EXPECT_EQ(cache.num_slots(), static_cast<size_t>(1 << 8));
   // Conflicting stores (keys hashed densely) pile up live-entry
   // evictions, which double the array, but never past the bound.
-  for (int i = 0; i < 1024; ++i) cache.Store(HashMix64(i), i, i);
-  EXPECT_GT(cache.num_slots(), static_cast<size_t>(1 << 2));
-  EXPECT_LE(cache.num_slots(), static_cast<size_t>(1 << 6));
+  for (int i = 1; i < 16384; ++i) cache.Store(HashMix64(i), i, i);
+  EXPECT_GT(cache.num_slots(), static_cast<size_t>(1 << 8));
+  EXPECT_LE(cache.num_slots(), static_cast<size_t>(1 << 10));
   int out;
-  ASSERT_TRUE(cache.Lookup(HashMix64(1023), 1023, &out));
-  EXPECT_EQ(out, 1023);
+  ASSERT_TRUE(cache.Lookup(HashMix64(16383), 16383, &out));
+  EXPECT_EQ(out, 16383);
 }
 
 TEST(RngTest, BoolProbabilityRoughlyRespected) {
