@@ -3,8 +3,8 @@
 // (no pool attached), then with a TaskPool of 1/2/4/8 workers attached to
 // the manager. The 1-worker configuration spawns no threads and routes
 // through the sequential code path, so its time vs `seq` bounds the attach
-// overhead; the larger pools exercise the concurrent unique-table/cache
-// protocols and the fork-join recursion.
+// overhead; the larger pools exercise ParallelFor's nested batches (the
+// workers plan partitions, the owning thread builds every node).
 //
 // Speedups are real parallelism measurements and therefore bounded by the
 // host: the JSON's meta section records host_cores, and on a single-core

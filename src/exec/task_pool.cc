@@ -3,65 +3,30 @@
 #include <algorithm>
 #include <string>
 
-#include "util/hashing.h"
-#include "util/logging.h"
+#include "obs/trace.h"
 
 namespace ctsdd::exec {
-namespace {
 
-// Pool instances are distinguished by a monotone id, not by address: a
-// thread_local slot record that matched on address alone could bind a
-// stale slot when a destroyed pool's storage is reused by a new one.
-std::atomic<uint64_t> g_pool_ids{1};
+// One forked ParallelFor, on its forker's stack. `next` is claimed with
+// fetch_add (by the forker without the lock, by helpers under mu_ while
+// the batch is listed); `finished` counts indices in [1, n) that are done
+// or skipped, and its release increment is a helper's last access.
+struct TaskPool::Batch {
+  IndexFn run;
+  const void* fn;
+  size_t n;
+  const std::atomic<bool>* cancel;
+  obs::TraceContext trace_ctx;
+  std::thread::id forker;
+  std::atomic<size_t> next{1};
+  std::atomic<size_t> finished{0};
 
-uint64_t NextRandom(uint64_t* state) {
-  *state = HashMix64(*state + 0x9e3779b97f4a7c15ULL);
-  return *state;
-}
-
-struct PoolIdentity {
-  const void* pool = nullptr;
-  uint64_t pool_id = 0;
-  int slot = -1;
+  bool Cancelled() const {
+    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+  }
 };
 
-// A thread rarely touches more than one live pool; four records cover
-// tests that cycle pools without any registry locking on the hot path.
-thread_local PoolIdentity tl_slots[4];
-
-}  // namespace
-
-int TaskPool::CurrentSlot() {
-  // The cheap path: re-find this pool's identity record.
-  for (PoolIdentity& r : tl_slots) {
-    if (r.pool == this && r.pool_id == id_) return r.slot;
-  }
-  // First contact: claim an external slot and an identity record (a
-  // stale record — destroyed pool, or this pool before a record was
-  // evicted — is safe to overwrite; slot numbers are monotone, so a
-  // re-claim burns a slot number but never aliases a live one).
-  const int slot = next_external_slot_.fetch_add(1, std::memory_order_relaxed);
-  CTSDD_CHECK_LT(slot, kMaxSlots)
-      << "too many distinct threads forked through one TaskPool";
-  for (PoolIdentity& r : tl_slots) {
-    if (r.pool == nullptr || r.pool == this) {
-      r = {this, id_, slot};
-      return slot;
-    }
-  }
-  tl_slots[0] = {this, id_, slot};
-  return slot;
-}
-
-TaskPool::TaskPool(int workers)
-    : workers_(workers < 1 ? 1 : workers),
-      id_(g_pool_ids.fetch_add(1, std::memory_order_relaxed)),
-      next_external_slot_(workers_ - 1) {
-  CTSDD_CHECK_LE(workers_, kMaxSlots);
-  deques_.reserve(kMaxSlots);
-  for (int i = 0; i < kMaxSlots; ++i) {
-    deques_.push_back(std::make_unique<WorkStealingDeque>());
-  }
+TaskPool::TaskPool(int workers) : workers_(workers < 1 ? 1 : workers) {
   threads_.reserve(workers_ - 1);
   for (int i = 0; i + 1 < workers_; ++i) {
     threads_.emplace_back(&TaskPool::WorkerLoop, this, i);
@@ -77,93 +42,92 @@ TaskPool::~TaskPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void TaskPool::Fork(Task* task) {
-  const int slot = CurrentSlot();
-  if (obs::TraceArmed()) {
-    // Capture before the push makes the task stealable: a thief may run
-    // it the instant it lands in the deque.
-    task->trace_ctx = obs::CurrentContext();
-    task->forked_slot = slot;
+TaskPool::Batch* TaskPool::ClaimLocked(size_t* index) {
+  for (Batch* b : open_) {
+    if (b->next.load(std::memory_order_relaxed) >= b->n) continue;
+    const size_t i = b->next.fetch_add(1, std::memory_order_relaxed);
+    if (i < b->n) {
+      *index = i;
+      return b;
+    }
   }
-  deques_[slot]->Push(task);
-  pending_.fetch_add(1, std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    // Lock before notify so a worker between its predicate check and its
-    // wait cannot miss the signal.
+  return nullptr;
+}
+
+void TaskPool::RunIndex(Batch* batch, size_t i) {
+  const bool stolen = batch->forker != std::this_thread::get_id();
+  if (stolen) steals_.fetch_add(1, std::memory_order_relaxed);
+  if (!batch->Cancelled()) {
+    if (obs::TraceArmed()) {
+      obs::TraceSpan span("exec", "exec.task", batch->trace_ctx);
+      span.AddArg("stolen", stolen ? 1 : 0);
+      batch->run(batch->fn, i);
+    } else {
+      batch->run(batch->fn, i);
+    }
+  }
+  batch->finished.fetch_add(1, std::memory_order_release);
+}
+
+void TaskPool::ForkJoin(size_t n, const std::atomic<bool>* cancel,
+                        IndexFn run, const void* fn) {
+  Batch batch{run, fn, n, cancel, {}, std::this_thread::get_id()};
+  if (obs::TraceArmed()) batch.trace_ctx = obs::CurrentContext();
+  tasks_run_.fetch_add(n - 1, std::memory_order_relaxed);
+  int wake = 0;
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    cv_.notify_one();
+    open_.push_back(&batch);
+    wake = static_cast<int>(std::min<size_t>(sleepers_, n - 1));
   }
-}
+  for (int k = 0; k < wake; ++k) cv_.notify_one();
 
-Task* TaskPool::PopLocal() {
-  void* item = deques_[CurrentSlot()]->Pop();
-  if (item == nullptr) return nullptr;
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  return static_cast<Task*>(item);
-}
-
-bool TaskPool::TryRunOne(uint64_t* rng_state) {
-  const int self = CurrentSlot();
-  // Own deque first (LIFO locality), then a randomized victim sweep. The
-  // victim bound tracks the claimed-slot high-water mark so idle scans do
-  // not walk 64 forever-empty deques.
-  void* item = deques_[self]->Pop();
-  if (item == nullptr) {
-    const int limit = std::min<int>(
-        kMaxSlots, next_external_slot_.load(std::memory_order_relaxed));
-    const int start =
-        limit > 0 ? static_cast<int>(NextRandom(rng_state) % limit) : 0;
-    for (int k = 0; k < limit && item == nullptr; ++k) {
-      const int victim = start + k < limit ? start + k : start + k - limit;
-      if (victim == self) continue;
-      item = deques_[victim]->Steal();
-      if (item != nullptr) steals_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (item == nullptr) return false;
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  RunTask(static_cast<Task*>(item));
-  return true;
-}
-
-void TaskPool::Join(Task* task) {
-  uint64_t rng = reinterpret_cast<uintptr_t>(task) | 1;
-  int idle_rounds = 0;
-  while (!task->done()) {
-    if (TryRunOne(&rng)) {
-      idle_rounds = 0;
-      continue;
-    }
-    // Nothing stealable but the joined task is still running elsewhere:
-    // yield so its thread gets the core (essential on few-core hosts).
-    if (++idle_rounds >= 2) std::this_thread::yield();
-  }
-}
-
-void TaskPool::WorkerLoop(int slot) {
-  // Bind this worker's identity record so CurrentSlot() is a hit.
-  tl_slots[0] = {this, id_, slot};
-  obs::SetCurrentThreadName("exec-" + std::to_string(slot));
-  uint64_t rng = 0x2545f4914f6cdd1dULL + static_cast<uint64_t>(slot);
-  int idle_rounds = 0;
+  if (!batch.Cancelled()) run(fn, 0);
   for (;;) {
-    if (TryRunOne(&rng)) {
-      idle_rounds = 0;
-      continue;
+    const size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n) break;
+    RunIndex(&batch, i);
+  }
+  // Every index is claimed: unlist the batch so no helper can reach it,
+  // then help the oldest open batches until the claimed ones finish.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_.erase(std::find(open_.begin(), open_.end(), &batch));
+  }
+  while (batch.finished.load(std::memory_order_acquire) < n - 1) {
+    Batch* other = nullptr;
+    size_t i = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      other = ClaimLocked(&i);
     }
-    if (++idle_rounds < 64) {
+    if (other != nullptr) {
+      RunIndex(other, i);
+    } else {
+      // The unfinished indices run elsewhere: yield so their threads get
+      // the core (essential on few-core hosts).
       std::this_thread::yield();
+    }
+  }
+}
+
+void TaskPool::WorkerLoop(int index) {
+  obs::SetCurrentThreadName("exec-" + std::to_string(index));
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    if (stopping_) return;
+    size_t i = 0;
+    Batch* batch = ClaimLocked(&i);
+    if (batch == nullptr) {
+      parks_.fetch_add(1, std::memory_order_relaxed);
+      ++sleepers_;
+      cv_.wait(lock);
+      --sleepers_;
       continue;
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    parks_.fetch_add(1, std::memory_order_relaxed);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    cv_.wait(lock, [&] {
-      return stopping_ || pending_.load(std::memory_order_seq_cst) > 0;
-    });
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
-    if (stopping_) return;
-    idle_rounds = 0;
+    lock.unlock();
+    RunIndex(batch, i);
+    lock.lock();
   }
 }
 

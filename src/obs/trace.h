@@ -14,7 +14,7 @@
 // Propagation model: a TraceContext is {trace_id, span_id}. Within one
 // thread, parentage is implicit — TraceSpan maintains a thread-local
 // current-span, and a nested span parents under it. Across a hand-off
-// (service thread -> shard queue, forker -> stealing exec worker) the producer captures CurrentContext() into the
+// (service thread -> shard queue, forker -> exec worker) the producer captures CurrentContext() into the
 // work item and the consumer passes it to its root TraceSpan, whose
 // explicit fields override the consumer thread's ambient context.
 //

@@ -309,7 +309,17 @@ SddManager::NodeId SddManager::MakeDecision(int vnode, Elements* elements_in) {
            std::equal(elements.begin(), elements.end(), n.elems);
   };
   const int32_t found = unique_.Find(hash, eq);
-  if (found != UniqueTable::kEmpty) return found;
+  if (found != UniqueTable::kEmpty) {
+    // Re-store the (anchor, word) mapping, which a small semantic cache
+    // may have evicted: otherwise every later LookupSemantic of this
+    // function misses and the semantic compiler rebuilds it.
+    const FastInfo& info = fast_info_[found];
+    if (info.anchor >= 0) {
+      sem_cache_.Store(Hash2SemKey(info.anchor, info.word),
+                       SemKey{info.anchor, info.word}, found);
+    }
+    return found;
+  }
   if (budget_ != nullptr && !Charge()) return kAborted;
   CTSDD_FAULT_POINT("sdd.alloc");
   Element* stored = element_arena_.Allocate(elements.size());

@@ -28,7 +28,7 @@
 //
 // Threading: the manager is single-owner, and debug builds assert that
 // every entry point runs on one thread. AttachExecutor lends it a
-// work-stealing pool (exec/) for the vtree-guided semantic compiler
+// fork-join pool (exec/) for the vtree-guided semantic compiler
 // (sdd/sdd_compile.cc), whose workers only plan cofactor partitions over
 // BoolFunc tables; the owning thread then makes every manager call, so
 // a compile assigns the same node ids with or without the pool. Apply,

@@ -44,11 +44,12 @@ constexpr uint64_t kIndexBitClear[6] = {
 // Decision. That is the order of a depth-first compile, so the node ids
 // do not depend on how planning was scheduled.
 //
-// With a parallel pool attached, Split forks its left-scope cofactor
-// classes across the pool while the vtree recursion is shallower than
-// kForkDepth: each class is a whole subfunction plan, coarse enough to
-// pay for a task (the ISA compile runs ~3x faster at 4 workers), which a
-// single apply operation is not. Planning is where the time goes (about
+// With a parallel pool attached, Split hands its left-scope cofactor
+// classes to exec::ParallelFor (one index per class) while the vtree
+// recursion is shallower than kForkDepth: each class is a whole
+// subfunction plan, coarse enough that the pool's index claiming is
+// free (the ISA compile runs ~3x faster at 4 workers), which a single
+// apply operation is not. Planning is where the time goes (about
 // 97% of a sequential ISA compile), and workers touch no manager state
 // but the immutable small-anchor table, so the manager stays
 // single-owner. The memo is sharded under short mutexes (one BoolFunc
@@ -115,11 +116,12 @@ class SemanticSddCompiler {
   // Fork cutoff: partition classes fork while the vtree recursion is at
   // depth < kForkDepth. Class counts are the cofactor multiplicities
   // (up to 2^|left vars|), so shallow levels alone saturate the pool.
-  // The cutoff also bounds memory: a helping join runs other tasks on top
-  // of its own frame, so the live Plan frames (each holding its cofactor
-  // table) grow with the fork depth. On the ISA compile, depth 4 keeps
-  // ~38 frames live (~50 MB peak RSS at 4 workers, vs ~370 frames and
-  // ~200 MB at depth 8) at the same speed; depth 3 is slower.
+  // The cutoff also bounds memory: a forker waiting on its join runs
+  // other batches' classes on top of its own frame, so the live Plan
+  // frames (each holding its cofactor table) grow with the fork depth.
+  // On the ISA compile, depth 4 keeps ~38 frames live (~50 MB peak RSS
+  // at 4 workers, vs ~370 frames and ~200 MB at depth 8) at the same
+  // speed; depth 3 is slower.
   static constexpr int kForkDepth = 4;
   static constexpr size_t kMemoShards = 16;
 

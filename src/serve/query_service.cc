@@ -663,9 +663,9 @@ void QueryService::PublishMetrics() {
   if (exec_pool_ != nullptr) {
     metrics_->GetCounter("exec.tasks_run", "Tasks executed by the exec pool")
         ->Set(exec_pool_->tasks_run());
-    metrics_->GetCounter("exec.steals", "Cross-worker deque steals")
+    metrics_->GetCounter("exec.steals", "Forked indices run off the forker")
         ->Set(exec_pool_->steals());
-    metrics_->GetCounter("exec.parks", "Worker sleeps after idle spinning")
+    metrics_->GetCounter("exec.parks", "Worker sleeps with no unclaimed index")
         ->Set(exec_pool_->parks());
   }
   metrics_

@@ -151,7 +151,7 @@ class QueryService {
   void PublishMetrics();
 
   ServeOptions options_;
-  // Service-wide work-stealing pool lent to every shard's managers (null
+  // Service-wide fork-join pool lent to every shard's managers (null
   // when options_.exec_workers <= 1); it speeds only semantic SDD
   // compiles of at most kSemanticCircuitMaxVars variables. Declared
   // before the shards so it outlives every manager that borrowed it.

@@ -132,7 +132,7 @@ struct JobState {
 
 class ShardWorker {
  public:
-  // `exec_pool` (optional, may be null) is the service-wide work-stealing
+  // `exec_pool` (optional, may be null) is the service-wide fork-join
   // pool lent to this shard's managers for cold compiles; the shard
   // attaches it to every manager it builds. It speeds up only semantic
   // SDD compiles (at most kSemanticCircuitMaxVars variables); apply

@@ -89,7 +89,7 @@ class ManagerCore {
 
   // --- Executor -----------------------------------------------------------
 
-  // Lends the manager a work-stealing pool for the SDD semantic
+  // Lends the manager a fork-join pool for the SDD semantic
   // compiler's partition planning. ObddManager never forks and ignores it.
   void AttachExecutor(exec::TaskPool* pool) { pool_ = pool; }
   exec::TaskPool* executor() const { return pool_; }

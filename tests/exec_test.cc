@@ -1,85 +1,19 @@
-// Unit tests for the exec/ work-stealing runtime: the Chase–Lev deque's
-// exactly-once removal guarantee, fork/join correctness (including nested
-// forks and external-thread participation), and the owning-thread
-// assertion.
+// Unit tests for the exec/ fork-join runtime: ParallelFor correctness
+// (every index once, nested forks, many forking threads, cancellation)
+// and the owning-thread assertion.
 
-#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <numeric>
 #include <thread>
 #include <vector>
 
-#include "exec/deque.h"
 #include "exec/task_pool.h"
 #include "gtest/gtest.h"
 #include "util/thread_check.h"
 
 namespace ctsdd {
 namespace {
-
-TEST(WorkStealingDequeTest, OwnerLifoThiefFifo) {
-  exec::WorkStealingDeque deque;
-  int items[4] = {0, 1, 2, 3};
-  for (int& item : items) deque.Push(&item);
-  // Owner pops newest first.
-  EXPECT_EQ(deque.Pop(), &items[3]);
-  // A thief steals oldest first.
-  EXPECT_EQ(deque.Steal(), &items[0]);
-  EXPECT_EQ(deque.Pop(), &items[2]);
-  EXPECT_EQ(deque.Steal(), &items[1]);
-  EXPECT_EQ(deque.Pop(), nullptr);
-  EXPECT_EQ(deque.Steal(), nullptr);
-}
-
-TEST(WorkStealingDequeTest, GrowsPastInitialCapacity) {
-  exec::WorkStealingDeque deque(8);
-  std::vector<int> items(1000);
-  for (int& item : items) deque.Push(&item);
-  for (int i = 999; i >= 0; --i) EXPECT_EQ(deque.Pop(), &items[i]);
-  EXPECT_EQ(deque.Pop(), nullptr);
-}
-
-// Every pushed item is removed exactly once across a racing owner
-// (push/pop) and two thieves.
-TEST(WorkStealingDequeTest, ExactlyOnceUnderContention) {
-  constexpr int kItems = 20000;
-  exec::WorkStealingDeque deque;
-  std::vector<std::atomic<int>> claimed(kItems);
-  for (auto& c : claimed) c.store(0);
-  std::vector<int> payload(kItems);
-  std::iota(payload.begin(), payload.end(), 0);
-  std::atomic<bool> done{false};
-  auto thief = [&] {
-    while (!done.load(std::memory_order_acquire)) {
-      if (void* item = deque.Steal()) {
-        claimed[*static_cast<int*>(item)].fetch_add(1);
-      }
-    }
-    while (void* item = deque.Steal()) {
-      claimed[*static_cast<int*>(item)].fetch_add(1);
-    }
-  };
-  std::thread t1(thief), t2(thief);
-  // Owner: push everything, popping intermittently.
-  for (int i = 0; i < kItems; ++i) {
-    deque.Push(&payload[i]);
-    if (i % 3 == 0) {
-      if (void* item = deque.Pop()) {
-        claimed[*static_cast<int*>(item)].fetch_add(1);
-      }
-    }
-  }
-  while (void* item = deque.Pop()) {
-    claimed[*static_cast<int*>(item)].fetch_add(1);
-  }
-  done.store(true, std::memory_order_release);
-  t1.join();
-  t2.join();
-  for (int i = 0; i < kItems; ++i) {
-    ASSERT_EQ(claimed[i].load(), 1) << "item " << i;
-  }
-}
 
 TEST(TaskPoolTest, SingleWorkerRunsInline) {
   exec::TaskPool pool(1);
@@ -138,15 +72,100 @@ TEST(TaskPoolTest, ReusableAcrossManyJoins) {
   }
 }
 
+// ParallelFor returns only after indices running on other threads have
+// finished: index 0 (inline on the forker) holds until a worker has
+// started index 1, which then outlasts it.
+TEST(TaskPoolTest, JoinWaitsForIndicesRunningOnWorkers) {
+  exec::TaskPool pool(2);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<bool> started{false};
+    std::atomic<bool> finished{false};
+    exec::ParallelFor(&pool, 2, [&](size_t i) {
+      if (i == 0) {
+        while (!started.load()) std::this_thread::yield();
+        return;
+      }
+      started.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      finished.store(true);
+    });
+    ASSERT_TRUE(finished.load()) << "round " << round;
+  }
+}
+
 TEST(TaskPoolTest, ManyPoolsSequentially) {
-  // Pools created and destroyed in sequence must not confuse the
-  // thread-local slot records (pool identity, not address, is the key).
+  // Pools created and destroyed in sequence (a new pool may reuse a
+  // destroyed one's address) each fork and join cleanly.
   for (int i = 0; i < 8; ++i) {
     exec::TaskPool pool(2);
     std::atomic<int> sum{0};
     exec::ParallelFor(&pool, 32, [&](size_t) { sum.fetch_add(1); });
     ASSERT_EQ(sum.load(), 32);
   }
+}
+
+// Every thread that forks is a participant only while its ParallelFor
+// runs: a pool serves any number of distinct forking threads over its
+// lifetime (a service restarts shard threads against one shared pool).
+TEST(TaskPoolTest, SurvivesManyDistinctForkingThreads) {
+  exec::TaskPool pool(2);
+  for (int t = 0; t < 100; ++t) {
+    std::atomic<int> sum{0};
+    std::thread forker([&] {
+      exec::ParallelFor(&pool, 8, [&](size_t i) {
+        sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
+      });
+    });
+    forker.join();
+    ASSERT_EQ(sum.load(), 28) << "thread " << t;
+  }
+  EXPECT_EQ(pool.tasks_run(), 100u * 7u);
+}
+
+TEST(TaskPoolTest, TrippedTokenRunsNoIndex) {
+  exec::TaskPool pool(4);
+  const std::atomic<bool> cancel{true};
+  std::atomic<int> ran{0};
+  exec::ParallelFor(&pool, 64, &cancel, [&](size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 0);
+}
+
+// A token tripped by fn(k) itself: the join still returns (skipped
+// indices are claimed and counted, not waited on), and no index runs
+// twice. Indices already running when the token trips finish normally.
+TEST(TaskPoolTest, TokenTrippedInsideAnIndexJoinsPromptly) {
+  exec::TaskPool pool(4);
+  constexpr size_t kN = 2000;
+  for (const size_t trip_at : {size_t{0}, size_t{17}, kN - 1}) {
+    std::atomic<bool> cancel{false};
+    std::vector<std::atomic<int>> hits(kN);
+    for (auto& h : hits) h.store(0);
+    exec::ParallelFor(&pool, kN, &cancel, [&](size_t i) {
+      hits[i].fetch_add(1);
+      if (i == trip_at) cancel.store(true, std::memory_order_relaxed);
+    });
+    for (size_t i = 0; i < kN; ++i) {
+      ASSERT_LE(hits[i].load(), 1) << "index " << i;
+    }
+    EXPECT_EQ(hits[trip_at].load(), 1) << "trip at " << trip_at;
+  }
+}
+
+// Index 0 runs inline on the forker and trips the token while every other
+// started index waits for the trip: after it, only the indices already in
+// flight (at most one per other participant) may complete.
+TEST(TaskPoolTest, TokenTrippedInsideAnIndexStopsTheRest) {
+  exec::TaskPool pool(4);
+  constexpr size_t kN = 2000;
+  std::atomic<bool> cancel{false};
+  std::atomic<int> ran{0};
+  exec::ParallelFor(&pool, kN, &cancel, [&](size_t i) {
+    ran.fetch_add(1);
+    if (i == 0) cancel.store(true, std::memory_order_relaxed);
+    while (!cancel.load(std::memory_order_relaxed)) std::this_thread::yield();
+  });
+  EXPECT_GE(ran.load(), 1);
+  EXPECT_LE(ran.load(), pool.workers());
 }
 
 #ifndef NDEBUG

@@ -155,6 +155,33 @@ TEST(SddSemanticTest, TinySemanticCacheNeverChangesResults) {
   }
 }
 
+// A decision found in the unique table re-stores its (anchor, word)
+// mapping, so an evicted mapping is served again after the next Decision
+// on the same elements.
+TEST(SddSemanticTest, FoundDecisionRestoresItsSemanticMapping) {
+  SddManager::Options tiny;
+  tiny.sem_cache_slots = 2;
+  const Vtree vt = Vtree::Balanced(Iota(4));
+  SddManager m(vt, tiny);
+  const int left = vt.left(vt.root());  // scope {x0, x1}
+  const SddManager::Elements x0_and_x1 = {
+      {m.Literal(0, true), m.Literal(1, true)},
+      {m.Literal(0, false), m.False()}};
+  const SddManager::NodeId node = m.Decision(left, x0_and_x1);
+  // The root anchors every node (4 variables); x0 AND x1 is true where
+  // index bits 0 and 1 are both set.
+  constexpr uint64_t kWord = 0x8888;
+  ASSERT_EQ(m.LookupSemantic(left, kWord), node);
+  Rng rng(5);
+  for (int trial = 0; trial < 200 && m.LookupSemantic(left, kWord) == node;
+       ++trial) {
+    CompileFuncToSdd(&m, BoolFunc::Random(Iota(4), &rng));
+  }
+  ASSERT_EQ(m.LookupSemantic(left, kWord), -1) << "mapping never evicted";
+  EXPECT_EQ(m.Decision(left, x0_and_x1), node);
+  EXPECT_EQ(m.LookupSemantic(left, kWord), node);
+}
+
 // Negation links are exact and bidirectional, and f op !f resolves to the
 // proper constant even for freshly built diagrams.
 TEST(SddSemanticTest, NegationLinksShortCircuitApply) {
