@@ -52,6 +52,9 @@ class BoolFunc {
   int num_vars() const { return static_cast<int>(vars_.size()); }
   const std::vector<int>& vars() const { return vars_; }
   uint32_t table_size() const { return 1u << num_vars(); }
+  // The packed truth table (the FromWords layout): bit i of word w is F at
+  // index w*64 + i; bits past table_size() are zero.
+  const std::vector<uint64_t>& words() const { return words_; }
   bool EvalIndex(uint32_t index) const;
   // Evaluates under values for this function's variables, where
   // `values[i]` is the value of global variable vars()[i].
@@ -82,10 +85,11 @@ class BoolFunc {
   // All 2^k cofactors with respect to the k listed variables (each must be
   // present; `on_vars` must be sorted and unique), in assignment order:
   // entry `a` is the cofactor under the assignment whose bit j is the
-  // value of the j-th listed variable, over vars() minus on_vars. This is
-  // the vtree-guided SDD compiler's partition primitive: one call yields
-  // every left-scope cofactor via word-parallel restriction halving,
-  // instead of 2^k independent Restrict chains.
+  // value of the j-th listed variable, over vars() minus on_vars. One call
+  // yields every cofactor via word-parallel restriction halving, instead
+  // of 2^k independent Restrict chains. The vtree-guided SDD compiler
+  // calls it only when the cofactors are wider than one word; narrower
+  // ones it reads straight from words().
   std::vector<BoolFunc> CofactorsOver(const std::vector<int>& on_vars) const;
   // Re-expresses the function over a variable superset (new variables are
   // irrelevant to the output).

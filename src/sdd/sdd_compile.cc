@@ -48,14 +48,17 @@ constexpr uint64_t kIndexBitClear[6] = {
 // classes to exec::ParallelFor (one index per class) while the vtree
 // recursion is shallower than kForkDepth: each class is a whole
 // subfunction plan, coarse enough that the pool's index claiming is
-// free (the ISA compile runs ~3x faster at 4 workers), which a single
-// apply operation is not. Planning is where the time goes (about
-// 97% of a sequential ISA compile), and workers touch no manager state
-// but the immutable small-anchor table, so the manager stays
-// single-owner. The memo is sharded under short mutexes (one BoolFunc
-// hash per probe); racing planners of one function keep the first
-// Split, so every Ref names one Split per function. Counter tallies
-// accumulate relaxed-atomically and merge into the manager at the end.
+// free, which a single apply operation is not. Planning is where the
+// time goes (about 80% of a sequential ISA compile: ~17 ms of planning
+// to ~4 ms of building on a 4-core host), and workers touch no manager
+// state but the immutable small-anchor table, so the manager stays
+// single-owner. An ISA class plans in well under a millisecond, so
+// there the fork gains only 1.0-1.9x at 4 workers, depending on how
+// fast the host wakes idle workers. The memo is sharded under short
+// mutexes (one BoolFunc hash per probe); racing planners of one
+// function keep the first Split, so every Ref names one Split per
+// function. Counter tallies accumulate relaxed-atomically and merge
+// into the manager at the end.
 class SemanticSddCompiler {
  public:
   explicit SemanticSddCompiler(SddManager* manager)
@@ -118,10 +121,9 @@ class SemanticSddCompiler {
   // (up to 2^|left vars|), so shallow levels alone saturate the pool.
   // The cutoff also bounds memory: a forker waiting on its join runs
   // other batches' classes on top of its own frame, so the live Plan
-  // frames (each holding its cofactor table) grow with the fork depth.
-  // On the ISA compile, depth 4 keeps ~38 frames live (~50 MB peak RSS
-  // at 4 workers, vs ~370 frames and ~200 MB at depth 8) at the same
-  // speed; depth 3 is slower.
+  // frames (each holding its classes' prime tables) grow with the fork
+  // depth. On the ISA compile at 4 workers, depths 3, 4 and 8 run alike
+  // (~13-14 ms) at the same ~7 MB peak RSS.
   static constexpr int kForkDepth = 4;
   static constexpr size_t kMemoShards = 16;
 
@@ -195,136 +197,207 @@ class SemanticSddCompiler {
   }
 
   // Decomposes g at internal vtree node v (g has support on both sides of
-  // v): enumerates all left-scope cofactors in one word-parallel sweep,
-  // groups equal ones, and emits one element per distinct cofactor. The
-  // group indicator functions are the primes — exhaustive and pairwise
-  // disjoint by construction, with distinct subs, so the partition is
-  // already compressed and Decision runs zero applies. With a pool
-  // attached, the classes — independent (prime, sub) plans — fork across
-  // workers.
+  // v): groups the left-scope cofactors into classes of equal functions
+  // and emits one element per class. The class indicator functions are
+  // the primes — exhaustive and pairwise disjoint by construction, with
+  // distinct subs, so the partition is already compressed and Decision
+  // runs zero applies. Cofactors of at most 6 right variables are single
+  // words, grouped by WordClasses straight from g's table; wider ones
+  // come from one BoolFunc::CofactorsOver sweep. With a pool attached,
+  // the classes — independent (prime, sub) plans — fork across workers.
   Split Partition(int v, const BoolFunc& g, int depth) {
     partitions_.fetch_add(1, std::memory_order_relaxed);
     const std::vector<int>& below_left = vt_.VarsBelow(vt_.left(v));
-    std::vector<int> left_vars;
-    for (int x : g.vars()) {
+    std::vector<int> left_vars, right_vars;
+    // Positions of the left and right variables in g's table index.
+    int pos_left[BoolFunc::kMaxVars], pos_right[BoolFunc::kMaxVars];
+    for (int i = 0; i < g.num_vars(); ++i) {
+      const int x = g.vars()[i];
       if (std::binary_search(below_left.begin(), below_left.end(), x)) {
+        pos_left[left_vars.size()] = i;
         left_vars.push_back(x);
+      } else {
+        pos_right[right_vars.size()] = i;
+        right_vars.push_back(x);
       }
     }
     const int k = static_cast<int>(left_vars.size());
+    const int mr = static_cast<int>(right_vars.size());
     CTSDD_CHECK_GE(k, 1);
     Split split;
     split.vnode = v;
-    if (m_->SmallAnchor(vt_.left(v)) >= 0 &&
-        m_->SmallAnchor(vt_.right(v)) >= 0) {
-      // Both sides fit one word: the classes come from plain word ops.
-      std::vector<int> right_vars;
-      int pos_left[6], pos_right[6];  // positions in g's table index
-      for (int i = 0, li = 0; i < g.num_vars(); ++i) {
-        if (li < k && g.vars()[i] == left_vars[li]) {
-          pos_left[li++] = i;
-        } else {
-          pos_right[right_vars.size()] = i;
-          right_vars.push_back(g.vars()[i]);
-        }
-      }
-      const WordClasses classes(
-          pos_left, k, pos_right, static_cast<int>(right_vars.size()),
-          [&](uint32_t index) { return g.EvalIndex(index); });
-      for (int c = 0; c < classes.num; ++c) {
-        split.elements.emplace_back(
-            SmallRef(vt_.left(v), classes.prime_word[c], left_vars),
-            SmallRef(vt_.right(v), classes.class_word[c], right_vars));
-      }
-      return split;
-    }
-    const std::vector<BoolFunc> cofactors = g.CofactorsOver(left_vars);
-    // Group equal cofactors; build each class's prime truth table over
-    // the left variables (bit a set iff assignment a lands in the class).
-    std::unordered_map<BoolFunc, int, BoolFunc::Hasher> class_of;
-    std::vector<const BoolFunc*> reps;  // stable: map references persist
+    // Class c's prime as a truth table over left_vars, and its sub.
     std::vector<std::vector<uint64_t>> prime_words;
-    const size_t words = ((1u << k) + 63) / 64;
-    for (uint32_t a = 0; a < (1u << k); ++a) {
-      const auto [slot, inserted] =
-          class_of.emplace(cofactors[a], static_cast<int>(reps.size()));
-      if (inserted) {
-        reps.push_back(&slot->first);
-        prime_words.emplace_back(words, 0);
+    std::vector<BoolFunc> subs;
+    if (mr <= 6) {
+      const WordClasses classes(g.words().data(), pos_left, k, pos_right,
+                                mr);
+      if (m_->SmallAnchor(vt_.left(v)) >= 0 &&
+          m_->SmallAnchor(vt_.right(v)) >= 0) {
+        // Both sides fit one word: the elements are small-scope words.
+        for (int c = 0; c < classes.num(); ++c) {
+          split.elements.emplace_back(
+              SmallRef(vt_.left(v), classes.prime(c)[0], left_vars),
+              SmallRef(vt_.right(v), classes.word(c), right_vars));
+        }
+        return split;
       }
-      prime_words[slot->second][a >> 6] |= 1ULL << (a & 63);
+      for (int c = 0; c < classes.num(); ++c) {
+        prime_words.emplace_back(classes.prime(c),
+                                 classes.prime(c) + classes.prime_words());
+        subs.push_back(BoolFunc::FromWords(right_vars, {classes.word(c)}));
+      }
+    } else {
+      std::vector<BoolFunc> cofactors = g.CofactorsOver(left_vars);
+      // Group equal cofactors in order of first occurrence; build each
+      // class's prime truth table over the left variables (bit a set iff
+      // assignment a lands in the class). Only a new class inserts.
+      std::unordered_map<BoolFunc, int, BoolFunc::Hasher> class_of;
+      const size_t words = ((1u << k) + 63) / 64;
+      for (uint32_t a = 0; a < (1u << k); ++a) {
+        auto it = class_of.find(cofactors[a]);
+        if (it == class_of.end()) {
+          it = class_of.emplace(cofactors[a], static_cast<int>(subs.size()))
+                   .first;
+          subs.push_back(std::move(cofactors[a]));
+          prime_words.emplace_back(words, 0);
+        }
+        prime_words[it->second][a >> 6] |= 1ULL << (a & 63);
+      }
+      CTSDD_CHECK_GE(subs.size(), 2u);  // g depends on some left variable
     }
-    CTSDD_CHECK_GE(reps.size(), 2u);  // g depends on some left variable
-    split.elements.resize(reps.size());
+    split.elements.resize(subs.size());
     const auto plan_class = [&](size_t c) {
       const Ref prime = Plan(
           vt_.left(v),
           BoolFunc::FromWords(left_vars, std::move(prime_words[c])).Shrink(),
           depth + 1);
-      const Ref sub = Plan(vt_.right(v), reps[c]->Shrink(), depth + 1);
+      const Ref sub = Plan(vt_.right(v), subs[c].Shrink(), depth + 1);
       split.elements[c] = {prime, sub};
     };
     if (pool_ != nullptr && pool_->parallel() && depth < kForkDepth) {
-      exec::ParallelFor(pool_, reps.size(),
+      exec::ParallelFor(pool_, subs.size(),
                         budget_ == nullptr ? nullptr : budget_->token(),
                         plan_class);
     } else {
-      for (size_t c = 0; c < reps.size(); ++c) plan_class(c);
+      for (size_t c = 0; c < subs.size(); ++c) plan_class(c);
     }
     return split;
   }
 
-  // The cofactor classes of a function of at most 12 variables whose
-  // left and right variables sit at table-index bits pos_left[0..k) and
-  // pos_right[0..mr) (each side at most 6), read through `bit(index)`:
-  // enumeration, grouping and the prime indicators all run on plain
-  // 64-bit words with no BoolFunc allocations. Class c's cofactor is
-  // class_word[c] over the right variables, its prime prime_word[c] over
-  // the left ones, in order of first occurrence.
-  struct WordClasses {
-    uint64_t class_word[64];
-    uint64_t prime_word[64];
-    int num = 0;
-
-    template <typename Bit>
-    WordClasses(const int* pos_left, int k, const int* pos_right, int mr,
-                const Bit& bit) {
-      CTSDD_CHECK(k >= 1 && k <= 6 && mr >= 1 && mr <= 6);
-      // Scatter tables: table index bits of each left/right assignment.
-      uint32_t scat_left[64], scat_right[64];
-      scat_left[0] = scat_right[0] = 0;
-      for (uint32_t x = 1; x < (1u << k); ++x) {
-        scat_left[x] =
-            scat_left[x & (x - 1)] | (1u << pos_left[std::countr_zero(x)]);
-      }
+  // The cofactor classes of the function whose packed truth table is
+  // `table`, with its left variables at table-index bits pos_left[0..k)
+  // and its right ones at pos_right[0..mr), mr <= 6, so that each
+  // cofactor is one word over the right variables. Class c's cofactor is
+  // word(c); its prime is prime(c), a 2^k-bit indicator over the left
+  // variables (prime_words() words; bit a set iff left assignment a lands
+  // in the class). Classes come in order of first occurrence in
+  // assignment order (bit j of a is the j-th left variable), the order
+  // BoolFunc::CofactorsOver yields. Nothing is allocated per assignment,
+  // and nothing at all when k <= 6 (at most 64 classes of one prime word
+  // each, held inline).
+  class WordClasses {
+   public:
+    WordClasses(const uint64_t* table, const int* pos_left, int k,
+                const int* pos_right, int mr)
+        : heap_(k > 6), prime_words_(k > 6 ? size_t{1} << (k - 6) : 1) {
+      CTSDD_CHECK(k >= 1 && mr >= 1 && mr <= 6 &&
+                  k + mr <= BoolFunc::kMaxVars);
+      uint32_t left_mask = 0;
+      for (int j = 0; j < k; ++j) left_mask |= 1u << pos_left[j];
+      // Table index bits of each right assignment.
+      uint32_t scat_right[64];
+      scat_right[0] = 0;
       for (uint32_t x = 1; x < (1u << mr); ++x) {
         scat_right[x] =
             scat_right[x & (x - 1)] | (1u << pos_right[std::countr_zero(x)]);
       }
-      // Enumerate cofactor words and group equal ones (at most 2^k <= 64
-      // classes: a linear probe beats any hash map at this size).
+      // `base` holds assignment a's table index bits: the masked increment
+      // steps through the subsets of left_mask in increasing order, which
+      // is assignment order.
+      uint32_t base = 0;
       for (uint32_t a = 0; a < (1u << k); ++a) {
         uint64_t w = 0;
-        const uint32_t base = scat_left[a];
         for (uint32_t b = 0; b < (1u << mr); ++b) {
-          w |= static_cast<uint64_t>(bit(base | scat_right[b])) << b;
+          const uint32_t i = base | scat_right[b];
+          w |= ((table[i >> 6] >> (i & 63)) & 1) << b;
         }
-        int c = -1;
-        for (int i = 0; i < num; ++i) {
-          if (class_word[i] == w) {
-            c = i;
-            break;
-          }
-        }
-        if (c < 0) {
-          c = num++;
-          class_word[c] = w;
-          prime_word[c] = 0;
-        }
-        prime_word[c] |= 1ULL << a;
+        const int c = ClassOf(w);  // may move prime_: call it first
+        prime_[c * prime_words_ + (a >> 6)] |= 1ULL << (a & 63);
+        base = ((base | ~left_mask) + 1) & left_mask;
       }
-      CTSDD_CHECK_GE(num, 2);
+      CTSDD_CHECK_GE(num_, 2);
     }
+    WordClasses(const WordClasses&) = delete;
+    WordClasses& operator=(const WordClasses&) = delete;
+
+    int num() const { return num_; }
+    uint64_t word(int c) const { return word_[c]; }
+    const uint64_t* prime(int c) const { return prime_ + c * prime_words_; }
+    size_t prime_words() const { return prime_words_; }
+
+   private:
+    // Classes are found by a linear probe while they are few, and through
+    // an open-addressed index of class ids beyond that (k > 6 only).
+    static constexpr int kLinearClasses = 16;
+
+    int ClassOf(uint64_t w) {
+      if (index_.empty()) {
+        for (int c = 0; c < num_; ++c) {
+          if (word_[c] == w) return c;
+        }
+      } else {
+        for (size_t s = Slot(w);; s = (s + 1) & (index_.size() - 1)) {
+          if (index_[s] < 0) break;
+          if (word_[index_[s]] == w) return index_[s];
+        }
+      }
+      const int c = num_++;
+      if (!heap_) {
+        inline_word_[c] = w;
+        inline_prime_[c] = 0;
+        return c;
+      }
+      heap_word_.push_back(w);
+      heap_prime_.resize(heap_prime_.size() + prime_words_, 0);
+      word_ = heap_word_.data();
+      prime_ = heap_prime_.data();
+      if (num_ > kLinearClasses) {
+        if (2 * static_cast<size_t>(num_) > index_.size()) {
+          // Rebuild at load 1/4.
+          index_.assign(std::bit_ceil(4 * static_cast<size_t>(num_)), -1);
+          for (int i = 0; i < num_; ++i) Insert(i);
+        } else {
+          Insert(c);
+        }
+      }
+      return c;
+    }
+
+    size_t Slot(uint64_t w) const {
+      w ^= w >> 31;
+      w *= 0xbf58476d1ce4e5b9ULL;
+      w ^= w >> 29;
+      return static_cast<size_t>(w) & (index_.size() - 1);
+    }
+
+    void Insert(int c) {
+      size_t s = Slot(word_[c]);
+      while (index_[s] >= 0) s = (s + 1) & (index_.size() - 1);
+      index_[s] = c;
+    }
+
+    const bool heap_;
+    const size_t prime_words_;
+    int num_ = 0;
+    // Not zeroed: entry c is written when class c is created, before any
+    // read.
+    uint64_t inline_word_[64];
+    uint64_t inline_prime_[64];
+    std::vector<uint64_t> heap_word_, heap_prime_;
+    std::vector<int> index_;
+    uint64_t* word_ = inline_word_;
+    uint64_t* prime_ = inline_prime_;
   };
 
   // --- Building (the owning thread) ----------------------------------------
@@ -396,16 +469,14 @@ class SemanticSddCompiler {
     for (uint32_t m = scope_mask_[right]; m != 0; m &= m - 1) {
       pos_right[mr++] = std::countr_zero(m);
     }
-    const WordClasses classes(pos_left, k, pos_right, mr, [&](uint32_t i) {
-      return static_cast<bool>((word >> i) & 1);
-    });
+    const WordClasses classes(&word, pos_left, k, pos_right, mr);
     SddManager::Elements elements;
-    elements.reserve(classes.num);
-    for (int c = 0; c < classes.num; ++c) {
-      const NodeId prime = Build(
-          SmallRef(left, classes.prime_word[c], vt_.VarsBelow(left)));
-      const NodeId sub = Build(
-          SmallRef(right, classes.class_word[c], vt_.VarsBelow(right)));
+    elements.reserve(classes.num());
+    for (int c = 0; c < classes.num(); ++c) {
+      const NodeId prime =
+          Build(SmallRef(left, classes.prime(c)[0], vt_.VarsBelow(left)));
+      const NodeId sub =
+          Build(SmallRef(right, classes.word(c), vt_.VarsBelow(right)));
       elements.emplace_back(prime, sub);
     }
     return m_->Decision(v, std::move(elements));

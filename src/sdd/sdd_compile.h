@@ -9,9 +9,12 @@
 //
 // Explicit functions compile by recursing on the vtree. At each internal
 // node v the compiler partitions the current subfunction into its
-// distinct left-scope cofactors with one word-parallel
-// BoolFunc::CofactorsOver sweep, and emits the already-compressed
-// {(prime_i, sub_i)} partition directly — the primes are the cofactor
+// distinct left-scope cofactors and emits the already-compressed
+// {(prime_i, sub_i)} partition directly. When at most 6 variables lie
+// on v's right, every cofactor is one word, read straight from the
+// subfunction's truth table and grouped with no allocation per left
+// assignment; wider right sides take one word-parallel
+// BoolFunc::CofactorsOver sweep. The primes are the cofactor
 // equivalence classes, so no Shannon expansion and no Or(And, And)
 // applies ever run. Memoized per subfunction (the minimal vtree node is
 // determined by the subfunction's support, so the function alone is the

@@ -88,6 +88,74 @@ TEST(BoolFuncTest, HashDistinguishes) {
   EXPECT_EQ(a.Hash(), BoolFunc::Literal(0, true).Hash());
 }
 
+// words() is the packed table: a cofactor over at most 6 variables can be
+// gathered from it bit by bit, and equals CofactorsOver's table word; the
+// first-occurrence grouping of those words is CofactorsOver's grouping.
+TEST(BoolFuncTest, WordsYieldCofactorsOverClasses) {
+  Rng rng(31);
+  int checked = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = 2 + trial % 11;  // 2..12 variables
+    std::vector<int> vars;
+    for (int v = 0; static_cast<int>(vars.size()) < n; ++v) {
+      if (rng.NextBool()) vars.push_back(v);
+    }
+    const BoolFunc f = BoolFunc::Random(vars, &rng);
+    ASSERT_EQ(f.words().size(), (f.table_size() + 63) / 64);
+    for (uint32_t i = 0; i < f.table_size(); ++i) {
+      ASSERT_EQ((f.words()[i / 64] >> (i % 64)) & 1, f.EvalIndex(i) ? 1u : 0u);
+    }
+    // At most 6 of the positions stay free; the rest are assigned.
+    std::vector<int> on, pos_on, pos_rest;
+    for (int p = 0; p < n; ++p) {
+      if (n - p > 6 ? rng.NextBool(0.8) : rng.NextBool(0.3)) {
+        on.push_back(vars[p]);
+        pos_on.push_back(p);
+      } else {
+        pos_rest.push_back(p);
+      }
+    }
+    if (on.empty() || pos_rest.empty() || pos_rest.size() > 6) continue;
+    const std::vector<BoolFunc> cofactors = f.CofactorsOver(on);
+    std::vector<uint64_t> class_words;
+    std::vector<int> class_of;  // per assignment, in first-occurrence order
+    std::vector<int> expected_class_of;
+    for (uint32_t a = 0; a < cofactors.size(); ++a) {
+      uint32_t base = 0;
+      for (size_t j = 0; j < pos_on.size(); ++j) {
+        if ((a >> j) & 1) base |= 1u << pos_on[j];
+      }
+      uint64_t w = 0;
+      for (uint32_t b = 0; b < (1u << pos_rest.size()); ++b) {
+        uint32_t i = base;
+        for (size_t j = 0; j < pos_rest.size(); ++j) {
+          if ((b >> j) & 1) i |= 1u << pos_rest[j];
+        }
+        w |= ((f.words()[i / 64] >> (i % 64)) & 1) << b;
+      }
+      ASSERT_EQ(cofactors[a].words().size(), 1u);
+      EXPECT_EQ(w, cofactors[a].words()[0]) << "trial " << trial;
+      const auto it = std::find(class_words.begin(), class_words.end(), w);
+      class_of.push_back(static_cast<int>(it - class_words.begin()));
+      if (it == class_words.end()) class_words.push_back(w);
+      int c = 0;
+      while (!(cofactors[c] == cofactors[a])) ++c;
+      expected_class_of.push_back(c);
+    }
+    // Renumber the expected classes (first member index) in first-
+    // occurrence order and compare.
+    std::vector<int> renumber(cofactors.size(), -1);
+    int next = 0;
+    for (int& c : expected_class_of) {
+      if (renumber[c] < 0) renumber[c] = next++;
+      c = renumber[c];
+    }
+    EXPECT_EQ(class_of, expected_class_of) << "trial " << trial;
+    ++checked;
+  }
+  EXPECT_GE(checked, 40);
+}
+
 // --- Factor machinery (Definition 1, Examples 1-4) ---
 
 TEST(FactorTest, ImplicationFactorsRelativeToX) {

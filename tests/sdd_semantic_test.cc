@@ -10,6 +10,7 @@
 
 #include "circuit/families.h"
 #include "compile/isa.h"
+#include "exec/task_pool.h"
 #include "func/bool_func.h"
 #include "gtest/gtest.h"
 #include "sdd/sdd.h"
@@ -77,6 +78,86 @@ TEST(SddSemanticTest, RandomizedEquivalenceAcrossVtreeShapes) {
     }
   }
   EXPECT_GE(checked, 200);
+}
+
+// Balanced over `left` joined at the root to right-linear over `right`:
+// the root partition splits |left| variables from |right| ones.
+Vtree BalancedBesideRightLinear(const std::vector<int>& left,
+                                const std::vector<int>& right) {
+  Vtree vt;
+  const std::function<int(size_t, size_t)> balanced = [&](size_t lo,
+                                                          size_t hi) {
+    if (hi - lo == 1) return vt.AddLeaf(left[lo]);
+    const size_t mid = (lo + hi) / 2;
+    return vt.AddInternal(balanced(lo, mid), balanced(mid, hi));
+  };
+  const int l = balanced(0, left.size());
+  int r = vt.AddLeaf(right.back());
+  for (size_t i = right.size() - 1; i-- > 0;) {
+    r = vt.AddInternal(vt.AddLeaf(right[i]), r);
+  }
+  vt.SetRoot(vt.AddInternal(l, r));
+  return vt;
+}
+
+// Random functions of 10..13 variables, so that left sides span several
+// table words (up to 12 variables) while right sides cover 1..6
+// variables, the range whose cofactors the compiler reads as single
+// words: the joined shape puts every (n, r) pair at the root, the linear
+// and random shapes spread the splits out. Vtree leaves follow a random
+// variable order, so each side's variables sit at scattered table-index
+// bits.
+TEST(SddSemanticTest, MultiWordLeftSidesMatchOracle) {
+  Rng rng(20261020);
+  int checked = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const int r = 1 + trial % 6;
+    const int n = 10 + trial / 6;
+    const std::vector<int> order = rng.Permutation(n);
+    std::vector<Vtree> shapes = {
+        BalancedBesideRightLinear({order.begin(), order.end() - r},
+                                  {order.end() - r, order.end()}),
+        Vtree::RightLinear(order), Vtree::Random(order, &rng)};
+    // The Shannon oracle grows steeply on left-linear vtrees.
+    if (n == 10) shapes.push_back(Vtree::LeftLinear(order));
+    const BoolFunc f = BoolFunc::Random(Iota(n), &rng);
+    for (const Vtree& vt : shapes) {
+      SddManager m(vt);
+      const auto semantic = CompileFuncToSdd(&m, f);
+      EXPECT_EQ(semantic, CompileShannon(&m, f))
+          << "n " << n << " r " << r;
+      EXPECT_TRUE(m.ToBoolFunc(semantic) == f) << "n " << n << " r " << r;
+      EXPECT_TRUE(m.Validate(semantic).ok()) << m.Validate(semantic);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 78);
+}
+
+// The Appendix-A ISA compile, pinned: node ids follow the planner's class
+// order (first occurrence in left-assignment order), so a change to that
+// order or to what the plan memoizes moves the root id or the counters
+// even where the function stays right. A 4-worker pool plans in another
+// order and must still build the same nodes.
+TEST(SddSemanticTest, IsaPlanIsExact) {
+  const IsaParams params{2, 4};
+  const Circuit circuit = IsaCircuit(params);
+  {
+    SddManager m(IsaVtree(params));
+    const auto root = CompileCircuitToSdd(&m, circuit);
+    EXPECT_EQ(root, 10428);
+    EXPECT_EQ(m.Size(root), 33379);
+    EXPECT_EQ(m.counters().semantic_partitions, 10861u);
+    EXPECT_EQ(m.counters().semantic_memo_hits, 25563u);
+  }
+  {
+    exec::TaskPool pool(4);
+    SddManager m(IsaVtree(params));
+    m.AttachExecutor(&pool);
+    const auto root = CompileCircuitToSdd(&m, circuit);
+    EXPECT_EQ(root, 10428);
+    EXPECT_EQ(m.Size(root), 33379);
+  }
 }
 
 // Skewed/degenerate functions the uniform-random sweep is unlikely to
