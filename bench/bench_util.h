@@ -44,15 +44,12 @@ inline void PrintSddDiagnostics(const char* label,
       static_cast<unsigned long long>(apply_memo.lookups));
   std::printf(
       "    [%s] applies %llu, products %llu, sem_hits %llu, absorb %llu, "
-      "merges %llu, nary %llu (fallbacks %llu), partitions %llu "
-      "(memo_hits %llu)\n",
+      "merges %llu, partitions %llu (memo_hits %llu)\n",
       label, static_cast<unsigned long long>(c.apply_calls),
       static_cast<unsigned long long>(c.element_products),
       static_cast<unsigned long long>(c.sem_apply_hits),
       static_cast<unsigned long long>(c.absorb_collapses),
       static_cast<unsigned long long>(c.compression_merges),
-      static_cast<unsigned long long>(c.nary_applies),
-      static_cast<unsigned long long>(c.nary_fallbacks),
       static_cast<unsigned long long>(c.semantic_partitions),
       static_cast<unsigned long long>(c.semantic_memo_hits));
 }

@@ -6,6 +6,7 @@
 //
 //   $ ./probabilistic_query
 
+#include <cmath>
 #include <cstdio>
 
 #include "db/database.h"
@@ -61,10 +62,19 @@ int main() {
   }
   std::printf("compiled: %s\n", comp->DebugString().c_str());
 
-  // Cross-check with brute-force enumeration over all subdatabases.
+  // Cross-check with brute-force enumeration over all subdatabases; exit
+  // 1 if they disagree.
   const auto brute = BruteForceQueryProbability(query, db);
+  if (!brute.ok()) {
+    std::printf("brute force failed: %s\n", brute.status().ToString().c_str());
+    return 1;
+  }
   std::printf("P(Q) = %.9f (compiled)  vs  %.9f (brute force)\n",
               comp->probability, brute.value());
+  if (std::abs(comp->probability - brute.value()) > 1e-9) {
+    std::printf("MISMATCH\n");
+    return 1;
+  }
 
   // Contrast: the non-hierarchical query Likes(p), Watched(p,m), Big(m)
   // contains an inversion — compilation still works at this scale, but

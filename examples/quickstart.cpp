@@ -4,6 +4,8 @@
 //
 //   $ ./quickstart
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 
@@ -49,8 +51,14 @@ int main() {
   const double p_sdd = sdd.WeightedModelCount(sdd_root, probs);
   std::printf("P(F) via OBDD = %.6f, via SDD = %.6f\n", p_obdd, p_sdd);
 
-  // 5. Cross-check against brute force.
+  // 5. Cross-check against brute force; exit 1 on any disagreement.
+  const uint64_t brute = BruteForceModelCount(circuit);
   std::printf("brute-force model count = %llu\n",
-              static_cast<unsigned long long>(BruteForceModelCount(circuit)));
+              static_cast<unsigned long long>(brute));
+  if (obdd.CountModels(obdd_root) != brute ||
+      sdd.CountModels(sdd_root) != brute || std::abs(p_obdd - p_sdd) > 1e-9) {
+    std::printf("MISMATCH\n");
+    return 1;
+  }
   return 0;
 }

@@ -53,6 +53,9 @@ struct ObddOptions {
 class ObddManager : public ManagerCore<ObddManager> {
  public:
   using Options = ObddOptions;
+  // Fan-in above which AndN stops cofactoring its operands in one n-ary
+  // sweep and folds them along the variable order (see AndN).
+  static constexpr size_t kNaryFoldArity = 8;
 
   // `var_order[i]` is the global variable id tested at level i.
   explicit ObddManager(std::vector<int> var_order, Options options = {});

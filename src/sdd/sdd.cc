@@ -527,147 +527,13 @@ bool SddManager::NormalizeNaryOps(std::vector<NodeId>* ops_in,
   return false;
 }
 
-SddManager::NodeId SddManager::ApplyN(const std::vector<NodeId>& ops, Op op) {
-  if (ops.size() == 2) return ApplyRec(ops[0], ops[1], op);
-  if (budget_ != nullptr) {
-    if (budget_->tripped()) return kAborted;
-    for (const NodeId x : ops) {
-      if (x < 0) return kAborted;
-    }
-  }
-  NaryKey key{op, ops};
-  std::sort(key.ops.begin(), key.ops.end());  // order-insensitive memo key
-  const auto it = nary_memo_.find(key);
-  if (it != nary_memo_.end()) return it->second;
-
-  int lca = nodes_[ops[0]].vnode;
-  for (size_t i = 1; i < ops.size(); ++i) {
-    lca = vtree_.Lca(lca, nodes_[ops[i]].vnode);
-  }
-  CTSDD_CHECK(!vtree_.is_leaf(lca));
-  // Lift every operand to `lca`. Lift stores are preallocated so the
-  // spans stay valid; LiftTo may grow nodes_, never move arena chunks.
-  std::vector<std::array<Element, 2>> stores(ops.size());
-  std::vector<ElementSpan> spans(ops.size());
-  size_t product = 1;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    spans[i] = LiftTo(lca, ops[i], &stores[i]);
-    // An empty span is LiftTo's abort sentinel.
-    if (budget_ != nullptr && spans[i].empty()) return kAborted;
-    // Saturate at the cap: the running multiply must not wrap (eight
-    // 256-element operands already reach 2^64).
-    product = (product > kNaryProductCap)
-                  ? product
-                  : product * std::max<size_t>(spans[i].size(), 1);
-  }
-  NodeId result;
-  if (product > kNaryProductCap) {
-    // The meet of these partitions is too wide for one expansion; fold
-    // with binary applies, whose per-step canonicalization keeps
-    // intermediates compressed. Sequential for And (each conjunct
-    // constrains the accumulator), balanced for Or (disjuncts don't).
-    ++counters_.nary_fallbacks;
-    if (op == Op::kAnd) {
-      result = ops[0];
-      for (size_t i = 1; i < ops.size() && result != kFalse; ++i) {
-        result = ApplyRec(result, ops[i], op);
-      }
-    } else {
-      std::vector<NodeId> fold = ops;
-      while (fold.size() > 1) {
-        size_t next = 0;
-        for (size_t i = 0; i + 1 < fold.size(); i += 2) {
-          fold[next++] = ApplyRec(fold[i], fold[i + 1], op);
-        }
-        if (fold.size() % 2 == 1) fold[next++] = fold.back();
-        fold.resize(next);
-      }
-      result = fold[0];
-    }
-    if (budget_ != nullptr && result < 0) return result;  // never memoized
-    nary_memo_.emplace(std::move(key), result);
-    return result;
-  }
-
-  ++counters_.nary_applies;
-  while (scratch_.size() <= rec_depth_) scratch_.emplace_back();
-  Elements& out = scratch_[rec_depth_];
-  ++rec_depth_;
-  out.clear();
-  // Absorbing-sub collapse, n-ary: an element whose sub is already the
-  // op's absorbing terminal contributes (prime, absorbing) outright (the
-  // other operands' primes are exhaustive over its prime), and the
-  // product below skips it — its cells are covered.
-  const NodeId absorbing = (op == Op::kAnd) ? kFalse : kTrue;
-  for (const ElementSpan& span : spans) {
-    for (const auto& [p, s] : span) {
-      if (s == absorbing) {
-        out.emplace_back(p, s);
-        ++counters_.absorb_collapses;
-      }
-    }
-  }
-  // Smallest element lists first: dead partial primes prune the widest
-  // subtrees of the product as early as possible.
-  std::vector<size_t> order(spans.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
-    return spans[x].size() < spans[y].size();
-  });
-  std::vector<NodeId> subs(spans.size());
-  std::vector<NodeId> sub_ops;  // leaf fold buffer, reused across leaves
-  sub_ops.reserve(spans.size());
-  // Depth-first element product with live-prime pruning: each level picks
-  // one element of one operand, conjoining its prime into the running
-  // cell prime; a false cell prime cuts the whole subtree. Leaves fold
-  // their collected subs with a recursive n-ary apply.
-  auto dfs = [&](auto&& self, size_t level, NodeId acc) -> void {
-    if (level == spans.size()) {
-      sub_ops.assign(subs.begin(), subs.end());
-      NodeId s;
-      if (!NormalizeNaryOps(&sub_ops, op, &s)) {
-        s = ApplyN(sub_ops, op);
-      }
-      out.emplace_back(acc, s);
-      return;
-    }
-    for (const auto& [p, s] : spans[order[level]]) {
-      if (s == absorbing) continue;  // collapsed above
-      NodeId cell = p;
-      if (acc != kTrue) {
-        cell = FastApply(acc, p, Op::kAnd);
-        if (cell < 0) cell = ApplyRec(acc, p, Op::kAnd);
-      }
-      // Aborted cell prime: skip the subtree — the tripped check after
-      // the product returns kAborted before anything uses `out`.
-      if (budget_ != nullptr && cell < 0) return;
-      if (cell == kFalse) continue;
-      subs[level] = s;
-      self(self, level + 1, cell);
-    }
-  };
-  dfs(dfs, 0, kTrue);
-  if (budget_ != nullptr && budget_->tripped()) {
-    --rec_depth_;
-    return kAborted;
-  }
-  counters_.element_products += out.size();
-  result = MakeDecision(lca, &out);
-  --rec_depth_;
-  if (budget_ != nullptr && result < 0) return result;  // never memoized
-  nary_memo_.emplace(std::move(key), result);
-  return result;
-}
-
 SddManager::NodeId SddManager::NaryRec(std::vector<NodeId> ops, Op op) {
   NodeId result;
   if (NormalizeNaryOps(&ops, op, &result)) return result;
-  // One n-ary element product: narrow gates canonicalize once instead of
-  // paying MakeDecision per binary apply.
-  if (ops.size() <= kNaryFoldArity) return ApplyN(ops, op);
-  // Wide gates fold bottom-up along the vtree. An operand joins the fold
-  // at the vtree node it is normalized at, so each intermediate combines
-  // one subtree's operands and stays within that subtree's scope.
+  if (ops.size() == 2) return ApplyRec(ops[0], ops[1], op);
+  // Fold bottom-up along the vtree. An operand joins the fold at the
+  // vtree node it is normalized at, so each intermediate combines one
+  // subtree's operands and stays within that subtree's scope.
   // (Accumulating conjunctions in circuit order took 4-5.5x the applies
   // on kc_compile's tree CNFs; n-ary disjunction chunks in a balanced
   // tree took 5-10x on H0's lineages.) The keys go past any enclosing

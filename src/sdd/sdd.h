@@ -106,12 +106,11 @@ class SddManager : public ManagerCore<SddManager> {
   NodeId Not(NodeId a);
 
   // Multi-way conjunction/disjunction with neutral operands dropped and
-  // absorbing terminals short-circuited. Up to kNaryFoldArity operands
-  // (util/manager_core.h) combine in one n-ary element product. Wider
-  // ones fold bottom-up along the vtree: each operand joins the fold at
-  // the vtree node it is normalized at, so every intermediate combines
-  // one subtree's operands. A disjunction first compresses each node's
-  // operands: single conjunctions p ∧ s sharing a sub s become
+  // absorbing terminals short-circuited. Two operands take one binary
+  // apply; more fold bottom-up along the vtree: each operand joins the
+  // fold at the vtree node it is normalized at, so every intermediate
+  // combines one subtree's operands. A disjunction first compresses each
+  // node's operands: single conjunctions p ∧ s sharing a sub s become
   // (p_1 ∨ ... ∨ p_k) ∧ s, the inner disjunction folding in the node's
   // left subtree.
   NodeId AndN(std::vector<NodeId> ops);
@@ -219,8 +218,6 @@ class SddManager : public ManagerCore<SddManager> {
     uint64_t element_products = 0;  // (prime, sub) pairs emitted by apply
     uint64_t absorb_collapses = 0;  // rows/cols fused by an absorbing sub
     uint64_t compression_merges = 0;  // equal-sub groups fused (OrN merge)
-    uint64_t nary_applies = 0;        // n-ary element-product expansions
-    uint64_t nary_fallbacks = 0;      // ApplyN product-cap binary fallbacks
     uint64_t sem_apply_hits = 0;       // applies resolved by word semantics
     uint64_t semantic_partitions = 0;  // semantic-compiler vtree partitions
     uint64_t semantic_memo_hits = 0;   // semantic-compiler subfunction hits
@@ -288,27 +285,6 @@ class SddManager : public ManagerCore<SddManager> {
 
  private:
   enum class Op : uint8_t { kAnd, kOr };
-
-  struct NaryKey {
-    Op op = Op::kAnd;
-    std::vector<NodeId> ops;  // sorted, unique, constant-free
-    bool operator==(const NaryKey&) const = default;
-  };
-  struct NaryKeyHash {
-    size_t operator()(const NaryKey& k) const {
-      uint64_t h = 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(k.op);
-      for (const NodeId id : k.ops) {
-        h ^= static_cast<uint64_t>(id) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-             (h >> 2);
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-
-  // Element-product budget for one ApplyN expansion (product of operand
-  // element counts); past it the operands fall back to binary folding,
-  // whose intermediate canonicalization keeps the meet partition in check.
-  static constexpr size_t kNaryProductCap = 4096;
 
   // Charges one node allocation against the attached budget's lease;
   // false when the budget denies it (the caller returns kAborted before
@@ -382,17 +358,8 @@ class SddManager : public ManagerCore<SddManager> {
     return hit;
   }
   static uint64_t Hash2SemKey(int anchor, uint64_t word);
-  // n-ary apply: lifts all operands to their common vtree LCA and runs one
-  // pruned element product over every operand's element list — dead
-  // (false) partial primes cut whole subtrees of the product, subs combine
-  // by a recursive n-ary fold, and the result canonicalizes once instead
-  // of once per binary apply. `ops` must be constant-free and duplicate-
-  // free with >= 2 entries (NormalizeNaryOps's postcondition); order is
-  // free — the caller's sequence is preserved, and only the internal memo
-  // key is sorted. Falls back to binary folds past kNaryProductCap.
-  NodeId ApplyN(const std::vector<NodeId>& ops, Op op);
-  // AndN/OrN below EnterOp: normalizes, then one ApplyN up to
-  // kNaryFoldArity operands, else the vtree fold over fold_keys_.
+  // AndN/OrN below EnterOp: normalizes, then one ApplyRec for two
+  // operands, else the vtree fold over fold_keys_.
   NodeId NaryRec(std::vector<NodeId> ops, Op op);
   // Combines ops[k] for the keys k in fold_keys_[lo, hi), which lie in
   // one vtree subtree: the halves below the keys' LCA w fold first and
@@ -401,10 +368,10 @@ class SddManager : public ManagerCore<SddManager> {
   // skipped, so the recursion follows the keys' LCA tree.
   NodeId FoldRec(const std::vector<NodeId>& ops, Op op, size_t lo,
                  size_t hi);
-  // Shared operand normalization for AndN/OrN/ApplyN: drops identity
-  // operands and duplicates, sorts, and detects absorbing terminals and
-  // complementary pairs. Returns true if the fold is decided immediately
-  // (result in *out).
+  // Operand normalization for AndN/OrN: drops identity operands and
+  // duplicates (keeping the caller's order), and detects absorbing
+  // terminals and complementary pairs. Returns true if the fold is
+  // decided immediately (result in *out); otherwise >= 2 operands remain.
   bool NormalizeNaryOps(std::vector<NodeId>* ops, Op op, NodeId* out);
   NodeId NotRec(NodeId a);
   // Records a <-> b as negations of each other (for apply short-circuits).
@@ -417,16 +384,13 @@ class SddManager : public ManagerCore<SddManager> {
   // needed); lifted literal/decision cases materialize into *store.
   ElementSpan LiftTo(int vnode, NodeId a, std::array<Element, 2>* store);
   // Brackets an operation (Apply, AndN, OrN, Not, Restrict, Decision).
-  // LeaveOp resets the memos when the outermost operation returns.
+  // LeaveOp resets the apply memo when the outermost operation returns.
   void EnterOp() {
     thread_check_.Check();
     ++op_depth_;
   }
   void LeaveOp() {
-    if (--op_depth_ == 0) {
-      apply_memo_.Reset();
-      nary_memo_.clear();
-    }
+    if (--op_depth_ == 0) apply_memo_.Reset();
   }
 
   uint64_t CountModelsAt(NodeId a, int vnode,
@@ -508,8 +472,6 @@ class SddManager : public ManagerCore<SddManager> {
   // index) packed per word and sorted. Stack-shaped: a fold appends its
   // keys past the enclosing fold's and drops them when it returns.
   std::vector<uint64_t> fold_keys_;
-  // Exact memo for n-ary folds within the current top-level operation.
-  std::unordered_map<NaryKey, NodeId, NaryKeyHash> nary_memo_;
   // Remaining node allocations pre-charged against the attached budget
   // (see Charge; reset by AttachBudget).
   uint32_t budget_lease_ = 0;

@@ -74,11 +74,6 @@ class ManagerCore {
   static constexpr NodeId kFalse = 0;
   static constexpr NodeId kTrue = 1;
   static constexpr NodeId kAborted = -2;
-  // Fan-in above which AndN stops treating its operands as one n-ary step
-  // and folds them bottom-up along the manager's own structure: the vtree
-  // for SDDs, the variable order for OBDDs. OrN and narrower AndN calls
-  // keep their n-ary paths.
-  static constexpr size_t kNaryFoldArity = 8;
 
   NodeId False() const { return kFalse; }
   NodeId True() const { return kTrue; }

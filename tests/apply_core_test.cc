@@ -270,9 +270,10 @@ TEST(ApplyCoreSddTest, TinyAndDefaultCachesAgreeNodeForNode) {
 }
 
 TEST(ApplyCoreSddTest, MultiWaySddFoldMatchesChain) {
-  // Fan-in 2..16: past kNaryFoldArity, AndN folds along the vtree. The
-  // right-linear vtree puts buckets on a spine whose left halves are
-  // single leaves.
+  // Fan-in 2..16: from three operands, AndN and OrN fold along the
+  // vtree, and past eight the operands spread over at least three
+  // buckets. The right-linear vtree puts buckets on a spine whose left
+  // halves are single leaves.
   Rng rng(55);
   const int n = 24;
   for (const Vtree& vtree :
@@ -289,7 +290,7 @@ TEST(ApplyCoreSddTest, MultiWaySddFoldMatchesChain) {
           or_chain = m.Or(or_chain, op);
           buckets.insert(m.VtreeOf(op));
         }
-        if (k > static_cast<int>(SddManager::kNaryFoldArity)) {
+        if (k > 8) {
           EXPECT_GE(buckets.size(), 3u) << "k=" << k;
         }
         if (contradict) EXPECT_EQ(and_chain, m.False());

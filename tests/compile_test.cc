@@ -470,6 +470,48 @@ TEST(PipelineTest, Result1LinearSizeOnTreeCnf) {
                               {8, 16, 32, 64, 128}, 12.0);
 }
 
+// Result 1 bounds the Lemma 1 SDD's size; this asserts that the work to
+// build it is linear too. Compiling on VtreeForCircuit with no pool (the
+// apply route and its counters are deterministic), doubling n from `n`
+// at most 2.3x's the apply calls (a linear schedule reads about 2.0),
+// and neither size spends more than `max_applies_per_element` applies
+// per output element.
+void ExpectLemma1WorkLinear(const std::function<Circuit(int)>& make, int n,
+                            double max_applies_per_element) {
+  uint64_t apply_calls[2];
+  for (int i = 0; i < 2; ++i) {
+    const Circuit c = make(n << i);
+    auto vtree = VtreeForCircuit(c);
+    ASSERT_TRUE(vtree.ok());
+    SddManager sdd(std::move(vtree).value());
+    const SddManager::NodeId root = CompileCircuitToSdd(&sdd, c);
+    ASSERT_GE(root, 0);
+    apply_calls[i] = sdd.counters().apply_calls;
+    EXPECT_LE(static_cast<double>(apply_calls[i]) /
+                  static_cast<double>(ComputeSddStats(sdd, root).size),
+              max_applies_per_element)
+        << "n=" << (n << i);
+  }
+  EXPECT_LE(static_cast<double>(apply_calls[1]) /
+                static_cast<double>(apply_calls[0]),
+            2.3)
+      << apply_calls[0] << " -> " << apply_calls[1] << " applies";
+}
+
+TEST(PipelineTest, Result1LinearWorkOnTreeCnf) {
+  // 64 -> 128 leaves: 9,328 -> 19,213 applies (ratio 2.06), 6.15 and
+  // 6.29 per element. The circuit-order conjunction chain took 105,175
+  // applies at 128 leaves.
+  ExpectLemma1WorkLinear([](int n) { return TreeCnfCircuit(n); }, 64, 7.0);
+}
+
+TEST(PipelineTest, Result1LinearWorkOnBandedCnf) {
+  // Band 4, 128 -> 256 variables: 152,042 -> 324,464 applies (ratio
+  // 2.13), 31.2 and 32.4 per element.
+  ExpectLemma1WorkLinear([](int n) { return BandedCnfCircuit(n, 4); }, 128,
+                         36.0);
+}
+
 TEST(PipelineTest, Result1LinearSizeOnPermutedLadder) {
   // The ladder with seeded random variable ids: the ids carry no layout,
   // so only a vtree that follows the decomposition stays linear. Sizes
@@ -559,7 +601,7 @@ TEST(PipelineTest, WideAndFoldIsNodeIdenticalToTheCircuitOrderChain) {
         Family{"tree_cnf_128", TreeCnfCircuit(128), false, 30000}}) {
     SCOPED_TRACE(family.name);
     const Circuit& c = family.circuit;
-    ASSERT_GT(MaxFanin(c, GateKind::kAnd), SddManager::kNaryFoldArity);
+    ASSERT_GT(MaxFanin(c, GateKind::kAnd), ObddManager::kNaryFoldArity);
 
     auto vtree = VtreeFromNiceDecomposition(
         c, MakeNice(HeuristicDecomposition(PrimalGraph(c))));
@@ -614,7 +656,7 @@ TEST(PipelineTest, WideOrFoldIsNodeIdenticalToTheCircuitOrderChain) {
         Lineages{"hierarchical_rs_8",
                  Lineage(HierarchicalRSQuery(), 8, 32, 7)}}) {
     const Circuit& c = lineage.circuit;
-    ASSERT_GT(MaxFanin(c, GateKind::kOr), SddManager::kNaryFoldArity);
+    ASSERT_GT(MaxFanin(c, GateKind::kOr), 8u);
     ASSERT_GT(static_cast<int>(c.Vars().size()), kSemanticCircuitMaxVars);
     for (const VtreeStrategy strategy :
          {VtreeStrategy::kBalanced, VtreeStrategy::kFromTreewidth}) {

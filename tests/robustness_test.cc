@@ -10,6 +10,7 @@
 // and fault-injection trips ride the same unwind.
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -320,15 +321,18 @@ std::vector<typename Manager::NodeId> BandedClauses(Manager* m, int n) {
   return clauses;
 }
 
-// A wide AndN (past kNaryFoldArity, so the fold along the vtree or the
-// order) under a tiny budget aborts inside the fold and unwinds cleanly:
-// bounded overshoot, a valid manager, exact memory accounting, and the
-// unbudgeted AndN then equals the binary chain.
+// An AndN of `num_ops` banded clauses (the fold along the vtree, or for
+// the OBDD past kNaryFoldArity the fold along the order) under a tiny
+// budget aborts inside the fold and unwinds cleanly: bounded overshoot, a
+// valid manager, exact memory accounting, and the unbudgeted AndN then
+// equals the binary chain.
 template <class Manager>
-void ExpectWideAndNAbortsCleanly(Manager* m, MemAccount* account, int n) {
+void ExpectWideAndNAbortsCleanly(Manager* m, MemAccount* account,
+                                 int num_ops) {
+  SCOPED_TRACE("num_ops=" + std::to_string(num_ops));
   m->AttachMemAccount(account);
-  const auto ops = BandedClauses(m, n);
-  ASSERT_GT(ops.size(), Manager::kNaryFoldArity);
+  const auto ops = BandedClauses(m, num_ops + 2);
+  ASSERT_EQ(ops.size(), static_cast<size_t>(num_ops));
   const int baseline = m->NumNodes();
   WorkBudget tiny(2);
   m->AttachBudget(&tiny);
@@ -347,17 +351,20 @@ TEST(BudgetAbortTest, WideAndNAbortsInsideTheFold) {
   const int n = 32;
   MemAccount obdd_account;  // outlives the manager, which releases into it
   ObddManager obdd(Iota(n));
-  ExpectWideAndNAbortsCleanly(&obdd, &obdd_account, n);
-  MemAccount sdd_account;
-  SddManager sdd(Vtree::Balanced(Iota(n)));
-  ExpectWideAndNAbortsCleanly(&sdd, &sdd_account, n);
+  ExpectWideAndNAbortsCleanly(&obdd, &obdd_account, n - 2);
+  // The SDD folds along the vtree from three operands up.
+  for (const int num_ops : {3, 4, 5, 6, 7, 8, n - 2}) {
+    MemAccount sdd_account;
+    SddManager sdd(Vtree::Balanced(Iota(n)));
+    ExpectWideAndNAbortsCleanly(&sdd, &sdd_account, num_ops);
+  }
 }
 
 // A wide OrN whose operands are all single conjunctions p_i ∧ s at the
 // vtree root, sharing the sub s, is one group: the fold's first apply runs
 // inside the group's inner prime disjunction p_0 ∨ ... ∨ p_13, itself a
-// fold past kNaryFoldArity, and a tiny budget trips there. The unwind is
-// clean, and the unbudgeted OrN then equals the binary chain.
+// vtree fold, and a tiny budget trips there. The unwind is clean, and the
+// unbudgeted OrN then equals the binary chain.
 TEST(BudgetAbortTest, WideOrNAbortsInsideAGroupsPrimeFold) {
   const int n = 32;
   MemAccount account;  // outlives the manager, which releases into it
@@ -371,7 +378,7 @@ TEST(BudgetAbortTest, WideOrNAbortsInsideAGroupsPrimeFold) {
                              m.Literal(i + 2, false)}));
     ops.push_back(m.And(primes.back(), s));
   }
-  ASSERT_GT(primes.size(), SddManager::kNaryFoldArity);
+  ASSERT_GT(primes.size(), 8u);
   const int baseline = m.NumNodes();
   WorkBudget tiny(2);
   m.AttachBudget(&tiny);

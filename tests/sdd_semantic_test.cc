@@ -279,13 +279,13 @@ TEST(SddSemanticTest, NegationLinksShortCircuitApply) {
   }
 }
 
-// Wide n-ary folds (through the element-level ApplyN product and its
-// product-cap fallback) match binary chains.
+// N-ary folds along the vtree, over operands on small semantic anchors,
+// match binary chains.
 TEST(SddSemanticTest, WideNaryFoldsMatchChains) {
   Rng rng(555);
   SddManager m(Vtree::Balanced(Iota(10)));
   for (int trial = 0; trial < 12; ++trial) {
-    const int k = 3 + rng.NextInt(0, 12);  // spans the n-ary fold arity
+    const int k = 3 + rng.NextInt(0, 12);  // 3..15 operands
     std::vector<SddManager::NodeId> ops;
     for (int i = 0; i < k; ++i) {
       const int u = rng.NextInt(0, 9);

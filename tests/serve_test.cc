@@ -1173,7 +1173,10 @@ TEST(QueryServiceSupervisionTest, DeadWorkerIsRestartedAndRecompilesExactly) {
   const Database db = BipartiteRstDatabase(4, 0.4);
   ServeOptions options;
   options.num_shards = 1;
-  options.heartbeat_window_ms = 10;
+  // Deaths are detected on the next scan (every window / 4) whatever the
+  // window; a wide window keeps the slow (sanitized) cold recompile on
+  // the restarted worker from reading as a hang.
+  options.heartbeat_window_ms = 100;
   QueryService service(options);
 
   QueryRequest request;
